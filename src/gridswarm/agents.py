@@ -34,6 +34,7 @@ SCHEDULERS = ("random", "adversarial")
 # Sensed-neighborhood cell markers.
 SENSE_WALL = -1
 SENSE_EMPTY = 0
+_UNSENSED_AIR = (SENSE_EMPTY,) * 5  # air slots of a settled agent
 
 
 class ParamError(ValueError):
@@ -145,50 +146,18 @@ def sense(world, a: AgentRecord) -> tuple:
     layers; settled agents sense only the ground layer (their air
     slots read empty).
 
-    ``world`` must expose ``region``, ``ground`` and ``air`` (per-cell
-    agent ids, 0 = empty) and ``agents`` (records indexed by id - 1).
+    ``world`` must expose ``region`` and the per-cell sensed views
+    ``gview`` (ground) and ``aview`` (air): each cell holds
+    ``SENSE_EMPTY`` or the ``(s1, s2)`` its occupant projects, and one
+    extra last slot holds ``SENSE_WALL``, so the neighbor index ``-1``
+    of a wall or the outside reads as a wall.
     """
-    region = world.region
-    ground = world.ground
-    agents = world.agents
-    nbs = region.neighbors[a.pos]
-
+    pos = a.pos
+    n, e, s, w = world.region.neighbors[pos]
+    g = world.gview
+    if a.mode == MODE_MOBILE:
+        v = world.aview
+        return (g[pos], g[n], g[e], g[s], g[w], v[pos], v[n], v[e], v[s], v[w])
     if a.mode == MODE_SETTLED:
-        xi = [SENSE_EMPTY] * 10
-        xi[0] = (a.s1, a.s2)
-        for d in range(4):
-            nb = nbs[d]
-            if nb < 0:
-                xi[1 + d] = SENSE_WALL
-            else:
-                gid = ground[nb]
-                if gid:
-                    g = agents[gid - 1]
-                    xi[1 + d] = (g.s1, g.s2)
-        return tuple(xi)
-
-    if a.mode != MODE_MOBILE:
-        raise ValueError(f"agent {a.id} cannot sense in mode {MODE_NAMES.get(a.mode, a.mode)}")
-
-    air = world.air
-    xi = [SENSE_EMPTY] * 10
-    gid = ground[a.pos]
-    if gid:
-        g = agents[gid - 1]
-        xi[0] = (g.s1, g.s2)
-    xi[5] = (a.s1, a.s2)
-    for d in range(4):
-        nb = nbs[d]
-        if nb < 0:
-            xi[1 + d] = SENSE_WALL
-            xi[6 + d] = SENSE_WALL
-            continue
-        gid = ground[nb]
-        if gid:
-            g = agents[gid - 1]
-            xi[1 + d] = (g.s1, g.s2)
-        aid = air[nb]
-        if aid:
-            other = agents[aid - 1]
-            xi[6 + d] = (other.s1, other.s2)
-    return tuple(xi)
+        return (g[pos], g[n], g[e], g[s], g[w]) + _UNSENSED_AIR
+    raise ValueError(f"agent {a.id} cannot sense in mode {MODE_NAMES.get(a.mode, a.mode)}")

@@ -147,6 +147,22 @@ def _metrics_row(run_id: str, region_name: str, region: Region, p: SimParams, m)
     }
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse to append to a non-empty CSV whose header is not ours."""
+    if out is None or out == "-":
+        return
+    path = Path(out)
+    if not path.exists() or path.stat().st_size == 0:
+        return
+    with path.open(newline="") as fh:
+        header = fh.readline().rstrip("\r\n")
+    if header != ",".join(CSV_COLUMNS):
+        raise ConfigError(
+            f"{out} exists and its first line is not the run CSV header; "
+            "refusing to append to it"
+        )
+
+
 def _write_rows(rows: list[dict], out: str | None) -> None:
     if out is None or out == "-":
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
@@ -169,12 +185,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("configuration is missing the 'region' key")
     region = load_region(cfg["region"], base=cfg_path.parent)
     params = build_params(cfg)
-    result = run(region, params, log_events=args.log_events is not None)
-    if args.log_events is not None:
+    _check_out(args.out)
+    if args.log_events is None:
+        result = run(region, params)
+    else:
+        # Stream the log: each event is written as it happens.
         with Path(args.log_events).open("w") as fh:
-            fh.write(EVENT_HEADER + "\n")
-            for ev in result.events:
-                fh.write(ev.format() + "\n")
+            write = fh.write
+            write(EVENT_HEADER + "\n")
+            result = run(region, params, on_event=lambda ev: write(ev.format() + "\n"))
     row = _metrics_row("r000000", cfg["region"], region, params, result.metrics)
     _write_rows([row], args.out)
     if args.strict and result.metrics.terminated == TERM_STEP_CAP:
@@ -212,6 +231,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     vary = _parse_vary(args.vary or [])
     keys = sorted(vary)
     base_seed = cfg.get("seed", 0)
+    _check_out(args.out)
 
     rows: list[dict] = []
     run_idx = 0

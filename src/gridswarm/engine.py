@@ -16,12 +16,27 @@ return their current sub-state unchanged.  Settled energy is likewise
 closed-form in the number of settled steps, so per-step ticking is
 replaced by scheduled threshold events; the ledger identity
 ``energy = e0 - t_m - alpha * t_s`` is preserved exactly.
+
+Beside the per-cell agent ids (``ground``, ``air``) the engine keeps
+two per-cell sensed views, ``gview`` and ``aview``: each cell holds
+``SENSE_EMPTY`` or the ``(s1, s2)`` tuple its occupant projects, and one
+extra last slot holds ``SENSE_WALL`` so that the neighbor index ``-1``
+reads as a wall.  They are updated wherever the world changes (entry,
+move, shutdown, settle, transition, failure), so ``sense`` is a plain
+gather of ten slots.  The wake order of a step is a heap of ints
+``(sub << 32) | id``: ``sub`` is a uniform sub-step in ``[0, m)`` under
+the random scheduler, and the agent's hop distance from the entry under
+the adversarial one (settled agents do not move, so lazily inserted
+agents compare the same way as the rest).  Events are handed, one at a
+time, to a sink: a list for ``log_events=True``, or any callable given
+as ``on_event`` (the CLI streams them to the log file).
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +51,7 @@ from .agents import (
     S_LOW_ENERGY,
     S_MOBILE,
     SENSE_EMPTY,
+    SENSE_WALL,
     AgentRecord,
     SimParams,
     sense,
@@ -44,7 +60,6 @@ from .grid import Region
 from .rules import (
     A_MOVE,
     A_SETTLE_AT,
-    A_SETTLE_HERE,
     A_SHUTDOWN,
     A_STAY,
     REGISTRY,
@@ -54,13 +69,16 @@ TERM_CLOSED = "closed"
 TERM_LOW_ENERGY = "low_energy"
 TERM_STEP_CAP = "step_cap"
 
+# Wake keys pack the sub-step above the agent id.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
 
 class InvariantError(AssertionError):
     """A run violated a structural invariant; always a bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One line of the event log."""
 
     t: int
@@ -136,16 +154,31 @@ class _RandomSource:
 
 
 class Simulation:
-    """Mutable world state for one run."""
+    """Mutable world state for one run.
 
-    def __init__(self, region: Region, params: SimParams, log_events: bool = False):
+    Events go to ``on_event`` as they happen; ``log_events=True``
+    collects them in ``events`` instead.
+    """
+
+    def __init__(
+        self,
+        region: Region,
+        params: SimParams,
+        log_events: bool = False,
+        on_event: Callable[[Event], object] | None = None,
+    ):
         params.validate()
+        if log_events and on_event is not None:
+            raise ValueError("pass either log_events or on_event, not both")
         self.region = region
         self.p = params
         self.rng = _RandomSource(np.random.default_rng(params.seed))
         ncells = region.width * region.height
         self.ground = [0] * ncells  # settled agent id per cell, 0 = empty
         self.air = [0] * ncells  # mobile agent id per cell, 0 = empty
+        # Sensed views of the two layers, with a trailing wall slot.
+        self.gview: list = [SENSE_EMPTY] * ncells + [SENSE_WALL]
+        self.aview: list = [SENSE_EMPTY] * ncells + [SENSE_WALL]
         self.agents: list[AgentRecord] = []
         self.mobile_ids: list[int] = []
         self.settled_count = 0
@@ -153,20 +186,22 @@ class Simulation:
         self.nda_failed = 0
         self.stale: set[int] = set()
         self.events: list[Event] | None = [] if log_events else None
+        self._emit = self.events.append if log_events else on_event
         self.n_series: list[int] = []
         self.ac_series: list[int] = []
         # Scheduled settled-energy events: (step, kind, agent_id) with
         # kind 0 = crosses the reporting threshold, 1 = fails.
         self._energy_events: list[tuple[int, int, int]] = []
         self._mobile_decide, self._settled_decide = REGISTRY[params.algorithm]
+        self._adversarial = params.scheduler == "adversarial"
         self.t = 0
         self.terminated: str | None = None
 
     # -- helpers -----------------------------------------------------------
 
     def _log(self, t, agent, action, src, dst):
-        if self.events is not None:
-            self.events.append(
+        if self._emit is not None:
+            self._emit(
                 Event(t, agent.id, action, src, dst, agent.s1, agent.s2, agent.energy)
             )
 
@@ -199,34 +234,35 @@ class Simulation:
             heapq.heappush(self._energy_events, (first_step(p.ecrit_settled), 0, a.id))
         heapq.heappush(self._energy_events, (first_step(0.0), 1, a.id))
 
-    def _mark_ground_change(self, cell: int, cur_key, heap, scheduled, processed):
+    def _mark_ground_change(self, cell: int, cur_key, heap, scheduled):
         """A cell's projected ground state changed: settled neighbors
         (and the cell's own occupant) must be re-processed.  If their
         wake this step is still ahead, they wake into the change now;
         otherwise they stay flagged for the next step."""
+        ground = self.ground
         for c in (cell, *self.region.neighbors[cell]):
             if c < 0:
                 continue
-            gid = self.ground[c]
+            gid = ground[c]
             if not gid:
                 continue
             g = self.agents[gid - 1]
             if g.mode != MODE_SETTLED or g.s1 == S_LOW_ENERGY:
                 continue
             self.stale.add(gid)
-            if gid in scheduled or gid in processed or heap is None:
+            if heap is None or gid in scheduled:
                 continue
-            key = self._lazy_key(gid, cur_key)
-            if key is not None and key > cur_key:
+            key = self._wake_key(g)
+            if key > cur_key:
                 scheduled.add(gid)
-                heapq.heappush(heap, (key, gid))
+                heapq.heappush(heap, key)
 
-    def _lazy_key(self, aid: int, cur_key):
-        """Sub-step key for an agent inserted mid-step."""
-        if self._rank_map is not None:  # adversarial: ranks are fixed
-            rank = self._rank_map.get(aid)
-            return None if rank is None else (rank, aid)
-        return (self.rng.integers(0, self.p.m), aid)
+    def _wake_key(self, a: AgentRecord) -> int:
+        """Packed wake key of an agent inserted mid-step; a random
+        sub-step costs one draw."""
+        if self._adversarial:
+            return self.region.distances[a.pos] << _ID_BITS | a.id
+        return self.rng.integers(0, self.p.m) << _ID_BITS | a.id
 
     # -- entry -------------------------------------------------------------
 
@@ -251,6 +287,7 @@ class Simulation:
         )
         self.agents.append(a)
         self.air[entry] = aid
+        self.aview[entry] = (S_MOBILE, s2)
         self.mobile_ids.append(aid)
         self._log(t, a, "enter", -1, entry)
 
@@ -259,69 +296,84 @@ class Simulation:
     def step(self) -> None:
         t = self.t
         p = self.p
+        agents = self.agents
+        stale = self.stale
 
         # Agents owe this step's energy for the mode they hold now; the
         # entrant (added after the wake-ups below) is not yet on the list.
         mobile_at_start = self.mobile_ids[:]
 
         # Candidates: all mobiles plus stale settled agents.
-        if self.stale:
+        if stale:
             candidates = sorted(
                 mobile_at_start
-                + [aid for aid in self.stale if self.agents[aid - 1].mode == MODE_SETTLED]
+                + [aid for aid in stale if agents[aid - 1].mode == MODE_SETTLED]
             )
         else:
             candidates = mobile_at_start
 
-        scheduled: set[int] = set()
-        processed: set[int] = set()
-        self._rank_map = None
-        if p.scheduler == "adversarial":
-            actives = [
-                a.id
-                for a in self.agents
-                if a.mode in (MODE_MOBILE, MODE_SETTLED) and a.entered_at < t
-            ]
+        # Every agent enters the heap at most once per step, so
+        # ``scheduled`` also tells which agents were already woken.
+        if self._adversarial:
             dist = self.region.distances
-            order = sorted(actives, key=lambda aid: (dist[self.agents[aid - 1].pos], aid))
-            self._rank_map = {aid: rank for rank, aid in enumerate(order)}
-            heap = [((self._rank_map[aid], aid), aid) for aid in candidates]
+            heap = [dist[agents[aid - 1].pos] << _ID_BITS | aid for aid in candidates]
         else:
             rnd = self.rng.random
             m = p.m
-            heap = [((int(rnd() * m), aid), aid) for aid in candidates]
+            heap = [int(rnd() * m) << _ID_BITS | aid for aid in candidates]
         heapq.heapify(heap)
-        scheduled.update(candidates)
+        scheduled = set(candidates)
 
+        rng = self.rng
+        mobile_decide = self._mobile_decide
+        settled_decide = self._settled_decide
+        heappop = heapq.heappop
+        neighbors = self.region.neighbors
+        air = self.air
+        aview = self.aview
+        emit = self._emit
         while heap:
-            key, aid = heapq.heappop(heap)
-            if aid in processed:
-                continue
-            processed.add(aid)
-            a = self.agents[aid - 1]
+            key = heappop(heap)
+            aid = key & _ID_MASK
+            a = agents[aid - 1]
             if a.mode == MODE_MOBILE:
-                xi = sense(self, a)
-                act = self._mobile_decide(a, xi, p, self.rng)
-                self._apply_mobile(a, act, t, key, heap, scheduled, processed)
+                act = mobile_decide(a, sense(self, a), p, rng)
+                kind = act.kind
+                if kind == A_MOVE:  # the common case, inlined
+                    src = a.pos
+                    dst = neighbors[src][act.direction - 1]
+                    if dst < 0 or air[dst]:
+                        raise InvariantError(
+                            f"agent {aid} moved into an occupied or wall cell"
+                        )
+                    air[src] = 0
+                    air[dst] = aid
+                    aview[src] = SENSE_EMPTY
+                    a.pos = dst
+                    a.s2 = s2 = act.s2
+                    aview[dst] = (a.s1, s2)
+                    if emit is not None:
+                        emit(Event(t, aid, "move", src, dst, a.s1, s2, a.energy))
+                elif kind != A_STAY:
+                    self._apply_mobile(a, act, t, key, heap, scheduled)
             elif a.mode == MODE_SETTLED and a.s1 != S_LOW_ENERGY:
                 self._touch_settled_energy(a, t)
                 xi = sense(self, a)
-                new_s1 = self._settled_decide(a, xi, p, p.approach)
-                self.stale.discard(aid)
+                new_s1 = settled_decide(a, xi, p, p.approach)
+                stale.discard(aid)
                 if new_s1 != a.s1:
                     if a.s1 == S_CLOSED_BEACON and new_s1 == S_BEACON:
                         raise InvariantError(f"agent {aid} reopened a closed beacon")
-                    if new_s1 == S_CLOSED_BEACON and any(
-                        xi[d] == SENSE_EMPTY for d in (1, 2, 3, 4)
-                    ):
+                    if new_s1 == S_CLOSED_BEACON and SENSE_EMPTY in xi[1:5]:
                         raise InvariantError(
                             f"agent {aid} closed with an empty neighbor in sight"
                         )
                     a.s1 = new_s1
+                    self.gview[a.pos] = (new_s1, a.s2)
                     self._log(t, a, "transition", a.pos, a.pos)
-                    self._mark_ground_change(a.pos, key, heap, scheduled, processed)
+                    self._mark_ground_change(a.pos, key, heap, scheduled)
             else:
-                self.stale.discard(aid)
+                stale.discard(aid)
 
         # A new agent may enter once this step's wake-ups have resolved; it
         # stays dormant (no sensing, no energy tick) until the next step.
@@ -331,14 +383,14 @@ class Simulation:
         # Energy ticks for agents that were mobile when the step began.
         alpha = p.alpha
         for aid in mobile_at_start:
-            a = self.agents[aid - 1]
+            a = agents[aid - 1]
             a.t_m += 1
             a.energy = a.e0 - a.t_m - alpha * a.t_s
 
         # Scheduled settled-energy threshold crossings and failures.
         while self._energy_events and self._energy_events[0][0] <= t:
             _, kind, aid = heapq.heappop(self._energy_events)
-            a = self.agents[aid - 1]
+            a = agents[aid - 1]
             if a.mode != MODE_SETTLED:
                 continue
             a.t_s = t - a.settle_step
@@ -346,71 +398,63 @@ class Simulation:
             if kind == 1 and a.energy <= 0:
                 a.mode = MODE_FAILED
                 self.ground[a.pos] = 0
+                self.gview[a.pos] = SENSE_EMPTY
                 self.settled_count -= 1
                 self.nda_failed += 1
-                self.stale.discard(aid)
+                stale.discard(aid)
                 self._log(t, a, "fail", a.pos, a.pos)
-                self._mark_ground_change(a.pos, None, None, scheduled, processed)
+                self._mark_ground_change(a.pos, None, None, scheduled)
             elif kind == 0 and a.energy <= p.ecrit_settled and a.s1 != S_LOW_ENERGY:
-                self.stale.add(aid)
+                stale.add(aid)
 
-        self.n_series.append(len(self.agents))
+        self.n_series.append(len(agents))
         self.ac_series.append(self.settled_count)
 
         gid = self.ground[self.region.entry]
         if gid:
-            s1 = self.agents[gid - 1].s1
+            s1 = agents[gid - 1].s1
             if s1 == S_LOW_ENERGY:
                 self.terminated = TERM_LOW_ENERGY
             elif s1 == S_CLOSED_BEACON:
                 self.terminated = TERM_CLOSED
         self.t += 1
 
-    def _apply_mobile(self, a, act, t, key, heap, scheduled, processed):
+    def _apply_mobile(self, a, act, t, key, heap, scheduled):
+        """Shut down or settle; moves are applied inline in ``step``."""
         kind = act.kind
-        if kind == A_STAY:
-            return
+        src = a.pos
         if kind == A_SHUTDOWN:
-            self.air[a.pos] = 0
+            self.air[src] = 0
+            self.aview[src] = SENSE_EMPTY
             a.mode = MODE_SHUTDOWN
             self.mobile_ids.remove(a.id)
             self.nda_shutdown += 1
-            self._log(t, a, "shutdown", a.pos, -1)
-            return
-        if kind == A_MOVE:
-            dst = self.region.neighbors[a.pos][act.direction - 1]
-            if dst < 0 or self.air[dst]:
-                raise InvariantError(f"agent {a.id} moved into an occupied or wall cell")
-            src = a.pos
-            self.air[src] = 0
-            self.air[dst] = a.id
-            a.pos = dst
-            a.s2 = act.s2
-            self._log(t, a, "move", src, dst)
+            self._log(t, a, "shutdown", src, -1)
             return
         # Settle, either in place or into an adjacent empty cell.
-        src = a.pos
         if kind == A_SETTLE_AT:
-            dst = self.region.neighbors[a.pos][act.direction - 1]
+            dst = self.region.neighbors[src][act.direction - 1]
             if dst < 0 or self.ground[dst]:
                 raise InvariantError(f"agent {a.id} settled into an occupied or wall cell")
         else:
-            dst = a.pos
+            dst = src
             if self.ground[dst]:
                 raise InvariantError(f"agent {a.id} settled onto an occupied cell")
         self.air[src] = 0
+        self.aview[src] = SENSE_EMPTY
         self.ground[dst] = a.id
         a.pos = dst
         a.mode = MODE_SETTLED
         a.s1 = S_BEACON
         a.s2 = act.s2
+        self.gview[dst] = (a.s1, a.s2)
         a.settle_step = t
         self.mobile_ids.remove(a.id)
         self.settled_count += 1
         self.stale.add(a.id)
         self._schedule_energy_events(a)
         self._log(t, a, "settle", src, dst)
-        self._mark_ground_change(dst, key, heap, scheduled, processed)
+        self._mark_ground_change(dst, key, heap, scheduled)
 
     # -- whole runs --------------------------------------------------------
 
@@ -440,6 +484,15 @@ class Simulation:
         return RunResult(metrics=metrics, events=self.events, sim=self)
 
 
-def run(region: Region, params: SimParams, log_events: bool = False) -> RunResult:
-    """Simulate one run to termination (or the step cap)."""
-    return Simulation(region, params, log_events=log_events).run()
+def run(
+    region: Region,
+    params: SimParams,
+    log_events: bool = False,
+    on_event: Callable[[Event], object] | None = None,
+) -> RunResult:
+    """Simulate one run to termination (or the step cap).
+
+    ``log_events=True`` returns the event log in ``result.events``;
+    ``on_event`` instead receives each event as it happens.
+    """
+    return Simulation(region, params, log_events=log_events, on_event=on_event).run()

@@ -20,6 +20,7 @@ Algorithm summary:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -28,10 +29,11 @@ from .agents import (
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
     SENSE_EMPTY,
+    SENSE_WALL,
     AgentRecord,
     SimParams,
 )
-from .grid import DIRECTIONS
+from .grid import DIRECTIONS, EAST, NORTH, SOUTH, WEST
 
 # Action kinds for mobile agents.
 A_STAY, A_MOVE, A_SETTLE_HERE, A_SETTLE_AT, A_SHUTDOWN = range(5)
@@ -57,6 +59,22 @@ STAY = Action(A_STAY)
 SHUTDOWN = Action(A_SHUTDOWN)
 
 
+@cache
+def _action(kind: int, direction: int, s2: int) -> Action:
+    """The shared, immutable ``Action`` for these fields.  The cache stays
+    small: counters never exceed the distance an agent can fly."""
+    return Action(kind, direction, s2)
+
+
+_SLLG_SETTLE_HERE = _SLUG_SETTLE_HERE = Action(A_SETTLE_HERE, s2=1)
+_SLTT_SETTLE_HERE = Action(A_SETTLE_HERE, s2=0)
+# Indexed by direction: sltt agents carry the code of their last move.
+_SLTT_SETTLE_AT = (None,) + tuple(Action(A_SETTLE_AT, d, d) for d in DIRECTIONS)
+_SLTT_MOVE = (None,) + tuple(Action(A_MOVE, d, d) for d in DIRECTIONS)
+# What a tree child in direction N, E, S, W projects.
+_CHILD_N, _CHILD_E, _CHILD_S, _CHILD_W = ((S_BEACON, d) for d in DIRECTIONS)
+
+
 def _pick(rng: np.random.Generator, items: list):
     """Uniform choice; always consumes exactly one draw."""
     return items[int(rng.integers(0, len(items)))]
@@ -64,6 +82,16 @@ def _pick(rng: np.random.Generator, items: list):
 
 def _empty_dirs(xi: tuple) -> list[int]:
     return [d for d in DIRECTIONS if xi[d] == SENSE_EMPTY]
+
+
+# The rules below unpack the sensed neighborhood as
+#
+#     own, n, e, s, w, _, an, ae, as_, aw = xi
+#
+# (ground of the own cell and of the N, E, S, W neighbors, then the same
+# for the air) and compare slots directly.  Once a rule has ruled out an
+# empty ground neighbor, each ground slot is either ``SENSE_WALL`` or an
+# ``(s1, s2)`` tuple.
 
 
 # ---------------------------------------------------------------------------
@@ -76,36 +104,45 @@ def mobile_decide_sllg(
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN
-    empties = _empty_dirs(xi)
-    if xi[0] == SENSE_EMPTY:
-        return Action(A_SETTLE_HERE, s2=1)
-    if empties:
-        d = _pick(rng, empties)
-        return Action(A_SETTLE_AT, direction=d, s2=a.s2 + 1)
+    own, n, e, s, w, _, an, ae, as_, aw = xi
+    if own == SENSE_EMPTY:
+        return _SLLG_SETTLE_HERE
+    if SENSE_EMPTY in (n, e, s, w):
+        return _action(A_SETTLE_AT, _pick(rng, _empty_dirs(xi)), a.s2 + 1)
     # Advance: beacons exactly one step up the gradient, air above free.
     dest = a.s2 + 1
-    relevant = [
-        d
-        for d in DIRECTIONS
-        if isinstance(xi[d], tuple) and xi[d][0] == S_BEACON and xi[d][1] == dest
-    ]
-    if relevant:
-        possible = [d for d in relevant if xi[5 + d] == SENSE_EMPTY]
+    up = (S_BEACON, dest)
+    if up in (n, e, s, w):
+        possible = []
+        if n == up and an == SENSE_EMPTY:
+            possible.append(NORTH)
+        if e == up and ae == SENSE_EMPTY:
+            possible.append(EAST)
+        if s == up and as_ == SENSE_EMPTY:
+            possible.append(SOUTH)
+        if w == up and aw == SENSE_EMPTY:
+            possible.append(WEST)
         if possible:
-            return Action(A_MOVE, direction=_pick(rng, possible), s2=dest)
+            return _action(A_MOVE, _pick(rng, possible), dest)
         return STAY
-    # Retrace: closed beacons strictly below the own counter.
-    relevant = [
-        d
-        for d in DIRECTIONS
-        if isinstance(xi[d], tuple) and xi[d][0] == S_CLOSED_BEACON and xi[d][1] < a.s2
-    ]
-    possible = [d for d in relevant if xi[5 + d] == SENSE_EMPTY]
-    if possible:
-        best = max(xi[d][1] for d in possible)
-        cands = [d for d in possible if xi[d][1] == best]
-        return Action(A_MOVE, direction=_pick(rng, cands), s2=best)
-    return STAY
+    # Retrace: closed beacons strictly below the own counter; climb down
+    # to the highest of them.
+    own_s2 = a.s2
+    best = None
+    for d, g, v in ((NORTH, n, an), (EAST, e, ae), (SOUTH, s, as_), (WEST, w, aw)):
+        if (
+            v == SENSE_EMPTY
+            and g != SENSE_WALL
+            and g[0] == S_CLOSED_BEACON
+            and g[1] < own_s2
+        ):
+            if best is None or g[1] > best:
+                best, cands = g[1], [d]
+            elif g[1] == best:
+                cands.append(d)
+    if best is None:
+        return STAY
+    return _action(A_MOVE, _pick(rng, cands), best)
 
 
 def mobile_decide_slug(
@@ -113,43 +150,42 @@ def mobile_decide_slug(
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN
+    own, n, e, s, w, _, an, ae, as_, aw = xi
+    if own == SENSE_EMPTY:
+        return _SLUG_SETTLE_HERE
     # Re-synchronize the own counter from the agent settled beneath.
-    s2 = xi[0][1] if isinstance(xi[0], tuple) else a.s2
-    empties = _empty_dirs(xi)
-    if xi[0] == SENSE_EMPTY:
-        return Action(A_SETTLE_HERE, s2=1)
-    if empties:
-        d = _pick(rng, empties)
-        return Action(A_SETTLE_AT, direction=d, s2=s2 + 1)
+    s2 = own[1]
+    if SENSE_EMPTY in (n, e, s, w):
+        return _action(A_SETTLE_AT, _pick(rng, _empty_dirs(xi)), s2 + 1)
     # Advance: any beacon with free air; target the minimal counter
-    # strictly above the own one.
-    relevant = [
-        d
-        for d in DIRECTIONS
-        if isinstance(xi[d], tuple) and xi[d][0] == S_BEACON and xi[5 + d] == SENSE_EMPTY
-    ]
-    if relevant:
-        ups = [d for d in relevant if xi[d][1] > s2]
-        if not ups:
-            return Action(A_STAY, s2=s2)
-        dest = min(xi[d][1] for d in ups)
-        cands = [d for d in ups if xi[d][1] == dest]
-        return Action(A_MOVE, direction=_pick(rng, cands), s2=dest)
-    # Retrace: beacons or closed beacons with free air, maximal counter
-    # strictly below the own one.
-    relevant = [
-        d
-        for d in DIRECTIONS
-        if isinstance(xi[d], tuple)
-        and xi[d][0] in (S_BEACON, S_CLOSED_BEACON)
-        and xi[5 + d] == SENSE_EMPTY
-    ]
-    downs = [d for d in relevant if xi[d][1] < s2]
-    if downs:
-        dest = max(xi[d][1] for d in downs)
-        cands = [d for d in downs if xi[d][1] == dest]
-        return Action(A_MOVE, direction=_pick(rng, cands), s2=dest)
-    return Action(A_STAY, s2=s2)
+    # strictly above the own one.  Retrace: closed beacons with free air
+    # (no open one is left, or the agent would have advanced or waited),
+    # maximal counter strictly below the own one.
+    beacon = False
+    up = down = None
+    for d, g, v in ((NORTH, n, an), (EAST, e, ae), (SOUTH, s, as_), (WEST, w, aw)):
+        if v != SENSE_EMPTY or g == SENSE_WALL:
+            continue
+        s1, c = g
+        if s1 == S_BEACON:
+            beacon = True
+            if c > s2:
+                if up is None or c < up:
+                    up, ups = c, [d]
+                elif c == up:
+                    ups.append(d)
+        elif s1 == S_CLOSED_BEACON and c < s2:
+            if down is None or c > down:
+                down, downs = c, [d]
+            elif c == down:
+                downs.append(d)
+    if beacon:
+        if up is None:
+            return _action(A_STAY, 0, s2)
+        return _action(A_MOVE, _pick(rng, ups), up)
+    if down is not None:
+        return _action(A_MOVE, _pick(rng, downs), down)
+    return _action(A_STAY, 0, s2)
 
 
 def mobile_decide_sltt(
@@ -157,37 +193,40 @@ def mobile_decide_sltt(
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN
-    empties = _empty_dirs(xi)
-    if xi[0] == SENSE_EMPTY:
-        return Action(A_SETTLE_HERE, s2=0)
-    if empties:
-        d = _pick(rng, empties)
-        return Action(A_SETTLE_AT, direction=d, s2=d)
+    own, n, e, s, w, _, an, ae, as_, aw = xi
+    if own == SENSE_EMPTY:
+        return _SLTT_SETTLE_HERE
+    if SENSE_EMPTY in (n, e, s, w):
+        return _SLTT_SETTLE_AT[_pick(rng, _empty_dirs(xi))]
     # Advance: beacons whose direction code points away from here,
     # i.e. a beacon in direction d projecting code d (a tree child).
-    relevant = [
-        d
-        for d in DIRECTIONS
-        if isinstance(xi[d], tuple) and xi[d][0] == S_BEACON and xi[d][1] == d
-    ]
-    if relevant:
-        possible = [d for d in relevant if xi[5 + d] == SENSE_EMPTY]
+    cn, ce, cs, cw = n == _CHILD_N, e == _CHILD_E, s == _CHILD_S, w == _CHILD_W
+    if cn or ce or cs or cw:
+        possible = []
+        if cn and an == SENSE_EMPTY:
+            possible.append(NORTH)
+        if ce and ae == SENSE_EMPTY:
+            possible.append(EAST)
+        if cs and as_ == SENSE_EMPTY:
+            possible.append(SOUTH)
+        if cw and aw == SENSE_EMPTY:
+            possible.append(WEST)
         if possible:
-            d = _pick(rng, possible)
-            return Action(A_MOVE, direction=d, s2=d)
+            return _SLTT_MOVE[_pick(rng, possible)]
         return STAY
-    # Retrace: closed beacons whose code points back at this cell.
-    relevant = [
+    # Retrace: closed beacons whose code points back at this cell, i.e.
+    # differs from d by 2.  The code 0 of an agent settled in place (the
+    # entry's) thereby also reads as pointing back from the east.
+    possible = [
         d
-        for d in DIRECTIONS
-        if isinstance(xi[d], tuple)
-        and xi[d][0] == S_CLOSED_BEACON
-        and abs(xi[d][1] - d) == 2
+        for d, g, v in ((NORTH, n, an), (EAST, e, ae), (SOUTH, s, as_), (WEST, w, aw))
+        if v == SENSE_EMPTY
+        and g != SENSE_WALL
+        and g[0] == S_CLOSED_BEACON
+        and abs(g[1] - d) == 2
     ]
-    possible = [d for d in relevant if xi[5 + d] == SENSE_EMPTY]
     if possible:
-        d = _pick(rng, possible)
-        return Action(A_MOVE, direction=d, s2=d)
+        return _SLTT_MOVE[_pick(rng, possible)]
     return STAY
 
 
@@ -197,31 +236,33 @@ def mobile_decide_sltt(
 
 
 def _settled_decide(
-    a: AgentRecord, xi: tuple, p: SimParams, approach: int, relevant: set[int]
+    a: AgentRecord, xi: tuple, p: SimParams, approach: int, relevant: list[int]
 ) -> int:
     """Shared settled-state machine.
 
-    ``relevant`` is the set of neighbor directions the closure
-    condition quantifies over: the up-gradient neighbors (counter
-    algorithms) or the tree children (direction-code algorithm).
-    Returns the next projected sub-state.
+    ``relevant`` lists the sub-states ``s1`` of the neighbors the
+    closure condition quantifies over: the up-gradient neighbors
+    (counter algorithms) or the tree children (direction-code
+    algorithm).  Returns the next projected sub-state.
     """
-    empties = [d for d in DIRECTIONS if xi[d] == SENSE_EMPTY]
-    le_dirs = {
-        d for d in DIRECTIONS if isinstance(xi[d], tuple) and xi[d][0] == S_LOW_ENERGY
-    }
-    cb_dirs = {
-        d for d in DIRECTIONS if isinstance(xi[d], tuple) and xi[d][0] == S_CLOSED_BEACON
-    }
-
     # Own exhaustion is reported immediately under both approaches.
     if a.energy <= p.ecrit_settled:
         return S_LOW_ENERGY
 
+    full = True  # no empty neighbor
+    low = False  # a low-energy neighbor
+    for g in xi[1:5]:
+        if g == SENSE_EMPTY:
+            full = False
+        elif g != SENSE_WALL and g[0] == S_LOW_ENERGY:
+            low = True
+    n_closed = relevant.count(S_CLOSED_BEACON)
+    closed = n_closed == len(relevant)
+
     if approach == 1:
-        if le_dirs:
+        if low:
             return S_LOW_ENERGY
-        if not empties and relevant <= cb_dirs:
+        if full and closed:
             return S_CLOSED_BEACON
         return a.s1
 
@@ -229,19 +270,17 @@ def _settled_decide(
     # cut off still-reachable empty cells, and it must arrive via an
     # actual low-energy neighbor so full coverage still closes through
     # the entry as a closed beacon.
-    if not empties and le_dirs and relevant <= (le_dirs | cb_dirs):
-        return S_LOW_ENERGY
-    if not empties and relevant <= cb_dirs:
-        return S_CLOSED_BEACON
+    if full:
+        if low and n_closed + relevant.count(S_LOW_ENERGY) == len(relevant):
+            return S_LOW_ENERGY
+        if closed:
+            return S_CLOSED_BEACON
     return a.s1
 
 
 def settled_decide_sllg(a: AgentRecord, xi: tuple, p: SimParams, approach: int) -> int:
-    relevant = {
-        d
-        for d in DIRECTIONS
-        if isinstance(xi[d], tuple) and xi[d][1] == a.s2 + 1
-    }
+    up = a.s2 + 1
+    relevant = [g[0] for g in xi[1:5] if g.__class__ is tuple and g[1] == up]
     return _settled_decide(a, xi, p, approach, relevant)
 
 
@@ -251,16 +290,15 @@ def settled_decide_slug(a: AgentRecord, xi: tuple, p: SimParams, approach: int) 
         # (followers on a costlier trajectory would only shut down), so
         # it reports exhaustion immediately.
         return S_LOW_ENERGY
-    relevant = {
-        d for d in DIRECTIONS if isinstance(xi[d], tuple) and xi[d][1] > a.s2
-    }
+    own = a.s2
+    relevant = [g[0] for g in xi[1:5] if g.__class__ is tuple and g[1] > own]
     return _settled_decide(a, xi, p, approach, relevant)
 
 
 def settled_decide_sltt(a: AgentRecord, xi: tuple, p: SimParams, approach: int) -> int:
-    relevant = {
-        d for d in DIRECTIONS if isinstance(xi[d], tuple) and xi[d][1] == d
-    }
+    relevant = [
+        g[0] for d, g in zip(DIRECTIONS, xi[1:5]) if g.__class__ is tuple and g[1] == d
+    ]
     return _settled_decide(a, xi, p, approach, relevant)
 
 

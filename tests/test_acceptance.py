@@ -27,6 +27,8 @@ DTS = (1, 2, 4, 8)
 SEEDS = 50
 TOL = 1e-9
 
+pytestmark = pytest.mark.slow
+
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     line = f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'} — {detail}"

@@ -1,9 +1,11 @@
 """Parameter validation, the energy ledger, and sensing."""
 import pytest
 
+from gridswarm import engine
 from gridswarm.agents import (
     MODE_FAILED,
     MODE_MOBILE,
+    MODE_NAMES,
     MODE_SETTLED,
     S_BEACON,
     S_LOW_ENERGY,
@@ -17,7 +19,7 @@ from gridswarm.agents import (
     sense,
 )
 from gridswarm.engine import Simulation
-from gridswarm.grid import parse_region
+from gridswarm.grid import parse_region, square_region
 
 
 def make_agent(**kw) -> AgentRecord:
@@ -110,6 +112,7 @@ class TestSense:
         )
         sim.agents.append(a)
         sim.ground[cell] = aid
+        sim.gview[cell] = (a.s1, a.s2)
         return a
 
     def place_mobile(self, sim, cell, s2=0):
@@ -119,6 +122,7 @@ class TestSense:
         )
         sim.agents.append(a)
         sim.air[cell] = aid
+        sim.aview[cell] = (a.s1, a.s2)
         return a
 
     def test_mobile_senses_both_layers(self):
@@ -151,3 +155,95 @@ class TestSense:
         xi = sense(sim, me)
         assert xi[2] == SENSE_WALL
         assert xi[7] == SENSE_WALL
+
+
+def reference_sense(world, a: AgentRecord) -> tuple:
+    """Sensing read straight from the per-cell agent ids and the agent
+    records, branch by branch; the engine's view-based ``sense`` must
+    agree with it on every wake."""
+    region = world.region
+    ground = world.ground
+    agents = world.agents
+    nbs = region.neighbors[a.pos]
+
+    if a.mode == MODE_SETTLED:
+        xi = [SENSE_EMPTY] * 10
+        xi[0] = (a.s1, a.s2)
+        for d in range(4):
+            nb = nbs[d]
+            if nb < 0:
+                xi[1 + d] = SENSE_WALL
+            else:
+                gid = ground[nb]
+                if gid:
+                    g = agents[gid - 1]
+                    xi[1 + d] = (g.s1, g.s2)
+        return tuple(xi)
+
+    if a.mode != MODE_MOBILE:
+        raise ValueError(f"agent {a.id} cannot sense in mode {MODE_NAMES.get(a.mode, a.mode)}")
+
+    air = world.air
+    xi = [SENSE_EMPTY] * 10
+    gid = ground[a.pos]
+    if gid:
+        g = agents[gid - 1]
+        xi[0] = (g.s1, g.s2)
+    xi[5] = (a.s1, a.s2)
+    for d in range(4):
+        nb = nbs[d]
+        if nb < 0:
+            xi[1 + d] = SENSE_WALL
+            xi[6 + d] = SENSE_WALL
+            continue
+        gid = ground[nb]
+        if gid:
+            g = agents[gid - 1]
+            xi[1 + d] = (g.s1, g.s2)
+        aid = air[nb]
+        if aid:
+            other = agents[aid - 1]
+            xi[6 + d] = (other.s1, other.s2)
+    return tuple(xi)
+
+
+class TestSenseMatchesReference:
+    """The sensed views stay in step with the world through every kind
+    of change, including settled failures (which must clear the cell)."""
+
+    @pytest.mark.parametrize(
+        "side,kw",
+        [
+            (9, dict(algorithm="sllg-ea", approach=1, e0=10, dt=2, seed=1)),
+            (9, dict(algorithm="sltt-ea", approach=1, scheduler="adversarial",
+                     e0=10, dt=2, seed=1)),
+            (15, dict(algorithm="sllg-ea", approach=2, e0=15, dt=1, alpha=0.05, seed=3)),
+            (15, dict(algorithm="slug-ea", approach=2, scheduler="adversarial",
+                      e0=15, dt=1, alpha=0.05, seed=3)),
+            (15, dict(algorithm="sltt-ea", approach=2, e0=15, dt=1, alpha=0.05, seed=3)),
+        ],
+    )
+    def test_every_wake_senses_like_the_reference(self, monkeypatch, side, kw):
+        wakes = []
+        view_sense = engine.sense
+
+        def checked(world, a):
+            xi = view_sense(world, a)
+            assert xi == reference_sense(world, a), (world.t, a.id)
+            wakes.append(a.mode)
+            return xi
+
+        monkeypatch.setattr(engine, "sense", checked)
+        params = SimParams(**kw)
+        res = engine.run(square_region(side), params)
+        assert MODE_MOBILE in wakes and MODE_SETTLED in wakes
+        assert (res.metrics.nda_failed > 0) == (params.alpha > 0)
+
+        sim = res.sim
+        for cell, gid in enumerate(sim.ground):
+            g = sim.agents[gid - 1] if gid else None
+            assert sim.gview[cell] == ((g.s1, g.s2) if g else SENSE_EMPTY)
+        for cell, aid in enumerate(sim.air):
+            m = sim.agents[aid - 1] if aid else None
+            assert sim.aview[cell] == ((m.s1, m.s2) if m else SENSE_EMPTY)
+        assert sim.gview[-1] == sim.aview[-1] == SENSE_WALL

@@ -5,7 +5,15 @@ import csv
 import pytest
 
 from gridswarm import bounds as B
-from gridswarm.cli import CSV_COLUMNS, ConfigError, main, parse_config
+from gridswarm import line_region, run
+from gridswarm.cli import (
+    CSV_COLUMNS,
+    EVENT_HEADER,
+    ConfigError,
+    build_params,
+    main,
+    parse_config,
+)
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -71,6 +79,33 @@ class TestRunCommand:
         assert lines[1].split(",")[2] == "enter"
         assert len(lines) > 20
 
+    def test_streamed_event_log_matches_in_memory_log(self, tmp_path):
+        cfg = write_config(tmp_path, CORRIDOR_CFG)
+        log = tmp_path / "events.csv"
+        main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+              "--log-events", str(log)])
+        res = run(line_region(10), build_params(parse_config(CORRIDOR_CFG)),
+                  log_events=True)
+        expected = [EVENT_HEADER] + [e.format() for e in res.events]
+        assert log.read_text().splitlines() == expected
+
+    def test_mismatched_out_header_is_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CORRIDOR_CFG)
+        out = tmp_path / "out.csv"
+        out.write_text("name,value\nx,1\n")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "refusing to append" in capsys.readouterr().err
+        assert out.read_text() == "name,value\nx,1\n"
+
+    def test_matching_out_header_appends(self, tmp_path):
+        cfg = write_config(tmp_path, CORRIDOR_CFG)
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert len(lines) == 3 and lines[1] == lines[2]
+
     def test_strict_flags_step_cap(self, tmp_path):
         cfg = write_config(
             tmp_path, CORRIDOR_CFG + "max_steps = 3\n", name="capped.cfg"
@@ -134,6 +169,15 @@ class TestSweepCommand:
             assert float(rec["frac_closed"]) == pytest.approx(
                 sum(r["terminated"] == "closed" for r in group) / len(group)
             )
+
+    def test_mismatched_out_header_is_refused_before_running(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "region = line:8\ne0 = 40\n")
+        out = tmp_path / "sweep.csv"
+        out.write_text("run_id,region\n")
+        assert main(["sweep", "--config", cfg, "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert "refusing to append" in capsys.readouterr().err
+        assert out.read_text() == "run_id,region\n"
 
     def test_unknown_vary_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "region = line:8\ne0 = 40\n")
