@@ -8,7 +8,6 @@ from .agents import (
     AgentRecord,
     ParamError,
     SimParams,
-    energy_tick,
     sense,
 )
 from .engine import (
@@ -22,14 +21,11 @@ from .engine import (
 from .grid import (
     Region,
     RegionError,
-    distance_from_entry,
     line_region,
-    neighborhood_positions,
     opposite,
     parse_region,
     square_region,
 )
-from .scheduling import WakePlan, adversarial_order, draw_wake_plan
 
 __all__ = [
     "ALGORITHMS",
@@ -44,13 +40,7 @@ __all__ = [
     "RunResult",
     "SimParams",
     "Simulation",
-    "WakePlan",
-    "adversarial_order",
-    "distance_from_entry",
-    "draw_wake_plan",
-    "energy_tick",
     "line_region",
-    "neighborhood_positions",
     "opposite",
     "parse_region",
     "run",

@@ -1,4 +1,4 @@
-"""Agent state, run parameters, energy bookkeeping, and sensing.
+"""Agent state, run parameters, and sensing.
 
 An agent occupies either the air layer (mobile) or the ground layer
 (settled) of a cell.  Its public state is the pair ``(s1, s2)``:
@@ -112,28 +112,6 @@ class AgentRecord:
     def consumed(self) -> float:
         """Total energy spent so far."""
         return self.e0 - self.energy
-
-
-def energy_tick(a: AgentRecord, alpha: float, mode: int | None = None) -> None:
-    """Apply one step of energy consumption to ``a``.
-
-    ``mode`` overrides the agent's current mode, for agents that
-    changed mode during the step but owe the cost of the mode they
-    held when the step began.  Energy is recomputed from the ledger
-    (``e0 - t_m - alpha * t_s``) so the identity holds exactly.
-    A settled agent whose energy reaches zero fails.
-    """
-    if mode is None:
-        mode = a.mode
-    if mode == MODE_MOBILE:
-        a.t_m += 1
-    elif mode == MODE_SETTLED:
-        a.t_s += 1
-    else:
-        return
-    a.energy = a.e0 - a.t_m - alpha * a.t_s
-    if a.mode == MODE_SETTLED and a.energy <= 0:
-        a.mode = MODE_FAILED
 
 
 def sense(world, a: AgentRecord) -> tuple:

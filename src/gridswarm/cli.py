@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import math
 import statistics
 import sys
 from pathlib import Path
 
 from . import bounds as bnd
-from .agents import ALGORITHMS, SCHEDULERS, ParamError, SimParams
+from .agents import ParamError, SimParams
 from .engine import TERM_STEP_CAP, run
 from .grid import Region, RegionError, line_region, parse_region, square_region
 

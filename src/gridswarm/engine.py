@@ -1,10 +1,13 @@
 """Discrete-time simulation engine.
 
-One time step runs: (1) an entry attempt every ``dt`` steps, before any
-wake-up; (2) every active agent wakes exactly once at its scheduled
+One time step runs four phases, each a method of ``Simulation``:
+(1) ``_wake``: every active agent wakes exactly once at its scheduled
 sub-step and senses the world as left by earlier wake-ups of the same
-step; (3) energy is charged according to the mode each agent held when
-the step began; (4) termination is detected from the entry cell.
+step; (2) ``_attempt_entry``: every ``dt`` steps, after the wake-ups, a
+new agent enters if the entry's air is free; (3) ``_charge``: energy is
+charged according to the mode each agent held when the step began;
+(4) ``_close``: the step's series are recorded and termination is read
+off the entry cell.
 
 For speed on large regions the engine elides wake-ups that are
 provably no-ops: a settled agent's decision depends only on its own
@@ -24,7 +27,7 @@ extra last slot holds ``SENSE_WALL`` so that the neighbor index ``-1``
 reads as a wall.  They are updated wherever the world changes (entry,
 move, shutdown, settle, transition, failure), so ``sense`` is a plain
 gather of ten slots.  The wake order of a step is a heap of ints
-``(sub << 32) | id``: ``sub`` is a uniform sub-step in ``[0, m)`` under
+``(sub << 32) | id`` from ``_wake_key``: ``sub`` is a uniform sub-step in ``[0, m)`` under
 the random scheduler, and the agent's hop distance from the entry under
 the adversarial one (settled agents do not move, so lazily inserted
 agents compare the same way as the rest).  Events are handed, one at a
@@ -258,50 +261,30 @@ class Simulation:
                 heapq.heappush(heap, key)
 
     def _wake_key(self, a: AgentRecord) -> int:
-        """Packed wake key of an agent inserted mid-step; a random
+        """Packed heap key of ``a`` in this step's wake order; a random
         sub-step costs one draw."""
         if self._adversarial:
             return self.region.distances[a.pos] << _ID_BITS | a.id
         return self.rng.integers(0, self.p.m) << _ID_BITS | a.id
 
-    # -- entry -------------------------------------------------------------
-
-    def _attempt_entry(self, t: int) -> None:
-        entry = self.region.entry
-        if self.air[entry]:
-            return
-        gid = self.ground[entry]
-        s2 = self.agents[gid - 1].s2 if gid else 0
-        aid = len(self.agents) + 1
-        # Entering consumes one unit of movement energy.
-        a = AgentRecord(
-            id=aid,
-            mode=MODE_MOBILE,
-            s1=S_MOBILE,
-            s2=s2,
-            pos=entry,
-            e0=self.p.e0,
-            energy=self.p.e0 - 1,
-            t_m=1,
-            entered_at=t,
-        )
-        self.agents.append(a)
-        self.air[entry] = aid
-        self.aview[entry] = (S_MOBILE, s2)
-        self.mobile_ids.append(aid)
-        self._log(t, a, "enter", -1, entry)
-
     # -- one step ----------------------------------------------------------
 
     def step(self) -> None:
         t = self.t
+        # Agents owe this step's energy for the mode they hold now; the
+        # entrant (added after the wake-ups) is not yet on the list.
+        mobile_at_start = self.mobile_ids[:]
+        self._wake(t, mobile_at_start)
+        self._attempt_entry(t)
+        self._charge(t, mobile_at_start)
+        self._close(t)
+
+    def _wake(self, t: int, mobile_at_start: list[int]) -> None:
+        """Wake every mobile agent and every stale settled agent once, in
+        heap order; each senses the world as earlier wakes left it."""
         p = self.p
         agents = self.agents
         stale = self.stale
-
-        # Agents owe this step's energy for the mode they hold now; the
-        # entrant (added after the wake-ups below) is not yet on the list.
-        mobile_at_start = self.mobile_ids[:]
 
         # Candidates: all mobiles plus stale settled agents.
         if stale:
@@ -314,13 +297,8 @@ class Simulation:
 
         # Every agent enters the heap at most once per step, so
         # ``scheduled`` also tells which agents were already woken.
-        if self._adversarial:
-            dist = self.region.distances
-            heap = [dist[agents[aid - 1].pos] << _ID_BITS | aid for aid in candidates]
-        else:
-            rnd = self.rng.random
-            m = p.m
-            heap = [int(rnd() * m) << _ID_BITS | aid for aid in candidates]
+        wake_key = self._wake_key
+        heap = [wake_key(agents[aid - 1]) for aid in candidates]
         heapq.heapify(heap)
         scheduled = set(candidates)
 
@@ -375,12 +353,42 @@ class Simulation:
             else:
                 stale.discard(aid)
 
-        # A new agent may enter once this step's wake-ups have resolved; it
-        # stays dormant (no sensing, no energy tick) until the next step.
-        if t % p.dt == 0:
-            self._attempt_entry(t)
+    def _attempt_entry(self, t: int) -> None:
+        """Every ``dt`` steps, once this step's wake-ups have resolved, a
+        new agent enters if the entry's air is free; it stays dormant (no
+        sensing, no energy tick) until the next step."""
+        if t % self.p.dt:
+            return
+        entry = self.region.entry
+        if self.air[entry]:
+            return
+        gid = self.ground[entry]
+        s2 = self.agents[gid - 1].s2 if gid else 0
+        aid = len(self.agents) + 1
+        # Entering consumes one unit of movement energy.
+        a = AgentRecord(
+            id=aid,
+            mode=MODE_MOBILE,
+            s1=S_MOBILE,
+            s2=s2,
+            pos=entry,
+            e0=self.p.e0,
+            energy=self.p.e0 - 1,
+            t_m=1,
+            entered_at=t,
+        )
+        self.agents.append(a)
+        self.air[entry] = aid
+        self.aview[entry] = (S_MOBILE, s2)
+        self.mobile_ids.append(aid)
+        self._log(t, a, "enter", -1, entry)
 
-        # Energy ticks for agents that were mobile when the step began.
+    def _charge(self, t: int, mobile_at_start: list[int]) -> None:
+        """Charge a movement tick to the agents that were mobile when the
+        step began, then apply the settled-energy events due by ``t``."""
+        p = self.p
+        agents = self.agents
+        stale = self.stale
         alpha = p.alpha
         for aid in mobile_at_start:
             a = agents[aid - 1]
@@ -403,21 +411,23 @@ class Simulation:
                 self.nda_failed += 1
                 stale.discard(aid)
                 self._log(t, a, "fail", a.pos, a.pos)
-                self._mark_ground_change(a.pos, None, None, scheduled)
+                self._mark_ground_change(a.pos, None, None, None)
             elif kind == 0 and a.energy <= p.ecrit_settled and a.s1 != S_LOW_ENERGY:
                 stale.add(aid)
 
-        self.n_series.append(len(agents))
+    def _close(self, t: int) -> None:
+        """Record the step's series, read termination off the entry cell
+        and advance the clock."""
+        self.n_series.append(len(self.agents))
         self.ac_series.append(self.settled_count)
-
         gid = self.ground[self.region.entry]
         if gid:
-            s1 = agents[gid - 1].s1
+            s1 = self.agents[gid - 1].s1
             if s1 == S_LOW_ENERGY:
                 self.terminated = TERM_LOW_ENERGY
             elif s1 == S_CLOSED_BEACON:
                 self.terminated = TERM_CLOSED
-        self.t += 1
+        self.t = t + 1
 
     def _apply_mobile(self, a, act, t, key, heap, scheduled):
         """Shut down or settle; moves are applied inline in ``step``."""

@@ -10,9 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-WALL = -1
-EMPTY = 0
-
 NORTH, EAST, SOUTH, WEST = 1, 2, 3, 4
 DIRECTIONS = (NORTH, EAST, SOUTH, WEST)
 
@@ -61,11 +58,6 @@ class Region:
 
     def coord(self, cell: int) -> tuple[int, int]:
         return cell % self.width, cell // self.width
-
-    def is_wall(self, x: int, y: int) -> bool:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            return True
-        return self.walls[self.index(x, y)]
 
     @property
     def entry_coord(self) -> tuple[int, int]:
@@ -166,26 +158,6 @@ def parse_region(text: str) -> Region:
         neighbors=tuple(neighbors),
         distances=tuple(distances),
     )
-
-
-def neighborhood_positions(region: Region, u: tuple[int, int]) -> list:
-    """Return the four neighbor positions of empty cell ``u`` in
-    direction order (N, E, S, W); walls and out-of-bounds map to WALL."""
-    x, y = u
-    if region.is_wall(x, y):
-        raise ValueError(f"cell {u} is a wall or outside the region")
-    out = []
-    for nb in region.neighbors[region.index(x, y)]:
-        out.append(WALL if nb < 0 else region.coord(nb))
-    return out
-
-
-def distance_from_entry(region: Region, u: tuple[int, int]) -> int:
-    """Hop distance from the entry to empty cell ``u``."""
-    x, y = u
-    if region.is_wall(x, y):
-        raise ValueError(f"cell {u} is a wall or outside the region")
-    return region.distances[region.index(x, y)]
 
 
 def line_region_text(n: int, entry: int = 0) -> str:

@@ -37,13 +37,6 @@ from .grid import DIRECTIONS, EAST, NORTH, SOUTH, WEST
 
 # Action kinds for mobile agents.
 A_STAY, A_MOVE, A_SETTLE_HERE, A_SETTLE_AT, A_SHUTDOWN = range(5)
-ACTION_NAMES = {
-    A_STAY: "stay",
-    A_MOVE: "move",
-    A_SETTLE_HERE: "settle",
-    A_SETTLE_AT: "settle",
-    A_SHUTDOWN: "shutdown",
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,11 +174,11 @@ def mobile_decide_slug(
                 downs.append(d)
     if beacon:
         if up is None:
-            return _action(A_STAY, 0, s2)
+            return STAY
         return _action(A_MOVE, _pick(rng, ups), up)
     if down is not None:
         return _action(A_MOVE, _pick(rng, downs), down)
-    return _action(A_STAY, 0, s2)
+    return STAY
 
 
 def mobile_decide_sltt(

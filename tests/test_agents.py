@@ -1,9 +1,8 @@
-"""Parameter validation, the energy ledger, and sensing."""
+"""Parameter validation and sensing."""
 import pytest
 
 from gridswarm import engine
 from gridswarm.agents import (
-    MODE_FAILED,
     MODE_MOBILE,
     MODE_NAMES,
     MODE_SETTLED,
@@ -15,7 +14,6 @@ from gridswarm.agents import (
     AgentRecord,
     ParamError,
     SimParams,
-    energy_tick,
     sense,
 )
 from gridswarm.engine import Simulation
@@ -61,42 +59,6 @@ class TestSimParams:
         p = SimParams(algorithm="SLLG-EA", scheduler="Random")
         p.validate()
         assert p.algorithm == "sllg-ea"
-
-
-class TestEnergyLedger:
-    def test_mobile_tick(self):
-        a = make_agent()
-        energy_tick(a, alpha=0.0)
-        assert (a.t_m, a.energy) == (2, 8.0)
-
-    def test_settled_tick_scales_with_alpha(self):
-        a = make_agent(mode=MODE_SETTLED, s1=S_BEACON, t_m=3, energy=7.0)
-        for _ in range(4):
-            energy_tick(a, alpha=0.25)
-        assert a.t_s == 4
-        assert a.energy == pytest.approx(10.0 - 3 - 0.25 * 4)
-
-    def test_ledger_identity_holds_under_mixed_ticks(self):
-        a = make_agent()
-        for _ in range(3):
-            energy_tick(a, alpha=0.5)
-        a.mode = MODE_SETTLED
-        for _ in range(5):
-            energy_tick(a, alpha=0.5)
-        assert a.energy == pytest.approx(a.e0 - a.t_m - 0.5 * a.t_s)
-        assert a.consumed == pytest.approx(a.e0 - a.energy)
-
-    def test_settled_agent_fails_at_zero(self):
-        a = make_agent(mode=MODE_SETTLED, s1=S_BEACON, e0=3.0, energy=0.5, t_m=2, t_s=1)
-        energy_tick(a, alpha=0.5)
-        assert a.mode == MODE_FAILED
-
-    def test_mode_override_charges_old_mode(self):
-        # An agent that settled mid-step still owes a movement tick.
-        a = make_agent(mode=MODE_SETTLED, s1=S_BEACON)
-        energy_tick(a, alpha=0.0, mode=MODE_MOBILE)
-        assert a.t_m == 2
-        assert a.t_s == 0
 
 
 class TestSense:

@@ -1,5 +1,7 @@
 """Whole-run behaviour of the step engine: determinism, conservation
 laws, frozen anchor runs, and structural invariants on event logs."""
+from collections import defaultdict
+
 import pytest
 
 from gridswarm import (
@@ -125,7 +127,7 @@ class TestStructuralInvariants:
         res = self.result()
         settle_step = {}
         for e in res.events:
-            if e.action in ("settle", "settle_at"):
+            if e.action == "settle":
                 settle_step[e.agent] = e.t
             if e.action == "move":
                 assert e.agent not in settle_step
@@ -180,7 +182,7 @@ class TestEntryCadence:
         res = run_logged(line_region(20), dt=1, e0=500, max_steps=12)
         entered = {e.agent: e.t for e in res.events if e.action == "enter"}
         for e in res.events:
-            if e.action in ("move", "settle", "settle_at"):
+            if e.action in ("move", "settle"):
                 assert e.t > entered[e.agent]
 
     def test_entry_fee_is_one_unit(self):
@@ -231,3 +233,81 @@ class TestAirframeParking:
         for a in sim.agents:
             if a.mode == MODE_MOBILE:
                 assert sim.air[a.pos] == a.id
+
+
+class TestSchedulers:
+    WAKE_ACTIONS = {"move", "settle", "shutdown", "transition"}
+
+    @pytest.mark.parametrize(
+        "algorithm,approach,e0,alpha",
+        [("sllg-ea", 1, 12, 0.0), ("slug-ea", 2, 10, 0.07), ("sltt-ea", 2, 9, 0.1)],
+    )
+    def test_adversarial_wakes_ascend_by_distance_then_id(
+        self, algorithm, approach, e0, alpha
+    ):
+        region = square_region(11)
+        res = run_logged(
+            region,
+            dt=1,
+            e0=e0,
+            alpha=alpha,
+            algorithm=algorithm,
+            approach=approach,
+            scheduler="adversarial",
+            seed=3,
+        )
+        wakes = defaultdict(list)
+        for e in res.events:
+            if e.action in self.WAKE_ACTIONS:
+                wakes[e.t].append(e)
+        assert sum(map(len, wakes.values())) > 100
+        for t, evs in wakes.items():
+            keys = [(region.distances[e.src], e.agent) for e in evs]
+            assert keys == sorted(keys), f"step {t} woke out of order"
+            assert len({e.agent for e in evs}) == len(evs), f"step {t} woke an agent twice"
+
+    @pytest.mark.parametrize("scheduler", ["random", "adversarial"])
+    @pytest.mark.parametrize("algorithm", ["sllg-ea", "slug-ea", "sltt-ea"])
+    def test_failure_lands_on_first_step_at_zero(self, algorithm, scheduler):
+        # Settled energy is charged lazily; a failure must still land on
+        # the first step the per-step ledger reaches zero.
+        alpha = 0.07
+        res = run_logged(
+            square_region(15),
+            dt=1,
+            e0=10,
+            alpha=alpha,
+            algorithm=algorithm,
+            approach=2,
+            scheduler=scheduler,
+            seed=0,
+        )
+        fails = [e for e in res.events if e.action == "fail"]
+        assert fails
+        for e in fails:
+            assert e.energy <= 0 < e.energy + alpha
+
+
+class TestStepCapStall:
+    """The conveyor stall behind acceptance criterion 8, on a region small
+    enough to run in a unit test: a chain of open beacons from the entry
+    outward never closes, so mobiles keep entering, walking out and
+    shutting down."""
+
+    def metrics(self, seed):
+        p = SimParams(
+            dt=1, e0=9, algorithm="sltt-ea", approach=2, scheduler="adversarial", seed=seed
+        )
+        return run(square_region(11), p).metrics
+
+    def test_stalls_until_step_cap(self):
+        m = self.metrics(0)
+        assert m.terminated == TERM_STEP_CAP
+        assert m.t_c == 18149
+        assert m.nda_shutdown >= 9000
+        assert m.a_c == 96 < 121
+
+    def test_other_seed_terminates(self):
+        m = self.metrics(1)
+        assert m.terminated == TERM_LOW_ENERGY
+        assert m.t_c == 121

@@ -9,10 +9,8 @@ from gridswarm.grid import (
     WEST,
     Region,
     RegionError,
-    distance_from_entry,
     line_region,
     line_region_text,
-    neighborhood_positions,
     opposite,
     parse_region,
     square_region,
@@ -122,10 +120,9 @@ class TestDistances:
 
     def test_coordinate_api(self):
         r = parse_region("E..\n...\n")
-        assert distance_from_entry(r, (2, 1)) == 3
+        assert r.distances[r.index(2, 1)] == 3
         assert r.entry_coord == (0, 0)
-        pos = neighborhood_positions(r, (0, 0))
-        assert len(pos) == 4
+        assert len(r.neighbors[r.index(0, 0)]) == 4
 
 
 class TestConstructors:
