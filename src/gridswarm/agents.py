@@ -108,11 +108,6 @@ class AgentRecord:
     entered_at: int = 0
     settle_step: int = -1  # step during which the agent settled
 
-    @property
-    def consumed(self) -> float:
-        """Total energy spent so far."""
-        return self.e0 - self.energy
-
 
 def sense(world, a: AgentRecord) -> tuple:
     """Build the 10-slot sensed neighborhood of agent ``a``.

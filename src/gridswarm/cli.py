@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bounds as bnd
 from .agents import ParamError, SimParams
-from .engine import TERM_STEP_CAP, run
+from .engine import TERM_STEP_CAP, Event, run
 from .grid import Region, RegionError, line_region, parse_region, square_region
 
 CSV_COLUMNS = [
@@ -42,6 +42,8 @@ CSV_COLUMNS = [
 ]
 
 EVENT_HEADER = "t,agent,action,from,to,s1,s2,E"
+# Event-log lines formatted before they are written out together.
+EVENT_BATCH = 1024
 
 
 class ConfigError(ValueError):
@@ -188,11 +190,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.log_events is None:
         result = run(region, params)
     else:
-        # Stream the log: each event is written as it happens.
+        # Stream the log: events are formatted as they happen and written
+        # every ``EVENT_BATCH`` lines, so memory stays bounded.
         with Path(args.log_events).open("w") as fh:
             write = fh.write
             write(EVENT_HEADER + "\n")
-            result = run(region, params, on_event=lambda ev: write(ev.format() + "\n"))
+            fmt = Event.format
+            lines: list[str] = []
+            append = lines.append
+
+            def flush() -> None:
+                append("")  # the last line's newline
+                write("\n".join(lines))
+                lines.clear()
+
+            def on_event(ev: Event) -> None:
+                append(fmt(ev))
+                if len(lines) >= EVENT_BATCH:
+                    flush()
+
+            result = run(region, params, on_event=on_event)
+            flush()
     row = _metrics_row("r000000", cfg["region"], region, params, result.metrics)
     _write_rows([row], args.out)
     if args.strict and result.metrics.terminated == TERM_STEP_CAP:
@@ -228,6 +246,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("configuration is missing the 'region' key")
     region = load_region(cfg["region"], base=cfg_path.parent)
     vary = _parse_vary(args.vary or [])
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     keys = sorted(vary)
     base_seed = cfg.get("seed", 0)
     _check_out(args.out)

@@ -3,11 +3,13 @@
 One time step runs four phases, each a method of ``Simulation``:
 (1) ``_wake``: every active agent wakes exactly once at its scheduled
 sub-step and senses the world as left by earlier wake-ups of the same
-step; (2) ``_attempt_entry``: every ``dt`` steps, after the wake-ups, a
-new agent enters if the entry's air is free; (3) ``_charge``: energy is
-charged according to the mode each agent held when the step began;
-(4) ``_close``: the step's series are recorded and termination is read
-off the entry cell.
+step; an agent that was mobile when its wake began is charged its
+movement tick at the end of that wake, whatever it did (move, stay,
+settle or shut down), after its event is logged; (2) ``_attempt_entry``:
+every ``dt`` steps, after the wake-ups, a new agent enters if the
+entry's air is free; (3) ``_charge``: the settled-energy events due by
+this step are applied; (4) ``_close``: the step's series are recorded
+and termination is read off the entry cell.
 
 For speed on large regions the engine elides wake-ups that are
 provably no-ops: a settled agent's decision depends only on its own
@@ -27,18 +29,24 @@ extra last slot holds ``SENSE_WALL`` so that the neighbor index ``-1``
 reads as a wall.  They are updated wherever the world changes (entry,
 move, shutdown, settle, transition, failure), so ``sense`` is a plain
 gather of ten slots.  The wake order of a step is a heap of ints
-``(sub << 32) | id`` from ``_wake_key``: ``sub`` is a uniform sub-step in ``[0, m)`` under
+``(sub << 32) | id`` from ``_wake_keys``: ``sub`` is a uniform sub-step in ``[0, m)`` under
 the random scheduler, and the agent's hop distance from the entry under
 the adversarial one (settled agents do not move, so lazily inserted
 agents compare the same way as the rest).  Events are handed, one at a
 time, to a sink: a list for ``log_events=True``, or any callable given
 as ``on_event`` (the CLI streams them to the log file).
+
+All randomness comes from one stream of uniform floats in [0, 1), drawn
+from the seeded numpy generator in blocks of 4096; a random sub-step is
+``int(u * m)`` and a rule's tie-break among ``k`` options is
+``int(u * k)``.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -76,6 +84,16 @@ TERM_STEP_CAP = "step_cap"
 _ID_BITS = 32
 _ID_MASK = (1 << _ID_BITS) - 1
 
+# ``S1_NAMES`` as a tuple indexed by ``s1``.
+_S1_TEXT = tuple(S1_NAMES[s1] for s1 in range(len(S1_NAMES)))
+# ``f"{energy:g}"`` by energy, shared by all runs: it memoizes a pure
+# function, so sharing changes no output.  A run logs few distinct
+# energies when ``alpha`` is 0 (integers up to ``e0``) and many otherwise,
+# so the cache is emptied whenever it fills.  Zero is never cached: 0.0
+# and -0.0 are equal keys that format differently.
+_ENERGY_TEXT: dict[float, str] = {}
+_ENERGY_TEXT_MAX = 256
+
 
 class InvariantError(AssertionError):
     """A run violated a structural invariant; always a bug."""
@@ -94,12 +112,23 @@ class Event(NamedTuple):
     energy: float
 
     def format(self) -> str:
-        src = "-" if self.src < 0 else str(self.src)
-        dst = "-" if self.dst < 0 else str(self.dst)
+        t, agent, action, src, dst, s1, s2, energy = self
+        e = _ENERGY_TEXT.get(energy)
+        if e is None:
+            e = f"{energy:g}"
+            if energy:
+                if len(_ENERGY_TEXT) >= _ENERGY_TEXT_MAX:
+                    _ENERGY_TEXT.clear()
+                _ENERGY_TEXT[energy] = e
         return (
-            f"{self.t},{self.agent},{self.action},{src},{dst},"
-            f"{S1_NAMES[self.s1]},{self.s2},{self.energy:g}"
+            f"{t},{agent},{action},{'-' if src < 0 else src},"
+            f"{'-' if dst < 0 else dst},{_S1_TEXT[s1]},{s2},{e}"
         )
+
+
+# Builds an ``Event`` from one tuple without the Python-level
+# ``NamedTuple.__new__``: ``_new_event(Event, (t, agent, ...))``.
+_new_event = tuple.__new__
 
 
 @dataclass
@@ -130,30 +159,18 @@ def default_step_cap(region: Region, p: SimParams) -> int:
 class _RandomSource:
     """Buffered uniform draws from a seeded generator.
 
-    Provides the two primitives the decision rules and the scheduler
-    need - a uniform float and a uniform integer - while amortizing the
-    generator call over blocks of draws.
+    ``random()`` returns the generator's floats in [0, 1) in order; they
+    are fetched in blocks of ``_BLOCK`` and served by a C-level iterator,
+    so a draw runs no Python frame.
     """
 
-    __slots__ = ("rng", "_pool", "_i")
+    __slots__ = ("random",)
     _BLOCK = 4096
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._pool = rng.random(self._BLOCK).tolist()
-        self._i = 0
-
-    def random(self) -> float:
-        i = self._i
-        if i >= self._BLOCK:
-            self._pool = self.rng.random(self._BLOCK).tolist()
-            self._i = i = 0
-        self._i = i + 1
-        return self._pool[i]
-
-    def integers(self, low: int, high: int) -> int:
-        """One uniform integer in [low, high)."""
-        return low + int(self.random() * (high - low))
+        block = self._BLOCK
+        blocks = iter(lambda: rng.random(block).tolist(), None)
+        self.random = chain.from_iterable(blocks).__next__
 
 
 class Simulation:
@@ -205,7 +222,10 @@ class Simulation:
     def _log(self, t, agent, action, src, dst):
         if self._emit is not None:
             self._emit(
-                Event(t, agent.id, action, src, dst, agent.s1, agent.s2, agent.energy)
+                _new_event(
+                    Event,
+                    (t, agent.id, action, src, dst, agent.s1, agent.s2, agent.energy),
+                )
             )
 
     def _touch_settled_energy(self, a: AgentRecord, t: int) -> None:
@@ -220,7 +240,7 @@ class Simulation:
         if p.alpha <= 0:
             return
         # Energy entering settled life: the settling step itself is
-        # still charged as a movement tick at the end of the step.
+        # still charged as a movement tick at the end of the wake.
         e_settle = a.e0 - (a.t_m + 1)
         s = a.settle_step
 
@@ -255,54 +275,58 @@ class Simulation:
             self.stale.add(gid)
             if heap is None or gid in scheduled:
                 continue
-            key = self._wake_key(g)
+            (key,) = self._wake_keys((gid,))
             if key > cur_key:
                 scheduled.add(gid)
                 heapq.heappush(heap, key)
 
-    def _wake_key(self, a: AgentRecord) -> int:
-        """Packed heap key of ``a`` in this step's wake order; a random
-        sub-step costs one draw."""
+    def _wake_keys(self, ids) -> list[int]:
+        """Packed heap keys of the agents ``ids`` in this step's wake
+        order, in the order given; a random sub-step costs one draw."""
         if self._adversarial:
-            return self.region.distances[a.pos] << _ID_BITS | a.id
-        return self.rng.integers(0, self.p.m) << _ID_BITS | a.id
+            agents = self.agents
+            distances = self.region.distances
+            return [distances[agents[aid - 1].pos] << _ID_BITS | aid for aid in ids]
+        draw = self.rng.random
+        m = self.p.m
+        return [int(draw() * m) << _ID_BITS | aid for aid in ids]
 
     # -- one step ----------------------------------------------------------
 
     def step(self) -> None:
         t = self.t
-        # Agents owe this step's energy for the mode they hold now; the
-        # entrant (added after the wake-ups) is not yet on the list.
-        mobile_at_start = self.mobile_ids[:]
-        self._wake(t, mobile_at_start)
+        self._wake(t)
         self._attempt_entry(t)
-        self._charge(t, mobile_at_start)
+        self._charge(t)
         self._close(t)
 
-    def _wake(self, t: int, mobile_at_start: list[int]) -> None:
+    def _wake(self, t: int) -> None:
         """Wake every mobile agent and every stale settled agent once, in
-        heap order; each senses the world as earlier wakes left it."""
+        heap order; each senses the world as earlier wakes left it.  A
+        mobile pays this step's movement tick at the end of its wake."""
         p = self.p
         agents = self.agents
         stale = self.stale
 
-        # Candidates: all mobiles plus stale settled agents.
+        # Candidates: all mobiles plus stale settled agents.  They may be
+        # ``mobile_ids`` itself, which is fully read before any wake
+        # changes it.
         if stale:
             candidates = sorted(
-                mobile_at_start
+                self.mobile_ids
                 + [aid for aid in stale if agents[aid - 1].mode == MODE_SETTLED]
             )
         else:
-            candidates = mobile_at_start
+            candidates = self.mobile_ids
 
         # Every agent enters the heap at most once per step, so
         # ``scheduled`` also tells which agents were already woken.
-        wake_key = self._wake_key
-        heap = [wake_key(agents[aid - 1]) for aid in candidates]
+        heap = self._wake_keys(candidates)
         heapq.heapify(heap)
         scheduled = set(candidates)
 
         rng = self.rng
+        alpha = p.alpha
         mobile_decide = self._mobile_decide
         settled_decide = self._settled_decide
         heappop = heapq.heappop
@@ -331,9 +355,15 @@ class Simulation:
                     a.s2 = s2 = act.s2
                     aview[dst] = (a.s1, s2)
                     if emit is not None:
-                        emit(Event(t, aid, "move", src, dst, a.s1, s2, a.energy))
+                        emit(
+                            _new_event(
+                                Event, (t, aid, "move", src, dst, a.s1, s2, a.energy)
+                            )
+                        )
                 elif kind != A_STAY:
                     self._apply_mobile(a, act, t, key, heap, scheduled)
+                a.t_m = t_m = a.t_m + 1
+                a.energy = a.e0 - t_m - alpha * a.t_s
             elif a.mode == MODE_SETTLED and a.s1 != S_LOW_ENERGY:
                 self._touch_settled_energy(a, t)
                 xi = sense(self, a)
@@ -383,19 +413,13 @@ class Simulation:
         self.mobile_ids.append(aid)
         self._log(t, a, "enter", -1, entry)
 
-    def _charge(self, t: int, mobile_at_start: list[int]) -> None:
-        """Charge a movement tick to the agents that were mobile when the
-        step began, then apply the settled-energy events due by ``t``."""
+    def _charge(self, t: int) -> None:
+        """Apply the settled-energy events due by ``t``: threshold
+        crossings and failures.  Mobiles were charged in their wakes."""
         p = self.p
         agents = self.agents
         stale = self.stale
         alpha = p.alpha
-        for aid in mobile_at_start:
-            a = agents[aid - 1]
-            a.t_m += 1
-            a.energy = a.e0 - a.t_m - alpha * a.t_s
-
-        # Scheduled settled-energy threshold crossings and failures.
         while self._energy_events and self._energy_events[0][0] <= t:
             _, kind, aid = heapq.heappop(self._energy_events)
             a = agents[aid - 1]
@@ -430,7 +454,7 @@ class Simulation:
         self.t = t + 1
 
     def _apply_mobile(self, a, act, t, key, heap, scheduled):
-        """Shut down or settle; moves are applied inline in ``step``."""
+        """Shut down or settle; moves are applied inline in ``_wake``."""
         kind = act.kind
         src = a.pos
         if kind == A_SHUTDOWN:

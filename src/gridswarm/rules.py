@@ -2,9 +2,10 @@
 
 Every rule is a pure function of the agent's own state, its sensed
 neighborhood, and the run parameters; random tie-breaking consumes
-draws from the supplied generator.  Mobile rules return movement /
-settling / shutdown actions, settled rules return the sub-state the
-agent projects next (beacon, closed beacon, or low energy).
+draws from the supplied source of uniform floats (see ``Uniform``).
+Mobile rules return movement / settling / shutdown actions, settled
+rules return the sub-state the agent projects next (beacon, closed
+beacon, or low energy).
 
 Algorithm summary:
 
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-
-import numpy as np
+from typing import Protocol
 
 from .agents import (
     S_BEACON,
@@ -68,9 +68,18 @@ _SLTT_MOVE = (None,) + tuple(Action(A_MOVE, d, d) for d in DIRECTIONS)
 _CHILD_N, _CHILD_E, _CHILD_S, _CHILD_W = ((S_BEACON, d) for d in DIRECTIONS)
 
 
-def _pick(rng: np.random.Generator, items: list):
-    """Uniform choice; always consumes exactly one draw."""
-    return items[int(rng.integers(0, len(items)))]
+class Uniform(Protocol):
+    """What the rules draw from: ``random()`` returns a float in [0, 1).
+    Runs pass the engine's ``_RandomSource``; a numpy ``Generator`` also
+    qualifies."""
+
+    def random(self) -> float: ...
+
+
+def _pick(rng: Uniform, items: list):
+    """Uniform choice of ``items[int(u * len(items))]`` for one draw ``u``;
+    always consumes exactly one draw."""
+    return items[int(rng.random() * len(items))]
 
 
 def _empty_dirs(xi: tuple) -> list[int]:
@@ -93,7 +102,7 @@ def _empty_dirs(xi: tuple) -> list[int]:
 
 
 def mobile_decide_sllg(
-    a: AgentRecord, xi: tuple, p: SimParams, rng: np.random.Generator
+    a: AgentRecord, xi: tuple, p: SimParams, rng: Uniform
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN
@@ -139,7 +148,7 @@ def mobile_decide_sllg(
 
 
 def mobile_decide_slug(
-    a: AgentRecord, xi: tuple, p: SimParams, rng: np.random.Generator
+    a: AgentRecord, xi: tuple, p: SimParams, rng: Uniform
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN
@@ -182,7 +191,7 @@ def mobile_decide_slug(
 
 
 def mobile_decide_sltt(
-    a: AgentRecord, xi: tuple, p: SimParams, rng: np.random.Generator
+    a: AgentRecord, xi: tuple, p: SimParams, rng: Uniform
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN

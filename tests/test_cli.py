@@ -5,15 +5,28 @@ import csv
 import pytest
 
 from gridswarm import bounds as B
-from gridswarm import line_region, run
+from gridswarm import line_region, run, square_region
+from gridswarm.agents import S1_NAMES
 from gridswarm.cli import (
     CSV_COLUMNS,
+    EVENT_BATCH,
     EVENT_HEADER,
     ConfigError,
     build_params,
     main,
     parse_config,
 )
+from gridswarm.engine import _ENERGY_TEXT_MAX, Event
+
+
+def old_format(ev) -> str:
+    """The event-log line as the plain f-string gives it."""
+    src = "-" if ev.src < 0 else str(ev.src)
+    dst = "-" if ev.dst < 0 else str(ev.dst)
+    return (
+        f"{ev.t},{ev.agent},{ev.action},{src},{dst},"
+        f"{S1_NAMES[ev.s1]},{ev.s2},{ev.energy:g}"
+    )
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -88,6 +101,43 @@ class TestRunCommand:
                   log_events=True)
         expected = [EVENT_HEADER] + [e.format() for e in res.events]
         assert log.read_text().splitlines() == expected
+
+    def test_batched_log_with_alpha_matches_in_memory_log(self, tmp_path):
+        # Many write batches, and more distinct energies than the
+        # energy-text cache holds, so it is emptied during the run.
+        text = (
+            "region = square:21\nalgorithm = sltt-ea\napproach = 2\n"
+            "e0 = 25\nalpha = 0.017\ndt = 2\nseed = 1\n"
+        )
+        cfg = write_config(tmp_path, text)
+        log = tmp_path / "events.csv"
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                     "--log-events", str(log)]) == 0
+        res = run(square_region(21), build_params(parse_config(text)),
+                  log_events=True)
+        assert len(res.events) > 2 * EVENT_BATCH
+        assert len({e.energy for e in res.events if e.energy}) > _ENERGY_TEXT_MAX
+        expected = [EVENT_HEADER] + [old_format(e) for e in res.events]
+        assert log.read_text().splitlines() == expected
+        assert log.read_text().endswith("\n")
+
+    @pytest.mark.parametrize("src,dst", [(-1, 4), (3, -1), (-1, -1), (0, 12)])
+    @pytest.mark.parametrize(
+        "energy", [7, 7.0, 2.5, 0.1 + 0.2, 1 / 3, 1e-7, 123456789.0, 0, 0.0, -0.0, -0.07, -3]
+    )
+    def test_event_format_matches_f_string(self, src, dst, energy):
+        for s1 in S1_NAMES:
+            ev = Event(12, 3, "move", src, dst, s1, 5, energy)
+            # Twice: the second call may be served from the cache.
+            assert ev.format() == old_format(ev)
+            assert ev.format() == old_format(ev)
+
+    def test_event_format_tells_zero_signs_apart(self):
+        pos, neg = Event(0, 1, "fail", 2, 2, 3, 1, 0.0), Event(0, 1, "fail", 2, 2, 3, 1, -0.0)
+        assert [pos.format(), neg.format(), pos.format()] == [
+            old_format(pos), old_format(neg), old_format(pos)
+        ]
+        assert neg.format().endswith(",-0")
 
     def test_mismatched_out_header_is_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CORRIDOR_CFG)
@@ -178,6 +228,15 @@ class TestSweepCommand:
                      "--out", str(out)]) == 2
         assert "refusing to append" in capsys.readouterr().err
         assert out.read_text() == "run_id,region\n"
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_nonpositive_seeds_exit_2(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path, "region = line:8\ne0 = 40\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--seeds", seeds,
+                     "--out", str(out)]) == 2
+        assert f"--seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_vary_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "region = line:8\ne0 = 40\n")

@@ -2,12 +2,14 @@
 laws, frozen anchor runs, and structural invariants on event logs."""
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from gridswarm import (
     Region,
     RunResult,
     SimParams,
+    Simulation,
     line_region,
     parse_region,
     run,
@@ -22,7 +24,14 @@ from gridswarm.agents import (
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
 )
-from gridswarm.engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP
+from gridswarm.engine import (
+    _ID_BITS,
+    TERM_CLOSED,
+    TERM_LOW_ENERGY,
+    TERM_STEP_CAP,
+    _RandomSource,
+)
+from gridswarm.rules import _pick
 
 
 def run_logged(region: Region, **kw) -> RunResult:
@@ -311,3 +320,52 @@ class TestStepCapStall:
         m = self.metrics(1)
         assert m.terminated == TERM_LOW_ENERGY
         assert m.t_c == 121
+
+
+class TestRandomSource:
+    """The engine's uniform stream is the generator's own stream, and the
+    integers taken from it are those of ``low + int(u * (high - low))``."""
+
+    N = 3 * _RandomSource._BLOCK + 5  # crosses three block boundaries
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_draws_equal_generator_stream(self, seed):
+        src = _RandomSource(np.random.default_rng(seed))
+        drawn = [src.random() for _ in range(self.N)]
+        assert drawn == np.random.default_rng(seed).random(self.N).tolist()
+
+    @staticmethod
+    def old_integers(u, low, high):
+        return low + int(u * (high - low))
+
+    def draws(self):
+        us = np.random.default_rng(7).random(self.N).tolist()
+        # The extremes of [0, 1) as well.
+        return us + [0.0, 0.5, 1.0 - 2.0**-53]
+
+    @staticmethod
+    def fixed(us):
+        """A source whose ``random()`` returns ``us`` in order."""
+
+        class Fixed:
+            random = iter(us).__next__
+
+        return Fixed()
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 1000, 2**20 + 3])
+    def test_wake_keys_match_integer_draws(self, m):
+        sim = Simulation(square_region(5), SimParams(m=m))
+        us = self.draws()
+        sim.rng = self.fixed(us)
+        ids = list(range(1, len(us) + 1))
+        keys = sim._wake_keys(ids)
+        assert keys == [self.old_integers(u, 0, m) << _ID_BITS | i for u, i in zip(us, ids)]
+        assert all(key >> _ID_BITS < m for key in keys)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_pick_index_matches_integer_draw(self, k):
+        items = list(range(10, 10 + k))
+        us = self.draws()
+        rng = self.fixed(us)
+        for u in us:
+            assert _pick(rng, items) == items[self.old_integers(u, 0, k)]

@@ -1,5 +1,5 @@
-"""Package hygiene: no module imports a name it never uses, and every
-exported name resolves."""
+"""Package hygiene: no module imports a name it never uses, every
+function is used somewhere, and every exported name resolves."""
 import ast
 from pathlib import Path
 
@@ -9,6 +9,7 @@ import gridswarm
 
 SRC = Path(gridswarm.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -39,6 +40,38 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unreferenced_functions(defining: list[Path], using: list[Path]) -> list[str]:
+    """Functions, methods and properties defined in ``defining`` whose name
+    appears in no name or attribute reference in ``using``.
+
+    A definition binds its name without referencing it, so any reference
+    found is somewhere else.  Dunder methods are called by the language
+    and are exempt.
+    """
+    referenced: set[str] = set()
+    for path in using:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    found = []
+    for path in defining:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name not in referenced:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_every_function_is_referenced():
+    assert unreferenced_functions(MODULES, MODULES + TESTS) == []
 
 
 def test_exports_resolve():
