@@ -65,17 +65,10 @@ _CONFIG_KEYS = {
     "max_steps": int,
 }
 
-# Keys a sweep may vary, with their value parsers.
-_VARY_KEYS = {
-    "dt": int,
-    "e0": float,
-    "alpha": float,
-    "ecrit_mobile": float,
-    "ecrit_settled": float,
-    "algorithm": str,
-    "approach": int,
-    "scheduler": str,
-}
+# Keys a sweep may vary; their values parse as in ``_CONFIG_KEYS``.
+_VARY_KEYS = (
+    "dt", "e0", "alpha", "ecrit_mobile", "ecrit_settled", "algorithm", "approach", "scheduler"
+)
 
 
 def parse_config(text: str) -> dict:
@@ -114,6 +107,15 @@ def load_region(spec: str, base: Path | None = None) -> Region:
     if base is not None and not path.is_absolute():
         path = base / path
     return parse_region(path.read_text())
+
+
+def _load_run_config(config: str) -> tuple[dict, Region]:
+    """Read a run configuration and load its region, relative to it."""
+    cfg_path = Path(config)
+    cfg = parse_config(cfg_path.read_text())
+    if "region" not in cfg:
+        raise ConfigError("configuration is missing the 'region' key")
+    return cfg, load_region(cfg["region"], base=cfg_path.parent)
 
 
 def build_params(cfg: dict) -> SimParams:
@@ -180,11 +182,7 @@ def _write_rows(rows: list[dict], out: str | None) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg_path = Path(args.config)
-    cfg = parse_config(cfg_path.read_text())
-    if "region" not in cfg:
-        raise ConfigError("configuration is missing the 'region' key")
-    region = load_region(cfg["region"], base=cfg_path.parent)
+    cfg, region = _load_run_config(args.config)
     params = build_params(cfg)
     _check_out(args.out)
     if args.log_events is None:
@@ -232,7 +230,7 @@ def _parse_vary(specs: list[str]) -> dict[str, list]:
             )
         if key in vary:
             raise ConfigError(f"duplicate --vary key {key!r}")
-        conv = _VARY_KEYS[key]
+        conv = _CONFIG_KEYS[key]
         vary[key] = [conv(v.strip()) for v in values.split(",") if v.strip()]
         if not vary[key]:
             raise ConfigError(f"--vary {key} lists no values")
@@ -240,11 +238,7 @@ def _parse_vary(specs: list[str]) -> dict[str, list]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg_path = Path(args.config)
-    cfg = parse_config(cfg_path.read_text())
-    if "region" not in cfg:
-        raise ConfigError("configuration is missing the 'region' key")
-    region = load_region(cfg["region"], base=cfg_path.parent)
+    cfg, region = _load_run_config(args.config)
     vary = _parse_vary(args.vary or [])
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")

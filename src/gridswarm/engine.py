@@ -22,17 +22,22 @@ closed-form in the number of settled steps, so per-step ticking is
 replaced by scheduled threshold events; the ledger identity
 ``energy = e0 - t_m - alpha * t_s`` is preserved exactly.
 
-Beside the per-cell agent ids (``ground``, ``air``) the engine keeps
-two per-cell sensed views, ``gview`` and ``aview``: each cell holds
-``SENSE_EMPTY`` or the ``(s1, s2)`` tuple its occupant projects, and one
+Each layer is a per-cell sensed view, ``gview`` and ``aview``: a cell
+holds ``SENSE_EMPTY`` (falsy) or its occupant's ``(s1, s2)``, and an
 extra last slot holds ``SENSE_WALL`` so that the neighbor index ``-1``
-reads as a wall.  They are updated wherever the world changes (entry,
-move, shutdown, settle, transition, failure), so ``sense`` is a plain
-gather of ten slots.  The wake order of a step is a heap of ints
-``(sub << 32) | id`` from ``_wake_keys``: ``sub`` is a uniform sub-step in ``[0, m)`` under
-the random scheduler, and the agent's hop distance from the entry under
-the adversarial one (settled agents do not move, so lazily inserted
-agents compare the same way as the rest).  Events are handed, one at a
+reads as a wall.  They are updated wherever the world changes, so
+``sense`` is a gather of ten slots.  Only the ground also keeps agent
+ids (``ground``), to look settled neighbors up by cell.
+
+Invariant: the wake heap holds only mobiles and settled agents that are
+not low-energy, and energy events concern only settled agents, each
+with at most one event per kind, kind 0 popping before kind 1.
+
+The wake order of a step is a heap of ints ``(sub << 32) | id`` from
+``_wake_keys``: ``sub`` is a uniform sub-step in ``[0, m)`` under the
+random scheduler, and the agent's hop distance from the entry under the
+adversarial one (settled agents do not move, so lazily inserted agents
+compare the same way as the rest).  Events are handed, one at a
 time, to a sink: a list for ``log_events=True``, or any callable given
 as ``on_event`` (the CLI streams them to the log file).
 
@@ -195,7 +200,6 @@ class Simulation:
         self.rng = _RandomSource(np.random.default_rng(params.seed))
         ncells = region.width * region.height
         self.ground = [0] * ncells  # settled agent id per cell, 0 = empty
-        self.air = [0] * ncells  # mobile agent id per cell, 0 = empty
         # Sensed views of the two layers, with a trailing wall slot.
         self.gview: list = [SENSE_EMPTY] * ncells + [SENSE_WALL]
         self.aview: list = [SENSE_EMPTY] * ncells + [SENSE_WALL]
@@ -312,10 +316,7 @@ class Simulation:
         # ``mobile_ids`` itself, which is fully read before any wake
         # changes it.
         if stale:
-            candidates = sorted(
-                self.mobile_ids
-                + [aid for aid in stale if agents[aid - 1].mode == MODE_SETTLED]
-            )
+            candidates = sorted(self.mobile_ids + list(stale))
         else:
             candidates = self.mobile_ids
 
@@ -326,12 +327,10 @@ class Simulation:
         scheduled = set(candidates)
 
         rng = self.rng
-        alpha = p.alpha
         mobile_decide = self._mobile_decide
         settled_decide = self._settled_decide
         heappop = heapq.heappop
         neighbors = self.region.neighbors
-        air = self.air
         aview = self.aview
         emit = self._emit
         while heap:
@@ -344,12 +343,10 @@ class Simulation:
                 if kind == A_MOVE:  # the common case, inlined
                     src = a.pos
                     dst = neighbors[src][act.direction - 1]
-                    if dst < 0 or air[dst]:
+                    if dst < 0 or aview[dst]:
                         raise InvariantError(
                             f"agent {aid} moved into an occupied or wall cell"
                         )
-                    air[src] = 0
-                    air[dst] = aid
                     aview[src] = SENSE_EMPTY
                     a.pos = dst
                     a.s2 = s2 = act.s2
@@ -363,8 +360,8 @@ class Simulation:
                 elif kind != A_STAY:
                     self._apply_mobile(a, act, t, key, heap, scheduled)
                 a.t_m = t_m = a.t_m + 1
-                a.energy = a.e0 - t_m - alpha * a.t_s
-            elif a.mode == MODE_SETTLED and a.s1 != S_LOW_ENERGY:
+                a.energy = a.e0 - t_m  # a mobile's t_s is 0
+            else:  # a settled agent that is not low-energy
                 self._touch_settled_energy(a, t)
                 xi = sense(self, a)
                 new_s1 = settled_decide(a, xi, p, p.approach)
@@ -380,8 +377,6 @@ class Simulation:
                     self.gview[a.pos] = (new_s1, a.s2)
                     self._log(t, a, "transition", a.pos, a.pos)
                     self._mark_ground_change(a.pos, key, heap, scheduled)
-            else:
-                stale.discard(aid)
 
     def _attempt_entry(self, t: int) -> None:
         """Every ``dt`` steps, once this step's wake-ups have resolved, a
@@ -390,7 +385,7 @@ class Simulation:
         if t % self.p.dt:
             return
         entry = self.region.entry
-        if self.air[entry]:
+        if self.aview[entry]:
             return
         gid = self.ground[entry]
         s2 = self.agents[gid - 1].s2 if gid else 0
@@ -408,7 +403,6 @@ class Simulation:
             entered_at=t,
         )
         self.agents.append(a)
-        self.air[entry] = aid
         self.aview[entry] = (S_MOBILE, s2)
         self.mobile_ids.append(aid)
         self._log(t, a, "enter", -1, entry)
@@ -419,14 +413,10 @@ class Simulation:
         p = self.p
         agents = self.agents
         stale = self.stale
-        alpha = p.alpha
         while self._energy_events and self._energy_events[0][0] <= t:
             _, kind, aid = heapq.heappop(self._energy_events)
             a = agents[aid - 1]
-            if a.mode != MODE_SETTLED:
-                continue
-            a.t_s = t - a.settle_step
-            a.energy = a.e0 - a.t_m - alpha * a.t_s
+            self._touch_settled_energy(a, t + 1)
             if kind == 1 and a.energy <= 0:
                 a.mode = MODE_FAILED
                 self.ground[a.pos] = 0
@@ -458,7 +448,6 @@ class Simulation:
         kind = act.kind
         src = a.pos
         if kind == A_SHUTDOWN:
-            self.air[src] = 0
             self.aview[src] = SENSE_EMPTY
             a.mode = MODE_SHUTDOWN
             self.mobile_ids.remove(a.id)
@@ -466,15 +455,9 @@ class Simulation:
             self._log(t, a, "shutdown", src, -1)
             return
         # Settle, either in place or into an adjacent empty cell.
-        if kind == A_SETTLE_AT:
-            dst = self.region.neighbors[src][act.direction - 1]
-            if dst < 0 or self.ground[dst]:
-                raise InvariantError(f"agent {a.id} settled into an occupied or wall cell")
-        else:
-            dst = src
-            if self.ground[dst]:
-                raise InvariantError(f"agent {a.id} settled onto an occupied cell")
-        self.air[src] = 0
+        dst = self.region.neighbors[src][act.direction - 1] if kind == A_SETTLE_AT else src
+        if dst < 0 or self.ground[dst]:
+            raise InvariantError(f"agent {a.id} settled into an occupied or wall cell")
         self.aview[src] = SENSE_EMPTY
         self.ground[dst] = a.id
         a.pos = dst

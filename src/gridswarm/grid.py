@@ -37,7 +37,6 @@ class Region:
     walls : per-cell flag, ``True`` for wall cells.
     entry : linear index of the unique entry cell.
     n : number of empty (non-wall) cells, including the entry.
-    m : number of unordered adjacent pairs of empty cells.
     neighbors : per-cell 4-tuple of neighbor linear indices in
         direction order (N, E, S, W); ``-1`` marks a wall or the
         outside of the bounding box.
@@ -49,7 +48,6 @@ class Region:
     walls: tuple[bool, ...]
     entry: int
     n: int
-    m: int
     neighbors: tuple[tuple[int, int, int, int], ...] = field(repr=False)
     distances: tuple[int, ...] = field(repr=False)
 
@@ -126,12 +124,6 @@ def parse_region(text: str) -> Region:
         neighbors.append(tuple(row_nb))
 
     n = sum(1 for w in walls if not w)
-    m = 0
-    for cell in range(width * height):
-        if walls[cell]:
-            continue
-        east, south = neighbors[cell][1], neighbors[cell][2]
-        m += (east >= 0) + (south >= 0)
 
     distances = [-1] * (width * height)
     distances[entry] = 0
@@ -154,7 +146,6 @@ def parse_region(text: str) -> Region:
         walls=tuple(walls),
         entry=entry,
         n=n,
-        m=m,
         neighbors=tuple(neighbors),
         distances=tuple(distances),
     )

@@ -83,7 +83,6 @@ class TestSense:
             id=aid, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=cell, e0=50.0, energy=49.0
         )
         sim.agents.append(a)
-        sim.air[cell] = aid
         sim.aview[cell] = (a.s1, a.s2)
         return a
 
@@ -119,10 +118,22 @@ class TestSense:
         assert xi[7] == SENSE_WALL
 
 
+def mobiles_by_cell(world) -> dict:
+    """The air layer rebuilt from the agent records: each mobile agent
+    by its cell.  Two mobiles in one cell fail the calling test."""
+    air = {}
+    for m in world.agents:
+        if m.mode == MODE_MOBILE:
+            assert m.pos not in air, (world.t, m.id, air[m.pos].id)
+            air[m.pos] = m
+    return air
+
+
 def reference_sense(world, a: AgentRecord) -> tuple:
-    """Sensing read straight from the per-cell agent ids and the agent
+    """Sensing read straight from the ground's agent ids and the agent
     records, branch by branch; the engine's view-based ``sense`` must
-    agree with it on every wake."""
+    agree with it on every wake.  No per-cell array of the air layer is
+    read."""
     region = world.region
     ground = world.ground
     agents = world.agents
@@ -145,7 +156,7 @@ def reference_sense(world, a: AgentRecord) -> tuple:
     if a.mode != MODE_MOBILE:
         raise ValueError(f"agent {a.id} cannot sense in mode {MODE_NAMES.get(a.mode, a.mode)}")
 
-    air = world.air
+    air = mobiles_by_cell(world)
     xi = [SENSE_EMPTY] * 10
     gid = ground[a.pos]
     if gid:
@@ -162,9 +173,8 @@ def reference_sense(world, a: AgentRecord) -> tuple:
         if gid:
             g = agents[gid - 1]
             xi[1 + d] = (g.s1, g.s2)
-        aid = air[nb]
-        if aid:
-            other = agents[aid - 1]
+        other = air.get(nb)
+        if other is not None:
             xi[6 + d] = (other.s1, other.s2)
     return tuple(xi)
 
@@ -205,7 +215,8 @@ class TestSenseMatchesReference:
         for cell, gid in enumerate(sim.ground):
             g = sim.agents[gid - 1] if gid else None
             assert sim.gview[cell] == ((g.s1, g.s2) if g else SENSE_EMPTY)
-        for cell, aid in enumerate(sim.air):
-            m = sim.agents[aid - 1] if aid else None
+        air = mobiles_by_cell(sim)
+        for cell in range(len(sim.ground)):
+            m = air.get(cell)
             assert sim.aview[cell] == ((m.s1, m.s2) if m else SENSE_EMPTY)
         assert sim.gview[-1] == sim.aview[-1] == SENSE_WALL

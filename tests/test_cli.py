@@ -174,6 +174,16 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 2
         assert "missing the 'region' key" in capsys.readouterr().err
 
+    def test_without_out_writes_header_and_row_to_stdout(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CORRIDOR_CFG)
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0] == ",".join(CSV_COLUMNS)
+        assert lines == out.read_text().splitlines()
+
     def test_region_file_path_resolved_relative_to_config(self, tmp_path):
         (tmp_path / "map.txt").write_text("E..\n...\n")
         cfg = write_config(tmp_path, "region = map.txt\ne0 = 30\ndt = 2\n")
@@ -244,6 +254,31 @@ class TestSweepCommand:
                      "--seeds", "1"]) == 2
         assert "cannot vary 'width'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "vary,match",
+        [
+            (["dt"], "--vary expects key=v1,v2,..., got 'dt'"),
+            (["dt=1", "dt=2"], "duplicate --vary key 'dt'"),
+            (["dt="], "--vary dt lists no values"),
+        ],
+    )
+    def test_malformed_vary_exits_2(self, tmp_path, capsys, vary, match):
+        cfg = write_config(tmp_path, "region = line:8\ne0 = 40\n")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--config", cfg, "--seeds", "1", "--out", str(out)]
+        for spec in vary:
+            argv += ["--vary", spec]
+        assert main(argv) == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_region_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "dt = 2\ne0 = 10\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--seeds", "1", "--out", str(out)]) == 2
+        assert "missing the 'region' key" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoundsCommand:
     def test_approach1_table(self, capsys):
@@ -254,6 +289,36 @@ class TestBoundsCommand:
         assert "N_frontier  [ 8]  265" in out
         assert "T_C_upper   [11]  558" in out
         assert "N_upper     [12]  279" in out
+
+    def test_approach2_table_matches_api(self, capsys):
+        assert main(["bounds", "--case", "approach2", "--e0", "15"]) == 0
+        rows = []
+        for line in capsys.readouterr().out.splitlines():
+            name, rest = line.split(None, 1)
+            rows.append((name, *rest.rsplit(None, 1)))
+        b = B.approach2_bounds(15, 1.0)
+        assert rows == [
+            ("d_max", "[ 7]", str(b.d_max)),
+            ("A_covered_upper", "[13]", str(b.a_covered_ub)),
+        ]
+
+    def test_linear_edge_alpha_rows_match_api(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--case", "linear_edge", "--n", "10", "--dt", "2",
+                     "--alpha", "0.025", "--out", str(out)]) == 0
+        rows = {r["name"]: r for r in csv.DictReader(out.open())}
+        b = B.linear_edge_bounds(10, 2, 0.025)
+        exact, approx, e_bound = B.linear_edge_dt_opt(10, 0.025)
+        want = {
+            "dt_equalize": ("37", b.dt_equalize),
+            "dt_opt": ("31", exact),
+            "dt_opt_approx": ("32", approx),
+            "E_total_at_opt": ("33", e_bound),
+        }
+        assert b.dt_equalize is not None
+        for name, (formula, value) in want.items():
+            assert rows[name]["formula"] == formula
+            assert float(rows[name]["value"]) == value
 
     def test_linear_edge_csv_matches_api(self, tmp_path):
         out = tmp_path / "b.csv"

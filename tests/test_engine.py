@@ -4,6 +4,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridswarm import (
     Region,
@@ -23,15 +25,19 @@ from gridswarm.agents import (
     S_BEACON,
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
+    SENSE_EMPTY,
+    AgentRecord,
 )
 from gridswarm.engine import (
     _ID_BITS,
     TERM_CLOSED,
     TERM_LOW_ENERGY,
     TERM_STEP_CAP,
+    InvariantError,
     _RandomSource,
 )
-from gridswarm.rules import _pick
+from gridswarm.grid import EAST, NORTH
+from gridswarm.rules import A_MOVE, A_SETTLE_AT, A_SETTLE_HERE, Action, _pick
 
 
 def run_logged(region: Region, **kw) -> RunResult:
@@ -232,16 +238,21 @@ class TestAirframeParking:
         sim = res.sim
         down = [a for a in sim.agents if a.mode in (MODE_SHUTDOWN, MODE_FAILED)]
         assert down, "expected at least one exhausted agent in this scenario"
+        air = {m.pos: m for m in sim.agents if m.mode == MODE_MOBILE}
         for a in down:
-            assert sim.air[a.pos] != a.id
+            m = air.get(a.pos)
+            assert sim.aview[a.pos] == ((m.s1, m.s2) if m else SENSE_EMPTY)
             assert sim.ground[a.pos] != a.id
 
     def test_mobile_agents_occupy_air(self):
         res = run_logged(line_region(40), dt=1, e0=500, max_steps=6)
         sim = res.sim
-        for a in sim.agents:
-            if a.mode == MODE_MOBILE:
-                assert sim.air[a.pos] == a.id
+        mobiles = [a for a in sim.agents if a.mode == MODE_MOBILE]
+        assert mobiles
+        for a in mobiles:
+            assert sim.aview[a.pos] == (a.s1, a.s2)
+        # Every occupied air cell holds one of them.
+        assert sum(1 for v in sim.aview[:-1] if v) == len(mobiles)
 
 
 class TestSchedulers:
@@ -369,3 +380,91 @@ class TestRandomSource:
         rng = self.fixed(us)
         for u in us:
             assert _pick(rng, items) == items[self.old_integers(u, 0, k)]
+
+
+class TestInvariantChecks:
+    """Each structural check of the engine fires, at the step it should,
+    when a decide rule asks for the illegal outcome it guards against."""
+
+    @pytest.mark.parametrize(
+        "text,dt,mobile,settled,t,match",
+        [
+            # Under the adversarial order agent 1 enters at step 0, acts
+            # at step 1 and, at step 2, agent 2 acts from the entry first.
+            ("E...", 1, Action(A_MOVE, EAST), None, 2, "moved into an occupied"),
+            ("E.", 1, Action(A_MOVE, NORTH), None, 1, "moved into an occupied or wall"),
+            ("E.", 1, Action(A_SETTLE_HERE, s2=1), [S_BEACON], 2, "settled into an occupied"),
+            ("E..", 1, Action(A_SETTLE_AT, EAST, 1), None, 2, "settled into an occupied"),
+            ("E.", 1, Action(A_SETTLE_AT, NORTH, 1), None, 1, "settled into an occupied or wall"),
+            # Agent 1 alone in a walled cell: its beacon may close, never reopen.
+            ("E", 50, Action(A_SETTLE_HERE, s2=1), [S_CLOSED_BEACON, S_BEACON], 3,
+             "reopened a closed beacon"),
+            ("E.", 1, Action(A_SETTLE_HERE, s2=1), [S_CLOSED_BEACON], 2,
+             "closed with an empty neighbor in sight"),
+        ],
+    )
+    def test_illegal_outcome_raises(self, text, dt, mobile, settled, t, match):
+        sim = Simulation(parse_region(text), SimParams(e0=50, dt=dt, scheduler="adversarial"))
+        sim._mobile_decide = lambda a, xi, p, rng: mobile
+        outcomes = iter(settled or ())
+        sim._settled_decide = lambda a, xi, p, approach: next(outcomes)
+        with pytest.raises(InvariantError, match=match):
+            for _ in range(4):
+                sim.step()
+        assert sim.t == t
+
+
+def ledger_steps(e0, t_m, alpha, threshold, s):
+    """First end-of-step index after settling at step ``s`` at which the
+    ledger ``e0 - t_m - alpha * t_s`` reaches ``threshold``, by a linear
+    scan; ``t_m`` counts the settling step's movement tick."""
+    t_s = 1
+    while e0 - t_m - alpha * t_s > threshold:
+        t_s += 1
+    return s + t_s
+
+
+class TestSettledEnergySchedule:
+    """The closed-form step of each settled-energy event equals the first
+    step at which the per-step float ledger crosses its threshold."""
+
+    @staticmethod
+    def scheduled(e0, t_m, alpha, ecrit_settled, s):
+        sim = Simulation(
+            square_region(3), SimParams(e0=e0, alpha=alpha, ecrit_settled=ecrit_settled)
+        )
+        # ``t_m`` before the settling step's own tick, as at a settle.
+        a = AgentRecord(
+            id=1, mode=MODE_SETTLED, s1=S_BEACON, s2=1, pos=0, e0=e0,
+            energy=e0 - t_m, t_m=t_m, settle_step=s,
+        )
+        sim._schedule_energy_events(a)
+        return {kind: step for step, kind, _ in sim._energy_events}
+
+    def check(self, e0, t_m, alpha, ecrit_settled, s):
+        got = self.scheduled(e0, t_m, alpha, ecrit_settled, s)
+        want = {1: ledger_steps(e0, t_m + 1, alpha, 0.0, s)}
+        if e0 - (t_m + 1) > ecrit_settled:
+            want[0] = ledger_steps(e0, t_m + 1, alpha, ecrit_settled, s)
+        assert got == want
+
+    @given(
+        e0=st.one_of(st.integers(3, 100).map(float), st.floats(3.0, 100.0)),
+        t_m=st.integers(0, 40),
+        alpha=st.one_of(st.integers(1, 400).map(lambda k: 1 / k), st.floats(0.003, 3.0)),
+        ecrit_settled=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 20.0)),
+        s=st.integers(0, 10_000),
+    )
+    def test_matches_linear_scan(self, e0, t_m, alpha, ecrit_settled, s):
+        self.check(e0, t_m, alpha, ecrit_settled, s)
+
+    @pytest.mark.parametrize(
+        "e_settle,alpha,threshold",
+        [
+            (369.0, 1 / 347, 3.0),  # the ceiling overshoots by one step
+            (460.0, 1 / 784, 0.5),  # the ceiling falls one step short
+        ],
+    )
+    def test_rounding_fixups(self, e_settle, alpha, threshold):
+        t_m = 30
+        self.check(e_settle + t_m + 1, t_m, alpha, threshold, 7)

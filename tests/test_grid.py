@@ -58,7 +58,6 @@ class TestParseRegion:
         assert (r.width, r.height) == (3, 1)
         assert r.entry == 0
         assert r.n == 3
-        assert r.m == 2
 
     def test_comments_and_blank_lines_skipped(self):
         r = parse_region("# header\n\nE.\n..\n")
