@@ -8,7 +8,10 @@ value or a direction code).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from . import bounds
 
 # Modes (lifecycle).
 MODE_MOBILE, MODE_SETTLED, MODE_SHUTDOWN, MODE_FAILED = range(4)
@@ -19,14 +22,9 @@ MODE_NAMES = {
     MODE_FAILED: "failed",
 }
 
-# Projected sub-states (s1).
+# Projected sub-states (s1), and their names indexed by s1.
 S_MOBILE, S_BEACON, S_CLOSED_BEACON, S_LOW_ENERGY = range(4)
-S1_NAMES = {
-    S_MOBILE: "mobile",
-    S_BEACON: "beacon",
-    S_CLOSED_BEACON: "closed_beacon",
-    S_LOW_ENERGY: "low_energy",
-}
+S1_NAMES = ("mobile", "beacon", "closed_beacon", "low_energy")
 
 ALGORITHMS = ("sllg-ea", "slug-ea", "sltt-ea")
 SCHEDULERS = ("random", "adversarial")
@@ -35,6 +33,11 @@ SCHEDULERS = ("random", "adversarial")
 SENSE_WALL = -1
 SENSE_EMPTY = 0
 _UNSENSED_AIR = (SENSE_EMPTY,) * 5  # air slots of a settled agent
+
+# Energies are counted in ticks held in floats; from 2**53 on, a unit
+# tick can be lost in rounding, and so can a step of a settled agent's
+# drain schedule.
+_ENERGY_LIMIT = 2.0**53
 
 
 class ParamError(ValueError):
@@ -65,7 +68,7 @@ class SimParams:
     def d_max(self) -> int:
         """Maximum settling distance an agent can afford and still
         report energy exhaustion before shutting down."""
-        return int(self.e0 - self.ecrit_mobile - 1)
+        return bounds.d_max(self.e0, self.ecrit_mobile)
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -78,6 +81,10 @@ class SimParams:
             raise ParamError(f"dt must be >= 1, got {self.dt}")
         if self.m < 1:
             raise ParamError(f"m must be >= 1, got {self.m}")
+        for name in ("e0", "alpha", "ecrit_mobile", "ecrit_settled"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value < _ENERGY_LIMIT):
+                raise ParamError(f"{name} must be finite and below 2**53, got {value}")
         if self.alpha < 0:
             raise ParamError(f"alpha must be >= 0, got {self.alpha}")
         if self.ecrit_mobile < 1:
@@ -87,6 +94,10 @@ class SimParams:
         if self.e0 <= self.ecrit_mobile + 1:
             raise ParamError(
                 f"e0 must exceed ecrit_mobile + 1 (got e0={self.e0}, ecrit_mobile={self.ecrit_mobile})"
+            )
+        if self.alpha and self.e0 / self.alpha >= _ENERGY_LIMIT:
+            raise ParamError(
+                f"alpha must be 0 or at least e0 / 2**53 (got alpha={self.alpha}, e0={self.e0})"
             )
         if self.max_steps is not None and self.max_steps < 1:
             raise ParamError(f"max_steps must be >= 1, got {self.max_steps}")

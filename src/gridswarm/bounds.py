@@ -1,10 +1,10 @@
-"""Closed-form performance bounds and their brute-force oracles.
+"""Closed-form performance bounds and their summation oracles.
 
 Each published formula is implemented as printed (formula ids are the
-numbers used by the ``bounds`` CLI report) and, where a summation or
-enumeration exists, paired with an independent oracle that computes the
-same quantity the long way.  Group-boundary arithmetic is kept in exact
-rationals; values are floored only when used as an index.
+numbers used by the ``bounds`` CLI report).  The two linear totals are
+paired with an oracle that computes the same quantity the long way, by
+summing the per-agent worst cases.  Group-boundary arithmetic is kept
+in exact rationals; values are floored only when used as an index.
 
 Scenario families:
 
@@ -37,18 +37,6 @@ def ball_cell_count(radius: int) -> int:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     return radius * radius + (radius + 1) * (radius + 1)
-
-
-def enumerate_ball(radius: int) -> int:
-    """Oracle for :func:`ball_cell_count`: direct lattice enumeration."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    return sum(
-        1
-        for x in range(-radius, radius + 1)
-        for y in range(-radius, radius + 1)
-        if abs(x) + abs(y) <= radius
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import csv
 import itertools
 import statistics
 import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import bounds as bnd
@@ -118,100 +120,116 @@ def _load_run_config(config: str) -> tuple[dict, Region]:
     return cfg, load_region(cfg["region"], base=cfg_path.parent)
 
 
-def build_params(cfg: dict) -> SimParams:
-    kwargs = {k: v for k, v in cfg.items() if k != "region"}
-    params = SimParams(**kwargs)
-    params.validate()
-    return params
-
-
-def _metrics_row(run_id: str, region_name: str, region: Region, p: SimParams, m) -> dict:
-    return {
-        "run_id": run_id,
-        "region": region_name,
-        "n": region.n,
-        "algorithm": p.algorithm,
-        "approach": p.approach,
-        "scheduler": p.scheduler,
-        "dt": p.dt,
-        "e0": p.e0,
-        "alpha": p.alpha,
-        "ecrit_mobile": p.ecrit_mobile,
-        "ecrit_settled": p.ecrit_settled,
-        "seed": p.seed,
-        "terminated": m.terminated,
-        "T_C": m.t_c,
-        "N": m.n_agents,
-        "E_total": f"{m.e_total:.6g}",
-        "max_Ei": f"{m.max_ei:.6g}",
-        "A_C": m.a_c,
-        "NDA_shutdown": m.nda_shutdown,
-        "NDA_failed": m.nda_failed,
-    }
-
-
-def _check_out(out: str | None) -> None:
-    """Refuse to append to a non-empty CSV whose header is not ours."""
-    if out is None or out == "-":
-        return
-    path = Path(out)
-    if not path.exists() or path.stat().st_size == 0:
-        return
-    with path.open(newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-    if header != ",".join(CSV_COLUMNS):
-        raise ConfigError(
-            f"{out} exists and its first line is not the run CSV header; "
-            "refusing to append to it"
-        )
-
-
-def _write_rows(rows: list[dict], out: str | None) -> None:
-    if out is None or out == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    path = Path(out)
-    fresh = not path.exists() or path.stat().st_size == 0
-    with path.open("a", newline="") as fh:
+@contextmanager
+def _row_writer(out: str | None) -> Iterator[csv.DictWriter]:
+    """Yield a run-CSV writer on ``out`` (stdout if None or ``-``) that
+    writes each row through at once.  A file is appended to only if it is
+    empty or starts with the header, which goes to a fresh file or stdout."""
+    if out in (None, "-"):
+        sink, fresh = nullcontext(sys.stdout), True
+    else:
+        path = Path(out)
+        fresh = not path.exists() or path.stat().st_size == 0
+        if not fresh:
+            with path.open(newline="") as fh:
+                header = fh.readline().rstrip("\r\n")
+            if header != ",".join(CSV_COLUMNS):
+                raise ConfigError(
+                    f"{out} exists and its first line is not the run CSV header; "
+                    "refusing to append to it"
+                )
+        sink = path.open("a", newline="", buffering=1)
+    with sink as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if fresh:
             writer.writeheader()
-        writer.writerows(rows)
+        yield writer
+
+
+@contextmanager
+def _event_sink(path: str) -> Iterator[Callable[[Event], None]]:
+    """Yield an ``on_event`` callback that streams the event log to
+    ``path``: events are formatted as they happen and written every
+    ``EVENT_BATCH`` lines, so memory stays bounded."""
+    with Path(path).open("w") as fh:
+        write = fh.write
+        write(EVENT_HEADER + "\n")
+        fmt = Event.format
+        lines: list[str] = []
+        append = lines.append
+
+        def flush() -> None:
+            append("")  # the last line's newline
+            write("\n".join(lines))
+            lines.clear()
+
+        def on_event(ev: Event) -> None:
+            append(fmt(ev))
+            if len(lines) >= EVENT_BATCH:
+                flush()
+
+        yield on_event
+        flush()
+
+
+def _point_params(cfg: dict, vary: dict[str, list], seeds: int) -> list[SimParams]:
+    """The validated parameters of every run, in run-id order: each
+    point of the cartesian product of ``vary`` over ``seeds`` seeds
+    counted up from the configured one."""
+    base = {k: v for k, v in cfg.items() if k != "region"}
+    base_seed = base.pop("seed", 0)
+    keys = sorted(vary)
+    runs = []
+    for point in itertools.product(*(vary[k] for k in keys)):
+        for s in range(seeds):
+            params = SimParams(**{**base, **dict(zip(keys, point)), "seed": base_seed + s})
+            params.validate()
+            runs.append(params)
+    return runs
+
+
+def _run_rows(
+    cfg: dict, region: Region, runs: list[SimParams], writer: csv.DictWriter,
+    on_event: Callable[[Event], None] | None = None,
+) -> list[dict]:
+    """Run each parameter set and write its row as the run finishes."""
+    rows = []
+    for i, p in enumerate(runs):
+        m = run(region, p, on_event=on_event).metrics
+        row = {
+            "run_id": f"r{i:06d}",
+            "region": cfg["region"],
+            "n": region.n,
+            "algorithm": p.algorithm,
+            "approach": p.approach,
+            "scheduler": p.scheduler,
+            "dt": p.dt,
+            "e0": p.e0,
+            "alpha": p.alpha,
+            "ecrit_mobile": p.ecrit_mobile,
+            "ecrit_settled": p.ecrit_settled,
+            "seed": p.seed,
+            "terminated": m.terminated,
+            "T_C": m.t_c,
+            "N": m.n_agents,
+            "E_total": f"{m.e_total:.6g}",
+            "max_Ei": f"{m.max_ei:.6g}",
+            "A_C": m.a_c,
+            "NDA_shutdown": m.nda_shutdown,
+            "NDA_failed": m.nda_failed,
+        }
+        writer.writerow(row)
+        rows.append(row)
+    return rows
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, region = _load_run_config(args.config)
-    params = build_params(cfg)
-    _check_out(args.out)
-    if args.log_events is None:
-        result = run(region, params)
-    else:
-        # Stream the log: events are formatted as they happen and written
-        # every ``EVENT_BATCH`` lines, so memory stays bounded.
-        with Path(args.log_events).open("w") as fh:
-            write = fh.write
-            write(EVENT_HEADER + "\n")
-            fmt = Event.format
-            lines: list[str] = []
-            append = lines.append
-
-            def flush() -> None:
-                append("")  # the last line's newline
-                write("\n".join(lines))
-                lines.clear()
-
-            def on_event(ev: Event) -> None:
-                append(fmt(ev))
-                if len(lines) >= EVENT_BATCH:
-                    flush()
-
-            result = run(region, params, on_event=on_event)
-            flush()
-    row = _metrics_row("r000000", cfg["region"], region, params, result.metrics)
-    _write_rows([row], args.out)
-    if args.strict and result.metrics.terminated == TERM_STEP_CAP:
+    runs = _point_params(cfg, {}, 1)
+    sink = nullcontext() if args.log_events is None else _event_sink(args.log_events)
+    with _row_writer(args.out) as writer, sink as on_event:
+        (row,) = _run_rows(cfg, region, runs, writer, on_event)
+    if args.strict and row["terminated"] == TERM_STEP_CAP:
         print("run hit the step cap without terminating", file=sys.stderr)
         return 1
     return 0
@@ -242,29 +260,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     vary = _parse_vary(args.vary or [])
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    keys = sorted(vary)
-    base_seed = cfg.get("seed", 0)
-    _check_out(args.out)
-
-    rows: list[dict] = []
-    run_idx = 0
-    points = list(itertools.product(*(vary[k] for k in keys))) or [()]
-    for point in points:
-        point_cfg = dict(cfg)
-        point_cfg.update(dict(zip(keys, point)))
-        for s in range(args.seeds):
-            point_cfg["seed"] = base_seed + s
-            params = build_params(point_cfg)
-            result = run(region, params)
-            rows.append(
-                _metrics_row(
-                    f"r{run_idx:06d}", cfg["region"], region, params, result.metrics
-                )
-            )
-            run_idx += 1
-    _write_rows(rows, args.out)
+    runs = _point_params(cfg, vary, args.seeds)
+    with _row_writer(args.out) as writer:
+        rows = _run_rows(cfg, region, runs, writer)
     if args.agg:
-        _write_aggregate(rows, keys, args.agg)
+        _write_aggregate(rows, sorted(vary), args.agg)
     return 0
 
 

@@ -89,8 +89,6 @@ TERM_STEP_CAP = "step_cap"
 _ID_BITS = 32
 _ID_MASK = (1 << _ID_BITS) - 1
 
-# ``S1_NAMES`` as a tuple indexed by ``s1``.
-_S1_TEXT = tuple(S1_NAMES[s1] for s1 in range(len(S1_NAMES)))
 # ``f"{energy:g}"`` by energy, shared by all runs: it memoizes a pure
 # function, so sharing changes no output.  A run logs few distinct
 # energies when ``alpha`` is 0 (integers up to ``e0``) and many otherwise,
@@ -127,7 +125,7 @@ class Event(NamedTuple):
                 _ENERGY_TEXT[energy] = e
         return (
             f"{t},{agent},{action},{'-' if src < 0 else src},"
-            f"{'-' if dst < 0 else dst},{_S1_TEXT[s1]},{s2},{e}"
+            f"{'-' if dst < 0 else dst},{S1_NAMES[s1]},{s2},{e}"
         )
 
 

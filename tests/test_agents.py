@@ -1,4 +1,6 @@
 """Parameter validation and sensing."""
+import math
+
 import pytest
 
 from gridswarm import engine
@@ -49,6 +51,18 @@ class TestSimParams:
             dict(ecrit_settled=-1),
             dict(e0=2, ecrit_mobile=1),
             dict(max_steps=0),
+            dict(e0=math.nan),
+            dict(e0=math.inf),
+            dict(alpha=math.nan),
+            dict(alpha=math.inf),
+            dict(ecrit_mobile=math.nan),
+            dict(ecrit_mobile=math.inf),
+            dict(ecrit_settled=math.nan),
+            dict(ecrit_settled=math.inf),
+            dict(ecrit_settled=-math.inf),
+            dict(e0=2.0**53),
+            dict(alpha=1e-300),
+            dict(alpha=5e-324),
         ],
     )
     def test_invalid_parameters_rejected(self, kw):

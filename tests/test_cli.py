@@ -1,18 +1,20 @@
 """Command-line interface: config parsing, run/sweep CSV output, and
 bound tables, all exercised through ``main(argv)``."""
 import csv
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridswarm import bounds as B
-from gridswarm import line_region, run, square_region
-from gridswarm.agents import S1_NAMES
+from gridswarm import cli, line_region, run, square_region
+from gridswarm.agents import S1_NAMES, ParamError, SimParams
 from gridswarm.cli import (
     CSV_COLUMNS,
     EVENT_BATCH,
     EVENT_HEADER,
     ConfigError,
-    build_params,
     main,
     parse_config,
 )
@@ -97,8 +99,9 @@ class TestRunCommand:
         log = tmp_path / "events.csv"
         main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"),
               "--log-events", str(log)])
-        res = run(line_region(10), build_params(parse_config(CORRIDOR_CFG)),
-                  log_events=True)
+        params = SimParams(algorithm="sllg-ea", approach=1, scheduler="adversarial",
+                           dt=2, e0=50.0, seed=0)
+        res = run(line_region(10), params, log_events=True)
         expected = [EVENT_HEADER] + [e.format() for e in res.events]
         assert log.read_text().splitlines() == expected
 
@@ -113,8 +116,9 @@ class TestRunCommand:
         log = tmp_path / "events.csv"
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"),
                      "--log-events", str(log)]) == 0
-        res = run(square_region(21), build_params(parse_config(text)),
-                  log_events=True)
+        params = SimParams(algorithm="sltt-ea", approach=2, e0=25.0, alpha=0.017,
+                           dt=2, seed=1)
+        res = run(square_region(21), params, log_events=True)
         assert len(res.events) > 2 * EVENT_BATCH
         assert len({e.energy for e in res.events if e.energy}) > _ENERGY_TEXT_MAX
         expected = [EVENT_HEADER] + [old_format(e) for e in res.events]
@@ -126,7 +130,7 @@ class TestRunCommand:
         "energy", [7, 7.0, 2.5, 0.1 + 0.2, 1 / 3, 1e-7, 123456789.0, 0, 0.0, -0.0, -0.07, -3]
     )
     def test_event_format_matches_f_string(self, src, dst, energy):
-        for s1 in S1_NAMES:
+        for s1 in range(len(S1_NAMES)):
             ev = Event(12, 3, "move", src, dst, s1, 5, energy)
             # Twice: the second call may be served from the cache.
             assert ev.format() == old_format(ev)
@@ -193,6 +197,47 @@ class TestRunCommand:
         assert row["n"] == "6"
         assert row["terminated"] == "closed"
 
+    # One energy parameter is drawn from every float (nan, infinities,
+    # negatives, huge and subnormal values); each of the others is left
+    # out (None) or drawn from a range where runs are valid.
+    TAME = {
+        "e0": st.floats(10, 60),
+        "alpha": st.floats(0, 1),
+        "ecrit_mobile": st.floats(1, 5),
+        "ecrit_settled": st.floats(0, 5),
+    }
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        tame=st.fixed_dictionaries({k: st.none() | v for k, v in TAME.items()}),
+        wild_key=st.sampled_from(sorted(TAME)),
+        wild=st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 2.0**53, 1e-300, 5e-324]),
+            st.floats(),
+        ),
+    )
+    def test_energy_parameters_exit_0_or_2_as_validate_says(
+        self, tmp_path, tame, wild_key, wild
+    ):
+        energies = {k: v for k, v in {**tame, wild_key: wild}.items() if v is not None}
+        text = "region = square:5\nmax_steps = 200\n" + "".join(
+            f"{k} = {v!r}\n" for k, v in energies.items()
+        )
+        cfg = write_config(tmp_path, text)
+        try:
+            SimParams(max_steps=200, **energies).validate()
+            want = 0
+        except ParamError:
+            want = 2
+        out = tmp_path / "o.csv"
+        out.unlink(missing_ok=True)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == want
+        if want == 0:
+            (row,) = csv.DictReader(out.read_text().splitlines())
+            assert math.isfinite(float(row["E_total"]))
+            assert math.isfinite(float(row["max_Ei"]))
+
 
 class TestSweepCommand:
     def test_cartesian_grid_and_aggregate(self, tmp_path):
@@ -229,6 +274,37 @@ class TestSweepCommand:
             assert float(rec["frac_closed"]) == pytest.approx(
                 sum(r["terminated"] == "closed" for r in group) / len(group)
             )
+
+    def test_invalid_point_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **kw: calls.append(a) or run(*a, **kw))
+        cfg = write_config(tmp_path, "region = square:21\ne0 = 40\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--vary", "dt=2,0", "--seeds", "20",
+                     "--out", str(out)]) == 2
+        assert "dt must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
+    def test_rows_are_written_as_runs_finish(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        on_disk = []
+
+        def crash_on_third_run(region, params, **kw):
+            on_disk.append(out.read_text().splitlines())
+            if len(on_disk) == 3:
+                raise RuntimeError("crash in the third run")
+            return run(region, params, **kw)
+
+        monkeypatch.setattr(cli, "run", crash_on_third_run)
+        cfg = write_config(tmp_path, "region = line:8\ne0 = 40\n")
+        with pytest.raises(RuntimeError, match="third run"):
+            main(["sweep", "--config", cfg, "--seeds", "4", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert [line.split(",")[:1] for line in lines[1:]] == [["r000000"], ["r000001"]]
+        # Each row was on disk before the next run started.
+        assert on_disk[2] == lines
 
     def test_mismatched_out_header_is_refused_before_running(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "region = line:8\ne0 = 40\n")
