@@ -1,10 +1,9 @@
-"""Closed-form performance bounds and their summation oracles.
+"""Closed-form performance bounds.
 
 Each published formula is implemented as printed (formula ids are the
-numbers used by the ``bounds`` CLI report).  The two linear totals are
-paired with an oracle that computes the same quantity the long way, by
-summing the per-agent worst cases.  Group-boundary arithmetic is kept
-in exact rationals; values are floored only when used as an index.
+numbers used by the ``bounds`` CLI report).  Group-boundary arithmetic
+is kept in exact rationals; values are floored only when used as an
+index.  Energy inputs must be finite.
 
 Scenario families:
 
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 
 def d_max(e0: float, ecrit_mobile: float) -> int:
@@ -37,6 +35,13 @@ def ball_cell_count(radius: int) -> int:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     return radius * radius + (radius + 1) * (radius + 1)
+
+
+def _check_finite(**values: float | None) -> None:
+    """Reject a non-finite input; ``None`` stands for an absent one."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +65,7 @@ def approach1_bounds(
     ecrit_settled: float | None = None,
     alpha: float | None = None,
 ) -> Approach1Bounds:
+    _check_finite(e0=e0, ecrit_mobile=ecrit_mobile, ecrit_settled=ecrit_settled, alpha=alpha)
     d = d_max(e0, ecrit_mobile)
     if d < 1:
         raise ValueError(f"d_max = {d} < 1: no agent can ever settle and report back")
@@ -81,6 +87,7 @@ class Approach2Bounds:
 
 
 def approach2_bounds(e0: float, ecrit_mobile: float) -> Approach2Bounds:
+    _check_finite(e0=e0, ecrit_mobile=ecrit_mobile)
     d = d_max(e0, ecrit_mobile)
     if d < 1:
         raise ValueError(f"d_max = {d} < 1: no agent can ever settle and report back")
@@ -97,6 +104,7 @@ def _check_linear(n: int, dt: int, alpha: float) -> None:
         raise ValueError(f"corridor length n must be >= 2, got {n}")
     if dt < 1:
         raise ValueError(f"dt must be >= 1, got {dt}")
+    _check_finite(alpha=alpha)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
 
@@ -156,23 +164,6 @@ def linear_edge_ei_max(n: int, dt: int, alpha: float, i: int):
     if i <= n:
         return i * (1 - alpha - alpha * dt) + alpha * n * (dt + 2)
     return n * (dt + 2) - i * dt
-
-
-def linear_edge_total_oracle(n: int, dt: int, alpha: float) -> float:
-    """Oracle for the total-consumption bound: the defining summation
-    over settled entrants, superfluous entrants, and the final closer.
-    Requires the participant count to be integral (dt divides 2n)."""
-    _check_linear(n, dt, alpha)
-    n_agents = Fraction(n * (dt + 2), dt) - 1
-    if n_agents.denominator != 1:
-        raise ValueError(f"participant count {n_agents} is not integral; choose dt dividing 2n")
-    s = n * (dt + 2)
-    total = 0.0
-    for i in range(1, n + 1):
-        total += i * (1 - alpha) + alpha * (s - dt) - alpha * (i - 1) * dt
-    for i in range(n + 1, int(n_agents) + 1):
-        total += s - i * dt
-    return total + 1
 
 
 def linear_edge_dt_opt(n: int, alpha: float) -> tuple[float, float, float]:
@@ -319,24 +310,3 @@ def linear_mid_ei_max(
     if i <= n_j + n - j:
         return (i - n_j + 1) * (1 - alpha) + alpha * (s - i * dt)
     return s - i * dt
-
-
-def linear_mid_total_oracle(
-    n: int, j: int, dt: int, alpha, variant: str = "greedy"
-):
-    """Oracle for the mid-entry total: sum the per-agent worst cases
-    over all participants.  Requires integral participant counts
-    (dt divides both 2n and 2j)."""
-    _check_mid(n, j, dt, alpha, variant)
-    n_agents = Fraction(n * (dt + 2), dt) - 1
-    n_j = mid_n_j(j, dt)
-    if n_agents.denominator != 1 or n_j.denominator != 1:
-        raise ValueError(
-            "participant counts are not integral; choose dt dividing 2n and 2j"
-        )
-    exact = isinstance(alpha, Rational)
-    total = Fraction(0) if exact else 0.0
-    for i in range(1, int(n_agents) + 1):
-        e_i = linear_mid_ei_max(n, j, dt, alpha, i, variant)
-        total += Fraction(e_i) if exact else e_i
-    return total

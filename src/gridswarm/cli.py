@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bounds as bnd
 from .agents import ParamError, SimParams
-from .engine import TERM_STEP_CAP, Event, run
+from .engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP, Event, run
 from .grid import Region, RegionError, line_region, parse_region, square_region
 
 CSV_COLUMNS = [
@@ -285,7 +285,7 @@ def _write_aggregate(rows: list[dict], keys: list[str], out: str) -> None:
             group = groups[point]
             rec = dict(zip(keys, point))
             rec["runs"] = len(group)
-            for reason in ("closed", "low_energy", "step_cap"):
+            for reason in (TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP):
                 rec[f"frac_{reason}"] = (
                     f"{sum(r['terminated'] == reason for r in group) / len(group):.4g}"
                 )

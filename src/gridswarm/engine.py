@@ -159,21 +159,16 @@ def default_step_cap(region: Region, p: SimParams) -> int:
     return 50 * region.n * (p.dt + 2)
 
 
-class _RandomSource:
-    """Buffered uniform draws from a seeded generator.
+# Uniform floats drawn from the generator per fetch.
+_BLOCK = 4096
 
-    ``random()`` returns the generator's floats in [0, 1) in order; they
-    are fetched in blocks of ``_BLOCK`` and served by a C-level iterator,
-    so a draw runs no Python frame.
-    """
 
-    __slots__ = ("random",)
-    _BLOCK = 4096
-
-    def __init__(self, rng: np.random.Generator):
-        block = self._BLOCK
-        blocks = iter(lambda: rng.random(block).tolist(), None)
-        self.random = chain.from_iterable(blocks).__next__
+def _uniform_stream(rng: np.random.Generator) -> Callable[[], float]:
+    """A draw callable returning the generator's floats in [0, 1) in
+    order; they are fetched in blocks of ``_BLOCK`` and served by a
+    C-level iterator, so a draw runs no Python frame."""
+    blocks = iter(lambda: rng.random(_BLOCK).tolist(), None)
+    return chain.from_iterable(blocks).__next__
 
 
 class Simulation:
@@ -195,7 +190,7 @@ class Simulation:
             raise ValueError("pass either log_events or on_event, not both")
         self.region = region
         self.p = params
-        self.rng = _RandomSource(np.random.default_rng(params.seed))
+        self.draw = _uniform_stream(np.random.default_rng(params.seed))
         ncells = region.width * region.height
         self.ground = [0] * ncells  # settled agent id per cell, 0 = empty
         # Sensed views of the two layers, with a trailing wall slot.
@@ -233,7 +228,7 @@ class Simulation:
     def _touch_settled_energy(self, a: AgentRecord, t: int) -> None:
         """Materialize a settled agent's lazily tracked energy as of the
         ticks applied through the end of step ``t - 1``."""
-        if a.settle_step >= 0 and a.mode == MODE_SETTLED:
+        if a.mode == MODE_SETTLED:
             a.t_s = max(0, t - 1 - a.settle_step)
             a.energy = a.e0 - a.t_m - self.p.alpha * a.t_s
 
@@ -271,8 +266,7 @@ class Simulation:
             gid = ground[c]
             if not gid:
                 continue
-            g = self.agents[gid - 1]
-            if g.mode != MODE_SETTLED or g.s1 == S_LOW_ENERGY:
+            if self.agents[gid - 1].s1 == S_LOW_ENERGY:
                 continue
             self.stale.add(gid)
             if heap is None or gid in scheduled:
@@ -289,7 +283,7 @@ class Simulation:
             agents = self.agents
             distances = self.region.distances
             return [distances[agents[aid - 1].pos] << _ID_BITS | aid for aid in ids]
-        draw = self.rng.random
+        draw = self.draw
         m = self.p.m
         return [int(draw() * m) << _ID_BITS | aid for aid in ids]
 
@@ -324,7 +318,7 @@ class Simulation:
         heapq.heapify(heap)
         scheduled = set(candidates)
 
-        rng = self.rng
+        draw = self.draw
         mobile_decide = self._mobile_decide
         settled_decide = self._settled_decide
         heappop = heapq.heappop
@@ -336,7 +330,7 @@ class Simulation:
             aid = key & _ID_MASK
             a = agents[aid - 1]
             if a.mode == MODE_MOBILE:
-                act = mobile_decide(a, sense(self, a), p, rng)
+                act = mobile_decide(a, sense(self, a), p, draw)
                 kind = act.kind
                 if kind == A_MOVE:  # the common case, inlined
                     src = a.pos
@@ -408,14 +402,13 @@ class Simulation:
     def _charge(self, t: int) -> None:
         """Apply the settled-energy events due by ``t``: threshold
         crossings and failures.  Mobiles were charged in their wakes."""
-        p = self.p
         agents = self.agents
         stale = self.stale
         while self._energy_events and self._energy_events[0][0] <= t:
             _, kind, aid = heapq.heappop(self._energy_events)
             a = agents[aid - 1]
             self._touch_settled_energy(a, t + 1)
-            if kind == 1 and a.energy <= 0:
+            if kind == 1:
                 a.mode = MODE_FAILED
                 self.ground[a.pos] = 0
                 self.gview[a.pos] = SENSE_EMPTY
@@ -424,7 +417,7 @@ class Simulation:
                 stale.discard(aid)
                 self._log(t, a, "fail", a.pos, a.pos)
                 self._mark_ground_change(a.pos, None, None, None)
-            elif kind == 0 and a.energy <= p.ecrit_settled and a.s1 != S_LOW_ENERGY:
+            elif a.s1 != S_LOW_ENERGY:  # kind 0: the reporting threshold
                 stale.add(aid)
 
     def _close(self, t: int) -> None:
@@ -466,7 +459,6 @@ class Simulation:
         a.settle_step = t
         self.mobile_ids.remove(a.id)
         self.settled_count += 1
-        self.stale.add(a.id)
         self._schedule_energy_events(a)
         self._log(t, a, "settle", src, dst)
         self._mark_ground_change(dst, key, heap, scheduled)

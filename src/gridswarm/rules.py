@@ -2,7 +2,7 @@
 
 Every rule is a pure function of the agent's own state, its sensed
 neighborhood, and the run parameters; random tie-breaking consumes
-draws from the supplied source of uniform floats (see ``Uniform``).
+draws from ``draw``, a callable returning uniform floats in [0, 1).
 Mobile rules return movement / settling / shutdown actions, settled
 rules return the sub-state the agent projects next (beacon, closed
 beacon, or low energy).
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Protocol
+from typing import Callable
 
 from .agents import (
     S_BEACON,
@@ -68,18 +68,10 @@ _SLTT_MOVE = (None,) + tuple(Action(A_MOVE, d, d) for d in DIRECTIONS)
 _CHILD_N, _CHILD_E, _CHILD_S, _CHILD_W = ((S_BEACON, d) for d in DIRECTIONS)
 
 
-class Uniform(Protocol):
-    """What the rules draw from: ``random()`` returns a float in [0, 1).
-    Runs pass the engine's ``_RandomSource``; a numpy ``Generator`` also
-    qualifies."""
-
-    def random(self) -> float: ...
-
-
-def _pick(rng: Uniform, items: list):
+def _pick(draw: Callable[[], float], items: list):
     """Uniform choice of ``items[int(u * len(items))]`` for one draw ``u``;
     always consumes exactly one draw."""
-    return items[int(rng.random() * len(items))]
+    return items[int(draw() * len(items))]
 
 
 def _empty_dirs(xi: tuple) -> list[int]:
@@ -102,7 +94,7 @@ def _empty_dirs(xi: tuple) -> list[int]:
 
 
 def mobile_decide_sllg(
-    a: AgentRecord, xi: tuple, p: SimParams, rng: Uniform
+    a: AgentRecord, xi: tuple, p: SimParams, draw: Callable[[], float]
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN
@@ -110,7 +102,7 @@ def mobile_decide_sllg(
     if own == SENSE_EMPTY:
         return _SLLG_SETTLE_HERE
     if SENSE_EMPTY in (n, e, s, w):
-        return _action(A_SETTLE_AT, _pick(rng, _empty_dirs(xi)), a.s2 + 1)
+        return _action(A_SETTLE_AT, _pick(draw, _empty_dirs(xi)), a.s2 + 1)
     # Advance: beacons exactly one step up the gradient, air above free.
     dest = a.s2 + 1
     up = (S_BEACON, dest)
@@ -125,7 +117,7 @@ def mobile_decide_sllg(
         if w == up and aw == SENSE_EMPTY:
             possible.append(WEST)
         if possible:
-            return _action(A_MOVE, _pick(rng, possible), dest)
+            return _action(A_MOVE, _pick(draw, possible), dest)
         return STAY
     # Retrace: closed beacons strictly below the own counter; climb down
     # to the highest of them.
@@ -144,11 +136,11 @@ def mobile_decide_sllg(
                 cands.append(d)
     if best is None:
         return STAY
-    return _action(A_MOVE, _pick(rng, cands), best)
+    return _action(A_MOVE, _pick(draw, cands), best)
 
 
 def mobile_decide_slug(
-    a: AgentRecord, xi: tuple, p: SimParams, rng: Uniform
+    a: AgentRecord, xi: tuple, p: SimParams, draw: Callable[[], float]
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN
@@ -158,7 +150,7 @@ def mobile_decide_slug(
     # Re-synchronize the own counter from the agent settled beneath.
     s2 = own[1]
     if SENSE_EMPTY in (n, e, s, w):
-        return _action(A_SETTLE_AT, _pick(rng, _empty_dirs(xi)), s2 + 1)
+        return _action(A_SETTLE_AT, _pick(draw, _empty_dirs(xi)), s2 + 1)
     # Advance: any beacon with free air; target the minimal counter
     # strictly above the own one.  Retrace: closed beacons with free air
     # (no open one is left, or the agent would have advanced or waited),
@@ -184,14 +176,14 @@ def mobile_decide_slug(
     if beacon:
         if up is None:
             return STAY
-        return _action(A_MOVE, _pick(rng, ups), up)
+        return _action(A_MOVE, _pick(draw, ups), up)
     if down is not None:
-        return _action(A_MOVE, _pick(rng, downs), down)
+        return _action(A_MOVE, _pick(draw, downs), down)
     return STAY
 
 
 def mobile_decide_sltt(
-    a: AgentRecord, xi: tuple, p: SimParams, rng: Uniform
+    a: AgentRecord, xi: tuple, p: SimParams, draw: Callable[[], float]
 ) -> Action:
     if a.energy <= p.ecrit_mobile:
         return SHUTDOWN
@@ -199,7 +191,7 @@ def mobile_decide_sltt(
     if own == SENSE_EMPTY:
         return _SLTT_SETTLE_HERE
     if SENSE_EMPTY in (n, e, s, w):
-        return _SLTT_SETTLE_AT[_pick(rng, _empty_dirs(xi))]
+        return _SLTT_SETTLE_AT[_pick(draw, _empty_dirs(xi))]
     # Advance: beacons whose direction code points away from here,
     # i.e. a beacon in direction d projecting code d (a tree child).
     cn, ce, cs, cw = n == _CHILD_N, e == _CHILD_E, s == _CHILD_S, w == _CHILD_W
@@ -214,7 +206,7 @@ def mobile_decide_sltt(
         if cw and aw == SENSE_EMPTY:
             possible.append(WEST)
         if possible:
-            return _SLTT_MOVE[_pick(rng, possible)]
+            return _SLTT_MOVE[_pick(draw, possible)]
         return STAY
     # Retrace: closed beacons whose code points back at this cell, i.e.
     # differs from d by 2.  The code 0 of an agent settled in place (the
@@ -228,7 +220,7 @@ def mobile_decide_sltt(
         and abs(g[1] - d) == 2
     ]
     if possible:
-        return _SLTT_MOVE[_pick(rng, possible)]
+        return _SLTT_MOVE[_pick(draw, possible)]
     return STAY
 
 

@@ -10,16 +10,16 @@ from fractions import Fraction
 import pytest
 
 import conftest
+from audit import audit_run
 from gridswarm import (
     SimParams,
     bounds as B,
     line_region,
-    opposite,
     run,
     square_region,
 )
-from gridswarm.agents import MODE_SETTLED, S_BEACON, S_CLOSED_BEACON, S_LOW_ENERGY
 from gridswarm.engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP
+from oracles import linear_edge_total_oracle, linear_mid_total_oracle
 
 ALGS = ("sllg-ea", "slug-ea", "sltt-ea")
 E0S = (8, 15, 23)
@@ -234,7 +234,7 @@ def test_criterion_6_oracle_equivalences():
         dt = rng.choice([d for d in range(2, 2 * n + 1) if (2 * n) % d == 0])
         alpha = rng.choice([0, Fraction(1, 40), Fraction(1, 8)])
         if abs(B.linear_edge_bounds(n, dt, alpha).e_total_ub
-               - B.linear_edge_total_oracle(n, dt, alpha)) > TOL:
+               - linear_edge_total_oracle(n, dt, alpha)) > TOL:
             bad.append(f"edge {(n, dt, alpha)}")
     for variant in B.MID_VARIANTS:
         tried = 0
@@ -248,7 +248,7 @@ def test_criterion_6_oracle_equivalences():
             dt, alpha = rng.choice(divs), rng.choice([0, Fraction(1, 40)])
             tried += 1
             if abs(B.linear_mid_bounds(n, j, dt, alpha, variant).e_total
-                   - B.linear_mid_total_oracle(n, j, dt, alpha, variant)) > TOL:
+                   - linear_mid_total_oracle(n, j, dt, alpha, variant)) > TOL:
                 bad.append(f"{variant} {(n, j, dt, alpha)}")
     for _ in range(120):
         n = rng.randrange(8, 150)
@@ -267,86 +267,19 @@ def test_criterion_6_oracle_equivalences():
     )
 
 
-def _audit_run(region, params):
-    """Run twice with event logging and verify the recorded invariants.
-    Returns a list of violation strings."""
-    bad = []
-    res = run(region, params, log_events=True)
-    res2 = run(region, params, log_events=True)
-    if [e.format() for e in res.events] != [e.format() for e in res2.events]:
-        bad.append("replay not bit-identical")
-
-    air, ground = {}, {}
-    rank = {S_BEACON: 0, S_CLOSED_BEACON: 1, S_LOW_ENERGY: 1}
-    last_rank = {}
-    for e in res.events:
-        if e.action == "enter":
-            if e.dst in air:
-                bad.append(f"t={e.t}: entry into occupied air cell {e.dst}")
-            air[e.dst] = e.agent
-        elif e.action == "move":
-            if air.get(e.src) != e.agent or e.dst in air:
-                bad.append(f"t={e.t}: bad move {e.src}->{e.dst} by {e.agent}")
-            del air[e.src]
-            air[e.dst] = e.agent
-        elif e.action == "settle":
-            if e.dst in ground:
-                bad.append(f"t={e.t}: settle onto occupied ground {e.dst}")
-            air.pop(e.src, None)
-            ground[e.dst] = e.agent
-        elif e.action == "shutdown":
-            air.pop(e.src, None)
-        elif e.action == "fail":
-            ground.pop(e.src, None)
-        if e.s1 in rank:
-            if rank[e.s1] < last_rank.get(e.agent, 0):
-                bad.append(f"t={e.t}: agent {e.agent} ground state reopened")
-            last_rank[e.agent] = rank[e.s1]
-        if e.action == "transition" and e.s1 == S_CLOSED_BEACON:
-            for nb in region.neighbors[e.src]:
-                if nb >= 0 and nb not in ground:
-                    bad.append(f"t={e.t}: cell {e.src} closed beside empty {nb}")
-
-    for a in res.sim.agents:
-        ledger = a.t_m + params.alpha * a.t_s
-        if abs((a.e0 - a.energy) - ledger) > TOL:
-            bad.append(f"agent {a.id}: ledger {ledger} != spent {a.e0 - a.energy}")
-
-    if params.algorithm == "sltt-ea":
-        settled = {
-            a.pos: a for a in res.sim.agents if a.mode == MODE_SETTLED
-        }
-        for start in settled:
-            pos, seen = start, set()
-            while settled[pos].s2 != 0:
-                if pos in seen:
-                    bad.append(f"tree cycle through cell {start}")
-                    break
-                seen.add(pos)
-                parent = region.neighbors[pos][opposite(settled[pos].s2) - 1]
-                if parent < 0 or parent not in settled:
-                    bad.append(f"tree pointer from {pos} leads off the forest")
-                    break
-                pos = parent
-            else:
-                if pos != region.entry:
-                    bad.append(f"tree from {start} rooted at {pos}, not entry")
-    return bad
-
-
 def test_criterion_7_invariant_suite():
     bad = []
     configs = 0
     for alg in ALGS:
         for approach in (1, 2):
             configs += 1
-            bad += _audit_run(
+            bad += audit_run(
                 square_region(21),
                 SimParams(dt=2, e0=12, algorithm=alg, approach=approach, seed=1),
             )
     for dt in (1, 2):
         configs += 1
-        bad += _audit_run(
+        bad += audit_run(
             line_region(30), SimParams(dt=dt, e0=40, algorithm="sltt-ea", seed=4)
         )
     report(

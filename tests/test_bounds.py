@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gridswarm import bounds as B
+from oracles import linear_edge_total_oracle, linear_mid_total_oracle
 
 TOL = 1e-9
 
@@ -102,11 +103,11 @@ class TestLinearEdge:
             dt = rng.choice([d for d in range(2, 2 * n + 1) if (2 * n) % d == 0])
             alpha = rng.choice([0, Fraction(1, 40), Fraction(1, 10)])
             closed = B.linear_edge_bounds(n, dt, alpha).e_total_ub
-            oracle = B.linear_edge_total_oracle(n, dt, alpha)
+            oracle = linear_edge_total_oracle(n, dt, alpha)
             assert abs(closed - oracle) <= TOL, (n, dt, alpha)
 
     def test_frozen_total(self):
-        assert B.linear_edge_total_oracle(100, 2, 0) == pytest.approx(14951.0)
+        assert linear_edge_total_oracle(100, 2, 0) == pytest.approx(14951.0)
 
     def test_optimal_period(self):
         exact, approx, e_bound = B.linear_edge_dt_opt(100, Fraction(1, 40))
@@ -156,7 +157,7 @@ class TestLinearMid:
             alpha = rng.choice([0, Fraction(1, 40)])
             tried += 1
             closed = B.linear_mid_bounds(n, j, dt, alpha, variant).e_total
-            oracle = B.linear_mid_total_oracle(n, j, dt, alpha, variant)
+            oracle = linear_mid_total_oracle(n, j, dt, alpha, variant)
             assert abs(closed - oracle) <= TOL, (n, j, dt, alpha, variant)
 
     def test_variant_gap_is_linear_in_period(self):
@@ -199,4 +200,4 @@ class TestValidation:
 
     def test_oracle_requires_divisor_period(self):
         with pytest.raises(ValueError):
-            B.linear_edge_total_oracle(10, 3, 0)
+            linear_edge_total_oracle(10, 3, 0)

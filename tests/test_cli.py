@@ -73,7 +73,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path, CORRIDOR_CFG)
         out = tmp_path / "out.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        (row,) = list(csv.DictReader(out.open()))
+        (row,) = list(csv.DictReader(out.read_text().splitlines()))
         assert list(row) == CSV_COLUMNS
         assert row["region"] == "line:10"
         assert row["n"] == "10"
@@ -193,7 +193,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path, "region = map.txt\ne0 = 30\ndt = 2\n")
         out = tmp_path / "out.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        (row,) = list(csv.DictReader(out.open()))
+        (row,) = list(csv.DictReader(out.read_text().splitlines()))
         assert row["n"] == "6"
         assert row["terminated"] == "closed"
 
@@ -253,7 +253,7 @@ class TestSweepCommand:
             "--out", str(out), "--agg", str(agg),
         ])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2 * 2 * 3
         assert {r["run_id"] for r in rows} == {f"r{i:06d}" for i in range(12)}
         assert {(r["dt"], r["approach"]) for r in rows} == {
@@ -261,7 +261,7 @@ class TestSweepCommand:
         }
         assert [r["seed"] for r in rows[:3]] == ["0", "1", "2"]
 
-        agg_rows = list(csv.DictReader(agg.open()))
+        agg_rows = list(csv.DictReader(agg.read_text().splitlines()))
         assert len(agg_rows) == 4
         for rec in agg_rows:
             assert rec["runs"] == "3"
@@ -382,7 +382,7 @@ class TestBoundsCommand:
         out = tmp_path / "b.csv"
         assert main(["bounds", "--case", "linear_edge", "--n", "10", "--dt", "2",
                      "--alpha", "0.025", "--out", str(out)]) == 0
-        rows = {r["name"]: r for r in csv.DictReader(out.open())}
+        rows = {r["name"]: r for r in csv.DictReader(out.read_text().splitlines())}
         b = B.linear_edge_bounds(10, 2, 0.025)
         exact, approx, e_bound = B.linear_edge_dt_opt(10, 0.025)
         want = {
@@ -400,7 +400,7 @@ class TestBoundsCommand:
         out = tmp_path / "b.csv"
         main(["bounds", "--case", "linear_edge", "--n", "10", "--dt", "2",
               "--out", str(out)])
-        rows = {r["name"]: r for r in csv.DictReader(out.open())}
+        rows = {r["name"]: r for r in csv.DictReader(out.read_text().splitlines())}
         b = B.linear_edge_bounds(10, 2)
         assert float(rows["T_C"]["value"]) == b.t_c
         assert float(rows["N"]["value"]) == float(b.n_agents)
@@ -420,3 +420,25 @@ class TestBoundsCommand:
     def test_missing_required_option_exits_2(self, capsys):
         assert main(["bounds", "--case", "approach1", "--e0", "15"]) == 2
         assert "requires --dt" in capsys.readouterr().err
+
+    # Each case with the valid arguments it needs, and the energy options
+    # it reads.
+    FINITE_CASES = {
+        "approach1": (["--e0", "15", "--dt", "2", "--ecrit-settled", "1", "--alpha", "0.01"],
+                      ["e0", "ecrit-mobile", "ecrit-settled", "alpha"]),
+        "approach2": (["--e0", "15"], ["e0", "ecrit-mobile"]),
+        "linear_edge": (["--n", "10", "--dt", "2"], ["alpha"]),
+        "linear_mid": (["--n", "20", "--j", "4", "--dt", "2"], ["alpha"]),
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "case,option",
+        [(case, opt) for case, (_, opts) in FINITE_CASES.items() for opt in opts],
+    )
+    def test_non_finite_energy_exits_2(self, capsys, case, option, value):
+        args, _ = self.FINITE_CASES[case]
+        argv = ["bounds", "--case", case, *args, f"--{option}={value}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err

@@ -2,6 +2,7 @@
 runs.  Every algorithm and approach, both schedulers, settled failures
 under ``alpha > 0`` and a step-cap run are pinned, so any change to a
 seeded trajectory (state, RNG draw order, event order) shows up here.
+Each of these runs must also pass the invariant audit of ``audit.py``.
 
 A change that alters trajectories on purpose must say so and regenerate
 the digests with ``python tests/test_golden.py``.
@@ -10,6 +11,7 @@ import hashlib
 
 import pytest
 
+from audit import audit_run
 from gridswarm import SimParams, parse_region, run, square_region
 from gridswarm.engine import TERM_LOW_ENERGY, TERM_STEP_CAP
 
@@ -125,6 +127,12 @@ def test_event_log_digest(name):
     assert res.metrics.terminated == terminated
     assert (res.metrics.nda_failed > 0) == fails
     assert got == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_event_log_audit(name):
+    region, params, *_ = GOLDEN[name]
+    assert audit_run(REGIONS[region](), SimParams(**params)) == []
 
 
 def test_configs_cover_every_algorithm_approach_and_scheduler():

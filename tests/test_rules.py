@@ -29,7 +29,7 @@ from gridswarm.rules import (
     settled_decide_sltt,
 )
 
-RNG = np.random.default_rng(0)
+RNG = np.random.default_rng(0).random
 P = SimParams(e0=20)
 
 BEACON = S_BEACON
