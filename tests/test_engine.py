@@ -25,6 +25,7 @@ from gridswarm.agents import (
     MODE_SHUTDOWN,
     S_BEACON,
     S_CLOSED_BEACON,
+    S_LOW_ENERGY,
     SENSE_EMPTY,
     AgentRecord,
 )
@@ -148,6 +149,25 @@ class TestStructuralInvariants:
     def result(self):
         return run_logged(square_region(11), dt=1, e0=12, seed=5, approach=2)
 
+    def test_settled_agents_never_move(self):
+        res = self.result()
+        settle_step = {}
+        for e in res.events:
+            if e.action == "settle":
+                settle_step[e.agent] = e.t
+            if e.action == "move":
+                assert e.agent not in settle_step
+
+    def test_ground_state_never_reopens(self):
+        res = self.result()
+        rank = {S_BEACON: 0, S_CLOSED_BEACON: 1, S_LOW_ENERGY: 1}
+        last = {}
+        for e in res.events:
+            if e.s1 in rank and e.agent in last:
+                assert rank[e.s1] >= last[e.agent]
+            if e.s1 in rank:
+                last[e.agent] = rank[e.s1]
+
     def test_final_occupancy_is_consistent(self):
         res = self.result()
         sim = res.sim
@@ -158,6 +178,11 @@ class TestStructuralInvariants:
         for a in sim.agents:
             if a.mode == MODE_SETTLED:
                 assert sim.ground[a.pos] == a.id
+
+    def test_one_settled_agent_per_cell(self):
+        res = self.result()
+        positions = [a.pos for a in res.sim.agents if a.mode == MODE_SETTLED]
+        assert len(positions) == len(set(positions))
 
 
 class TestEntryCadence:
