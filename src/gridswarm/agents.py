@@ -112,11 +112,8 @@ class AgentRecord:
     s1: int
     s2: int
     pos: int  # linear cell index
-    e0: float
     energy: float
-    t_m: int = 0
-    t_s: int = 0
-    entered_at: int = 0
+    t_m: int = 0  # movement ticks, the entry's included
     settle_step: int = -1  # step during which the agent settled
 
 

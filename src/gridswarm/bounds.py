@@ -111,9 +111,6 @@ def _check_linear(n: int, dt: int, alpha: float) -> None:
 
 @dataclass(frozen=True)
 class LinearEdgeBounds:
-    n: int
-    dt: int
-    alpha: float
     t_c: int  # exact termination time  [24]
     n_agents: Fraction  # exact participant count  [26]
     e_total_ub: float  # [29] ([30] at alpha = 0)
@@ -134,9 +131,6 @@ def linear_edge_bounds(n: int, dt: int, alpha: float = 0.0) -> LinearEdgeBounds:
         + 1
     )
     return LinearEdgeBounds(
-        n=n,
-        dt=dt,
-        alpha=alpha,
         t_c=t_c,
         n_agents=n_agents,
         e_total_ub=e_total,
@@ -205,11 +199,6 @@ def mid_n_j(j: int, dt: int) -> Fraction:
 
 @dataclass(frozen=True)
 class LinearMidBounds:
-    n: int
-    j: int
-    dt: int
-    alpha: float
-    variant: str
     t_c_ub: int  # [40]
     n_j: Fraction  # [45] / [58]
     e_total: float  # [50] / [61] ([51] / [62] at alpha = 0)
@@ -263,11 +252,6 @@ def linear_mid_bounds(
         opt_exists = n * (2 - alpha * n) / 2 < j
     dt_opt = 2 * n / math.sqrt(disc) if disc > 0 else None
     return LinearMidBounds(
-        n=n,
-        j=j,
-        dt=dt,
-        alpha=alpha,
-        variant=variant,
         t_c_ub=t_c_ub,
         n_j=n_j,
         e_total=e_total,

@@ -318,20 +318,21 @@ def _bounds_rows(args: argparse.Namespace) -> list[tuple[str, int, float]]:
         _require(args, "e0")
         b = bnd.approach2_bounds(args.e0, args.ecrit_mobile)
         return [("d_max", 7, b.d_max), ("A_covered_upper", 13, b.a_covered_ub)]
+    alpha = args.alpha or 0.0
     if case == "linear_edge":
         _require(args, "n", "dt")
-        b = bnd.linear_edge_bounds(args.n, args.dt, args.alpha or 0.0)
+        b = bnd.linear_edge_bounds(args.n, args.dt, alpha)
         rows = [
             ("T_C", 24, b.t_c),
             ("N", 26, float(b.n_agents)),
-            ("E_total_upper", 30 if b.alpha == 0 else 29, b.e_total_ub),
+            ("E_total_upper", 30 if alpha == 0 else 29, b.e_total_ub),
             ("E_settled_max", 36, b.e_settled_max),
             ("E_mobile_max", 36, b.e_mobile_max),
         ]
         if b.dt_equalize is not None:
             rows.append(("dt_equalize", 37, b.dt_equalize))
-        if b.alpha and b.alpha > 0:
-            exact, approx, e_bound = bnd.linear_edge_dt_opt(b.n, b.alpha)
+        if alpha > 0:
+            exact, approx, e_bound = bnd.linear_edge_dt_opt(args.n, alpha)
             rows += [
                 ("dt_opt", 31, exact),
                 ("dt_opt_approx", 32, approx),
@@ -341,14 +342,14 @@ def _bounds_rows(args: argparse.Namespace) -> list[tuple[str, int, float]]:
     # linear_mid
     _require(args, "n", "j", "dt")
     variant = args.variant
-    b = bnd.linear_mid_bounds(args.n, args.j, args.dt, args.alpha or 0.0, variant)
+    b = bnd.linear_mid_bounds(args.n, args.j, args.dt, alpha, variant)
     greedy = variant == "greedy"
     rows = [
         ("T_C_upper", 40, b.t_c_ub),
         ("N_j", 45 if greedy else 58, float(b.n_j)),
         (
             "E_total",
-            (51 if b.alpha == 0 else 50) if greedy else (62 if b.alpha == 0 else 61),
+            (51 if alpha == 0 else 50) if greedy else (62 if alpha == 0 else 61),
             b.e_total,
         ),
         ("dt_opt_exists", 53 if greedy else 64, int(b.opt_exists)),

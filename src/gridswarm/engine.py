@@ -20,7 +20,10 @@ behave identically to processed ones because their decision would
 return their current sub-state unchanged.  Settled energy is likewise
 closed-form in the number of settled steps, so per-step ticking is
 replaced by scheduled threshold events; the ledger identity
-``energy = e0 - t_m - alpha * t_s`` is preserved exactly.
+``energy = e0 - t_m - alpha * t_s`` is preserved exactly.  ``t_m`` is
+the agent's stored count of movement ticks; ``t_s``, its count of
+settled steps, is not stored but computed from ``settle_step`` and the
+last step charged.
 
 Each layer is a per-cell sensed view, ``gview`` and ``aview``: a cell
 holds ``SENSE_EMPTY`` (falsy) or its occupant's ``(s1, s2)``, and an
@@ -199,8 +202,6 @@ class Simulation:
         self.agents: list[AgentRecord] = []
         self.mobile_ids: list[int] = []
         self.settled_count = 0
-        self.nda_shutdown = 0
-        self.nda_failed = 0
         self.stale: set[int] = set()
         self.events: list[Event] | None = [] if log_events else None
         self._emit = self.events.append if log_events else on_event
@@ -229,8 +230,7 @@ class Simulation:
         """Materialize a settled agent's lazily tracked energy as of the
         ticks applied through the end of step ``t - 1``."""
         if a.mode == MODE_SETTLED:
-            a.t_s = max(0, t - 1 - a.settle_step)
-            a.energy = a.e0 - a.t_m - self.p.alpha * a.t_s
+            a.energy = self.p.e0 - a.t_m - self.p.alpha * (t - 1 - a.settle_step)
 
     def _schedule_energy_events(self, a: AgentRecord) -> None:
         p = self.p
@@ -238,7 +238,7 @@ class Simulation:
             return
         # Energy entering settled life: the settling step itself is
         # still charged as a movement tick at the end of the wake.
-        e_settle = a.e0 - (a.t_m + 1)
+        e_settle = p.e0 - (a.t_m + 1)
         s = a.settle_step
 
         def first_step(threshold: float) -> int:
@@ -352,7 +352,7 @@ class Simulation:
                 elif kind != A_STAY:
                     self._apply_mobile(a, act, t, key, heap, scheduled)
                 a.t_m = t_m = a.t_m + 1
-                a.energy = a.e0 - t_m  # a mobile's t_s is 0
+                a.energy = p.e0 - t_m  # a mobile has no settled steps
             else:  # a settled agent that is not low-energy
                 self._touch_settled_energy(a, t)
                 xi = sense(self, a)
@@ -389,10 +389,8 @@ class Simulation:
             s1=S_MOBILE,
             s2=s2,
             pos=entry,
-            e0=self.p.e0,
             energy=self.p.e0 - 1,
             t_m=1,
-            entered_at=t,
         )
         self.agents.append(a)
         self.aview[entry] = (S_MOBILE, s2)
@@ -413,7 +411,6 @@ class Simulation:
                 self.ground[a.pos] = 0
                 self.gview[a.pos] = SENSE_EMPTY
                 self.settled_count -= 1
-                self.nda_failed += 1
                 stale.discard(aid)
                 self._log(t, a, "fail", a.pos, a.pos)
                 self._mark_ground_change(a.pos, None, None, None)
@@ -442,7 +439,6 @@ class Simulation:
             self.aview[src] = SENSE_EMPTY
             a.mode = MODE_SHUTDOWN
             self.mobile_ids.remove(a.id)
-            self.nda_shutdown += 1
             self._log(t, a, "shutdown", src, -1)
             return
         # Settle, either in place or into an adjacent empty cell.
@@ -472,19 +468,19 @@ class Simulation:
             if self.terminated is None and self.t >= cap:
                 self.terminated = TERM_STEP_CAP
         t_end = self.t - 1
-        for a in self.agents:
+        agents = self.agents
+        for a in agents:
             self._touch_settled_energy(a, t_end + 1)
-        e_total = sum(a.e0 - a.energy for a in self.agents)
-        max_ei = max((a.e0 - a.energy for a in self.agents), default=0.0)
+        spent = [self.p.e0 - a.energy for a in agents]
         metrics = RunMetrics(
             terminated=self.terminated,
             t_c=t_end,
-            n_agents=len(self.agents),
-            e_total=e_total,
-            max_ei=max_ei,
+            n_agents=len(agents),
+            e_total=sum(spent),
+            max_ei=max(spent, default=0.0),
             a_c=self.settled_count,
-            nda_shutdown=self.nda_shutdown,
-            nda_failed=self.nda_failed,
+            nda_shutdown=sum(a.mode == MODE_SHUTDOWN for a in agents),
+            nda_failed=sum(a.mode == MODE_FAILED for a in agents),
             n_series=self.n_series,
             ac_series=self.ac_series,
         )

@@ -4,8 +4,13 @@
 It re-checks, from the event log and the final agent records, what the
 model promises: one agent per cell and layer, ground sub-states that
 never reopen, closure only with every neighbor settled, the energy
-ledger ``e0 - E = t_m + alpha * t_s`` of every agent, the ``sltt-ea``
-spanning tree, and a bit-identical replay."""
+ledger ``e0 - E = t_m + alpha * t_s`` of every agent, the shutdown and
+failure counts, the ``sltt-ea`` spanning tree, and a bit-identical
+replay.  Both ledger terms are read off the log, not off the agent
+record: ``t_m = 1 + (settle or shutdown step, else T_C) - enter step``
+and ``t_s = (fail step, else T_C) - settle step``."""
+from collections import Counter
+
 from gridswarm import opposite, run
 from gridswarm.agents import MODE_SETTLED, S_BEACON, S_CLOSED_BEACON, S_LOW_ENERGY
 
@@ -25,11 +30,14 @@ def audit_run(region, params):
     rank = {S_BEACON: 0, S_CLOSED_BEACON: 1, S_LOW_ENERGY: 1}
     last_rank = {}
     failed_cells = set()
+    # Steps at which each agent entered, stopped moving, settled, failed.
+    entered, moved_until, settled_at, failed_at = {}, {}, {}, {}
     for e in res.events:
         if e.action == "enter":
             if e.dst in air:
                 bad.append(f"t={e.t}: entry into occupied air cell {e.dst}")
             air[e.dst] = e.agent
+            entered[e.agent] = e.t
         elif e.action == "move":
             if air.get(e.src) != e.agent or e.dst in air:
                 bad.append(f"t={e.t}: bad move {e.src}->{e.dst} by {e.agent}")
@@ -40,11 +48,14 @@ def audit_run(region, params):
                 bad.append(f"t={e.t}: settle onto occupied ground {e.dst}")
             air.pop(e.src, None)
             ground[e.dst] = e.agent
+            moved_until[e.agent] = settled_at[e.agent] = e.t
         elif e.action == "shutdown":
             air.pop(e.src, None)
+            moved_until[e.agent] = e.t
         elif e.action == "fail":
             ground.pop(e.src, None)
             failed_cells.add(e.src)
+            failed_at[e.agent] = e.t
         if e.s1 in rank:
             if rank[e.s1] < last_rank.get(e.agent, 0):
                 bad.append(f"t={e.t}: agent {e.agent} ground state reopened")
@@ -54,10 +65,21 @@ def audit_run(region, params):
                 if nb >= 0 and nb not in ground:
                     bad.append(f"t={e.t}: cell {e.src} closed beside empty {nb}")
 
+    t_c = res.metrics.t_c
     for a in res.sim.agents:
-        ledger = a.t_m + params.alpha * a.t_s
-        if abs((a.e0 - a.energy) - ledger) > TOL:
-            bad.append(f"agent {a.id}: ledger {ledger} != spent {a.e0 - a.energy}")
+        t_m = 1 + moved_until.get(a.id, t_c) - entered[a.id]
+        t_s = failed_at.get(a.id, t_c) - settled_at[a.id] if a.id in settled_at else 0
+        if a.t_m != t_m:
+            bad.append(f"agent {a.id}: t_m {a.t_m} != {t_m} in the log")
+        ledger = t_m + params.alpha * t_s
+        spent = params.e0 - a.energy
+        if abs(spent - ledger) > TOL:
+            bad.append(f"agent {a.id}: ledger {ledger} != spent {spent}")
+    counts = Counter(e.action for e in res.events)
+    if (res.metrics.nda_shutdown, res.metrics.nda_failed) != (
+        counts["shutdown"], counts["fail"]
+    ):
+        bad.append("shutdown or failure count differs from the log")
 
     if params.algorithm == "sltt-ea":
         settled = {

@@ -24,7 +24,7 @@ from gridswarm.grid import parse_region, square_region
 
 def make_agent(**kw) -> AgentRecord:
     base = dict(
-        id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=0, pos=0, e0=10.0, energy=9.0, t_m=1
+        id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=0, pos=0, energy=9.0, t_m=1
     )
     base.update(kw)
     return AgentRecord(**base)
@@ -84,7 +84,7 @@ class TestSense:
     def place_settled(self, sim, cell, s1=S_BEACON, s2=1):
         aid = len(sim.agents) + 1
         a = AgentRecord(
-            id=aid, mode=MODE_SETTLED, s1=s1, s2=s2, pos=cell, e0=50.0, energy=48.0
+            id=aid, mode=MODE_SETTLED, s1=s1, s2=s2, pos=cell, energy=48.0
         )
         sim.agents.append(a)
         sim.ground[cell] = aid
@@ -94,7 +94,7 @@ class TestSense:
     def place_mobile(self, sim, cell, s2=0):
         aid = len(sim.agents) + 1
         a = AgentRecord(
-            id=aid, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=cell, e0=50.0, energy=49.0
+            id=aid, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=cell, energy=49.0
         )
         sim.agents.append(a)
         sim.aview[cell] = (a.s1, a.s2)

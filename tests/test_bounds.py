@@ -1,10 +1,14 @@
 """Closed-form performance bounds, cross-checked against independent
-enumeration/summation oracles and a handful of frozen anchor values."""
+enumeration/summation oracles and a handful of frozen anchor values;
+the edge-entry corridor forms also against simulated runs, agent by
+agent."""
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from gridswarm import SimParams, line_region, run
 from gridswarm import bounds as B
 from oracles import linear_edge_total_oracle, linear_mid_total_oracle
 
@@ -123,6 +127,51 @@ class TestLinearEdge:
                 key=lambda d: B.linear_edge_bounds(n, d, alpha).e_total_ub,
             )
             assert abs(best - exact) <= 1.0
+
+
+@functools.cache
+def linear_edge_run(n, dt, alpha):
+    params = SimParams(dt=dt, e0=5 * n, alpha=alpha, seed=0, scheduler="adversarial")
+    return run(line_region(n), params)
+
+
+def exactly(value):
+    return pytest.approx(value, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0, 0.025])
+@pytest.mark.parametrize("dt", [2, 4, 5])
+@pytest.mark.parametrize("n", [10, 20, 50])
+class TestLinearEdgeRuns:
+    """An adversarial run on the corridor entered from its end meets the
+    edge-entry forms with equality, not just as bounds."""
+
+    def test_every_agent_moves_as_27(self, n, dt, alpha):
+        agents = linear_edge_run(n, dt, alpha).sim.agents
+        assert [a.t_m for a in agents] == [B.linear_edge_tm(n, dt, a.id) for a in agents]
+
+    def test_participants_and_peak(self, n, dt, alpha):
+        m = linear_edge_run(n, dt, alpha).metrics
+        b = B.linear_edge_bounds(n, dt, alpha)
+        assert m.n_agents == b.n_agents  # [26]
+        assert m.max_ei == exactly(b.e_mobile_max)  # [36b]
+
+    def test_termination_step_is_one_below_24(self, n, dt, alpha):
+        # ``t_c`` is the 0-based index of the last step.
+        t_c = linear_edge_run(n, dt, alpha).metrics.t_c
+        assert t_c == B.linear_edge_bounds(n, dt, alpha).t_c - 1
+
+    def test_total_is_30_or_29_less_alpha(self, n, dt, alpha):
+        want = B.linear_edge_bounds(n, dt, alpha).e_total_ub - alpha
+        assert linear_edge_run(n, dt, alpha).metrics.e_total == exactly(want)
+
+    def test_every_agent_spends_35(self, n, dt, alpha):
+        res = linear_edge_run(n, dt, alpha)
+        spent = [res.sim.p.e0 - a.energy for a in res.sim.agents]
+        want = [B.linear_edge_ei_max(n, dt, alpha, i) for i in range(1, len(spent) + 1)]
+        # [27] gives the first entrant two moves where [35] counts one.
+        want[0] += 1 - alpha
+        assert spent == [exactly(w) for w in want]
 
 
 class TestLinearMid:

@@ -118,7 +118,8 @@ class TestDeterminism:
     "algorithm,approach", [(alg, ap) for alg in ALGS for ap in (1, 2)]
 )
 class TestConservation:
-    """Energy-ledger identities that hold for every agent of any run."""
+    """Run totals aggregate the per-agent costs; the per-agent ledger
+    itself is checked by the audit of the same runs in ``AUDITED``."""
 
     def result(self, algorithm, approach):
         return run_logged(
@@ -131,16 +132,9 @@ class TestConservation:
             seed=3,
         )
 
-    def test_survivors_account_for_every_step(self, algorithm, approach):
-        res = self.result(algorithm, approach)
-        t_c = res.metrics.t_c
-        for a in res.sim.agents:
-            if a.mode == MODE_SETTLED:
-                assert a.t_m + a.t_s == t_c - a.entered_at + 1
-
     def test_totals_aggregate_per_agent_costs(self, algorithm, approach):
         res = self.result(algorithm, approach)
-        spent = [a.e0 - a.energy for a in res.sim.agents]
+        spent = [res.sim.p.e0 - a.energy for a in res.sim.agents]
         assert res.metrics.e_total == pytest.approx(sum(spent))
         assert res.metrics.max_ei == pytest.approx(max(spent))
 
@@ -437,7 +431,7 @@ class TestSettledEnergySchedule:
         )
         # ``t_m`` before the settling step's own tick, as at a settle.
         a = AgentRecord(
-            id=1, mode=MODE_SETTLED, s1=S_BEACON, s2=1, pos=0, e0=e0,
+            id=1, mode=MODE_SETTLED, s1=S_BEACON, s2=1, pos=0,
             energy=e0 - t_m, t_m=t_m, settle_step=s,
         )
         sim._schedule_energy_events(a)

@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from audit import audit_run
-from gridswarm import SimParams, parse_region, run, square_region
+from gridswarm import SimParams, Simulation, parse_region, run, square_region
 from gridswarm.engine import TERM_LOW_ENERGY, TERM_STEP_CAP
 
 WALLED = """\
@@ -133,6 +133,22 @@ def test_event_log_digest(name):
 def test_event_log_audit(name):
     region, params, *_ = GOLDEN[name]
     assert audit_run(REGIONS[region](), SimParams(**params)) == []
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (_, p, *_) in GOLDEN.items() if p.get("alpha", 0) > 0)
+)
+def test_audit_catches_one_settled_tick_too_many(name, monkeypatch):
+    """The audit's ledger check has teeth: an engine that charges each
+    settled agent one settled step too many fails it on every
+    ``alpha > 0`` config."""
+    touch = Simulation._touch_settled_energy
+    monkeypatch.setattr(
+        Simulation, "_touch_settled_energy", lambda self, a, t: touch(self, a, t + 1)
+    )
+    region, params, *_ = GOLDEN[name]
+    violations = audit_run(REGIONS[region](), SimParams(**params))
+    assert any("ledger" in v for v in violations)
 
 
 def test_configs_cover_every_algorithm_approach_and_scheduler():

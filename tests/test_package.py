@@ -1,5 +1,6 @@
 """Package hygiene: no module imports a name it never uses, every
-function is used somewhere, and every exported name resolves."""
+function is used somewhere, every field of a slotted record is read
+somewhere, and every exported name resolves."""
 import ast
 from pathlib import Path
 
@@ -72,6 +73,41 @@ def unreferenced_functions(defining: list[Path], using: list[Path]) -> list[str]
 
 def test_every_function_is_referenced():
     assert unreferenced_functions(MODULES, MODULES + TESTS) == []
+
+
+def _is_slots_dataclass(decorator: ast.expr) -> bool:
+    return (
+        isinstance(decorator, ast.Call)
+        and getattr(decorator.func, "id", None) == "dataclass"
+        and any(
+            k.arg == "slots" and getattr(k.value, "value", False) is True
+            for k in decorator.keywords
+        )
+    )
+
+
+def unread_slot_fields(paths: list[Path]) -> list[str]:
+    """Fields of ``@dataclass(slots=True)`` classes in ``paths`` that no
+    attribute load in ``paths`` reads: state kept but never used."""
+    read: set[str] = set()
+    fields = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                _is_slots_dataclass(d) for d in node.decorator_list
+            ):
+                fields += [
+                    (f"{path.name}:{stmt.lineno} {node.name}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                ]
+    return [f"{where}.{name}" for where, name in fields if name not in read]
+
+
+def test_every_slot_field_is_read():
+    assert unread_slot_fields(MODULES) == []
 
 
 def test_exports_resolve():

@@ -46,13 +46,13 @@ def xi_of(own=SENSE_EMPTY, n=SENSE_WALL, e=SENSE_EMPTY, s=SENSE_WALL, w=SENSE_EM
 
 def mobile(s2=0, energy=15.0):
     return AgentRecord(
-        id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=0, e0=20.0, energy=energy, t_m=1
+        id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=0, energy=energy, t_m=1
     )
 
 
 def settled(s1=S_BEACON, s2=1, energy=10.0):
     return AgentRecord(
-        id=1, mode=MODE_SETTLED, s1=s1, s2=s2, pos=0, e0=20.0, energy=energy
+        id=1, mode=MODE_SETTLED, s1=s1, s2=s2, pos=0, energy=energy
     )
 
 
