@@ -118,8 +118,8 @@ class TestDeterminism:
     "algorithm,approach", [(alg, ap) for alg in ALGS for ap in (1, 2)]
 )
 class TestConservation:
-    """Run totals aggregate the per-agent costs; the per-agent ledger
-    itself is checked by the audit of the same runs in ``AUDITED``."""
+    """Energy-ledger identities that hold for every agent of any run; the
+    full per-agent ledger is checked by the audit of the runs in ``AUDITED``."""
 
     def result(self, algorithm, approach):
         return run_logged(
@@ -131,6 +131,16 @@ class TestConservation:
             approach=approach,
             seed=3,
         )
+
+    def test_survivors_account_for_every_step(self, algorithm, approach):
+        # Entry steps are not stored on the record, so read them off the log.
+        res = self.result(algorithm, approach)
+        t_c = res.metrics.t_c
+        entered = {e.agent: e.t for e in res.events if e.action == "enter"}
+        for a in res.sim.agents:
+            if a.mode == MODE_SETTLED:
+                t_s = t_c - a.settle_step
+                assert a.t_m + t_s == t_c - entered[a.id] + 1
 
     def test_totals_aggregate_per_agent_costs(self, algorithm, approach):
         res = self.result(algorithm, approach)
