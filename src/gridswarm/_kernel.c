@@ -1,0 +1,1951 @@
+/* The per-wake hot path of gridswarm, compiled.
+
+   This module holds sensing, the six decide rules, the body of
+   ``Simulation._wake`` (wake keys, the sorted wake order read by a
+   cursor, the mobile and settled branches), the marking of settled
+   agents whose ground neighborhood changed, and the event-log line
+   formatter.  It works on the engine's own Python objects: the
+   ``AgentRecord``s, the per-cell views ``gview`` and ``aview``, the
+   ``Action``s and ``Event``s, and the seeded draw callable, so every
+   trajectory is the one the Python definitions give, draw for draw.
+
+   ``_build.py`` compiles it on first import.  ``engine.py`` hands it
+   the Python classes it needs through ``bind``.
+
+   The wake loop calls the sense and decide callables it is given once
+   per wake.  When they are this module's own functions it runs them
+   directly on the sensed slots, without building the tuple or the
+   ``Action``; any other callable (a wrapper that times or checks them)
+   is called through Python with the usual arguments. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+/* Shared with agents.py and rules.py; the tests check they agree. */
+enum { MODE_MOBILE = 0, MODE_SETTLED = 1 };
+enum { S_MOBILE = 0, S_BEACON = 1, S_CLOSED_BEACON = 2, S_LOW_ENERGY = 3 };
+enum { A_STAY = 0, A_MOVE = 1, A_SETTLE_HERE = 2, A_SETTLE_AT = 3, A_SHUTDOWN = 4 };
+
+/* Wake keys pack the sub-step above the agent id. */
+#define ID_BITS 32
+#define ID_MASK ((UINT64_C(1) << ID_BITS) - 1)
+
+/* Attribute names; the first NF are the fields of an AgentRecord. */
+enum {
+    F_ID, F_MODE, F_S1, F_S2, F_POS, F_ENERGY, F_TM, F_SETTLE, NF,
+    N_KIND = NF, N_DIRECTION, N_REGION, N_NEIGHBORS, N_DISTANCES, N_GVIEW,
+    N_AVIEW, N_GROUND, N_AGENTS, N_STALE, N_MOBILE_IDS, N_DRAW, N_P, N_E0,
+    N_ALPHA, N_ECRIT_MOBILE, N_ECRIT_SETTLED, N_APPROACH, N_M, N_D_MAX,
+    N_ADVERSARIAL, N_BATCH, N_COUNT
+};
+static const char *const NAMES[N_COUNT] = {
+    "id", "mode", "s1", "s2", "pos", "energy", "t_m", "settle_step",
+    "kind", "direction", "region", "neighbors", "distances", "gview",
+    "aview", "ground", "agents", "stale", "mobile_ids", "draw", "p", "e0",
+    "alpha", "ecrit_mobile", "ecrit_settled", "approach", "m", "d_max",
+    "_adversarial", "_batch",
+};
+static PyObject *NAME[N_COUNT];
+
+static PyObject *EMPTY, *WALL;  /* SENSE_EMPTY and SENSE_WALL: the ints 0, -1 */
+static PyObject *ONE;
+static PyObject *STR_MOVE, *STR_TRANSITION;
+
+/* Set by ``bind``. */
+static PyTypeObject *Record;      /* AgentRecord */
+static Py_ssize_t rec_off[NF];    /* its slot offsets, if all are plain slots */
+static int rec_fast;
+static PyTypeObject *EventType;
+static PyObject *InvariantError, *action_fn, *mode_names, *s1_names;
+static const char *s1_text[4];
+static Py_ssize_t s1_len[4];
+
+/* This module's own sense and rules, told apart from wrappers by identity. */
+enum { R_SLLG, R_SLUG, R_SLTT, NR };
+static PyObject *own_sense, *own_mobile[NR], *own_settled[NR];
+
+/* -- AgentRecord fields -------------------------------------------------- */
+
+/* New reference to field ``f`` of ``a``: read straight off the slot of an
+   AgentRecord, through getattr for anything else. */
+static PyObject *
+rget(PyObject *a, int f)
+{
+    if (rec_fast && Py_TYPE(a) == Record) {
+        PyObject *v = *(PyObject **)((char *)a + rec_off[f]);
+        if (v != NULL) {
+            Py_INCREF(v);
+            return v;
+        }
+    }
+    return PyObject_GetAttr(a, NAME[f]);
+}
+
+static int
+rget_long(PyObject *a, int f, long *out)
+{
+    PyObject *v = rget(a, f);
+    if (v == NULL)
+        return -1;
+    *out = PyLong_AsLong(v);
+    Py_DECREF(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+rget_double(PyObject *a, int f, double *out)
+{
+    PyObject *v = rget(a, f);
+    if (v == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Set field ``f`` of ``a`` to ``v`` (not stolen). */
+static int
+rset(PyObject *a, int f, PyObject *v)
+{
+    if (rec_fast && Py_TYPE(a) == Record) {
+        PyObject **slot = (PyObject **)((char *)a + rec_off[f]);
+        PyObject *old = *slot;
+        Py_INCREF(v);
+        *slot = v;
+        Py_XDECREF(old);
+        return 0;
+    }
+    return PyObject_SetAttr(a, NAME[f], v);
+}
+
+/* As ``rset``, but steals ``v``, which may be NULL after a failed call. */
+static int
+rset_new(PyObject *a, int f, PyObject *v)
+{
+    int r;
+    if (v == NULL)
+        return -1;
+    r = rset(a, f, v);
+    Py_DECREF(v);
+    return r;
+}
+
+static int
+attr_long(PyObject *o, int n, long *out)
+{
+    PyObject *v = PyObject_GetAttr(o, NAME[n]);
+    if (v == NULL)
+        return -1;
+    *out = PyLong_AsLong(v);
+    Py_DECREF(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+attr_double(PyObject *o, int n, double *out)
+{
+    PyObject *v = PyObject_GetAttr(o, NAME[n]);
+    if (v == NULL)
+        return -1;
+    *out = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* -- sequences ----------------------------------------------------------- */
+
+/* Borrowed item ``i`` of a list, with Python's negative indexing. */
+static PyObject *
+list_item(PyObject *list, long i)
+{
+    Py_ssize_t n;
+    if (!PyList_Check(list)) {
+        PyErr_Format(PyExc_TypeError, "expected a list, got %.100s", Py_TYPE(list)->tp_name);
+        return NULL;
+    }
+    n = PyList_GET_SIZE(list);
+    if (i < 0)
+        i += n;
+    if (i < 0 || i >= n) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return NULL;
+    }
+    return PyList_GET_ITEM(list, i);
+}
+
+/* Store ``v`` (not stolen) at item ``i`` of a list. */
+static int
+list_set(PyObject *list, long i, PyObject *v)
+{
+    PyObject *old = list_item(list, i);
+    if (old == NULL)
+        return -1;
+    if (i < 0)
+        i += PyList_GET_SIZE(list);
+    Py_INCREF(v);
+    PyList_SET_ITEM(list, i, v);
+    Py_DECREF(old);
+    return 0;
+}
+
+/* New reference to item ``i`` of any sequence, Python indexing. */
+static PyObject *
+seq_item(PyObject *seq, long i)
+{
+    if (PyTuple_CheckExact(seq)) {
+        Py_ssize_t n = PyTuple_GET_SIZE(seq);
+        if (i < 0)
+            i += n;
+        if (i < 0 || i >= n) {
+            PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+            return NULL;
+        }
+        Py_INCREF(PyTuple_GET_ITEM(seq, i));
+        return PyTuple_GET_ITEM(seq, i);
+    }
+    if (PyList_CheckExact(seq)) {
+        PyObject *v = list_item(seq, i);
+        Py_XINCREF(v);
+        return v;
+    }
+    {
+        PyObject *idx = PyLong_FromLong(i), *v;
+        if (idx == NULL)
+            return NULL;
+        v = PyObject_GetItem(seq, idx);
+        Py_DECREF(idx);
+        return v;
+    }
+}
+
+static int
+seq_long(PyObject *seq, long i, long *out)
+{
+    PyObject *v = seq_item(seq, i);
+    if (v == NULL)
+        return -1;
+    *out = PyLong_AsLong(v);
+    Py_DECREF(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* -- sensed slots -------------------------------------------------------- */
+
+enum { K_EMPTY, K_WALL, K_AGENT };
+typedef struct {
+    int kind;
+    long s1, s2;  /* of an agent */
+} slot_t;
+
+static int
+decode(PyObject *o, slot_t *s)
+{
+    int r;
+    if (o == EMPTY) {
+        s->kind = K_EMPTY;
+        return 0;
+    }
+    if (PyTuple_CheckExact(o) && PyTuple_GET_SIZE(o) == 2) {
+        s->kind = K_AGENT;
+        s->s1 = PyLong_AsLong(PyTuple_GET_ITEM(o, 0));
+        if (s->s1 == -1 && PyErr_Occurred())
+            return -1;
+        s->s2 = PyLong_AsLong(PyTuple_GET_ITEM(o, 1));
+        return (s->s2 == -1 && PyErr_Occurred()) ? -1 : 0;
+    }
+    if (o == WALL) {
+        s->kind = K_WALL;
+        return 0;
+    }
+    r = PyObject_RichCompareBool(o, EMPTY, Py_EQ);
+    if (r)
+        s->kind = K_EMPTY;
+    else if (r == 0 && (r = PyObject_RichCompareBool(o, WALL, Py_EQ)) > 0)
+        s->kind = K_WALL;
+    else if (r == 0)
+        PyErr_Format(PyExc_TypeError,
+                     "a sensed slot is SENSE_EMPTY, SENSE_WALL or an (s1, s2) pair, not %R", o);
+    return r > 0 ? 0 : -1;
+}
+
+/* Slots the rules read: a mobile reads all but its own air (slot 5), a
+   settled agent its four ground neighbors. */
+#define MOBILE_SLOTS 0x3DF
+#define SETTLED_SLOTS 0x1E
+
+static int
+decode_slots(PyObject *const *slots, slot_t *sl, int mask)
+{
+    int i;
+    for (i = 0; i < 10; i++) {
+        if (!(mask >> i & 1))
+            sl[i].kind = K_EMPTY;
+        else if (decode(slots[i], &sl[i]) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Decode the slots of a sensed neighborhood ``xi``, any 10-item sequence. */
+static int
+decode_xi(PyObject *xi, slot_t *sl, int mask)
+{
+    PyObject *fast = PySequence_Fast(xi, "a sensed neighborhood must be a sequence");
+    int r = -1;
+    if (fast == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(fast) != 10)
+        PyErr_Format(PyExc_ValueError, "a sensed neighborhood has 10 slots, not %zd",
+                     PySequence_Fast_GET_SIZE(fast));
+    else
+        r = decode_slots(PySequence_Fast_ITEMS(fast), sl, mask);
+    Py_DECREF(fast);
+    return r;
+}
+
+/* -- the parameters and the draw a rule reads ---------------------------- */
+
+typedef struct {
+    PyObject *p;     /* SimParams, borrowed */
+    PyObject *draw;  /* borrowed */
+    double ecrit_mobile, ecrit_settled;
+    long d_max;
+    int have_d_max;  /* ``p.d_max`` is read once, when first needed */
+} ctx_t;
+
+static int
+get_d_max(ctx_t *c, long *out)
+{
+    if (!c->have_d_max) {
+        if (attr_long(c->p, N_D_MAX, &c->d_max) < 0)
+            return -1;
+        c->have_d_max = 1;
+    }
+    *out = c->d_max;
+    return 0;
+}
+
+/* ``int(u * k)`` as an index into ``k`` items, with Python's checks. */
+static int
+draw_index(double u, Py_ssize_t k, Py_ssize_t *out)
+{
+    double x = u * (double)k;
+    if (isnan(x)) {
+        PyErr_SetString(PyExc_ValueError, "cannot convert float NaN to integer");
+        return -1;
+    }
+    if (isinf(x)) {
+        PyErr_SetString(PyExc_OverflowError, "cannot convert float infinity to integer");
+        return -1;
+    }
+    x = trunc(x);
+    if (x >= (double)k || x < -(double)k) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return -1;
+    }
+    *out = (Py_ssize_t)x < 0 ? (Py_ssize_t)x + k : (Py_ssize_t)x;
+    return 0;
+}
+
+static int
+call_draw(PyObject *draw, double *u)
+{
+    PyObject *v = PyObject_CallNoArgs(draw);
+    if (v == NULL)
+        return -1;
+    *u = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    return (*u == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* ``rules._pick``: the index of a uniform choice among ``k``; one draw. */
+static int
+pick(ctx_t *c, Py_ssize_t k, Py_ssize_t *out)
+{
+    double u;
+    if (call_draw(c->draw, &u) < 0)
+        return -1;
+    return draw_index(u, k, out);
+}
+
+/* -- mobile rules -------------------------------------------------------- */
+
+typedef struct {
+    int kind, dir;
+    long s2;
+} act_t;
+
+static int
+act(act_t *a, int kind, int dir, long s2)
+{
+    a->kind = kind;
+    a->dir = dir;
+    a->s2 = s2;
+    return 0;
+}
+
+/* Collect the directions whose ground slot is empty. */
+static int
+empty_dirs(const slot_t *xi, int *dirs)
+{
+    int d, k = 0;
+    for (d = 1; d <= 4; d++)
+        if (xi[d].kind == K_EMPTY)
+            dirs[k++] = d;
+    return k;
+}
+
+static int
+is_agent(const slot_t *g, long s1)
+{
+    return g->kind == K_AGENT && g->s1 == s1;
+}
+
+static int
+mobile_sllg(ctx_t *c, double energy, long s2, const slot_t *xi, act_t *out)
+{
+    int dirs[4], k, d, any_up = 0, have = 0;
+    long dest, best = 0, d_max;
+    Py_ssize_t i;
+    if (energy <= c->ecrit_mobile)
+        return act(out, A_SHUTDOWN, 0, 0);
+    if (xi[0].kind == K_EMPTY)
+        return act(out, A_SETTLE_HERE, 0, 1);
+    if ((k = empty_dirs(xi, dirs))) {
+        if (get_d_max(c, &d_max) < 0)
+            return -1;
+        if (s2 >= d_max)  /* the settling horizon */
+            return act(out, A_STAY, 0, 0);
+        if (pick(c, k, &i) < 0)
+            return -1;
+        return act(out, A_SETTLE_AT, dirs[i], s2 + 1);
+    }
+    /* Advance: beacons exactly one step up the gradient, air above free. */
+    dest = s2 + 1;
+    for (d = 1; d <= 4; d++)
+        if (is_agent(&xi[d], S_BEACON) && xi[d].s2 == dest) {
+            any_up = 1;
+            if (xi[d + 5].kind == K_EMPTY)
+                dirs[k++] = d;
+        }
+    if (any_up) {
+        if (!k)
+            return act(out, A_STAY, 0, 0);
+        if (pick(c, k, &i) < 0)
+            return -1;
+        return act(out, A_MOVE, dirs[i], dest);
+    }
+    /* Retrace: down to the highest closed beacon below the own counter. */
+    for (d = 1; d <= 4; d++)
+        if (xi[d + 5].kind == K_EMPTY && is_agent(&xi[d], S_CLOSED_BEACON) && xi[d].s2 < s2) {
+            if (!have || xi[d].s2 > best) {
+                have = 1;
+                best = xi[d].s2;
+                k = 0;
+                dirs[k++] = d;
+            }
+            else if (xi[d].s2 == best)
+                dirs[k++] = d;
+        }
+    if (!have)
+        return act(out, A_STAY, 0, 0);
+    if (pick(c, k, &i) < 0)
+        return -1;
+    return act(out, A_MOVE, dirs[i], best);
+}
+
+static int
+mobile_slug(ctx_t *c, double energy, const slot_t *xi, act_t *out)
+{
+    int dirs[4], ups[4], downs[4], k, nu = 0, nd = 0, d, beacon = 0;
+    long s2, up = 0, down = 0, d_max;
+    Py_ssize_t i;
+    if (energy <= c->ecrit_mobile)
+        return act(out, A_SHUTDOWN, 0, 0);
+    if (xi[0].kind == K_EMPTY)
+        return act(out, A_SETTLE_HERE, 0, 1);
+    if (xi[0].kind != K_AGENT) {
+        PyErr_SetString(PyExc_TypeError, "'int' object is not subscriptable");
+        return -1;
+    }
+    /* Re-synchronize the own counter from the agent settled beneath. */
+    s2 = xi[0].s2;
+    if ((k = empty_dirs(xi, dirs))) {
+        if (get_d_max(c, &d_max) < 0)
+            return -1;
+        if (s2 >= d_max)  /* the settling horizon */
+            return act(out, A_STAY, 0, 0);
+        if (pick(c, k, &i) < 0)
+            return -1;
+        return act(out, A_SETTLE_AT, dirs[i], s2 + 1);
+    }
+    /* Advance to the minimal counter above the own one; else retrace to
+       the maximal closed counter below it. */
+    for (d = 1; d <= 4; d++) {
+        const slot_t *g = &xi[d];
+        if (xi[d + 5].kind != K_EMPTY || g->kind == K_WALL)
+            continue;
+        if (g->s1 == S_BEACON) {
+            beacon = 1;
+            if (g->s2 > s2) {
+                if (!nu || g->s2 < up) {
+                    up = g->s2;
+                    nu = 0;
+                    ups[nu++] = d;
+                }
+                else if (g->s2 == up)
+                    ups[nu++] = d;
+            }
+        }
+        else if (g->s1 == S_CLOSED_BEACON && g->s2 < s2) {
+            if (!nd || g->s2 > down) {
+                down = g->s2;
+                nd = 0;
+                downs[nd++] = d;
+            }
+            else if (g->s2 == down)
+                downs[nd++] = d;
+        }
+    }
+    if (beacon) {
+        if (!nu)
+            return act(out, A_STAY, 0, 0);
+        if (pick(c, nu, &i) < 0)
+            return -1;
+        return act(out, A_MOVE, ups[i], up);
+    }
+    if (nd) {
+        if (pick(c, nd, &i) < 0)
+            return -1;
+        return act(out, A_MOVE, downs[i], down);
+    }
+    return act(out, A_STAY, 0, 0);
+}
+
+static int
+mobile_sltt(ctx_t *c, double energy, const slot_t *xi, act_t *out)
+{
+    int dirs[4], k, d, child = 0;
+    Py_ssize_t i;
+    if (energy <= c->ecrit_mobile)
+        return act(out, A_SHUTDOWN, 0, 0);
+    if (xi[0].kind == K_EMPTY)
+        return act(out, A_SETTLE_HERE, 0, 0);
+    if ((k = empty_dirs(xi, dirs))) {
+        if (pick(c, k, &i) < 0)
+            return -1;
+        return act(out, A_SETTLE_AT, dirs[i], dirs[i]);
+    }
+    /* Advance along tree children: a beacon in direction d projecting d. */
+    for (d = 1; d <= 4; d++)
+        if (is_agent(&xi[d], S_BEACON) && xi[d].s2 == d) {
+            child = 1;
+            if (xi[d + 5].kind == K_EMPTY)
+                dirs[k++] = d;
+        }
+    if (!child)  /* Retrace: closed beacons whose code points back here. */
+        for (d = 1; d <= 4; d++)
+            if (xi[d + 5].kind == K_EMPTY && is_agent(&xi[d], S_CLOSED_BEACON)
+                && labs(xi[d].s2 - d) == 2)
+                dirs[k++] = d;
+    if (!k)
+        return act(out, A_STAY, 0, 0);
+    if (pick(c, k, &i) < 0)
+        return -1;
+    return act(out, A_MOVE, dirs[i], dirs[i]);
+}
+
+/* Run mobile rule ``r``; reads ``a.energy`` and, for sllg-ea, ``a.s2``. */
+static int
+mobile_rule(int r, ctx_t *c, PyObject *a, const slot_t *xi, act_t *out)
+{
+    double energy;
+    long s2;
+    if (rget_double(a, F_ENERGY, &energy) < 0)
+        return -1;
+    if (r == R_SLLG)
+        return rget_long(a, F_S2, &s2) < 0 ? -1 : mobile_sllg(c, energy, s2, xi, out);
+    return r == R_SLUG ? mobile_slug(c, energy, xi, out) : mobile_sltt(c, energy, xi, out);
+}
+
+/* -- settled rules ------------------------------------------------------- */
+
+/* The shared settled-state machine over the sub-states ``rel`` of the
+   neighbors the closure condition quantifies over; ``approach1`` tells
+   approach 1 from approach 2. */
+static long
+settled_common(ctx_t *c, double energy, long s1, const slot_t *xi, const long *rel, int nrel,
+               int approach1)
+{
+    int d, full = 1, low = 0, n_closed = 0, n_low = 0;
+    if (energy <= c->ecrit_settled)
+        return S_LOW_ENERGY;
+    for (d = 1; d <= 4; d++) {
+        if (xi[d].kind == K_EMPTY)
+            full = 0;
+        else if (is_agent(&xi[d], S_LOW_ENERGY))
+            low = 1;
+    }
+    for (d = 0; d < nrel; d++) {
+        n_closed += rel[d] == S_CLOSED_BEACON;
+        n_low += rel[d] == S_LOW_ENERGY;
+    }
+    if (approach1) {
+        if (low)
+            return S_LOW_ENERGY;
+        if (full && n_closed == nrel)
+            return S_CLOSED_BEACON;
+        return s1;
+    }
+    /* Approach 2: exhaustion propagates only through a low-energy
+       neighbor, once no empty cell can be cut off. */
+    if (full) {
+        if (low && n_closed + n_low == nrel)
+            return S_LOW_ENERGY;
+        if (n_closed == nrel)
+            return S_CLOSED_BEACON;
+    }
+    return s1;
+}
+
+/* Run settled rule ``r``; reads ``a.energy``, ``a.s1`` and ``a.s2``. */
+static int
+settled_rule(int r, ctx_t *c, PyObject *a, const slot_t *xi, int approach1, long *out)
+{
+    double energy;
+    long s1, s2, d_max, rel[4];
+    int d, nrel = 0;
+    if (rget_double(a, F_ENERGY, &energy) < 0 || rget_long(a, F_S1, &s1) < 0
+        || rget_long(a, F_S2, &s2) < 0)
+        return -1;
+    if (r != R_SLTT) {
+        if (get_d_max(c, &d_max) < 0)
+            return -1;
+        if (s2 >= d_max) {  /* the settling horizon */
+            *out = S_LOW_ENERGY;
+            return 0;
+        }
+    }
+    for (d = 1; d <= 4; d++) {
+        const slot_t *g = &xi[d];
+        if (g->kind == K_AGENT
+            && (r == R_SLLG ? g->s2 == s2 + 1 : r == R_SLUG ? g->s2 > s2 : g->s2 == d))
+            rel[nrel++] = g->s1;
+    }
+    *out = settled_common(c, energy, s1, xi, rel, nrel, approach1);
+    return 0;
+}
+
+/* -- the rules and sense as Python callables ----------------------------- */
+
+static int
+check_args(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)", name, want, nargs);
+    return -1;
+}
+
+static int
+check_bound(void)
+{
+    if (EventType != NULL)
+        return 0;
+    PyErr_SetString(PyExc_RuntimeError, "the kernel is used before engine.py bound it");
+    return -1;
+}
+
+/* The shared ``Action`` for an outcome, from ``rules._action``. */
+static PyObject *
+make_action(const act_t *a)
+{
+    PyObject *args[3] = {PyLong_FromLong(a->kind), PyLong_FromLong(a->dir), PyLong_FromLong(a->s2)};
+    PyObject *r = NULL;
+    if (check_bound() == 0 && args[0] && args[1] && args[2])
+        r = PyObject_Vectorcall(action_fn, args, 3, NULL);
+    Py_XDECREF(args[0]);
+    Py_XDECREF(args[1]);
+    Py_XDECREF(args[2]);
+    return r;
+}
+
+static PyObject *
+py_mobile(int r, const char *name, PyObject *const *args, Py_ssize_t nargs)
+{
+    ctx_t c = {0};
+    slot_t xi[10];
+    act_t out;
+    if (check_args(name, nargs, 4) < 0)
+        return NULL;
+    c.p = args[2];
+    c.draw = args[3];
+    if (attr_double(c.p, N_ECRIT_MOBILE, &c.ecrit_mobile) < 0
+        || decode_xi(args[1], xi, MOBILE_SLOTS) < 0 || mobile_rule(r, &c, args[0], xi, &out) < 0)
+        return NULL;
+    return make_action(&out);
+}
+
+static PyObject *
+py_settled(int r, const char *name, PyObject *const *args, Py_ssize_t nargs)
+{
+    ctx_t c = {0};
+    slot_t xi[10];
+    long out;
+    int approach1;
+    if (check_args(name, nargs, 4) < 0)
+        return NULL;
+    c.p = args[2];
+    if ((approach1 = PyObject_RichCompareBool(args[3], ONE, Py_EQ)) < 0
+        || attr_double(c.p, N_ECRIT_SETTLED, &c.ecrit_settled) < 0
+        || decode_xi(args[1], xi, SETTLED_SLOTS) < 0
+        || settled_rule(r, &c, args[0], xi, approach1, &out) < 0)
+        return NULL;
+    return PyLong_FromLong(out);
+}
+
+#define RULE(KIND, NAME, R)                                                           \
+    static PyObject *k_##KIND##_decide_##NAME(PyObject *Py_UNUSED(m), PyObject *const *args, \
+                                               Py_ssize_t nargs)                     \
+    {                                                                                 \
+        return py_##KIND(R, #KIND "_decide_" #NAME, args, nargs);                     \
+    }
+RULE(mobile, sllg, R_SLLG)
+RULE(mobile, slug, R_SLUG)
+RULE(mobile, sltt, R_SLTT)
+RULE(settled, sllg, R_SLLG)
+RULE(settled, slug, R_SLUG)
+RULE(settled, sltt, R_SLTT)
+
+static PyObject *
+k_pick(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    double u;
+    Py_ssize_t k, i;
+    if (check_args("pick", nargs, 2) < 0 || (k = PyObject_Length(args[1])) < 0
+        || call_draw(args[0], &u) < 0 || draw_index(u, k, &i) < 0)
+        return NULL;
+    return PySequence_GetItem(args[1], i);
+}
+
+/* Gather the ten sensed slots of agent ``a`` (borrowed references). */
+static int
+gather(PyObject *neighbors, PyObject *gview, PyObject *aview, PyObject *a, long mode,
+       PyObject **slots)
+{
+    long pos, cells[5];
+    PyObject *nb;
+    int i;
+    if (mode != MODE_MOBILE && mode != MODE_SETTLED) {
+        PyObject *id = rget(a, F_ID), *m = rget(a, F_MODE), *name = NULL;
+        if (id && m && mode_names && PyDict_Check(mode_names))
+            name = PyDict_GetItemWithError(mode_names, m);
+        if (id && m && !PyErr_Occurred())
+            PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %S", id,
+                         name ? name : m);
+        Py_XDECREF(id);
+        Py_XDECREF(m);
+        return -1;
+    }
+    if (rget_long(a, F_POS, &pos) < 0 || (nb = seq_item(neighbors, pos)) == NULL)
+        return -1;
+    cells[0] = pos;
+    for (i = 1; i < 5; i++)
+        if (seq_long(nb, i - 1, &cells[i]) < 0) {
+            Py_DECREF(nb);
+            return -1;
+        }
+    Py_DECREF(nb);
+    for (i = 0; i < 5; i++) {
+        if ((slots[i] = list_item(gview, cells[i])) == NULL)
+            return -1;
+        if (mode != MODE_MOBILE)
+            slots[5 + i] = EMPTY;
+        else if ((slots[5 + i] = list_item(aview, cells[i])) == NULL)
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+slots_tuple(PyObject *const *slots)
+{
+    PyObject *t = PyTuple_New(10);
+    int i;
+    if (t == NULL)
+        return NULL;
+    for (i = 0; i < 10; i++) {
+        Py_INCREF(slots[i]);
+        PyTuple_SET_ITEM(t, i, slots[i]);
+    }
+    return t;
+}
+
+static PyObject *
+k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *slots[10], *region = NULL, *neighbors = NULL, *gview = NULL, *aview = NULL;
+    PyObject *r = NULL;
+    long mode;
+    if (check_args("sense", nargs, 2) < 0 || rget_long(args[1], F_MODE, &mode) < 0)
+        return NULL;
+    if ((region = PyObject_GetAttr(args[0], NAME[N_REGION]))
+        && (neighbors = PyObject_GetAttr(region, NAME[N_NEIGHBORS]))
+        && (gview = PyObject_GetAttr(args[0], NAME[N_GVIEW]))
+        && (mode != MODE_MOBILE || (aview = PyObject_GetAttr(args[0], NAME[N_AVIEW])))
+        && gather(neighbors, gview, aview, args[1], mode, slots) == 0)
+        r = slots_tuple(slots);
+    Py_XDECREF(region);
+    Py_XDECREF(neighbors);
+    Py_XDECREF(gview);
+    Py_XDECREF(aview);
+    return r;
+}
+
+/* -- the world of one wake call ------------------------------------------ */
+
+typedef struct {
+    PyObject *sim, *p, *agents, *ground, *gview, *aview, *stale, *mobile_ids;
+    PyObject *neighbors, *distances, *draw, *batch, *e0, *alpha, *approach;
+    int approach1, adversarial;
+    double m;
+    ctx_t ctx;
+} world_t;
+
+static void
+world_close(world_t *w)
+{
+    Py_CLEAR(w->p);
+    Py_CLEAR(w->agents);
+    Py_CLEAR(w->ground);
+    Py_CLEAR(w->gview);
+    Py_CLEAR(w->aview);
+    Py_CLEAR(w->stale);
+    Py_CLEAR(w->mobile_ids);
+    Py_CLEAR(w->neighbors);
+    Py_CLEAR(w->distances);
+    Py_CLEAR(w->draw);
+    Py_CLEAR(w->batch);
+    Py_CLEAR(w->e0);
+    Py_CLEAR(w->alpha);
+    Py_CLEAR(w->approach);
+}
+
+/* Read the simulation's state and parameters; ``world_close`` after. */
+static int
+world_open(world_t *w, PyObject *sim)
+{
+    PyObject *region, *adv;
+    int r;
+    memset(w, 0, sizeof(*w));
+    w->sim = sim;
+#define GET(field, obj, name) ((w->field = PyObject_GetAttr(obj, NAME[name])) != NULL)
+    if (!(GET(p, sim, N_P) && GET(agents, sim, N_AGENTS) && GET(ground, sim, N_GROUND)
+          && GET(gview, sim, N_GVIEW) && GET(aview, sim, N_AVIEW) && GET(stale, sim, N_STALE)
+          && GET(mobile_ids, sim, N_MOBILE_IDS) && GET(draw, sim, N_DRAW)
+          && GET(batch, sim, N_BATCH) && GET(e0, w->p, N_E0) && GET(alpha, w->p, N_ALPHA)
+          && GET(approach, w->p, N_APPROACH)))
+        goto error;
+#undef GET
+    if (w->batch == Py_None)
+        Py_CLEAR(w->batch);
+    else if (!PyList_Check(w->batch)) {
+        PyErr_SetString(PyExc_TypeError, "the event batch must be a list or None");
+        goto error;
+    }
+    if (check_bound() < 0 || (region = PyObject_GetAttr(sim, NAME[N_REGION])) == NULL)
+        goto error;
+    w->neighbors = PyObject_GetAttr(region, NAME[N_NEIGHBORS]);
+    w->distances = PyObject_GetAttr(region, NAME[N_DISTANCES]);
+    Py_DECREF(region);
+    if (w->neighbors == NULL || w->distances == NULL
+        || (adv = PyObject_GetAttr(sim, NAME[N_ADVERSARIAL])) == NULL)
+        goto error;
+    r = PyObject_IsTrue(adv);
+    Py_DECREF(adv);
+    if (r < 0)
+        goto error;
+    w->adversarial = r;
+    if ((w->approach1 = PyObject_RichCompareBool(w->approach, ONE, Py_EQ)) < 0
+        || attr_double(w->p, N_M, &w->m) < 0
+        || attr_double(w->p, N_ECRIT_MOBILE, &w->ctx.ecrit_mobile) < 0
+        || attr_double(w->p, N_ECRIT_SETTLED, &w->ctx.ecrit_settled) < 0)
+        goto error;
+    w->ctx.p = w->p;
+    w->ctx.draw = w->draw;
+    return 0;
+error:
+    world_close(w);
+    return -1;
+}
+
+/* The wake key of agent ``aid`` this step; a random one costs one draw. */
+static int
+wake_key(world_t *w, long aid, uint64_t *key)
+{
+    uint64_t sub;
+    if (aid < 1 || (uint64_t)aid > ID_MASK) {
+        PyErr_Format(PyExc_OverflowError, "agent id %ld does not fit a wake key", aid);
+        return -1;
+    }
+    if (w->adversarial) {
+        PyObject *a = list_item(w->agents, aid - 1);
+        long pos, dist;
+        if (a == NULL || rget_long(a, F_POS, &pos) < 0 || seq_long(w->distances, pos, &dist) < 0)
+            return -1;
+        if (dist < 0 || (uint64_t)dist > ID_MASK) {
+            PyErr_Format(PyExc_ValueError, "agent %ld woke on a cell at distance %ld", aid, dist);
+            return -1;
+        }
+        sub = (uint64_t)dist;
+    }
+    else {
+        double u;
+        if (call_draw(w->draw, &u) < 0)
+            return -1;
+        u *= w->m;
+        if (!(u >= 0.0 && u < 4294967296.0)) {
+            PyErr_SetString(PyExc_ValueError, "a random sub-step lies outside [0, 2**32)");
+            return -1;
+        }
+        sub = (uint64_t)u;
+    }
+    *key = sub << ID_BITS | (uint64_t)aid;
+    return 0;
+}
+
+static int
+key_of(PyObject *o, uint64_t *key)
+{
+    *key = PyLong_AsUnsignedLongLong(o);
+    return (*key == (uint64_t)-1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* ``bisect.insort`` of ``key`` into the sorted wake order. */
+static int
+insort(PyObject *order, uint64_t key)
+{
+    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(order), mid;
+    PyObject *k;
+    uint64_t v;
+    int r;
+    while (lo < hi) {
+        mid = (lo + hi) / 2;
+        if (key_of(PyList_GET_ITEM(order, mid), &v) < 0)
+            return -1;
+        if (key < v)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    if ((k = PyLong_FromUnsignedLongLong(key)) == NULL)
+        return -1;
+    r = PyList_Insert(order, lo, k);
+    Py_DECREF(k);
+    return r;
+}
+
+/* A cell's projected ground state changed: its settled occupant and
+   settled neighbors that are not low-energy become stale.  With a wake
+   order (``order`` not NULL), one whose wake this step is still ahead of
+   ``cur_key`` is inserted into it and wakes into the change now. */
+static int
+mark(world_t *w, long cell, uint64_t cur_key, PyObject *order, PyObject *scheduled)
+{
+    long cells[5], gid, s1;
+    uint64_t key;
+    PyObject *nb, *gid_obj, *g;
+    int i, r;
+    if ((nb = seq_item(w->neighbors, cell)) == NULL)
+        return -1;
+    cells[0] = cell;
+    for (i = 1; i < 5; i++)
+        if (seq_long(nb, i - 1, &cells[i]) < 0) {
+            Py_DECREF(nb);
+            return -1;
+        }
+    Py_DECREF(nb);
+    for (i = 0; i < 5; i++) {
+        if (cells[i] < 0)
+            continue;
+        if ((gid_obj = list_item(w->ground, cells[i])) == NULL)
+            return -1;
+        gid = PyLong_AsLong(gid_obj);
+        if (gid == -1 && PyErr_Occurred())
+            return -1;
+        if (!gid)
+            continue;
+        if ((g = list_item(w->agents, gid - 1)) == NULL || rget_long(g, F_S1, &s1) < 0)
+            return -1;
+        if (s1 == S_LOW_ENERGY)
+            continue;
+        Py_INCREF(gid_obj);  /* the ground may not outlive the calls below */
+        r = PySet_Add(w->stale, gid_obj);
+        if (r == 0 && order != NULL && (r = PySet_Contains(scheduled, gid_obj)) == 0) {
+            r = wake_key(w, gid, &key);
+            if (r == 0 && key > cur_key && (r = PySet_Add(scheduled, gid_obj)) == 0)
+                r = insort(order, key);
+        }
+        Py_DECREF(gid_obj);
+        if (r < 0)
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+k_mark_ground_change(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    world_t w;
+    long cell;
+    uint64_t cur_key = 0;
+    PyObject *order = NULL;
+    int r;
+    if (check_args("mark_ground_change", nargs, 5) < 0)
+        return NULL;
+    cell = PyLong_AsLong(args[1]);
+    if (cell == -1 && PyErr_Occurred())
+        return NULL;
+    if (args[3] != Py_None) {
+        if (!PyList_Check(args[3]) || !PySet_Check(args[4])) {
+            PyErr_SetString(PyExc_TypeError, "the wake order is a list and its agents a set");
+            return NULL;
+        }
+        if (key_of(args[2], &cur_key) < 0)
+            return NULL;
+        order = args[3];
+    }
+    if (world_open(&w, args[0]) < 0)
+        return NULL;
+    r = mark(&w, cell, cur_key, order, args[4]);
+    world_close(&w);
+    if (r < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+k_wake_keys(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    world_t w;
+    PyObject *fast = NULL, *out = NULL;
+    Py_ssize_t i, n;
+    uint64_t key;
+    long aid;
+    if (check_args("wake_keys", nargs, 2) < 0
+        || (fast = PySequence_Fast(args[1], "ids must be a sequence")) == NULL)
+        return NULL;
+    if (world_open(&w, args[0]) < 0) {
+        Py_DECREF(fast);
+        return NULL;
+    }
+    n = PySequence_Fast_GET_SIZE(fast);
+    if ((out = PyList_New(n)) != NULL)
+        for (i = 0; i < n; i++) {
+            PyObject *k;
+            aid = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
+            if ((aid == -1 && PyErr_Occurred()) || wake_key(&w, aid, &key) < 0
+                || (k = PyLong_FromUnsignedLongLong(key)) == NULL) {
+                Py_CLEAR(out);
+                break;
+            }
+            PyList_SET_ITEM(out, i, k);
+        }
+    world_close(&w);
+    Py_DECREF(fast);
+    return out;
+}
+
+/* -- energy -------------------------------------------------------------- */
+
+/* ``e0 - t_m - alpha * t_s``: the settled ledger, in doubles when both
+   parameters are floats (each int here is below 2**53, so exact). */
+static PyObject *
+settled_energy(PyObject *e0, PyObject *alpha, PyObject *t_m, long tm, PyObject *t_s, long ts)
+{
+    PyObject *x, *y, *r;
+    if (PyFloat_CheckExact(e0) && PyFloat_CheckExact(alpha))
+        return PyFloat_FromDouble((PyFloat_AS_DOUBLE(e0) - (double)tm)
+                                  - PyFloat_AS_DOUBLE(alpha) * (double)ts);
+    if ((x = PyNumber_Subtract(e0, t_m)) == NULL)
+        return NULL;
+    if ((y = PyNumber_Multiply(alpha, t_s)) == NULL) {
+        Py_DECREF(x);
+        return NULL;
+    }
+    r = PyNumber_Subtract(x, y);
+    Py_DECREF(x);
+    Py_DECREF(y);
+    return r;
+}
+
+static PyObject *
+k_settled_energy(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    long tm, ts;
+    if (check_args("settled_energy", nargs, 4) < 0)
+        return NULL;
+    tm = PyLong_AsLong(args[1]);
+    ts = PyLong_AsLong(args[3]);
+    if ((tm == -1 || ts == -1) && PyErr_Occurred())
+        return NULL;
+    return settled_energy(args[0], args[2], args[1], tm, args[3], ts);
+}
+
+/* ``e0 - t_m``: a mobile has no settled steps. */
+static PyObject *
+mobile_energy(PyObject *e0, long tm)
+{
+    PyObject *t, *r;
+    if (PyFloat_CheckExact(e0))
+        return PyFloat_FromDouble(PyFloat_AS_DOUBLE(e0) - (double)tm);
+    if ((t = PyLong_FromLong(tm)) == NULL)
+        return NULL;
+    r = PyNumber_Subtract(e0, t);
+    Py_DECREF(t);
+    return r;
+}
+
+/* -- events -------------------------------------------------------------- */
+
+/* Append ``Event(t, agent, action, src, dst, s1, s2, energy)`` to the batch. */
+static int
+emit(world_t *w, PyObject *const *fields)
+{
+    PyObject *ev;
+    int i, r;
+    if (w->batch == NULL)
+        return 0;
+    if ((ev = EventType->tp_alloc(EventType, 8)) == NULL)
+        return -1;
+    for (i = 0; i < 8; i++) {
+        Py_INCREF(fields[i]);
+        PyTuple_SET_ITEM(ev, i, fields[i]);
+    }
+    r = PyList_Append(w->batch, ev);
+    Py_DECREF(ev);
+    return r;
+}
+
+/* -- the wake loop ------------------------------------------------------- */
+
+typedef struct {
+    world_t *w;
+    PyObject *t, *sense, *mobile_decide, *settled_decide, *apply_mobile, *order, *scheduled;
+    long t_l;
+    int own_sense, mobile_r, settled_r;  /* -1: a callable of Python's */
+} wake_t;
+
+/* Sense for agent ``a``: fills ``sl`` when the rule is ours and returns
+   the sensed tuple (new reference) when the rule needs one, else None
+   (borrowed, not to be released). */
+static PyObject *
+wake_sense(wake_t *k, PyObject *a, long mode, int rule, slot_t *sl, int mask)
+{
+    PyObject *slots[10], *xi;
+    if (k->own_sense) {
+        if (gather(k->w->neighbors, k->w->gview, k->w->aview, a, mode, slots) < 0)
+            return NULL;
+        if (rule < 0)
+            return slots_tuple(slots);
+        return decode_slots(slots, sl, mask) < 0 ? NULL : Py_None;
+    }
+    {
+        PyObject *args[2] = {k->w->sim, a};
+        xi = PyObject_Vectorcall(k->sense, args, 2, NULL);
+    }
+    if (xi != NULL && rule >= 0) {
+        int r = decode_xi(xi, sl, mask);
+        Py_DECREF(xi);
+        return r < 0 ? NULL : Py_None;
+    }
+    return xi;
+}
+
+static int
+wake_mobile(wake_t *k, PyObject *a, PyObject *key)
+{
+    world_t *w = k->w;
+    slot_t sl[10];
+    act_t out;
+    PyObject *xi, *action = NULL, *s2 = NULL, *src = NULL, *nb = NULL, *dst = NULL;
+    PyObject *s1 = NULL, *energy = NULL, *id = NULL, *pair;
+    long kind, dir, src_l, dst_l, tm;
+    int r = -1, occupied;
+
+    if ((xi = wake_sense(k, a, MODE_MOBILE, k->mobile_r, sl, MOBILE_SLOTS)) == NULL)
+        return -1;
+    if (k->mobile_r >= 0) {
+        if (mobile_rule(k->mobile_r, &w->ctx, a, sl, &out) < 0)
+            return -1;
+        kind = out.kind;
+    }
+    else {
+        PyObject *args[4] = {a, xi, w->p, w->draw};
+        action = PyObject_Vectorcall(k->mobile_decide, args, 4, NULL);
+        Py_DECREF(xi);
+        if (action == NULL || attr_long(action, N_KIND, &kind) < 0)
+            goto done;
+    }
+    if (kind == A_MOVE) {  /* the common case, inlined */
+        if (action == NULL) {
+            dir = out.dir;
+            s2 = PyLong_FromLong(out.s2);
+        }
+        else if (attr_long(action, N_DIRECTION, &dir) == 0)
+            s2 = PyObject_GetAttr(action, NAME[F_S2]);
+        if (s2 == NULL || (src = rget(a, F_POS)) == NULL)
+            goto done;
+        src_l = PyLong_AsLong(src);
+        if ((src_l == -1 && PyErr_Occurred()) || (nb = seq_item(w->neighbors, src_l)) == NULL
+            || (dst = seq_item(nb, dir - 1)) == NULL)
+            goto done;
+        dst_l = PyLong_AsLong(dst);
+        if (dst_l == -1 && PyErr_Occurred())
+            goto done;
+        occupied = dst_l < 0;
+        if (!occupied) {
+            PyObject *v = list_item(w->aview, dst_l);
+            if (v == NULL || (occupied = PyObject_IsTrue(v)) < 0)
+                goto done;
+        }
+        if (occupied) {
+            if ((id = rget(a, F_ID)) != NULL)
+                PyErr_Format(InvariantError, "agent %S moved into an occupied or wall cell", id);
+            goto done;
+        }
+        if (list_set(w->aview, src_l, EMPTY) < 0 || rset(a, F_POS, dst) < 0
+            || rset(a, F_S2, s2) < 0 || (s1 = rget(a, F_S1)) == NULL
+            || (pair = PyTuple_Pack(2, s1, s2)) == NULL)
+            goto done;
+        occupied = list_set(w->aview, dst_l, pair);
+        Py_DECREF(pair);
+        if (occupied < 0)
+            goto done;
+        if (w->batch != NULL) {
+            PyObject *fields[8];
+            if ((id = rget(a, F_ID)) == NULL || (energy = rget(a, F_ENERGY)) == NULL)
+                goto done;
+            fields[0] = k->t, fields[1] = id, fields[2] = STR_MOVE, fields[3] = src;
+            fields[4] = dst, fields[5] = s1, fields[6] = s2, fields[7] = energy;
+            if (emit(w, fields) < 0)
+                goto done;
+        }
+    }
+    else if (kind != A_STAY) {
+        PyObject *args[6], *res;
+        if (action == NULL && (action = make_action(&out)) == NULL)
+            goto done;
+        args[0] = a, args[1] = action, args[2] = k->t, args[3] = key;
+        args[4] = k->order, args[5] = k->scheduled;
+        if ((res = PyObject_Vectorcall(k->apply_mobile, args, 6, NULL)) == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    /* The movement tick of this step, whatever the agent did. */
+    if (rget_long(a, F_TM, &tm) < 0 || rset_new(a, F_TM, PyLong_FromLong(tm + 1)) < 0
+        || rset_new(a, F_ENERGY, mobile_energy(w->e0, tm + 1)) < 0)
+        goto done;
+    r = 0;
+done:
+    Py_XDECREF(action);
+    Py_XDECREF(s2);
+    Py_XDECREF(src);
+    Py_XDECREF(nb);
+    Py_XDECREF(dst);
+    Py_XDECREF(s1);
+    Py_XDECREF(energy);
+    Py_XDECREF(id);
+    return r;
+}
+
+static int
+wake_settled(wake_t *k, PyObject *a, long mode, uint64_t key)
+{
+    world_t *w = k->w;
+    slot_t sl[10];
+    PyObject *xi, *new_s1 = NULL, *id = NULL, *s1 = NULL, *pos = NULL, *s2 = NULL;
+    PyObject *energy = NULL, *pair;
+    long old_l, new_l, pos_l;
+    int r = -1, ne, d;
+
+    if (mode == MODE_SETTLED) {  /* materialize the lazily tracked energy */
+        PyObject *tm_o = rget(a, F_TM), *ss_o = rget(a, F_SETTLE), *ts_o = NULL;
+        long tm, ss;
+        int bad = tm_o == NULL || ss_o == NULL;
+        if (!bad) {
+            tm = PyLong_AsLong(tm_o);
+            ss = PyLong_AsLong(ss_o);
+            bad = ((tm == -1 || ss == -1) && PyErr_Occurred())
+                  || (ts_o = PyLong_FromLong(k->t_l - 1 - ss)) == NULL
+                  || rset_new(a, F_ENERGY,
+                              settled_energy(w->e0, w->alpha, tm_o, tm, ts_o, k->t_l - 1 - ss)) < 0;
+        }
+        Py_XDECREF(tm_o);
+        Py_XDECREF(ss_o);
+        Py_XDECREF(ts_o);
+        if (bad)
+            return -1;
+    }
+    if ((xi = wake_sense(k, a, mode, k->settled_r, sl, SETTLED_SLOTS)) == NULL)
+        return -1;
+    if (k->settled_r >= 0) {
+        if (settled_rule(k->settled_r, &w->ctx, a, sl, w->approach1, &new_l) < 0)
+            return -1;
+        new_s1 = PyLong_FromLong(new_l);
+        xi = NULL;
+    }
+    else {
+        PyObject *args[4] = {a, xi, w->p, w->approach};
+        new_s1 = PyObject_Vectorcall(k->settled_decide, args, 4, NULL);
+    }
+    if (new_s1 == NULL || (id = rget(a, F_ID)) == NULL || PySet_Discard(w->stale, id) < 0
+        || (s1 = rget(a, F_S1)) == NULL || (ne = PyObject_RichCompareBool(new_s1, s1, Py_NE)) < 0)
+        goto done;
+    if (ne) {
+        old_l = PyLong_AsLong(s1);
+        new_l = PyLong_AsLong(new_s1);
+        if ((old_l == -1 || new_l == -1) && PyErr_Occurred())
+            goto done;
+        if (old_l == S_CLOSED_BEACON && new_l == S_BEACON) {
+            PyErr_Format(InvariantError, "agent %S reopened a closed beacon", id);
+            goto done;
+        }
+        if (new_l == S_CLOSED_BEACON) {
+            if (xi != NULL && decode_xi(xi, sl, SETTLED_SLOTS) < 0)
+                goto done;
+            for (d = 1; d <= 4; d++)
+                if (sl[d].kind == K_EMPTY) {
+                    PyErr_Format(InvariantError,
+                                 "agent %S closed with an empty neighbor in sight", id);
+                    goto done;
+                }
+        }
+        if (rset(a, F_S1, new_s1) < 0 || (pos = rget(a, F_POS)) == NULL
+            || (s2 = rget(a, F_S2)) == NULL || (pair = PyTuple_Pack(2, new_s1, s2)) == NULL)
+            goto done;
+        pos_l = PyLong_AsLong(pos);
+        ne = (pos_l == -1 && PyErr_Occurred()) ? -1 : list_set(w->gview, pos_l, pair);
+        Py_DECREF(pair);
+        if (ne < 0)
+            goto done;
+        if (w->batch != NULL) {
+            PyObject *fields[8];
+            if ((energy = rget(a, F_ENERGY)) == NULL)
+                goto done;
+            fields[0] = k->t, fields[1] = id, fields[2] = STR_TRANSITION, fields[3] = pos;
+            fields[4] = pos, fields[5] = new_s1, fields[6] = s2, fields[7] = energy;
+            if (emit(w, fields) < 0)
+                goto done;
+        }
+        if (mark(w, pos_l, key, k->order, k->scheduled) < 0)
+            goto done;
+    }
+    r = 0;
+done:
+    Py_XDECREF(xi);
+    Py_XDECREF(new_s1);
+    Py_XDECREF(id);
+    Py_XDECREF(s1);
+    Py_XDECREF(pos);
+    Py_XDECREF(s2);
+    Py_XDECREF(energy);
+    return r;
+}
+
+static int
+rule_index(PyObject *f, PyObject *const *own)
+{
+    int r;
+    for (r = 0; r < NR; r++)
+        if (f == own[r])
+            return r;
+    return -1;
+}
+
+typedef struct {
+    long id;
+    PyObject *obj;  /* borrowed from mobile_ids or stale */
+} cand_t;
+
+static int
+cmp_cand(const void *x, const void *y)
+{
+    long a = ((const cand_t *)x)->id, b = ((const cand_t *)y)->id;
+    return (a > b) - (a < b);
+}
+
+static int
+cmp_key(const void *x, const void *y)
+{
+    uint64_t a = *(const uint64_t *)x, b = *(const uint64_t *)y;
+    return (a > b) - (a < b);
+}
+
+/* This step's wake order and the set of its agents: all mobiles plus the
+   stale settled agents, keyed in id order (``mobile_ids`` order when
+   none is stale), as a sorted list of keys. */
+static int
+wake_order(world_t *w, PyObject **order, PyObject **scheduled)
+{
+    Py_ssize_t n_mob, n_stale, n, i = 0;
+    cand_t *cand = NULL;
+    uint64_t *keys = NULL;
+    PyObject *it = NULL, *item;
+    int r = -1;
+
+    if (!PyList_Check(w->mobile_ids) || !PySet_Check(w->stale)) {
+        PyErr_SetString(PyExc_TypeError, "mobile_ids must be a list and stale a set");
+        return -1;
+    }
+    n_mob = PyList_GET_SIZE(w->mobile_ids);
+    n_stale = PySet_GET_SIZE(w->stale);
+    n = n_mob + n_stale;
+    *order = *scheduled = NULL;
+    cand = PyMem_Malloc(sizeof(cand_t) * (n ? n : 1));
+    keys = PyMem_Malloc(sizeof(uint64_t) * (n ? n : 1));
+    if (cand == NULL || keys == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < n_mob; i++)
+        cand[i].obj = PyList_GET_ITEM(w->mobile_ids, i);
+    if ((it = PyObject_GetIter(w->stale)) == NULL)
+        goto done;
+    while (i < n && (item = PyIter_Next(it)) != NULL) {
+        cand[i++].obj = item;
+        Py_DECREF(item);  /* the set keeps it */
+    }
+    if (PyErr_Occurred())
+        goto done;
+    for (i = 0; i < n; i++)
+        if ((cand[i].id = PyLong_AsLong(cand[i].obj)) == -1 && PyErr_Occurred())
+            goto done;
+    if (n_stale)
+        qsort(cand, (size_t)n, sizeof(cand_t), cmp_cand);
+    if ((*scheduled = PySet_New(NULL)) == NULL)
+        goto done;
+    for (i = 0; i < n; i++)
+        if (wake_key(w, cand[i].id, &keys[i]) < 0 || PySet_Add(*scheduled, cand[i].obj) < 0)
+            goto done;
+    qsort(keys, (size_t)n, sizeof(uint64_t), cmp_key);
+    if ((*order = PyList_New(n)) == NULL)
+        goto done;
+    for (i = 0; i < n; i++) {
+        PyObject *k = PyLong_FromUnsignedLongLong(keys[i]);
+        if (k == NULL)
+            goto done;
+        PyList_SET_ITEM(*order, i, k);
+    }
+    r = 0;
+done:
+    Py_XDECREF(it);
+    PyMem_Free(cand);
+    PyMem_Free(keys);
+    if (r < 0) {
+        Py_CLEAR(*order);
+        Py_CLEAR(*scheduled);
+    }
+    return r;
+}
+
+static PyObject *
+k_wake(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    world_t w;
+    wake_t k;
+    Py_ssize_t cur = 0;
+    int r = 0;
+
+    if (check_args("wake", nargs, 6) < 0 || world_open(&w, args[0]) < 0)
+        return NULL;
+    k.w = &w;
+    k.t = args[1];
+    k.sense = args[2];
+    k.mobile_decide = args[3];
+    k.settled_decide = args[4];
+    k.apply_mobile = args[5];
+    k.own_sense = k.sense == own_sense;
+    k.mobile_r = rule_index(k.mobile_decide, own_mobile);
+    k.settled_r = rule_index(k.settled_decide, own_settled);
+    k.t_l = PyLong_AsLong(k.t);
+    if ((k.t_l == -1 && PyErr_Occurred()) || wake_order(&w, &k.order, &k.scheduled) < 0) {
+        world_close(&w);
+        return NULL;
+    }
+    /* The list may grow behind the cursor's back: only after it. */
+    while (r == 0 && cur < PyList_GET_SIZE(k.order)) {
+        PyObject *key = PyList_GET_ITEM(k.order, cur++), *a;
+        uint64_t key_u;
+        long mode;
+        Py_INCREF(key);
+        r = key_of(key, &key_u);
+        if (r == 0 && (a = list_item(w.agents, (long)(key_u & ID_MASK) - 1)) != NULL) {
+            Py_INCREF(a);
+            r = rget_long(a, F_MODE, &mode);
+            if (r == 0)
+                r = mode == MODE_MOBILE ? wake_mobile(&k, a, key) : wake_settled(&k, a, mode, key_u);
+            Py_DECREF(a);
+        }
+        else
+            r = -1;
+        Py_DECREF(key);
+    }
+    Py_DECREF(k.order);
+    Py_DECREF(k.scheduled);
+    world_close(&w);
+    if (r < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* -- the event-log formatter --------------------------------------------- */
+
+typedef struct {
+    char *buf;
+    Py_ssize_t len, cap;
+} sbuf;
+
+/* Make room for ``n`` more bytes. */
+static int
+sb_reserve(sbuf *b, Py_ssize_t n)
+{
+    Py_ssize_t cap = b->cap ? b->cap : 4096;
+    char *buf;
+    if (b->len + n <= b->cap)
+        return 0;
+    while (cap < b->len + n)
+        cap *= 2;
+    if ((buf = PyMem_Realloc(b->buf, (size_t)cap)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    b->buf = buf;
+    b->cap = cap;
+    return 0;
+}
+
+static int
+sb_put(sbuf *b, const char *s, Py_ssize_t n)
+{
+    if (sb_reserve(b, n) < 0)
+        return -1;
+    memcpy(b->buf + b->len, s, (size_t)n);
+    b->len += n;
+    return 0;
+}
+
+/* Write the decimal digits of ``v`` at ``p``; returns the end. */
+static char *
+put_ll(char *p, long long v)
+{
+    char tmp[24], *q = tmp + sizeof(tmp);
+    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+    do
+        *--q = (char)('0' + u % 10);
+    while (u /= 10);
+    if (v < 0)
+        *--q = '-';
+    memcpy(p, q, (size_t)(tmp + sizeof(tmp) - q));
+    return p + (tmp + sizeof(tmp) - q);
+}
+
+static int
+sb_ll(sbuf *b, long long v)
+{
+    if (sb_reserve(b, 24) < 0)
+        return -1;
+    b->len = put_ll(b->buf + b->len, v) - b->buf;
+    return 0;
+}
+
+static int
+sb_str(sbuf *b, PyObject *s)
+{
+    Py_ssize_t n;
+    const char *u = PyUnicode_AsUTF8AndSize(s, &n);
+    return u == NULL ? -1 : sb_put(b, u, n);
+}
+
+/* ``format(o, spec)`` appended; spec "" is str() for the usual types. */
+static int
+sb_format(sbuf *b, PyObject *o, const char *spec)
+{
+    PyObject *sp = PyUnicode_FromString(spec), *s;
+    int r = -1;
+    if (sp != NULL && (s = PyObject_Format(o, sp)) != NULL) {
+        r = sb_str(b, s);
+        Py_DECREF(s);
+    }
+    Py_XDECREF(sp);
+    return r;
+}
+
+/* An int field as ``f"{o}"`` gives it. */
+static int
+sb_int(sbuf *b, PyObject *o)
+{
+    if (PyLong_CheckExact(o)) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+        if (!overflow)
+            return (v == -1 && PyErr_Occurred()) ? -1 : sb_ll(b, v);
+    }
+    return sb_format(b, o, "");
+}
+
+/* A cell field: ``-`` when negative. */
+static int
+sb_cell(sbuf *b, PyObject *o)
+{
+    static PyObject *zero;
+    int neg;
+    if (PyLong_CheckExact(o)) {
+        int overflow;
+        long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
+        if (!overflow)
+            return (v == -1 && PyErr_Occurred()) ? -1 : v < 0 ? sb_put(b, "-", 1) : sb_ll(b, v);
+    }
+    if (zero == NULL && (zero = PyLong_FromLong(0)) == NULL)
+        return -1;
+    if ((neg = PyObject_RichCompareBool(o, zero, Py_LT)) < 0)
+        return -1;
+    return neg ? sb_put(b, "-", 1) : sb_format(b, o, "");
+}
+
+/* ``f"{x:g}"`` of a float.  An integral value below 1e6 prints as the
+   integer (with the sign of a zero); anything else goes through
+   ``PyOS_double_to_string``, which is what ``format`` calls. */
+static int
+sb_g(sbuf *b, double x)
+{
+    char *s;
+    int r;
+    if (x == floor(x) && fabs(x) < 1e6) {
+        if (x == 0.0)
+            return signbit(x) ? sb_put(b, "-0", 2) : sb_put(b, "0", 1);
+        return sb_ll(b, (long long)x);
+    }
+    if ((s = PyOS_double_to_string(x, 'g', 6, 0, NULL)) == NULL)
+        return -1;
+    r = sb_put(b, s, (Py_ssize_t)strlen(s));
+    PyMem_Free(s);
+    return r;
+}
+
+static int
+sb_energy(sbuf *b, PyObject *o)
+{
+    double x;
+    if (PyFloat_CheckExact(o))
+        return sb_g(b, PyFloat_AS_DOUBLE(o));
+    if (PyLong_CheckExact(o)) {  /* int.__format__ with 'g' formats float(o) */
+        x = PyLong_AsDouble(o);
+        return (x == -1.0 && PyErr_Occurred()) ? -1 : sb_g(b, x);
+    }
+    return sb_format(b, o, "g");
+}
+
+static int
+sb_s1(sbuf *b, PyObject *o)
+{
+    PyObject *name;
+    int r;
+    if (PyLong_CheckExact(o)) {
+        long s1 = PyLong_AsLong(o);
+        if (s1 >= 0 && s1 < 4 && s1_text[s1] != NULL)
+            return sb_put(b, s1_text[s1], s1_len[s1]);
+        if (s1 == -1 && PyErr_Occurred())
+            return -1;
+    }
+    if ((name = PyObject_GetItem(s1_names, o)) == NULL)
+        return -1;
+    r = sb_format(b, name, "");
+    Py_DECREF(name);
+    return r;
+}
+
+/* ``format_line`` for an event whose fields have the engine's types:
+   1 when written, 0 to leave it to the general path, -1 on error. */
+static int
+format_plain(sbuf *b, PyObject *ev)
+{
+    static const int ints[5] = {0, 1, 3, 4, 6};
+    long long v[8];
+    PyObject *const *f;
+    Py_ssize_t alen;
+    long s1;
+    double e;
+    char *p, *g;
+    int i, overflow;
+    if (!PyTuple_Check(ev) || PyTuple_GET_SIZE(ev) != 8)
+        return 0;
+    f = &PyTuple_GET_ITEM(ev, 0);
+    for (i = 0; i < 5; i++) {
+        if (!PyLong_CheckExact(f[ints[i]]))
+            return 0;
+        v[ints[i]] = PyLong_AsLongLongAndOverflow(f[ints[i]], &overflow);
+        if (overflow)
+            return 0;
+    }
+    if (!PyUnicode_CheckExact(f[2]) || !PyUnicode_IS_ASCII(f[2]) || !PyLong_CheckExact(f[5])
+        || !PyFloat_CheckExact(f[7]))
+        return 0;
+    s1 = PyLong_AsLong(f[5]);
+    if (s1 < 0 || s1 >= 4 || s1_text[s1] == NULL)
+        return 0;
+    alen = PyUnicode_GET_LENGTH(f[2]);
+    if (sb_reserve(b, 5 * 24 + alen + s1_len[s1] + 8 + 32) < 0)
+        return -1;
+    p = b->buf + b->len;
+    p = put_ll(p, v[0]);
+    *p++ = ',';
+    p = put_ll(p, v[1]);
+    *p++ = ',';
+    memcpy(p, PyUnicode_DATA(f[2]), (size_t)alen);
+    p += alen;
+    for (i = 3; i < 5; i++) {
+        *p++ = ',';
+        if (v[i] < 0)
+            *p++ = '-';
+        else
+            p = put_ll(p, v[i]);
+    }
+    *p++ = ',';
+    memcpy(p, s1_text[s1], (size_t)s1_len[s1]);
+    p += s1_len[s1];
+    *p++ = ',';
+    p = put_ll(p, v[6]);
+    *p++ = ',';
+    e = PyFloat_AS_DOUBLE(f[7]);
+    if (e == floor(e) && fabs(e) < 1e6) {  /* as in ``sb_g`` */
+        if (e == 0.0 && signbit(e))
+            *p++ = '-';
+        p = put_ll(p, (long long)e);
+        b->len = p - b->buf;
+        return 1;
+    }
+    b->len = p - b->buf;
+    if ((g = PyOS_double_to_string(e, 'g', 6, 0, NULL)) == NULL)
+        return -1;
+    i = sb_put(b, g, (Py_ssize_t)strlen(g));
+    PyMem_Free(g);
+    return i < 0 ? -1 : 1;
+}
+
+/* One event-log line, ``t,agent,action,from,to,s1,s2,E``, no newline. */
+static int
+format_line(sbuf *b, PyObject *ev)
+{
+    PyObject *fast, *const *f;
+    int r = format_plain(b, ev);
+    if (r)
+        return r < 0 ? -1 : 0;
+    r = -1;
+    if ((fast = PySequence_Fast(ev, "an event must be a sequence")) == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(fast) != 8) {
+        PyErr_Format(PyExc_ValueError, "an event has 8 fields, not %zd",
+                     PySequence_Fast_GET_SIZE(fast));
+        goto done;
+    }
+    f = PySequence_Fast_ITEMS(fast);
+    if (sb_int(b, f[0]) < 0 || sb_put(b, ",", 1) < 0 || sb_int(b, f[1]) < 0
+        || sb_put(b, ",", 1) < 0
+        || (PyUnicode_CheckExact(f[2]) ? sb_str(b, f[2]) : sb_format(b, f[2], "")) < 0
+        || sb_put(b, ",", 1) < 0 || sb_cell(b, f[3]) < 0 || sb_put(b, ",", 1) < 0
+        || sb_cell(b, f[4]) < 0 || sb_put(b, ",", 1) < 0 || sb_s1(b, f[5]) < 0
+        || sb_put(b, ",", 1) < 0 || sb_int(b, f[6]) < 0 || sb_put(b, ",", 1) < 0
+        || sb_energy(b, f[7]) < 0)
+        goto done;
+    r = 0;
+done:
+    Py_DECREF(fast);
+    return r;
+}
+
+static PyObject *
+sb_finish(sbuf *b, int ok)
+{
+    PyObject *r = ok ? PyUnicode_DecodeUTF8(b->buf ? b->buf : "", b->len, NULL) : NULL;
+    PyMem_Free(b->buf);
+    return r;
+}
+
+static PyObject *
+k_format_event(PyObject *Py_UNUSED(m), PyObject *ev)
+{
+    sbuf b = {NULL, 0, 0};
+    if (check_bound() < 0)
+        return NULL;
+    return sb_finish(&b, format_line(&b, ev) == 0);
+}
+
+static PyObject *
+k_format_events(PyObject *Py_UNUSED(m), PyObject *events)
+{
+    sbuf b = {NULL, 0, 0};
+    PyObject *fast;
+    Py_ssize_t i, n;
+    int ok = 1;
+    if (check_bound() < 0
+        || (fast = PySequence_Fast(events, "events must be a sequence")) == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(fast);
+    for (i = 0; ok && i < n; i++)
+        ok = format_line(&b, PySequence_Fast_GET_ITEM(fast, i)) == 0 && sb_put(&b, "\n", 1) == 0;
+    Py_DECREF(fast);
+    return sb_finish(&b, ok);
+}
+
+/* -- binding ------------------------------------------------------------- */
+
+static PyObject *
+k_bind(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *record, *event, *error, *action, *modes, *s1n;
+    Py_ssize_t offs[NF];
+    int f, fast = 1;
+    if (check_args("bind", nargs, 6) < 0)
+        return NULL;
+    record = args[0], event = args[1], error = args[2], action = args[3];
+    modes = args[4], s1n = args[5];
+    if (!PyType_Check(record) || !PyType_Check(event)
+        || !PyType_IsSubtype((PyTypeObject *)event, &PyTuple_Type) || !PyTuple_Check(s1n)) {
+        PyErr_SetString(PyExc_TypeError, "bind(AgentRecord, Event, InvariantError, _action, "
+                                         "MODE_NAMES, S1_NAMES): bad argument types");
+        return NULL;
+    }
+    /* Read records straight off their slots when every field is one. */
+    for (f = 0; f < NF; f++) {
+        PyObject *d = PyObject_GetAttr(record, NAME[f]);
+        if (d == NULL)
+            return NULL;
+        if (Py_IS_TYPE(d, &PyMemberDescr_Type)
+            && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX)
+            offs[f] = ((PyMemberDescrObject *)d)->d_member->offset;
+        else
+            fast = 0;
+        Py_DECREF(d);
+    }
+    for (f = 0; f < 4; f++) {
+        s1_text[f] = NULL;
+        if (f < PyTuple_GET_SIZE(s1n) && PyUnicode_Check(PyTuple_GET_ITEM(s1n, f))
+            && (s1_text[f] = PyUnicode_AsUTF8AndSize(PyTuple_GET_ITEM(s1n, f), &s1_len[f])) == NULL)
+            return NULL;
+    }
+    Py_INCREF(record);
+    Py_XSETREF(Record, (PyTypeObject *)record);
+    memcpy(rec_off, offs, sizeof(offs));
+    rec_fast = fast;
+    Py_INCREF(event);
+    Py_XSETREF(EventType, (PyTypeObject *)event);
+    Py_INCREF(error);
+    Py_XSETREF(InvariantError, error);
+    Py_INCREF(action);
+    Py_XSETREF(action_fn, action);
+    Py_INCREF(modes);
+    Py_XSETREF(mode_names, modes);
+    Py_INCREF(s1n);
+    Py_XSETREF(s1_names, s1n);
+    Py_RETURN_NONE;
+}
+
+#define FAST(name, doc) {#name, (PyCFunction)(void (*)(void))k_##name, METH_FASTCALL, doc}
+static PyMethodDef methods[] = {
+    FAST(sense,
+         "sense(world, a)\n--\n\n"
+         "The 10-slot sensed neighborhood of agent ``a``.\n\n"
+         "Slots 0-4 are the ground content of the own cell and its N, E, S, W\n"
+         "neighbors; slots 5-9 the air content of the same cells.  Each slot\n"
+         "holds ``SENSE_WALL`` (wall or outside), ``SENSE_EMPTY`` or the\n"
+         "observed ``(s1, s2)`` of an agent.  A mobile agent senses both layers;\n"
+         "a settled one only the ground (its air slots read empty); any other\n"
+         "mode raises ``ValueError``.\n\n"
+         "``world`` exposes ``region`` and the per-cell views ``gview`` and\n"
+         "``aview``: each cell holds ``SENSE_EMPTY`` or its occupant's ``(s1, s2)``,\n"
+         "and one extra last slot holds ``SENSE_WALL``, so the neighbor index\n"
+         "``-1`` of a wall or the outside reads as a wall."),
+    FAST(mobile_decide_sllg, "mobile_decide_sllg(a, xi, p, draw)\n--\n\nThe sllg-ea mobile rule."),
+    FAST(mobile_decide_slug, "mobile_decide_slug(a, xi, p, draw)\n--\n\nThe slug-ea mobile rule."),
+    FAST(mobile_decide_sltt, "mobile_decide_sltt(a, xi, p, draw)\n--\n\nThe sltt-ea mobile rule."),
+    FAST(settled_decide_sllg,
+         "settled_decide_sllg(a, xi, p, approach)\n--\n\nThe sllg-ea settled rule."),
+    FAST(settled_decide_slug,
+         "settled_decide_slug(a, xi, p, approach)\n--\n\nThe slug-ea settled rule."),
+    FAST(settled_decide_sltt,
+         "settled_decide_sltt(a, xi, p, approach)\n--\n\nThe sltt-ea settled rule."),
+    FAST(pick,
+         "pick(draw, items)\n--\n\n"
+         "``items[int(draw() * len(items))]``: a uniform choice for one draw."),
+    FAST(wake, "wake(sim, t, sense, mobile_decide, settled_decide, apply_mobile)\n--\n\n"
+               "The body of ``Simulation._wake``."),
+    FAST(wake_keys, "wake_keys(sim, ids)\n--\n\n"
+                    "The packed wake keys of the agents ``ids`` this step, in order."),
+    FAST(mark_ground_change,
+         "mark_ground_change(sim, cell, cur_key, order, scheduled)\n--\n\n"
+         "The body of ``Simulation._mark_ground_change``."),
+    FAST(settled_energy, "settled_energy(e0, t_m, alpha, t_s)\n--\n\n"
+                         "The settled ledger ``e0 - t_m - alpha * t_s``."),
+    {"format_event", (PyCFunction)k_format_event, METH_O,
+     "format_event(ev)\n--\n\nThe event-log line of one event, without a newline."},
+    {"format_events", (PyCFunction)k_format_events, METH_O,
+     "format_events(events)\n--\n\nThe event-log lines of a batch, each ending in a newline."},
+    FAST(bind, "bind(AgentRecord, Event, InvariantError, _action, MODE_NAMES, S1_NAMES)\n--\n\n"
+               "Hand the kernel the Python classes and tables it works with."),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_kernel", "The per-wake hot path of gridswarm, compiled.", -1,
+    methods, NULL, NULL, NULL, NULL,
+};
+
+static int
+add_own(PyObject *m, const char *name, PyObject **slot)
+{
+    return (*slot = PyObject_GetAttrString(m, name)) == NULL ? -1 : 0;
+}
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    int i;
+    if (m == NULL)
+        return NULL;
+    for (i = 0; i < N_COUNT; i++)
+        if ((NAME[i] = PyUnicode_InternFromString(NAMES[i])) == NULL)
+            goto error;
+    if ((EMPTY = PyLong_FromLong(0)) == NULL || (WALL = PyLong_FromLong(-1)) == NULL
+        || (ONE = PyLong_FromLong(1)) == NULL
+        || (STR_MOVE = PyUnicode_InternFromString("move")) == NULL
+        || (STR_TRANSITION = PyUnicode_InternFromString("transition")) == NULL
+        || add_own(m, "sense", &own_sense) < 0
+        || add_own(m, "mobile_decide_sllg", &own_mobile[R_SLLG]) < 0
+        || add_own(m, "mobile_decide_slug", &own_mobile[R_SLUG]) < 0
+        || add_own(m, "mobile_decide_sltt", &own_mobile[R_SLTT]) < 0
+        || add_own(m, "settled_decide_sllg", &own_settled[R_SLLG]) < 0
+        || add_own(m, "settled_decide_slug", &own_settled[R_SLUG]) < 0
+        || add_own(m, "settled_decide_sltt", &own_settled[R_SLTT]) < 0
+        || PyModule_AddIntConstant(m, "MODE_MOBILE", MODE_MOBILE) < 0
+        || PyModule_AddIntConstant(m, "MODE_SETTLED", MODE_SETTLED) < 0
+        || PyModule_AddIntConstant(m, "S_MOBILE", S_MOBILE) < 0
+        || PyModule_AddIntConstant(m, "S_BEACON", S_BEACON) < 0
+        || PyModule_AddIntConstant(m, "S_CLOSED_BEACON", S_CLOSED_BEACON) < 0
+        || PyModule_AddIntConstant(m, "S_LOW_ENERGY", S_LOW_ENERGY) < 0
+        || PyModule_AddIntConstant(m, "A_STAY", A_STAY) < 0
+        || PyModule_AddIntConstant(m, "A_MOVE", A_MOVE) < 0
+        || PyModule_AddIntConstant(m, "A_SETTLE_HERE", A_SETTLE_HERE) < 0
+        || PyModule_AddIntConstant(m, "A_SETTLE_AT", A_SETTLE_AT) < 0
+        || PyModule_AddIntConstant(m, "A_SHUTDOWN", A_SHUTDOWN) < 0
+        || PyModule_AddIntConstant(m, "ID_BITS", ID_BITS) < 0)
+        goto error;
+    return m;
+error:
+    Py_DECREF(m);
+    return NULL;
+}

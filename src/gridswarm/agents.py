@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import bounds
+from ._build import kernel
 
 # Modes (lifecycle).
 MODE_MOBILE, MODE_SETTLED, MODE_SHUTDOWN, MODE_FAILED = range(4)
@@ -32,12 +33,14 @@ SCHEDULERS = ("random", "adversarial")
 # Sensed-neighborhood cell markers.
 SENSE_WALL = -1
 SENSE_EMPTY = 0
-_UNSENSED_AIR = (SENSE_EMPTY,) * 5  # air slots of a settled agent
 
 # Energies are counted in ticks held in floats; from 2**53 on, a unit
 # tick can be lost in rounding, and so can a step of a settled agent's
 # drain schedule.
 _ENERGY_LIMIT = 2.0**53
+# A random sub-step, below ``m``, is packed above a 32-bit agent id into
+# a 64-bit wake key.
+_M_LIMIT = 2**32
 
 
 class ParamError(ValueError):
@@ -81,10 +84,15 @@ class SimParams:
             raise ParamError(f"dt must be >= 1, got {self.dt}")
         if self.m < 1:
             raise ParamError(f"m must be >= 1, got {self.m}")
+        if self.m > _M_LIMIT:
+            raise ParamError(f"m must be at most 2**32, got {self.m}")
         for name in ("e0", "alpha", "ecrit_mobile", "ecrit_settled"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value < _ENERGY_LIMIT):
                 raise ParamError(f"{name} must be finite and below 2**53, got {value}")
+            # The kernel compares energies as floats.
+            if float(value) != value:
+                raise ParamError(f"{name} must be a value a float holds exactly, got {value!r}")
         if self.alpha < 0:
             raise ParamError(f"alpha must be >= 0, got {self.alpha}")
         if self.ecrit_mobile < 1:
@@ -117,28 +125,5 @@ class AgentRecord:
     settle_step: int = -1  # step during which the agent settled
 
 
-def sense(world, a: AgentRecord) -> tuple:
-    """Build the 10-slot sensed neighborhood of agent ``a``.
-
-    Slots 0-4 are ground content of the own cell and its N, E, S, W
-    neighbors; slots 5-9 are the corresponding air content.  Each slot
-    holds ``SENSE_WALL`` (wall/outside), ``SENSE_EMPTY``, or the
-    observed ``(s1, s2)`` of an agent.  Mobile agents sense both
-    layers; settled agents sense only the ground layer (their air
-    slots read empty).
-
-    ``world`` must expose ``region`` and the per-cell sensed views
-    ``gview`` (ground) and ``aview`` (air): each cell holds
-    ``SENSE_EMPTY`` or the ``(s1, s2)`` its occupant projects, and one
-    extra last slot holds ``SENSE_WALL``, so the neighbor index ``-1``
-    of a wall or the outside reads as a wall.
-    """
-    pos = a.pos
-    n, e, s, w = world.region.neighbors[pos]
-    g = world.gview
-    if a.mode == MODE_MOBILE:
-        v = world.aview
-        return (g[pos], g[n], g[e], g[s], g[w], v[pos], v[n], v[e], v[s], v[w])
-    if a.mode == MODE_SETTLED:
-        return (g[pos], g[n], g[e], g[s], g[w]) + _UNSENSED_AIR
-    raise ValueError(f"agent {a.id} cannot sense in mode {MODE_NAMES.get(a.mode, a.mode)}")
+# Sensing is compiled: see ``_kernel.c`` for its definition.
+sense = kernel.sense

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bounds as bnd
 from .agents import ParamError, SimParams
-from .engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP, Event, run
+from .engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP, Event, format_events, run
 from .grid import Region, RegionError, line_region, parse_region, square_region
 
 CSV_COLUMNS = [
@@ -44,8 +44,6 @@ CSV_COLUMNS = [
 ]
 
 EVENT_HEADER = "t,agent,action,from,to,s1,s2,E"
-# Event-log lines formatted before they are written out together.
-EVENT_BATCH = 1024
 
 
 class ConfigError(ValueError):
@@ -147,29 +145,13 @@ def _row_writer(out: str | None) -> Iterator[csv.DictWriter]:
 
 
 @contextmanager
-def _event_sink(path: str) -> Iterator[Callable[[Event], None]]:
-    """Yield an ``on_event`` callback that streams the event log to
-    ``path``: events are formatted as they happen and written every
-    ``EVENT_BATCH`` lines, so memory stays bounded."""
+def _event_sink(path: str) -> Iterator[Callable[[list[Event]], object]]:
+    """Yield an ``on_events`` sink that streams the event log to
+    ``path``: each step's events are formatted in one call and written
+    at once, so memory stays bounded."""
     with Path(path).open("w") as fh:
-        write = fh.write
-        write(EVENT_HEADER + "\n")
-        fmt = Event.format
-        lines: list[str] = []
-        append = lines.append
-
-        def flush() -> None:
-            append("")  # the last line's newline
-            write("\n".join(lines))
-            lines.clear()
-
-        def on_event(ev: Event) -> None:
-            append(fmt(ev))
-            if len(lines) >= EVENT_BATCH:
-                flush()
-
-        yield on_event
-        flush()
+        fh.write(EVENT_HEADER + "\n")
+        yield lambda batch: fh.write(format_events(batch))
 
 
 def _point_params(cfg: dict, vary: dict[str, list], seeds: int) -> list[SimParams]:
@@ -190,12 +172,12 @@ def _point_params(cfg: dict, vary: dict[str, list], seeds: int) -> list[SimParam
 
 def _run_rows(
     cfg: dict, region: Region, runs: list[SimParams], writer: csv.DictWriter,
-    on_event: Callable[[Event], None] | None = None,
+    on_events: Callable[[list[Event]], object] | None = None,
 ) -> list[dict]:
     """Run each parameter set and write its row as the run finishes."""
     rows = []
     for i, p in enumerate(runs):
-        m = run(region, p, on_event=on_event).metrics
+        m = run(region, p, on_events=on_events).metrics
         row = {
             "run_id": f"r{i:06d}",
             "region": cfg["region"],
@@ -227,8 +209,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg, region = _load_run_config(args.config)
     runs = _point_params(cfg, {}, 1)
     sink = nullcontext() if args.log_events is None else _event_sink(args.log_events)
-    with _row_writer(args.out) as writer, sink as on_event:
-        (row,) = _run_rows(cfg, region, runs, writer, on_event)
+    with _row_writer(args.out) as writer, sink as on_events:
+        (row,) = _run_rows(cfg, region, runs, writer, on_events)
     if args.strict and row["terminated"] == TERM_STEP_CAP:
         print("run hit the step cap without terminating", file=sys.stderr)
         return 1

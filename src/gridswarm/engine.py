@@ -8,8 +8,16 @@ movement tick at the end of that wake, whatever it did (move, stay,
 settle or shut down), after its event is logged; (2) ``_attempt_entry``:
 every ``dt`` steps, after the wake-ups, a new agent enters if the
 entry's air is free; (3) ``_charge``: the settled-energy events due by
-this step are applied; (4) ``_close``: the step's series are recorded
-and termination is read off the entry cell.
+this step are applied; (4) ``_close``: the step's series are recorded,
+the step's events are handed on and termination is read off the entry
+cell.
+
+The body of ``_wake``, sensing, the decide rules, the marking of
+settled neighbors and the event-line formatter are compiled
+(``_kernel.c``, built on first import by ``_build.py``).  The kernel
+works on the objects defined here and in ``agents`` and ``rules``, and
+``_wake`` hands it the module's ``sense`` and the decide callables the
+run was set up with, so each is called once per wake whatever it is.
 
 For speed on large regions the engine elides wake-ups that are
 provably no-ops: a settled agent's decision depends only on its own
@@ -32,17 +40,21 @@ reads as a wall.  They are updated wherever the world changes, so
 ``sense`` is a gather of ten slots.  Only the ground also keeps agent
 ids (``ground``), to look settled neighbors up by cell.
 
-Invariant: the wake heap holds only mobiles and settled agents that are
-not low-energy, and energy events concern only settled agents, each
+Invariant: the wake order holds only mobiles and settled agents that
+are not low-energy, and energy events concern only settled agents, each
 with at most one event per kind, kind 0 popping before kind 1.
 
-The wake order of a step is a heap of ints ``(sub << 32) | id`` from
-``_wake_keys``: ``sub`` is a uniform sub-step in ``[0, m)`` under the
+The wake order of a step is a sorted list of ints ``(sub << 32) | id``,
+read by a cursor: ``sub`` is a uniform sub-step in ``[0, m)`` under the
 random scheduler, and the agent's hop distance from the entry under the
 adversarial one (settled agents do not move, so lazily inserted agents
-compare the same way as the rest).  Events are handed, one at a
-time, to a sink: a list for ``log_events=True``, or any callable given
-as ``on_event`` (the CLI streams them to the log file).
+compare the same way as the rest).  A settled agent marked during the
+step whose key lies after the cursor is inserted in order.  Keys are
+unique, so this is the order a heap would pop.
+
+Events are collected per step: in ``events`` for ``log_events=True``,
+or in a batch handed to ``on_events`` when the step closes (the CLI
+formats each batch in one call and writes it to the log file).
 
 All randomness comes from one stream of uniform floats in [0, 1), drawn
 from the seeded numpy generator in blocks of 4096; a random sub-step is
@@ -62,6 +74,7 @@ import numpy as np
 from .agents import (
     MODE_FAILED,
     MODE_MOBILE,
+    MODE_NAMES,
     MODE_SETTLED,
     MODE_SHUTDOWN,
     S1_NAMES,
@@ -75,30 +88,19 @@ from .agents import (
     SimParams,
     sense,
 )
+from ._build import kernel
 from .grid import Region
-from .rules import (
-    A_MOVE,
-    A_SETTLE_AT,
-    A_SHUTDOWN,
-    A_STAY,
-    REGISTRY,
-)
+from .rules import A_SETTLE_AT, A_SHUTDOWN, REGISTRY, _action
 
 TERM_CLOSED = "closed"
 TERM_LOW_ENERGY = "low_energy"
 TERM_STEP_CAP = "step_cap"
 
 # Wake keys pack the sub-step above the agent id.
-_ID_BITS = 32
-_ID_MASK = (1 << _ID_BITS) - 1
+_ID_BITS = kernel.ID_BITS
 
-# ``f"{energy:g}"`` by energy, shared by all runs: it memoizes a pure
-# function, so sharing changes no output.  A run logs few distinct
-# energies when ``alpha`` is 0 (integers up to ``e0``) and many otherwise,
-# so the cache is emptied whenever it fills.  Zero is never cached: 0.0
-# and -0.0 are equal keys that format differently.
-_ENERGY_TEXT: dict[float, str] = {}
-_ENERGY_TEXT_MAX = 256
+# The event-log lines of a batch of events, each ending in a newline.
+format_events = kernel.format_events
 
 
 class InvariantError(AssertionError):
@@ -118,23 +120,17 @@ class Event(NamedTuple):
     energy: float
 
     def format(self) -> str:
-        t, agent, action, src, dst, s1, s2, energy = self
-        e = _ENERGY_TEXT.get(energy)
-        if e is None:
-            e = f"{energy:g}"
-            if energy:
-                if len(_ENERGY_TEXT) >= _ENERGY_TEXT_MAX:
-                    _ENERGY_TEXT.clear()
-                _ENERGY_TEXT[energy] = e
-        return (
-            f"{t},{agent},{action},{'-' if src < 0 else src},"
-            f"{'-' if dst < 0 else dst},{S1_NAMES[s1]},{s2},{e}"
-        )
+        """The line ``t,agent,action,from,to,s1,s2,E``: a cell of ``-1``
+        prints as ``-``, ``s1`` by name and ``E`` as ``f"{energy:g}"``.
+        The kernel's formatter, the one ``format_events`` uses."""
+        return kernel.format_event(self)
 
 
 # Builds an ``Event`` from one tuple without the Python-level
 # ``NamedTuple.__new__``: ``_new_event(Event, (t, agent, ...))``.
 _new_event = tuple.__new__
+
+kernel.bind(AgentRecord, Event, InvariantError, _action, MODE_NAMES, S1_NAMES)
 
 
 @dataclass
@@ -147,7 +143,7 @@ class RunMetrics:
     a_c: int
     nda_shutdown: int
     nda_failed: int
-    n_series: list[int] = field(repr=False, default_factory=list)
+    # Settled agents at the close of each step.
     ac_series: list[int] = field(repr=False, default_factory=list)
 
 
@@ -177,8 +173,8 @@ def _uniform_stream(rng: np.random.Generator) -> Callable[[], float]:
 class Simulation:
     """Mutable world state for one run.
 
-    Events go to ``on_event`` as they happen; ``log_events=True``
-    collects them in ``events`` instead.
+    ``log_events=True`` collects the events in ``events``; ``on_events``
+    instead receives each step's events as one list when the step closes.
     """
 
     def __init__(
@@ -186,11 +182,11 @@ class Simulation:
         region: Region,
         params: SimParams,
         log_events: bool = False,
-        on_event: Callable[[Event], object] | None = None,
+        on_events: Callable[[list[Event]], object] | None = None,
     ):
         params.validate()
-        if log_events and on_event is not None:
-            raise ValueError("pass either log_events or on_event, not both")
+        if log_events and on_events is not None:
+            raise ValueError("pass either log_events or on_events, not both")
         self.region = region
         self.p = params
         self.draw = _uniform_stream(np.random.default_rng(params.seed))
@@ -204,8 +200,11 @@ class Simulation:
         self.settled_count = 0
         self.stale: set[int] = set()
         self.events: list[Event] | None = [] if log_events else None
-        self._emit = self.events.append if log_events else on_event
-        self.n_series: list[int] = []
+        self._on_events = on_events
+        # Where events go as they happen; None logs nothing.
+        self._batch: list[Event] | None = (
+            self.events if log_events else [] if on_events is not None else None
+        )
         self.ac_series: list[int] = []
         # Scheduled settled-energy events: (step, kind, agent_id) with
         # kind 0 = crosses the reporting threshold, 1 = fails.
@@ -218,8 +217,8 @@ class Simulation:
     # -- helpers -----------------------------------------------------------
 
     def _log(self, t, agent, action, src, dst):
-        if self._emit is not None:
-            self._emit(
+        if self._batch is not None:
+            self._batch.append(
                 _new_event(
                     Event,
                     (t, agent.id, action, src, dst, agent.s1, agent.s2, agent.energy),
@@ -228,9 +227,12 @@ class Simulation:
 
     def _touch_settled_energy(self, a: AgentRecord, t: int) -> None:
         """Materialize a settled agent's lazily tracked energy as of the
-        ticks applied through the end of step ``t - 1``."""
+        ticks applied through the end of step ``t - 1``; the kernel's
+        settled wakes apply the same ledger."""
         if a.mode == MODE_SETTLED:
-            a.energy = self.p.e0 - a.t_m - self.p.alpha * (t - 1 - a.settle_step)
+            a.energy = kernel.settled_energy(
+                self.p.e0, a.t_m, self.p.alpha, t - 1 - a.settle_step
+            )
 
     def _schedule_energy_events(self, a: AgentRecord) -> None:
         p = self.p
@@ -254,38 +256,18 @@ class Simulation:
             heapq.heappush(self._energy_events, (first_step(p.ecrit_settled), 0, a.id))
         heapq.heappush(self._energy_events, (first_step(0.0), 1, a.id))
 
-    def _mark_ground_change(self, cell: int, cur_key, heap, scheduled):
+    def _mark_ground_change(self, cell: int, cur_key, order, scheduled):
         """A cell's projected ground state changed: settled neighbors
         (and the cell's own occupant) must be re-processed.  If their
-        wake this step is still ahead, they wake into the change now;
-        otherwise they stay flagged for the next step."""
-        ground = self.ground
-        for c in (cell, *self.region.neighbors[cell]):
-            if c < 0:
-                continue
-            gid = ground[c]
-            if not gid:
-                continue
-            if self.agents[gid - 1].s1 == S_LOW_ENERGY:
-                continue
-            self.stale.add(gid)
-            if heap is None or gid in scheduled:
-                continue
-            (key,) = self._wake_keys((gid,))
-            if key > cur_key:
-                scheduled.add(gid)
-                heapq.heappush(heap, key)
+        wake this step is still ahead of ``cur_key`` in ``order``, they
+        wake into the change now (and join ``scheduled``); otherwise, or
+        with no ``order``, they stay flagged for the next step."""
+        kernel.mark_ground_change(self, cell, cur_key, order, scheduled)
 
     def _wake_keys(self, ids) -> list[int]:
-        """Packed heap keys of the agents ``ids`` in this step's wake
-        order, in the order given; a random sub-step costs one draw."""
-        if self._adversarial:
-            agents = self.agents
-            distances = self.region.distances
-            return [distances[agents[aid - 1].pos] << _ID_BITS | aid for aid in ids]
-        draw = self.draw
-        m = self.p.m
-        return [int(draw() * m) << _ID_BITS | aid for aid in ids]
+        """Packed keys of the agents ``ids`` in this step's wake order,
+        in the order given; a random sub-step costs one draw."""
+        return kernel.wake_keys(self, ids)
 
     # -- one step ----------------------------------------------------------
 
@@ -298,77 +280,15 @@ class Simulation:
 
     def _wake(self, t: int) -> None:
         """Wake every mobile agent and every stale settled agent once, in
-        heap order; each senses the world as earlier wakes left it.  A
-        mobile pays this step's movement tick at the end of its wake."""
-        p = self.p
-        agents = self.agents
-        stale = self.stale
+        key order; each senses the world as earlier wakes left it.  A
+        mobile pays this step's movement tick at the end of its wake.
 
-        # Candidates: all mobiles plus stale settled agents.  They may be
-        # ``mobile_ids`` itself, which is fully read before any wake
-        # changes it.
-        if stale:
-            candidates = sorted(self.mobile_ids + list(stale))
-        else:
-            candidates = self.mobile_ids
-
-        # Every agent enters the heap at most once per step, so
-        # ``scheduled`` also tells which agents were already woken.
-        heap = self._wake_keys(candidates)
-        heapq.heapify(heap)
-        scheduled = set(candidates)
-
-        draw = self.draw
-        mobile_decide = self._mobile_decide
-        settled_decide = self._settled_decide
-        heappop = heapq.heappop
-        neighbors = self.region.neighbors
-        aview = self.aview
-        emit = self._emit
-        while heap:
-            key = heappop(heap)
-            aid = key & _ID_MASK
-            a = agents[aid - 1]
-            if a.mode == MODE_MOBILE:
-                act = mobile_decide(a, sense(self, a), p, draw)
-                kind = act.kind
-                if kind == A_MOVE:  # the common case, inlined
-                    src = a.pos
-                    dst = neighbors[src][act.direction - 1]
-                    if dst < 0 or aview[dst]:
-                        raise InvariantError(
-                            f"agent {aid} moved into an occupied or wall cell"
-                        )
-                    aview[src] = SENSE_EMPTY
-                    a.pos = dst
-                    a.s2 = s2 = act.s2
-                    aview[dst] = (a.s1, s2)
-                    if emit is not None:
-                        emit(
-                            _new_event(
-                                Event, (t, aid, "move", src, dst, a.s1, s2, a.energy)
-                            )
-                        )
-                elif kind != A_STAY:
-                    self._apply_mobile(a, act, t, key, heap, scheduled)
-                a.t_m = t_m = a.t_m + 1
-                a.energy = p.e0 - t_m  # a mobile has no settled steps
-            else:  # a settled agent that is not low-energy
-                self._touch_settled_energy(a, t)
-                xi = sense(self, a)
-                new_s1 = settled_decide(a, xi, p, p.approach)
-                stale.discard(aid)
-                if new_s1 != a.s1:
-                    if a.s1 == S_CLOSED_BEACON and new_s1 == S_BEACON:
-                        raise InvariantError(f"agent {aid} reopened a closed beacon")
-                    if new_s1 == S_CLOSED_BEACON and SENSE_EMPTY in xi[1:5]:
-                        raise InvariantError(
-                            f"agent {aid} closed with an empty neighbor in sight"
-                        )
-                    a.s1 = new_s1
-                    self.gview[a.pos] = (new_s1, a.s2)
-                    self._log(t, a, "transition", a.pos, a.pos)
-                    self._mark_ground_change(a.pos, key, heap, scheduled)
+        ``sense`` is read here on every call, and the decide rules are
+        the ones the run was set up with: each is called once per wake.
+        A mobile that settles or shuts down goes to ``_apply_mobile``."""
+        kernel.wake(
+            self, t, sense, self._mobile_decide, self._settled_decide, self._apply_mobile
+        )
 
     def _attempt_entry(self, t: int) -> None:
         """Every ``dt`` steps, once this step's wake-ups have resolved, a
@@ -418,10 +338,13 @@ class Simulation:
                 stale.add(aid)
 
     def _close(self, t: int) -> None:
-        """Record the step's series, read termination off the entry cell
-        and advance the clock."""
-        self.n_series.append(len(self.agents))
+        """Record the step's series, hand the step's events to
+        ``on_events``, read termination off the entry cell and advance
+        the clock."""
         self.ac_series.append(self.settled_count)
+        if self._on_events is not None and self._batch:
+            self._on_events(self._batch)
+            self._batch = []
         gid = self.ground[self.region.entry]
         if gid:
             s1 = self.agents[gid - 1].s1
@@ -431,7 +354,7 @@ class Simulation:
                 self.terminated = TERM_CLOSED
         self.t = t + 1
 
-    def _apply_mobile(self, a, act, t, key, heap, scheduled):
+    def _apply_mobile(self, a, act, t, key, order, scheduled):
         """Shut down or settle; moves are applied inline in ``_wake``."""
         kind = act.kind
         src = a.pos
@@ -457,7 +380,7 @@ class Simulation:
         self.settled_count += 1
         self._schedule_energy_events(a)
         self._log(t, a, "settle", src, dst)
-        self._mark_ground_change(dst, key, heap, scheduled)
+        self._mark_ground_change(dst, key, order, scheduled)
 
     # -- whole runs --------------------------------------------------------
 
@@ -481,7 +404,6 @@ class Simulation:
             a_c=self.settled_count,
             nda_shutdown=sum(a.mode == MODE_SHUTDOWN for a in agents),
             nda_failed=sum(a.mode == MODE_FAILED for a in agents),
-            n_series=self.n_series,
             ac_series=self.ac_series,
         )
         return RunResult(metrics=metrics, events=self.events, sim=self)
@@ -491,11 +413,12 @@ def run(
     region: Region,
     params: SimParams,
     log_events: bool = False,
-    on_event: Callable[[Event], object] | None = None,
+    on_events: Callable[[list[Event]], object] | None = None,
 ) -> RunResult:
     """Simulate one run to termination (or the step cap).
 
     ``log_events=True`` returns the event log in ``result.events``;
-    ``on_event`` instead receives each event as it happens.
+    ``on_events`` instead receives each step's events as one list when
+    the step closes (a new list each time).
     """
-    return Simulation(region, params, log_events=log_events, on_event=on_event).run()
+    return Simulation(region, params, log_events=log_events, on_events=on_events).run()

@@ -242,9 +242,7 @@ class TestTermination:
 
     def test_series_lengths_track_steps(self):
         m = run(line_region(8), SimParams(dt=2, e0=40)).metrics
-        assert len(m.n_series) == m.t_c + 1
         assert len(m.ac_series) == m.t_c + 1
-        assert m.n_series[-1] == m.n_agents
         assert m.ac_series[-1] == m.a_c
 
 

@@ -1,0 +1,273 @@
+"""The compiled kernel against its Python reference (``reference.py``):
+whole event logs on the golden and audited runs and on random small
+regions, and each rule on random neighborhoods, draw for draw."""
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference
+from gridswarm import SimParams, engine, parse_region, rules, run, square_region
+from gridswarm._build import kernel
+from gridswarm.agents import (
+    MODE_MOBILE,
+    MODE_SETTLED,
+    S_BEACON,
+    S_CLOSED_BEACON,
+    S_LOW_ENERGY,
+    S_MOBILE,
+    SENSE_EMPTY,
+    SENSE_WALL,
+    AgentRecord,
+    ParamError,
+)
+from test_engine import AUDITED
+from test_golden import GOLDEN, REGIONS
+
+
+def log_of(res) -> list[str]:
+    return [e.format() for e in res.events]
+
+
+def same_run(region, params):
+    """Assert the engine and the reference give the same log and metrics."""
+    got = run(region, params, log_events=True)
+    want = reference.reference_run(region, params)
+    assert log_of(got) == log_of(want)
+    assert got.metrics == want.metrics
+    return got
+
+
+def test_constants_agree_with_the_python_definitions():
+    from gridswarm import agents
+
+    for name in ("MODE_MOBILE", "MODE_SETTLED", "S_MOBILE", "S_BEACON",
+                 "S_CLOSED_BEACON", "S_LOW_ENERGY"):
+        assert getattr(kernel, name) == getattr(agents, name), name
+    for name in ("A_STAY", "A_MOVE", "A_SETTLE_HERE", "A_SETTLE_AT", "A_SHUTDOWN"):
+        assert getattr(kernel, name) == getattr(rules, name), name
+    assert kernel.ID_BITS == engine._ID_BITS == 32
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_run_equals_reference(name):
+    region, params, *_ = GOLDEN[name]
+    same_run(REGIONS[region](), SimParams(**params))
+
+
+@pytest.mark.parametrize("name", sorted(AUDITED))
+def test_audited_run_equals_reference(name):
+    side, kw = AUDITED[name]
+    same_run(square_region(side), SimParams(**kw))
+
+
+@pytest.mark.parametrize("name", ["sllg-a2-random", "slug-a2-random-alpha-fail",
+                                  "sltt-a2-adversarial-alpha-fail"])
+def test_wrapped_callables_see_every_wake(name, monkeypatch):
+    """Wrapped ``sense`` and decide callables, as a tracer installs them,
+    run through Python once per wake and leave the log unchanged."""
+    region, params, *_ = GOLDEN[name]
+    params = SimParams(**params)
+    plain = log_of(run(REGIONS[region](), params, log_events=True))
+    calls = {"sense": 0, "mobile": 0, "settled": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "sense", counted("sense", engine.sense))
+    mobile, settled = rules.REGISTRY[params.algorithm]
+    monkeypatch.setitem(rules.REGISTRY, params.algorithm,
+                        (counted("mobile", mobile), counted("settled", settled)))
+    assert log_of(run(REGIONS[region](), params, log_events=True)) == plain
+    assert calls["mobile"] > 0 and calls["settled"] > 0
+    assert calls["sense"] == calls["mobile"] + calls["settled"]
+
+
+@st.composite
+def small_regions(draw):
+    """A connected region on a grid of at most 9x9, walls elsewhere: a
+    random spanning tree of lattice cells, either as a maze (the tree's
+    cells at even coordinates, joined through the cell between) or as
+    the cells themselves."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    maze = draw(st.booleans())
+    w, h = draw(st.integers(2, 5 if maze else 9)), draw(st.integers(2, 5 if maze else 9))
+    size = draw(st.integers(w * h // 2, w * h))
+    start = (rnd.randrange(w), rnd.randrange(h))
+    tree, edges, opened = {start}, [], set()
+
+    def grow(c):
+        x, y = c
+        edges.extend((c, n) for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                     if 0 <= n[0] < w and 0 <= n[1] < h)
+
+    grow(start)
+    while len(tree) < size:
+        a, b = edges.pop(rnd.randrange(len(edges)))
+        if b not in tree:
+            tree.add(b)
+            opened.add((a, b))
+            grow(b)
+    if maze:
+        cells = {(2 * x, 2 * y) for x, y in tree}
+        cells |= {(a[0] + b[0], a[1] + b[1]) for a, b in opened}
+        width, height = 2 * w - 1, 2 * h - 1
+    else:
+        cells, width, height = tree, w, h
+    entry = rnd.choice(sorted(cells))
+    rows = [
+        "".join("E" if (x, y) == entry else "." if (x, y) in cells else "W"
+                for x in range(width))
+        for y in range(height)
+    ]
+    return parse_region("\n".join(rows) + "\n")
+
+
+@st.composite
+def run_params(draw):
+    e0 = draw(st.integers(5, 20).map(float) | st.floats(5.0, 20.0))
+    alpha = draw(st.just(0.0) | st.sampled_from([0.05, 0.125, 0.3]) | st.floats(0.01, 0.5))
+    return SimParams(
+        algorithm=draw(st.sampled_from(["sllg-ea", "slug-ea", "sltt-ea"])),
+        approach=draw(st.sampled_from([1, 2])),
+        scheduler=draw(st.sampled_from(["random", "adversarial"])),
+        e0=e0,
+        alpha=alpha,
+        ecrit_mobile=draw(st.sampled_from([1.0, 1.5])),
+        ecrit_settled=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        dt=draw(st.integers(1, 4)),
+        m=draw(st.sampled_from([1, 3, 1000])),
+        seed=draw(st.integers(0, 10_000)),
+        max_steps=300,
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(region=small_regions(), params=run_params())
+def test_random_region_run_equals_reference(region, params):
+    params.validate()
+    same_run(region, params)
+
+
+# -- one rule at a time --------------------------------------------------------
+
+COUNTERS = st.integers(0, 9)
+AGENT_SLOT = st.tuples(st.sampled_from([S_BEACON, S_CLOSED_BEACON, S_LOW_ENERGY]), COUNTERS)
+GROUND_SLOT = st.one_of(st.just(SENSE_EMPTY), st.just(SENSE_WALL), AGENT_SLOT)
+ENERGIES = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 9.0]) | st.floats(0.0, 12.0)
+DRAWS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.999999]) | st.floats(0.0, 0.9999999),
+                 min_size=4, max_size=4)
+
+
+class Draws:
+    """A draw callable serving fixed uniforms and counting them."""
+
+    def __init__(self, us):
+        self.us, self.n = us, 0
+
+    def __call__(self):
+        self.n += 1
+        return self.us[self.n - 1]
+
+
+@st.composite
+def mobile_case(draw):
+    ground = draw(st.lists(GROUND_SLOT, min_size=4, max_size=4))
+    air = [
+        SENSE_WALL if g == SENSE_WALL
+        else draw(st.just(SENSE_EMPTY) | st.tuples(st.just(S_MOBILE), COUNTERS))
+        for g in ground
+    ]
+    s2 = draw(COUNTERS)
+    own = draw(st.just(SENSE_EMPTY) | AGENT_SLOT)
+    xi = (own, *ground, (S_MOBILE, s2), *air)
+    a = AgentRecord(id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=0,
+                    energy=draw(ENERGIES), t_m=1)
+    return a, xi
+
+
+@st.composite
+def settled_case(draw):
+    s1 = draw(st.sampled_from([S_BEACON, S_CLOSED_BEACON, S_LOW_ENERGY]))
+    s2 = draw(COUNTERS)
+    ground = draw(st.lists(GROUND_SLOT, min_size=4, max_size=4))
+    xi = ((s1, s2), *ground) + (SENSE_EMPTY,) * 5
+    a = AgentRecord(id=1, mode=MODE_SETTLED, s1=s1, s2=s2, pos=0, energy=draw(ENERGIES))
+    return a, xi
+
+
+PARAMS = st.builds(SimParams, e0=st.integers(4, 12).map(float),
+                   ecrit_mobile=st.sampled_from([1.0, 1.5]),
+                   ecrit_settled=st.sampled_from([0.0, 1.0, 2.5]))
+
+
+@pytest.mark.parametrize("algorithm", sorted(rules.REGISTRY))
+@settings(max_examples=120, deadline=None)
+@given(case=mobile_case(), p=PARAMS, us=DRAWS)
+def test_mobile_rule_equals_reference(algorithm, case, p, us):
+    a, xi = case
+    got_draw, want_draw = Draws(us), Draws(us)
+    got = rules.REGISTRY[algorithm][0](a, xi, p, got_draw)
+    want = reference.REGISTRY[algorithm][0](a, xi, p, want_draw)
+    assert got == want
+    assert got_draw.n == want_draw.n
+
+
+@pytest.mark.parametrize("approach", [1, 2])
+@pytest.mark.parametrize("algorithm", sorted(rules.REGISTRY))
+@settings(max_examples=80, deadline=None)
+@given(case=settled_case(), p=PARAMS)
+def test_settled_rule_equals_reference(algorithm, approach, case, p):
+    a, xi = case
+    got = rules.REGISTRY[algorithm][1](a, xi, p, approach)
+    assert got == reference.REGISTRY[algorithm][1](a, xi, p, approach)
+
+
+class TestParameterTypes:
+    """Every parameter value ``validate`` accepts runs as in the reference:
+    ints for energies, a float ``approach``, and no energy a float
+    cannot hold (the kernel compares energies as floats)."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(e0=9, alpha=0, ecrit_settled=1),
+        dict(e0=9, alpha=1, ecrit_mobile=2),
+        dict(e0=9.5, alpha=0.125, approach=1.0),
+        dict(e0=19, alpha=0.25, approach=2.0),
+    ])
+    def test_runs_equal_reference(self, kw):
+        params = SimParams(dt=2, seed=3, algorithm="sllg-ea", **kw)
+        params.validate()
+        for algorithm in ("sllg-ea", "slug-ea", "sltt-ea"):
+            params.algorithm = algorithm
+            same_run(square_region(7), params)
+
+    @pytest.mark.parametrize("name", ["e0", "alpha", "ecrit_mobile", "ecrit_settled"])
+    def test_energy_a_float_cannot_hold_is_rejected(self, name):
+        value = {"e0": 12, "alpha": 0.5, "ecrit_mobile": 2, "ecrit_settled": 1}[name]
+        with pytest.raises(ParamError, match="float holds exactly"):
+            SimParams(**{name: Fraction(value) + Fraction(1, 10**20)}).validate()
+
+
+class TestWakeKeyWidth:
+    """A random sub-step is packed above a 32-bit id into a 64-bit key:
+    ``m`` up to 2**32 keeps every key exact, and more is refused."""
+
+    def test_m_above_2_32_is_rejected(self):
+        with pytest.raises(ParamError, match="2\\*\\*32"):
+            SimParams(m=2**32 + 1).validate()
+
+    def test_keys_at_m_2_32_equal_the_reference(self):
+        region = square_region(7)
+        params = SimParams(m=2**32, e0=9, dt=1, approach=2, seed=4)
+        sim = engine.Simulation(region, params)
+        us = [0.0, 0.5, 1.0 - 2.0**-53]
+        sim.draw = iter(us).__next__
+        keys = sim._wake_keys([1, 2, 3])
+        assert keys == [int(u * 2**32) << 32 | i for u, i in zip(us, (1, 2, 3))]
+        assert max(keys) >> 32 == 2**32 - 1
+        same_run(region, params)
