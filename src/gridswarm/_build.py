@@ -10,7 +10,9 @@ Building needs a C compiler (the interpreter's ``CC``, usually gcc) and
 the Python headers.  If the build fails, the import raises
 ``ImportError`` with the compiler's output: there is no fallback.
 
-To rebuild, delete the ``_kernel.*`` files in ``__pycache__``.
+A successful build deletes this interpreter's libraries of other
+sources from the cache; those of other interpreters stay.  To rebuild,
+delete the ``_kernel.*`` files in ``__pycache__``.
 """
 from __future__ import annotations
 
@@ -72,6 +74,25 @@ def build(source: Path, target: Path, cc: list[str]) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    remove_stale(target)
+
+
+def remove_stale(target: Path) -> None:
+    """Delete the libraries beside ``target`` that this interpreter built
+    from other sources: ``_kernel.<hash><SUFFIX>``, ``<hash>`` without a
+    dot, so another interpreter's ``_kernel.<hash>.<its suffix>`` stays."""
+    for path in target.parent.iterdir():
+        name = path.name
+        if (
+            path != target
+            and name.startswith("_kernel.")
+            and name.endswith(SUFFIX)
+            and "." not in name[len("_kernel.") : -len(SUFFIX)]
+        ):
+            try:
+                path.unlink()
+            except OSError:  # another process may have removed it first
+                pass
 
 
 def load(source: Path = SOURCE, cache: Path = CACHE, cc: list[str] | None = None) -> ModuleType:

@@ -1,13 +1,28 @@
 /* The per-wake hot path of gridswarm, compiled.
 
    This module holds sensing, the six decide rules, the body of
-   ``Simulation._wake`` (wake keys, the sorted wake order read by a
-   cursor, the mobile and settled branches), the marking of settled
-   agents whose ground neighborhood changed, and the event-log line
-   formatter.  It works on the engine's own Python objects: the
-   ``AgentRecord``s, the per-cell views ``gview`` and ``aview``, the
-   ``Action``s and ``Event``s, and the seeded draw callable, so every
-   trajectory is the one the Python definitions give, draw for draw.
+   ``Simulation._wake`` (wake keys, the wake order, the mobile and
+   settled branches), the marking of settled agents whose ground
+   neighborhood changed, and the event-log line formatter.
+
+   It accepts the engine's own types and no others: agents are
+   ``AgentRecord``s, read and written straight through their slots; the
+   per-cell views ``gview`` and ``aview`` and ``ground`` are lists; the
+   region's ``neighbors`` and ``distances`` are tuples or lists; a sensed
+   slot is ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of
+   ints; an ``Event`` has int fields, a str action and an int or float
+   energy.  Anything else raises ``TypeError``.  The run's energy
+   parameters are read as doubles, and every energy the kernel stores is
+   a Python float, so every trajectory is the one the Python definitions
+   give, draw for draw.
+
+   The wake order of a step is the kernel's own: a sorted array of keys
+   read by a cursor and a byte per agent id, both sized at the agents of
+   the step's start (each agent wakes at most once a step, and none
+   enters during the wakes).  ``Simulation._apply_mobile(a, act, t)``
+   settles or shuts an agent down; the kernel then marks the settler's
+   cell itself, so a settled neighbor whose wake is still ahead wakes
+   into the change.
 
    ``_build.py`` compiles it on first import.  ``engine.py`` hands it
    the Python classes it needs through ``bind``.
@@ -28,6 +43,8 @@
 enum { MODE_MOBILE = 0, MODE_SETTLED = 1 };
 enum { S_MOBILE = 0, S_BEACON = 1, S_CLOSED_BEACON = 2, S_LOW_ENERGY = 3 };
 enum { A_STAY = 0, A_MOVE = 1, A_SETTLE_HERE = 2, A_SETTLE_AT = 3, A_SHUTDOWN = 4 };
+static const char *const MODE_TEXT[] = {"mobile", "settled", "shutdown", "failed"};
+static const char *const S1_TEXT[] = {"mobile", "beacon", "closed_beacon", "low_energy"};
 
 /* Wake keys pack the sub-step above the agent id. */
 #define ID_BITS 32
@@ -56,12 +73,9 @@ static PyObject *STR_MOVE, *STR_TRANSITION;
 
 /* Set by ``bind``. */
 static PyTypeObject *Record;      /* AgentRecord */
-static Py_ssize_t rec_off[NF];    /* its slot offsets, if all are plain slots */
-static int rec_fast;
+static Py_ssize_t rec_off[NF];    /* its slot offsets */
 static PyTypeObject *EventType;
-static PyObject *InvariantError, *action_fn, *mode_names, *s1_names;
-static const char *s1_text[4];
-static Py_ssize_t s1_len[4];
+static PyObject *InvariantError, *action_fn;
 
 /* This module's own sense and rules, told apart from wrappers by identity. */
 enum { R_SLLG, R_SLUG, R_SLTT, NR };
@@ -69,19 +83,30 @@ static PyObject *own_sense, *own_mobile[NR], *own_settled[NR];
 
 /* -- AgentRecord fields -------------------------------------------------- */
 
-/* New reference to field ``f`` of ``a``: read straight off the slot of an
-   AgentRecord, through getattr for anything else. */
+/* The slot of field ``f`` of ``a``, or NULL if ``a`` is no AgentRecord. */
+static PyObject **
+rslot(PyObject *a, int f)
+{
+    if (Record == NULL || Py_TYPE(a) != Record) {
+        PyErr_Format(PyExc_TypeError, "expected an AgentRecord, got %.100s", Py_TYPE(a)->tp_name);
+        return NULL;
+    }
+    return (PyObject **)((char *)a + rec_off[f]);
+}
+
+/* New reference to field ``f`` of ``a``. */
 static PyObject *
 rget(PyObject *a, int f)
 {
-    if (rec_fast && Py_TYPE(a) == Record) {
-        PyObject *v = *(PyObject **)((char *)a + rec_off[f]);
-        if (v != NULL) {
-            Py_INCREF(v);
-            return v;
-        }
+    PyObject **slot = rslot(a, f);
+    if (slot == NULL)
+        return NULL;
+    if (*slot == NULL) {
+        PyErr_SetObject(PyExc_AttributeError, NAME[f]);
+        return NULL;
     }
-    return PyObject_GetAttr(a, NAME[f]);
+    Py_INCREF(*slot);
+    return *slot;
 }
 
 static int
@@ -110,15 +135,12 @@ rget_double(PyObject *a, int f, double *out)
 static int
 rset(PyObject *a, int f, PyObject *v)
 {
-    if (rec_fast && Py_TYPE(a) == Record) {
-        PyObject **slot = (PyObject **)((char *)a + rec_off[f]);
-        PyObject *old = *slot;
-        Py_INCREF(v);
-        *slot = v;
-        Py_XDECREF(old);
-        return 0;
-    }
-    return PyObject_SetAttr(a, NAME[f], v);
+    PyObject **slot = rslot(a, f);
+    if (slot == NULL)
+        return -1;
+    Py_INCREF(v);
+    Py_XSETREF(*slot, v);
+    return 0;
 }
 
 /* As ``rset``, but steals ``v``, which may be NULL after a failed call. */
@@ -191,34 +213,32 @@ list_set(PyObject *list, long i, PyObject *v)
     return 0;
 }
 
-/* New reference to item ``i`` of any sequence, Python indexing. */
+/* New reference to item ``i`` of a tuple or a list, Python indexing. */
 static PyObject *
 seq_item(PyObject *seq, long i)
 {
-    if (PyTuple_CheckExact(seq)) {
-        Py_ssize_t n = PyTuple_GET_SIZE(seq);
-        if (i < 0)
-            i += n;
-        if (i < 0 || i >= n) {
-            PyErr_SetString(PyExc_IndexError, "tuple index out of range");
-            return NULL;
-        }
-        Py_INCREF(PyTuple_GET_ITEM(seq, i));
-        return PyTuple_GET_ITEM(seq, i);
-    }
+    Py_ssize_t n;
+    PyObject *v;
     if (PyList_CheckExact(seq)) {
-        PyObject *v = list_item(seq, i);
+        v = list_item(seq, i);
         Py_XINCREF(v);
         return v;
     }
-    {
-        PyObject *idx = PyLong_FromLong(i), *v;
-        if (idx == NULL)
-            return NULL;
-        v = PyObject_GetItem(seq, idx);
-        Py_DECREF(idx);
-        return v;
+    if (!PyTuple_CheckExact(seq)) {
+        PyErr_Format(PyExc_TypeError, "expected a tuple or a list, got %.100s",
+                     Py_TYPE(seq)->tp_name);
+        return NULL;
     }
+    n = PyTuple_GET_SIZE(seq);
+    if (i < 0)
+        i += n;
+    if (i < 0 || i >= n) {
+        PyErr_SetString(PyExc_IndexError, "tuple index out of range");
+        return NULL;
+    }
+    v = PyTuple_GET_ITEM(seq, i);
+    Py_INCREF(v);
+    return v;
 }
 
 static int
@@ -243,7 +263,6 @@ typedef struct {
 static int
 decode(PyObject *o, slot_t *s)
 {
-    int r;
     if (o == EMPTY) {
         s->kind = K_EMPTY;
         return 0;
@@ -260,15 +279,9 @@ decode(PyObject *o, slot_t *s)
         s->kind = K_WALL;
         return 0;
     }
-    r = PyObject_RichCompareBool(o, EMPTY, Py_EQ);
-    if (r)
-        s->kind = K_EMPTY;
-    else if (r == 0 && (r = PyObject_RichCompareBool(o, WALL, Py_EQ)) > 0)
-        s->kind = K_WALL;
-    else if (r == 0)
-        PyErr_Format(PyExc_TypeError,
-                     "a sensed slot is SENSE_EMPTY, SENSE_WALL or an (s1, s2) pair, not %R", o);
-    return r > 0 ? 0 : -1;
+    PyErr_Format(PyExc_TypeError,
+                 "a sensed slot is SENSE_EMPTY, SENSE_WALL or an (s1, s2) pair, not %R", o);
+    return -1;
 }
 
 /* Slots the rules read: a mobile reads all but its own air (slot 5), a
@@ -740,14 +753,14 @@ gather(PyObject *neighbors, PyObject *gview, PyObject *aview, PyObject *a, long 
     PyObject *nb;
     int i;
     if (mode != MODE_MOBILE && mode != MODE_SETTLED) {
-        PyObject *id = rget(a, F_ID), *m = rget(a, F_MODE), *name = NULL;
-        if (id && m && mode_names && PyDict_Check(mode_names))
-            name = PyDict_GetItemWithError(mode_names, m);
-        if (id && m && !PyErr_Occurred())
-            PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %S", id,
-                         name ? name : m);
-        Py_XDECREF(id);
-        Py_XDECREF(m);
+        PyObject *id = rget(a, F_ID);
+        if (id == NULL)
+            return -1;
+        if (mode >= 0 && mode < 4)
+            PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %s", id, MODE_TEXT[mode]);
+        else
+            PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %ld", id, mode);
+        Py_DECREF(id);
         return -1;
     }
     if (rget_long(a, F_POS, &pos) < 0 || (nb = seq_item(neighbors, pos)) == NULL)
@@ -809,9 +822,9 @@ k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 
 typedef struct {
     PyObject *sim, *p, *agents, *ground, *gview, *aview, *stale, *mobile_ids;
-    PyObject *neighbors, *distances, *draw, *batch, *e0, *alpha, *approach;
+    PyObject *neighbors, *distances, *draw, *batch, *approach;
     int approach1, adversarial;
-    double m;
+    double m, e0, alpha;
     ctx_t ctx;
 } world_t;
 
@@ -829,8 +842,6 @@ world_close(world_t *w)
     Py_CLEAR(w->distances);
     Py_CLEAR(w->draw);
     Py_CLEAR(w->batch);
-    Py_CLEAR(w->e0);
-    Py_CLEAR(w->alpha);
     Py_CLEAR(w->approach);
 }
 
@@ -846,8 +857,7 @@ world_open(world_t *w, PyObject *sim)
     if (!(GET(p, sim, N_P) && GET(agents, sim, N_AGENTS) && GET(ground, sim, N_GROUND)
           && GET(gview, sim, N_GVIEW) && GET(aview, sim, N_AVIEW) && GET(stale, sim, N_STALE)
           && GET(mobile_ids, sim, N_MOBILE_IDS) && GET(draw, sim, N_DRAW)
-          && GET(batch, sim, N_BATCH) && GET(e0, w->p, N_E0) && GET(alpha, w->p, N_ALPHA)
-          && GET(approach, w->p, N_APPROACH)))
+          && GET(batch, sim, N_BATCH) && GET(approach, w->p, N_APPROACH)))
         goto error;
 #undef GET
     if (w->batch == Py_None)
@@ -870,7 +880,8 @@ world_open(world_t *w, PyObject *sim)
         goto error;
     w->adversarial = r;
     if ((w->approach1 = PyObject_RichCompareBool(w->approach, ONE, Py_EQ)) < 0
-        || attr_double(w->p, N_M, &w->m) < 0
+        || attr_double(w->p, N_M, &w->m) < 0 || attr_double(w->p, N_E0, &w->e0) < 0
+        || attr_double(w->p, N_ALPHA, &w->alpha) < 0
         || attr_double(w->p, N_ECRIT_MOBILE, &w->ctx.ecrit_mobile) < 0
         || attr_double(w->p, N_ECRIT_SETTLED, &w->ctx.ecrit_settled) < 0)
         goto error;
@@ -917,48 +928,67 @@ wake_key(world_t *w, long aid, uint64_t *key)
     return 0;
 }
 
-static int
-key_of(PyObject *o, uint64_t *key)
+/* The wake order of one step: ``keys[cur:n]`` are the wakes still ahead,
+   in order, and ``scheduled[id]`` is 1 for an agent that has a key this
+   step.  Both are sized at the agents of the step's start: each of them
+   has at most one key a step. */
+typedef struct {
+    uint64_t *keys;
+    unsigned char *scheduled;
+    Py_ssize_t n, cur, n_ids;
+} order_t;
+
+static void
+order_free(order_t *o)
 {
-    *key = PyLong_AsUnsignedLongLong(o);
-    return (*key == (uint64_t)-1 && PyErr_Occurred()) ? -1 : 0;
+    PyMem_Free(o->keys);
+    PyMem_Free(o->scheduled);
 }
 
-/* ``bisect.insort`` of ``key`` into the sorted wake order. */
+/* Note that agent ``aid`` has a key this step. */
 static int
-insort(PyObject *order, uint64_t key)
+admit(order_t *o, long aid)
 {
-    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(order), mid;
-    PyObject *k;
-    uint64_t v;
-    int r;
+    if (aid < 1 || aid > o->n_ids || o->scheduled[aid]) {
+        PyErr_Format(InvariantError, "agent %ld cannot join this step's wake order", aid);
+        return -1;
+    }
+    o->scheduled[aid] = 1;
+    return 0;
+}
+
+/* Insert ``key`` of agent ``aid`` after the cursor, in order. */
+static int
+insort(order_t *o, long aid, uint64_t key)
+{
+    Py_ssize_t lo = o->cur, hi = o->n, mid;
+    if (admit(o, aid) < 0)
+        return -1;
     while (lo < hi) {
         mid = (lo + hi) / 2;
-        if (key_of(PyList_GET_ITEM(order, mid), &v) < 0)
-            return -1;
-        if (key < v)
+        if (key < o->keys[mid])
             hi = mid;
         else
             lo = mid + 1;
     }
-    if ((k = PyLong_FromUnsignedLongLong(key)) == NULL)
-        return -1;
-    r = PyList_Insert(order, lo, k);
-    Py_DECREF(k);
-    return r;
+    memmove(o->keys + lo + 1, o->keys + lo, sizeof(uint64_t) * (size_t)(o->n - lo));
+    o->keys[lo] = key;
+    o->n++;
+    return 0;
 }
 
 /* A cell's projected ground state changed: its settled occupant and
-   settled neighbors that are not low-energy become stale.  With a wake
-   order (``order`` not NULL), one whose wake this step is still ahead of
-   ``cur_key`` is inserted into it and wakes into the change now. */
+   settled neighbors that are not low-energy become stale.  During a wake
+   (``order`` not NULL), one whose key this step would come after the
+   waking agent's is inserted into the order and wakes into the change
+   now. */
 static int
-mark(world_t *w, long cell, uint64_t cur_key, PyObject *order, PyObject *scheduled)
+mark(world_t *w, long cell, order_t *order)
 {
     long cells[5], gid, s1;
     uint64_t key;
     PyObject *nb, *gid_obj, *g;
-    int i, r;
+    int i;
     if ((nb = seq_item(w->neighbors, cell)) == NULL)
         return -1;
     cells[0] = cell;
@@ -982,15 +1012,12 @@ mark(world_t *w, long cell, uint64_t cur_key, PyObject *order, PyObject *schedul
             return -1;
         if (s1 == S_LOW_ENERGY)
             continue;
-        Py_INCREF(gid_obj);  /* the ground may not outlive the calls below */
-        r = PySet_Add(w->stale, gid_obj);
-        if (r == 0 && order != NULL && (r = PySet_Contains(scheduled, gid_obj)) == 0) {
-            r = wake_key(w, gid, &key);
-            if (r == 0 && key > cur_key && (r = PySet_Add(scheduled, gid_obj)) == 0)
-                r = insort(order, key);
-        }
-        Py_DECREF(gid_obj);
-        if (r < 0)
+        if (PySet_Add(w->stale, gid_obj) < 0)
+            return -1;
+        if (order == NULL || (gid <= order->n_ids && order->scheduled[gid]))
+            continue;
+        if (wake_key(w, gid, &key) < 0
+            || (key > order->keys[order->cur - 1] && insort(order, gid, key) < 0))
             return -1;
     }
     return 0;
@@ -1001,26 +1028,13 @@ k_mark_ground_change(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n
 {
     world_t w;
     long cell;
-    uint64_t cur_key = 0;
-    PyObject *order = NULL;
     int r;
-    if (check_args("mark_ground_change", nargs, 5) < 0)
+    if (check_args("mark_ground_change", nargs, 2) < 0)
         return NULL;
     cell = PyLong_AsLong(args[1]);
-    if (cell == -1 && PyErr_Occurred())
+    if ((cell == -1 && PyErr_Occurred()) || world_open(&w, args[0]) < 0)
         return NULL;
-    if (args[3] != Py_None) {
-        if (!PyList_Check(args[3]) || !PySet_Check(args[4])) {
-            PyErr_SetString(PyExc_TypeError, "the wake order is a list and its agents a set");
-            return NULL;
-        }
-        if (key_of(args[2], &cur_key) < 0)
-            return NULL;
-        order = args[3];
-    }
-    if (world_open(&w, args[0]) < 0)
-        return NULL;
-    r = mark(&w, cell, cur_key, order, args[4]);
+    r = mark(&w, cell, NULL);
     world_close(&w);
     if (r < 0)
         return NULL;
@@ -1061,52 +1075,26 @@ k_wake_keys(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 
 /* -- energy -------------------------------------------------------------- */
 
-/* ``e0 - t_m - alpha * t_s``: the settled ledger, in doubles when both
-   parameters are floats (each int here is below 2**53, so exact). */
+/* ``e0 - t_m - alpha * t_s``: the settled ledger (each int here is below
+   2**53, so exact as a double). */
 static PyObject *
-settled_energy(PyObject *e0, PyObject *alpha, PyObject *t_m, long tm, PyObject *t_s, long ts)
+settled_energy(double e0, double alpha, long tm, long ts)
 {
-    PyObject *x, *y, *r;
-    if (PyFloat_CheckExact(e0) && PyFloat_CheckExact(alpha))
-        return PyFloat_FromDouble((PyFloat_AS_DOUBLE(e0) - (double)tm)
-                                  - PyFloat_AS_DOUBLE(alpha) * (double)ts);
-    if ((x = PyNumber_Subtract(e0, t_m)) == NULL)
-        return NULL;
-    if ((y = PyNumber_Multiply(alpha, t_s)) == NULL) {
-        Py_DECREF(x);
-        return NULL;
-    }
-    r = PyNumber_Subtract(x, y);
-    Py_DECREF(x);
-    Py_DECREF(y);
-    return r;
+    return PyFloat_FromDouble((e0 - (double)tm) - alpha * (double)ts);
 }
 
 static PyObject *
 k_settled_energy(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
+    double e0, alpha;
     long tm, ts;
-    if (check_args("settled_energy", nargs, 4) < 0)
+    if (check_args("settled_energy", nargs, 4) < 0
+        || ((e0 = PyFloat_AsDouble(args[0])) == -1.0 && PyErr_Occurred())
+        || ((tm = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
+        || ((alpha = PyFloat_AsDouble(args[2])) == -1.0 && PyErr_Occurred())
+        || ((ts = PyLong_AsLong(args[3])) == -1 && PyErr_Occurred()))
         return NULL;
-    tm = PyLong_AsLong(args[1]);
-    ts = PyLong_AsLong(args[3]);
-    if ((tm == -1 || ts == -1) && PyErr_Occurred())
-        return NULL;
-    return settled_energy(args[0], args[2], args[1], tm, args[3], ts);
-}
-
-/* ``e0 - t_m``: a mobile has no settled steps. */
-static PyObject *
-mobile_energy(PyObject *e0, long tm)
-{
-    PyObject *t, *r;
-    if (PyFloat_CheckExact(e0))
-        return PyFloat_FromDouble(PyFloat_AS_DOUBLE(e0) - (double)tm);
-    if ((t = PyLong_FromLong(tm)) == NULL)
-        return NULL;
-    r = PyNumber_Subtract(e0, t);
-    Py_DECREF(t);
-    return r;
+    return settled_energy(e0, alpha, tm, ts);
 }
 
 /* -- events -------------------------------------------------------------- */
@@ -1125,6 +1113,9 @@ emit(world_t *w, PyObject *const *fields)
         Py_INCREF(fields[i]);
         PyTuple_SET_ITEM(ev, i, fields[i]);
     }
+    /* Ints, a str and a float cannot form a cycle: keep the log out of
+       the collector's walks. */
+    PyObject_GC_UnTrack(ev);
     r = PyList_Append(w->batch, ev);
     Py_DECREF(ev);
     return r;
@@ -1134,7 +1125,8 @@ emit(world_t *w, PyObject *const *fields)
 
 typedef struct {
     world_t *w;
-    PyObject *t, *sense, *mobile_decide, *settled_decide, *apply_mobile, *order, *scheduled;
+    PyObject *t, *sense, *mobile_decide, *settled_decide, *apply_mobile;
+    order_t order;
     long t_l;
     int own_sense, mobile_r, settled_r;  /* -1: a callable of Python's */
 } wake_t;
@@ -1166,7 +1158,7 @@ wake_sense(wake_t *k, PyObject *a, long mode, int rule, slot_t *sl, int mask)
 }
 
 static int
-wake_mobile(wake_t *k, PyObject *a, PyObject *key)
+wake_mobile(wake_t *k, PyObject *a)
 {
     world_t *w = k->w;
     slot_t sl[10];
@@ -1235,19 +1227,22 @@ wake_mobile(wake_t *k, PyObject *a, PyObject *key)
                 goto done;
         }
     }
-    else if (kind != A_STAY) {
-        PyObject *args[6], *res;
+    else if (kind != A_STAY) {  /* shut down or settle */
+        PyObject *args[3], *res;
         if (action == NULL && (action = make_action(&out)) == NULL)
             goto done;
-        args[0] = a, args[1] = action, args[2] = k->t, args[3] = key;
-        args[4] = k->order, args[5] = k->scheduled;
-        if ((res = PyObject_Vectorcall(k->apply_mobile, args, 6, NULL)) == NULL)
+        args[0] = a, args[1] = action, args[2] = k->t;
+        if ((res = PyObject_Vectorcall(k->apply_mobile, args, 3, NULL)) == NULL)
             goto done;
         Py_DECREF(res);
+        if (kind != A_SHUTDOWN  /* a settler changed its cell's ground */
+            && (rget_long(a, F_POS, &dst_l) < 0 || mark(w, dst_l, &k->order) < 0))
+            goto done;
     }
-    /* The movement tick of this step, whatever the agent did. */
+    /* The movement tick of this step, whatever the agent did; a mobile
+       has no settled steps. */
     if (rget_long(a, F_TM, &tm) < 0 || rset_new(a, F_TM, PyLong_FromLong(tm + 1)) < 0
-        || rset_new(a, F_ENERGY, mobile_energy(w->e0, tm + 1)) < 0)
+        || rset_new(a, F_ENERGY, PyFloat_FromDouble(w->e0 - (double)(tm + 1))) < 0)
         goto done;
     r = 0;
 done:
@@ -1263,33 +1258,19 @@ done:
 }
 
 static int
-wake_settled(wake_t *k, PyObject *a, long mode, uint64_t key)
+wake_settled(wake_t *k, PyObject *a, long mode)
 {
     world_t *w = k->w;
     slot_t sl[10];
     PyObject *xi, *new_s1 = NULL, *id = NULL, *s1 = NULL, *pos = NULL, *s2 = NULL;
     PyObject *energy = NULL, *pair;
-    long old_l, new_l, pos_l;
+    long old_l, new_l, pos_l, tm, ss;
     int r = -1, ne, d;
 
-    if (mode == MODE_SETTLED) {  /* materialize the lazily tracked energy */
-        PyObject *tm_o = rget(a, F_TM), *ss_o = rget(a, F_SETTLE), *ts_o = NULL;
-        long tm, ss;
-        int bad = tm_o == NULL || ss_o == NULL;
-        if (!bad) {
-            tm = PyLong_AsLong(tm_o);
-            ss = PyLong_AsLong(ss_o);
-            bad = ((tm == -1 || ss == -1) && PyErr_Occurred())
-                  || (ts_o = PyLong_FromLong(k->t_l - 1 - ss)) == NULL
-                  || rset_new(a, F_ENERGY,
-                              settled_energy(w->e0, w->alpha, tm_o, tm, ts_o, k->t_l - 1 - ss)) < 0;
-        }
-        Py_XDECREF(tm_o);
-        Py_XDECREF(ss_o);
-        Py_XDECREF(ts_o);
-        if (bad)
-            return -1;
-    }
+    if (mode == MODE_SETTLED  /* materialize the lazily tracked energy */
+        && (rget_long(a, F_TM, &tm) < 0 || rget_long(a, F_SETTLE, &ss) < 0
+            || rset_new(a, F_ENERGY, settled_energy(w->e0, w->alpha, tm, k->t_l - 1 - ss)) < 0))
+        return -1;
     if ((xi = wake_sense(k, a, mode, k->settled_r, sl, SETTLED_SLOTS)) == NULL)
         return -1;
     if (k->settled_r >= 0) {
@@ -1341,7 +1322,7 @@ wake_settled(wake_t *k, PyObject *a, long mode, uint64_t key)
             if (emit(w, fields) < 0)
                 goto done;
         }
-        if (mark(w, pos_l, key, k->order, k->scheduled) < 0)
+        if (mark(w, pos_l, &k->order) < 0)
             goto done;
     }
     r = 0;
@@ -1366,15 +1347,10 @@ rule_index(PyObject *f, PyObject *const *own)
     return -1;
 }
 
-typedef struct {
-    long id;
-    PyObject *obj;  /* borrowed from mobile_ids or stale */
-} cand_t;
-
 static int
-cmp_cand(const void *x, const void *y)
+cmp_long(const void *x, const void *y)
 {
-    long a = ((const cand_t *)x)->id, b = ((const cand_t *)y)->id;
+    long a = *(const long *)x, b = *(const long *)y;
     return (a > b) - (a < b);
 }
 
@@ -1385,70 +1361,56 @@ cmp_key(const void *x, const void *y)
     return (a > b) - (a < b);
 }
 
-/* This step's wake order and the set of its agents: all mobiles plus the
-   stale settled agents, keyed in id order (``mobile_ids`` order when
-   none is stale), as a sorted list of keys. */
+/* This step's wake order: all mobiles plus the stale settled agents,
+   keyed in id order (``mobile_ids`` order when none is stale), sorted;
+   ``order_free`` after, also on failure. */
 static int
-wake_order(world_t *w, PyObject **order, PyObject **scheduled)
+wake_order(world_t *w, order_t *o)
 {
     Py_ssize_t n_mob, n_stale, n, i = 0;
-    cand_t *cand = NULL;
-    uint64_t *keys = NULL;
+    long *ids = NULL;
     PyObject *it = NULL, *item;
     int r = -1;
 
-    if (!PyList_Check(w->mobile_ids) || !PySet_Check(w->stale)) {
-        PyErr_SetString(PyExc_TypeError, "mobile_ids must be a list and stale a set");
+    memset(o, 0, sizeof(*o));
+    if (!PyList_Check(w->agents) || !PyList_Check(w->mobile_ids) || !PySet_Check(w->stale)) {
+        PyErr_SetString(PyExc_TypeError, "agents and mobile_ids must be lists and stale a set");
         return -1;
     }
     n_mob = PyList_GET_SIZE(w->mobile_ids);
     n_stale = PySet_GET_SIZE(w->stale);
     n = n_mob + n_stale;
-    *order = *scheduled = NULL;
-    cand = PyMem_Malloc(sizeof(cand_t) * (n ? n : 1));
-    keys = PyMem_Malloc(sizeof(uint64_t) * (n ? n : 1));
-    if (cand == NULL || keys == NULL) {
+    o->n_ids = PyList_GET_SIZE(w->agents);
+    o->keys = PyMem_Malloc(sizeof(uint64_t) * (size_t)(o->n_ids ? o->n_ids : 1));
+    o->scheduled = PyMem_Calloc((size_t)o->n_ids + 1, 1);
+    ids = PyMem_Malloc(sizeof(long) * (size_t)(n ? n : 1));
+    if (o->keys == NULL || o->scheduled == NULL || ids == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (i = 0; i < n_mob; i++)
-        cand[i].obj = PyList_GET_ITEM(w->mobile_ids, i);
+        if ((ids[i] = PyLong_AsLong(PyList_GET_ITEM(w->mobile_ids, i))) == -1 && PyErr_Occurred())
+            goto done;
     if ((it = PyObject_GetIter(w->stale)) == NULL)
         goto done;
     while (i < n && (item = PyIter_Next(it)) != NULL) {
-        cand[i++].obj = item;
-        Py_DECREF(item);  /* the set keeps it */
+        ids[i] = PyLong_AsLong(item);
+        Py_DECREF(item);
+        if (ids[i++] == -1 && PyErr_Occurred())
+            goto done;
     }
     if (PyErr_Occurred())
         goto done;
-    for (i = 0; i < n; i++)
-        if ((cand[i].id = PyLong_AsLong(cand[i].obj)) == -1 && PyErr_Occurred())
-            goto done;
     if (n_stale)
-        qsort(cand, (size_t)n, sizeof(cand_t), cmp_cand);
-    if ((*scheduled = PySet_New(NULL)) == NULL)
-        goto done;
+        qsort(ids, (size_t)n, sizeof(long), cmp_long);
     for (i = 0; i < n; i++)
-        if (wake_key(w, cand[i].id, &keys[i]) < 0 || PySet_Add(*scheduled, cand[i].obj) < 0)
+        if (admit(o, ids[i]) < 0 || wake_key(w, ids[i], &o->keys[o->n++]) < 0)
             goto done;
-    qsort(keys, (size_t)n, sizeof(uint64_t), cmp_key);
-    if ((*order = PyList_New(n)) == NULL)
-        goto done;
-    for (i = 0; i < n; i++) {
-        PyObject *k = PyLong_FromUnsignedLongLong(keys[i]);
-        if (k == NULL)
-            goto done;
-        PyList_SET_ITEM(*order, i, k);
-    }
+    qsort(o->keys, (size_t)o->n, sizeof(uint64_t), cmp_key);
     r = 0;
 done:
     Py_XDECREF(it);
-    PyMem_Free(cand);
-    PyMem_Free(keys);
-    if (r < 0) {
-        Py_CLEAR(*order);
-        Py_CLEAR(*scheduled);
-    }
+    PyMem_Free(ids);
     return r;
 }
 
@@ -1457,11 +1419,11 @@ k_wake(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
     world_t w;
     wake_t k;
-    Py_ssize_t cur = 0;
-    int r = 0;
+    int r;
 
     if (check_args("wake", nargs, 6) < 0 || world_open(&w, args[0]) < 0)
         return NULL;
+    memset(&k, 0, sizeof(k));
     k.w = &w;
     k.t = args[1];
     k.sense = args[2];
@@ -1472,30 +1434,23 @@ k_wake(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
     k.mobile_r = rule_index(k.mobile_decide, own_mobile);
     k.settled_r = rule_index(k.settled_decide, own_settled);
     k.t_l = PyLong_AsLong(k.t);
-    if ((k.t_l == -1 && PyErr_Occurred()) || wake_order(&w, &k.order, &k.scheduled) < 0) {
-        world_close(&w);
-        return NULL;
-    }
-    /* The list may grow behind the cursor's back: only after it. */
-    while (r == 0 && cur < PyList_GET_SIZE(k.order)) {
-        PyObject *key = PyList_GET_ITEM(k.order, cur++), *a;
-        uint64_t key_u;
+    r = (k.t_l == -1 && PyErr_Occurred()) ? -1 : wake_order(&w, &k.order);
+    /* The order may grow behind the cursor's back: only after it. */
+    while (r == 0 && k.order.cur < k.order.n) {
+        uint64_t key = k.order.keys[k.order.cur++];
+        PyObject *a = list_item(w.agents, (long)(key & ID_MASK) - 1);
         long mode;
-        Py_INCREF(key);
-        r = key_of(key, &key_u);
-        if (r == 0 && (a = list_item(w.agents, (long)(key_u & ID_MASK) - 1)) != NULL) {
-            Py_INCREF(a);
-            r = rget_long(a, F_MODE, &mode);
-            if (r == 0)
-                r = mode == MODE_MOBILE ? wake_mobile(&k, a, key) : wake_settled(&k, a, mode, key_u);
-            Py_DECREF(a);
-        }
-        else
+        if (a == NULL) {
             r = -1;
-        Py_DECREF(key);
+            break;
+        }
+        Py_INCREF(a);
+        r = rget_long(a, F_MODE, &mode);
+        if (r == 0)
+            r = mode == MODE_MOBILE ? wake_mobile(&k, a) : wake_settled(&k, a, mode);
+        Py_DECREF(a);
     }
-    Py_DECREF(k.order);
-    Py_DECREF(k.scheduled);
+    order_free(&k.order);
     world_close(&w);
     if (r < 0)
         return NULL;
@@ -1553,159 +1508,65 @@ put_ll(char *p, long long v)
     return p + (tmp + sizeof(tmp) - q);
 }
 
-static int
-sb_ll(sbuf *b, long long v)
-{
-    if (sb_reserve(b, 24) < 0)
-        return -1;
-    b->len = put_ll(b->buf + b->len, v) - b->buf;
-    return 0;
-}
-
-static int
-sb_str(sbuf *b, PyObject *s)
-{
-    Py_ssize_t n;
-    const char *u = PyUnicode_AsUTF8AndSize(s, &n);
-    return u == NULL ? -1 : sb_put(b, u, n);
-}
-
-/* ``format(o, spec)`` appended; spec "" is str() for the usual types. */
-static int
-sb_format(sbuf *b, PyObject *o, const char *spec)
-{
-    PyObject *sp = PyUnicode_FromString(spec), *s;
-    int r = -1;
-    if (sp != NULL && (s = PyObject_Format(o, sp)) != NULL) {
-        r = sb_str(b, s);
-        Py_DECREF(s);
-    }
-    Py_XDECREF(sp);
-    return r;
-}
-
-/* An int field as ``f"{o}"`` gives it. */
-static int
-sb_int(sbuf *b, PyObject *o)
-{
-    if (PyLong_CheckExact(o)) {
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
-        if (!overflow)
-            return (v == -1 && PyErr_Occurred()) ? -1 : sb_ll(b, v);
-    }
-    return sb_format(b, o, "");
-}
-
-/* A cell field: ``-`` when negative. */
-static int
-sb_cell(sbuf *b, PyObject *o)
-{
-    static PyObject *zero;
-    int neg;
-    if (PyLong_CheckExact(o)) {
-        int overflow;
-        long long v = PyLong_AsLongLongAndOverflow(o, &overflow);
-        if (!overflow)
-            return (v == -1 && PyErr_Occurred()) ? -1 : v < 0 ? sb_put(b, "-", 1) : sb_ll(b, v);
-    }
-    if (zero == NULL && (zero = PyLong_FromLong(0)) == NULL)
-        return -1;
-    if ((neg = PyObject_RichCompareBool(o, zero, Py_LT)) < 0)
-        return -1;
-    return neg ? sb_put(b, "-", 1) : sb_format(b, o, "");
-}
-
-/* ``f"{x:g}"`` of a float.  An integral value below 1e6 prints as the
-   integer (with the sign of a zero); anything else goes through
+/* One event-log line, ``t,agent,action,from,to,s1,s2,E``, no newline: a
+   cell of ``-1`` prints as ``-``, ``s1`` by name and ``E`` as
+   ``f"{E:g}"``.  An integral ``E`` below 1e6 prints as the integer (with
+   the sign of a zero); anything else goes through
    ``PyOS_double_to_string``, which is what ``format`` calls. */
 static int
-sb_g(sbuf *b, double x)
+format_line(sbuf *b, PyObject *ev)
 {
-    char *s;
-    int r;
-    if (x == floor(x) && fabs(x) < 1e6) {
-        if (x == 0.0)
-            return signbit(x) ? sb_put(b, "-0", 2) : sb_put(b, "0", 1);
-        return sb_ll(b, (long long)x);
-    }
-    if ((s = PyOS_double_to_string(x, 'g', 6, 0, NULL)) == NULL)
-        return -1;
-    r = sb_put(b, s, (Py_ssize_t)strlen(s));
-    PyMem_Free(s);
-    return r;
-}
-
-static int
-sb_energy(sbuf *b, PyObject *o)
-{
-    double x;
-    if (PyFloat_CheckExact(o))
-        return sb_g(b, PyFloat_AS_DOUBLE(o));
-    if (PyLong_CheckExact(o)) {  /* int.__format__ with 'g' formats float(o) */
-        x = PyLong_AsDouble(o);
-        return (x == -1.0 && PyErr_Occurred()) ? -1 : sb_g(b, x);
-    }
-    return sb_format(b, o, "g");
-}
-
-static int
-sb_s1(sbuf *b, PyObject *o)
-{
-    PyObject *name;
-    int r;
-    if (PyLong_CheckExact(o)) {
-        long s1 = PyLong_AsLong(o);
-        if (s1 >= 0 && s1 < 4 && s1_text[s1] != NULL)
-            return sb_put(b, s1_text[s1], s1_len[s1]);
-        if (s1 == -1 && PyErr_Occurred())
-            return -1;
-    }
-    if ((name = PyObject_GetItem(s1_names, o)) == NULL)
-        return -1;
-    r = sb_format(b, name, "");
-    Py_DECREF(name);
-    return r;
-}
-
-/* ``format_line`` for an event whose fields have the engine's types:
-   1 when written, 0 to leave it to the general path, -1 on error. */
-static int
-format_plain(sbuf *b, PyObject *ev)
-{
-    static const int ints[5] = {0, 1, 3, 4, 6};
+    static const int ints[6] = {0, 1, 3, 4, 5, 6};
     long long v[8];
     PyObject *const *f;
+    const char *action;
     Py_ssize_t alen;
-    long s1;
     double e;
     char *p, *g;
-    int i, overflow;
-    if (!PyTuple_Check(ev) || PyTuple_GET_SIZE(ev) != 8)
-        return 0;
-    f = &PyTuple_GET_ITEM(ev, 0);
-    for (i = 0; i < 5; i++) {
-        if (!PyLong_CheckExact(f[ints[i]]))
-            return 0;
-        v[ints[i]] = PyLong_AsLongLongAndOverflow(f[ints[i]], &overflow);
-        if (overflow)
-            return 0;
+    int i;
+    if (!PyTuple_Check(ev) || PyTuple_GET_SIZE(ev) != 8) {
+        PyErr_Format(PyExc_TypeError, "an event is a tuple of 8 fields, not %R", ev);
+        return -1;
     }
-    if (!PyUnicode_CheckExact(f[2]) || !PyUnicode_IS_ASCII(f[2]) || !PyLong_CheckExact(f[5])
-        || !PyFloat_CheckExact(f[7]))
-        return 0;
-    s1 = PyLong_AsLong(f[5]);
-    if (s1 < 0 || s1 >= 4 || s1_text[s1] == NULL)
-        return 0;
-    alen = PyUnicode_GET_LENGTH(f[2]);
-    if (sb_reserve(b, 5 * 24 + alen + s1_len[s1] + 8 + 32) < 0)
+    f = &PyTuple_GET_ITEM(ev, 0);
+    for (i = 0; i < 6; i++) {
+        if (!PyLong_CheckExact(f[ints[i]])) {
+            PyErr_Format(PyExc_TypeError, "event field %d must be an int, not %.100s", ints[i],
+                         Py_TYPE(f[ints[i]])->tp_name);
+            return -1;
+        }
+        if ((v[ints[i]] = PyLong_AsLongLong(f[ints[i]])) == -1 && PyErr_Occurred())
+            return -1;
+    }
+    if (v[5] < 0 || v[5] >= 4) {
+        PyErr_Format(PyExc_ValueError, "an event's s1 is 0 to 3, not %lld", v[5]);
+        return -1;
+    }
+    if (PyFloat_CheckExact(f[7]))
+        e = PyFloat_AS_DOUBLE(f[7]);
+    else if (PyLong_CheckExact(f[7])) {  /* int.__format__ with 'g' formats float(E) */
+        if ((e = PyLong_AsDouble(f[7])) == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    else {
+        PyErr_Format(PyExc_TypeError, "an event's energy must be an int or a float, not %.100s",
+                     Py_TYPE(f[7])->tp_name);
+        return -1;
+    }
+    if (!PyUnicode_CheckExact(f[2])) {
+        PyErr_Format(PyExc_TypeError, "an event's action must be a str, not %.100s",
+                     Py_TYPE(f[2])->tp_name);
+        return -1;
+    }
+    if ((action = PyUnicode_AsUTF8AndSize(f[2], &alen)) == NULL
+        || sb_reserve(b, 5 * 24 + alen + 16 + 32) < 0)
         return -1;
     p = b->buf + b->len;
     p = put_ll(p, v[0]);
     *p++ = ',';
     p = put_ll(p, v[1]);
     *p++ = ',';
-    memcpy(p, PyUnicode_DATA(f[2]), (size_t)alen);
+    memcpy(p, action, (size_t)alen);
     p += alen;
     for (i = 3; i < 5; i++) {
         *p++ = ',';
@@ -1715,56 +1576,24 @@ format_plain(sbuf *b, PyObject *ev)
             p = put_ll(p, v[i]);
     }
     *p++ = ',';
-    memcpy(p, s1_text[s1], (size_t)s1_len[s1]);
-    p += s1_len[s1];
+    memcpy(p, S1_TEXT[v[5]], strlen(S1_TEXT[v[5]]));
+    p += strlen(S1_TEXT[v[5]]);
     *p++ = ',';
     p = put_ll(p, v[6]);
     *p++ = ',';
-    e = PyFloat_AS_DOUBLE(f[7]);
-    if (e == floor(e) && fabs(e) < 1e6) {  /* as in ``sb_g`` */
+    if (e == floor(e) && fabs(e) < 1e6) {
         if (e == 0.0 && signbit(e))
             *p++ = '-';
         p = put_ll(p, (long long)e);
         b->len = p - b->buf;
-        return 1;
+        return 0;
     }
     b->len = p - b->buf;
     if ((g = PyOS_double_to_string(e, 'g', 6, 0, NULL)) == NULL)
         return -1;
     i = sb_put(b, g, (Py_ssize_t)strlen(g));
     PyMem_Free(g);
-    return i < 0 ? -1 : 1;
-}
-
-/* One event-log line, ``t,agent,action,from,to,s1,s2,E``, no newline. */
-static int
-format_line(sbuf *b, PyObject *ev)
-{
-    PyObject *fast, *const *f;
-    int r = format_plain(b, ev);
-    if (r)
-        return r < 0 ? -1 : 0;
-    r = -1;
-    if ((fast = PySequence_Fast(ev, "an event must be a sequence")) == NULL)
-        return -1;
-    if (PySequence_Fast_GET_SIZE(fast) != 8) {
-        PyErr_Format(PyExc_ValueError, "an event has 8 fields, not %zd",
-                     PySequence_Fast_GET_SIZE(fast));
-        goto done;
-    }
-    f = PySequence_Fast_ITEMS(fast);
-    if (sb_int(b, f[0]) < 0 || sb_put(b, ",", 1) < 0 || sb_int(b, f[1]) < 0
-        || sb_put(b, ",", 1) < 0
-        || (PyUnicode_CheckExact(f[2]) ? sb_str(b, f[2]) : sb_format(b, f[2], "")) < 0
-        || sb_put(b, ",", 1) < 0 || sb_cell(b, f[3]) < 0 || sb_put(b, ",", 1) < 0
-        || sb_cell(b, f[4]) < 0 || sb_put(b, ",", 1) < 0 || sb_s1(b, f[5]) < 0
-        || sb_put(b, ",", 1) < 0 || sb_int(b, f[6]) < 0 || sb_put(b, ",", 1) < 0
-        || sb_energy(b, f[7]) < 0)
-        goto done;
-    r = 0;
-done:
-    Py_DECREF(fast);
-    return r;
+    return i;
 }
 
 static PyObject *
@@ -1779,8 +1608,6 @@ static PyObject *
 k_format_event(PyObject *Py_UNUSED(m), PyObject *ev)
 {
     sbuf b = {NULL, 0, 0};
-    if (check_bound() < 0)
-        return NULL;
     return sb_finish(&b, format_line(&b, ev) == 0);
 }
 
@@ -1791,8 +1618,7 @@ k_format_events(PyObject *Py_UNUSED(m), PyObject *events)
     PyObject *fast;
     Py_ssize_t i, n;
     int ok = 1;
-    if (check_bound() < 0
-        || (fast = PySequence_Fast(events, "events must be a sequence")) == NULL)
+    if ((fast = PySequence_Fast(events, "events must be a sequence")) == NULL)
         return NULL;
     n = PySequence_Fast_GET_SIZE(fast);
     for (i = 0; ok && i < n; i++)
@@ -1806,51 +1632,43 @@ k_format_events(PyObject *Py_UNUSED(m), PyObject *events)
 static PyObject *
 k_bind(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *record, *event, *error, *action, *modes, *s1n;
+    PyObject *record, *event;
     Py_ssize_t offs[NF];
-    int f, fast = 1;
-    if (check_args("bind", nargs, 6) < 0)
+    int f;
+    if (check_args("bind", nargs, 4) < 0)
         return NULL;
-    record = args[0], event = args[1], error = args[2], action = args[3];
-    modes = args[4], s1n = args[5];
+    record = args[0], event = args[1];
     if (!PyType_Check(record) || !PyType_Check(event)
-        || !PyType_IsSubtype((PyTypeObject *)event, &PyTuple_Type) || !PyTuple_Check(s1n)) {
-        PyErr_SetString(PyExc_TypeError, "bind(AgentRecord, Event, InvariantError, _action, "
-                                         "MODE_NAMES, S1_NAMES): bad argument types");
+        || !PyType_IsSubtype((PyTypeObject *)event, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind(AgentRecord, Event, InvariantError, _action): bad argument types");
         return NULL;
     }
-    /* Read records straight off their slots when every field is one. */
+    /* Records are read and written straight through their slots. */
     for (f = 0; f < NF; f++) {
         PyObject *d = PyObject_GetAttr(record, NAME[f]);
-        if (d == NULL)
-            return NULL;
-        if (Py_IS_TYPE(d, &PyMemberDescr_Type)
-            && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX)
+        int slot = d != NULL && Py_IS_TYPE(d, &PyMemberDescr_Type)
+                   && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX;
+        if (slot)
             offs[f] = ((PyMemberDescrObject *)d)->d_member->offset;
-        else
-            fast = 0;
-        Py_DECREF(d);
-    }
-    for (f = 0; f < 4; f++) {
-        s1_text[f] = NULL;
-        if (f < PyTuple_GET_SIZE(s1n) && PyUnicode_Check(PyTuple_GET_ITEM(s1n, f))
-            && (s1_text[f] = PyUnicode_AsUTF8AndSize(PyTuple_GET_ITEM(s1n, f), &s1_len[f])) == NULL)
+        Py_XDECREF(d);
+        if (d == NULL && !PyErr_ExceptionMatches(PyExc_AttributeError))
             return NULL;
+        if (!slot) {
+            PyErr_Format(PyExc_TypeError, "%.100s.%s is not a slot",
+                         ((PyTypeObject *)record)->tp_name, NAMES[f]);
+            return NULL;
+        }
     }
     Py_INCREF(record);
     Py_XSETREF(Record, (PyTypeObject *)record);
     memcpy(rec_off, offs, sizeof(offs));
-    rec_fast = fast;
     Py_INCREF(event);
     Py_XSETREF(EventType, (PyTypeObject *)event);
-    Py_INCREF(error);
-    Py_XSETREF(InvariantError, error);
-    Py_INCREF(action);
-    Py_XSETREF(action_fn, action);
-    Py_INCREF(modes);
-    Py_XSETREF(mode_names, modes);
-    Py_INCREF(s1n);
-    Py_XSETREF(s1_names, s1n);
+    Py_INCREF(args[2]);
+    Py_XSETREF(InvariantError, args[2]);
+    Py_INCREF(args[3]);
+    Py_XSETREF(action_fn, args[3]);
     Py_RETURN_NONE;
 }
 
@@ -1886,15 +1704,16 @@ static PyMethodDef methods[] = {
     FAST(wake_keys, "wake_keys(sim, ids)\n--\n\n"
                     "The packed wake keys of the agents ``ids`` this step, in order."),
     FAST(mark_ground_change,
-         "mark_ground_change(sim, cell, cur_key, order, scheduled)\n--\n\n"
-         "The body of ``Simulation._mark_ground_change``."),
+         "mark_ground_change(sim, cell)\n--\n\n"
+         "The body of ``Simulation._mark_ground_change``: mark a cell's settled\n"
+         "occupant and settled neighbors stale, between steps."),
     FAST(settled_energy, "settled_energy(e0, t_m, alpha, t_s)\n--\n\n"
                          "The settled ledger ``e0 - t_m - alpha * t_s``."),
     {"format_event", (PyCFunction)k_format_event, METH_O,
      "format_event(ev)\n--\n\nThe event-log line of one event, without a newline."},
     {"format_events", (PyCFunction)k_format_events, METH_O,
      "format_events(events)\n--\n\nThe event-log lines of a batch, each ending in a newline."},
-    FAST(bind, "bind(AgentRecord, Event, InvariantError, _action, MODE_NAMES, S1_NAMES)\n--\n\n"
+    FAST(bind, "bind(AgentRecord, Event, InvariantError, _action)\n--\n\n"
                "Hand the kernel the Python classes and tables it works with."),
     {NULL, NULL, 0, NULL},
 };

@@ -15,9 +15,14 @@ cell.
 The body of ``_wake``, sensing, the decide rules, the marking of
 settled neighbors and the event-line formatter are compiled
 (``_kernel.c``, built on first import by ``_build.py``).  The kernel
-works on the objects defined here and in ``agents`` and ``rules``, and
-``_wake`` hands it the module's ``sense`` and the decide callables the
-run was set up with, so each is called once per wake whatever it is.
+accepts the types defined here and in ``agents`` and ``rules`` and no
+others: an ``AgentRecord`` (any other object raises ``TypeError``), the
+views as lists, ``Event``s with int fields, a str action and an int or
+float energy.  It reads the energy parameters as doubles, and every
+energy the engine stores is a float, whatever the type of ``e0`` and
+``alpha``.  ``_wake`` hands it the module's ``sense`` and the decide
+callables the run was set up with, so each is called once per wake
+whatever it is.
 
 For speed on large regions the engine elides wake-ups that are
 provably no-ops: a settled agent's decision depends only on its own
@@ -44,13 +49,16 @@ Invariant: the wake order holds only mobiles and settled agents that
 are not low-energy, and energy events concern only settled agents, each
 with at most one event per kind, kind 0 popping before kind 1.
 
-The wake order of a step is a sorted list of ints ``(sub << 32) | id``,
-read by a cursor: ``sub`` is a uniform sub-step in ``[0, m)`` under the
-random scheduler, and the agent's hop distance from the entry under the
-adversarial one (settled agents do not move, so lazily inserted agents
-compare the same way as the rest).  A settled agent marked during the
-step whose key lies after the cursor is inserted in order.  Keys are
-unique, so this is the order a heap would pop.
+The wake order of a step belongs to the kernel: a sorted array of keys
+``(sub << 32) | id``, read by a cursor, and a byte per agent id telling
+which agents have a key this step.  ``sub`` is a uniform sub-step in
+``[0, m)`` under the random scheduler, and the agent's hop distance from
+the entry under the adversarial one (settled agents do not move, so
+lazily inserted agents compare the same way as the rest).  A settled
+agent whose ground neighborhood changes during the step, and whose key
+lies after the cursor, is inserted in order; the kernel marks a
+transition's cell, and a settler's once ``_apply_mobile`` has settled
+it.  Keys are unique, so this is the order a heap would pop.
 
 Events are collected per step: in ``events`` for ``log_events=True``,
 or in a batch handed to ``on_events`` when the step closes (the CLI
@@ -74,10 +82,8 @@ import numpy as np
 from .agents import (
     MODE_FAILED,
     MODE_MOBILE,
-    MODE_NAMES,
     MODE_SETTLED,
     MODE_SHUTDOWN,
-    S1_NAMES,
     S_BEACON,
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
@@ -130,7 +136,7 @@ class Event(NamedTuple):
 # ``NamedTuple.__new__``: ``_new_event(Event, (t, agent, ...))``.
 _new_event = tuple.__new__
 
-kernel.bind(AgentRecord, Event, InvariantError, _action, MODE_NAMES, S1_NAMES)
+kernel.bind(AgentRecord, Event, InvariantError, _action)
 
 
 @dataclass
@@ -256,13 +262,12 @@ class Simulation:
             heapq.heappush(self._energy_events, (first_step(p.ecrit_settled), 0, a.id))
         heapq.heappush(self._energy_events, (first_step(0.0), 1, a.id))
 
-    def _mark_ground_change(self, cell: int, cur_key, order, scheduled):
-        """A cell's projected ground state changed: settled neighbors
-        (and the cell's own occupant) must be re-processed.  If their
-        wake this step is still ahead of ``cur_key`` in ``order``, they
-        wake into the change now (and join ``scheduled``); otherwise, or
-        with no ``order``, they stay flagged for the next step."""
-        kernel.mark_ground_change(self, cell, cur_key, order, scheduled)
+    def _mark_ground_change(self, cell: int) -> None:
+        """Between steps, a cell's projected ground state changed: its
+        settled neighbors (and its own occupant) are flagged stale and
+        re-processed next step.  During a step the kernel marks changes
+        itself, against its own wake order."""
+        kernel.mark_ground_change(self, cell)
 
     def _wake_keys(self, ids) -> list[int]:
         """Packed keys of the agents ``ids`` in this step's wake order,
@@ -285,7 +290,8 @@ class Simulation:
 
         ``sense`` is read here on every call, and the decide rules are
         the ones the run was set up with: each is called once per wake.
-        A mobile that settles or shuts down goes to ``_apply_mobile``."""
+        A mobile that settles or shuts down goes to ``_apply_mobile``;
+        the kernel then marks a settler's cell."""
         kernel.wake(
             self, t, sense, self._mobile_decide, self._settled_decide, self._apply_mobile
         )
@@ -302,14 +308,14 @@ class Simulation:
         gid = self.ground[entry]
         s2 = self.agents[gid - 1].s2 if gid else 0
         aid = len(self.agents) + 1
-        # Entering consumes one unit of movement energy.
+        # Entering consumes one unit of movement energy; energies are floats.
         a = AgentRecord(
             id=aid,
             mode=MODE_MOBILE,
             s1=S_MOBILE,
             s2=s2,
             pos=entry,
-            energy=self.p.e0 - 1,
+            energy=float(self.p.e0) - 1,
             t_m=1,
         )
         self.agents.append(a)
@@ -333,7 +339,7 @@ class Simulation:
                 self.settled_count -= 1
                 stale.discard(aid)
                 self._log(t, a, "fail", a.pos, a.pos)
-                self._mark_ground_change(a.pos, None, None, None)
+                self._mark_ground_change(a.pos)
             elif a.s1 != S_LOW_ENERGY:  # kind 0: the reporting threshold
                 stale.add(aid)
 
@@ -354,8 +360,9 @@ class Simulation:
                 self.terminated = TERM_CLOSED
         self.t = t + 1
 
-    def _apply_mobile(self, a, act, t, key, order, scheduled):
-        """Shut down or settle; moves are applied inline in ``_wake``."""
+    def _apply_mobile(self, a, act, t):
+        """Shut down or settle; moves are applied inline in ``_wake``.
+        The caller marks a settler's cell."""
         kind = act.kind
         src = a.pos
         if kind == A_SHUTDOWN:
@@ -380,7 +387,6 @@ class Simulation:
         self.settled_count += 1
         self._schedule_energy_events(a)
         self._log(t, a, "settle", src, dst)
-        self._mark_ground_change(dst, key, order, scheduled)
 
     # -- whole runs --------------------------------------------------------
 

@@ -5,8 +5,9 @@ rules and the wake loop as they were written in Python, used by
 ``ReferenceSimulation`` is a ``Simulation`` whose ``_wake`` is the
 Python loop over a heap of wake keys, with the Python ``sense`` and
 rules and its own ``_wake_keys`` and ``_mark_ground_change``; entry,
-``_apply_mobile``, energy and termination are the engine's own.  Its
-event log must equal the engine's line for line.
+``_apply_mobile``, energy and termination are the engine's own.  As in
+the kernel, the loop marks a settler's cell once ``_apply_mobile`` has
+settled it.  Its event log must equal the engine's line for line.
 """
 from __future__ import annotations
 
@@ -334,11 +335,12 @@ class ReferenceSimulation(Simulation):
         super().__init__(region, params, log_events=log_events)
         self._mobile_decide, self._settled_decide = REGISTRY[params.algorithm]
 
-    def _mark_ground_change(self, cell: int, cur_key, heap, scheduled):
+    def _mark_ground_change(self, cell: int, cur_key=None, heap=None, scheduled=None):
         """A cell's projected ground state changed: settled neighbors
         (and the cell's own occupant) must be re-processed.  If their
-        wake this step is still ahead, they wake into the change now;
-        otherwise they stay flagged for the next step."""
+        wake this step is still ahead in ``heap``, they wake into the
+        change now; otherwise, or between steps, they stay flagged for
+        the next step."""
         ground = self.ground
         for c in (cell, *self.region.neighbors[cell]):
             if c < 0:
@@ -421,7 +423,9 @@ class ReferenceSimulation(Simulation):
                             )
                         )
                 elif kind != A_STAY:
-                    self._apply_mobile(a, act, t, key, heap, scheduled)
+                    self._apply_mobile(a, act, t)
+                    if kind != A_SHUTDOWN:  # a settler changed its cell's ground
+                        self._mark_ground_change(a.pos, key, heap, scheduled)
                 a.t_m = t_m = a.t_m + 1
                 a.energy = p.e0 - t_m  # a mobile has no settled steps
             else:  # a settled agent that is not low-energy

@@ -41,6 +41,22 @@ def test_second_load_runs_no_compiler(tmp_path):
     ]
 
 
+def test_build_removes_stale_libraries_of_this_interpreter_only(tmp_path):
+    """A build deletes the libraries this interpreter built from other
+    sources; another interpreter's library stays."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    other_suffix = ".cpython-0-other.so"
+    assert other_suffix != _build.SUFFIX
+    stale = cache / f"_kernel.deadbeef{_build.SUFFIX}"
+    other = cache / f"_kernel.x{other_suffix}"
+    stale.write_bytes(b"")
+    other.write_bytes(b"")
+    _build.load(cache=cache)
+    built = _build.cache_path(_build.SOURCE.read_bytes(), cache)
+    assert sorted(p.name for p in cache.iterdir()) == sorted([built.name, other.name])
+
+
 def test_cached_import_runs_no_compiler(tmp_path):
     """With the library cached, a fresh interpreter imports the package
     while every compiler on its path fails."""

@@ -67,6 +67,66 @@ class TestParseConfig:
             parse_config(text)
 
 
+CONFIG_VALUES = {
+    str: st.text(alphabet="abcxyz0123456789:./_- ", max_size=12).map(str.strip),
+    int: st.integers(-(2**64), 2**64),
+    float: st.floats(allow_nan=False),
+}
+
+
+@st.composite
+def config_files(draw):
+    """A ``key = value`` file of distinct known keys and the values it
+    holds, with comments, blank lines and varied spacing."""
+    keys = draw(st.lists(st.sampled_from(sorted(cli._CONFIG_KEYS)), unique=True))
+    values, lines = {}, []
+    for key in keys:
+        value = values[key] = draw(CONFIG_VALUES[cli._CONFIG_KEYS[key]])
+        sp = draw(st.sampled_from(["", " ", "  ", "\t"]))
+        comment = draw(st.sampled_from(["", "  # note", "#"]))
+        text = repr(value) if isinstance(value, float) else str(value)
+        lines.append(f"{sp}{key}{sp}={sp}{text}{comment}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# a = comment", "   "])))
+    return "\n".join(lines), values
+
+
+class TestParseConfigProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(case=config_files())
+    def test_round_trip(self, case):
+        text, values = case
+        assert parse_config(text) == values
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=config_files(), data=st.data())
+    def test_a_malformed_line_raises_config_error_naming_it(self, case, data):
+        text, values = case
+        lines = text.split("\n") if text else []
+        if values and data.draw(st.booleans()):  # a duplicate key, last
+            at = len(lines)
+            bad = f"{data.draw(st.sampled_from(sorted(values)))} = 1"
+        else:
+            at = data.draw(st.integers(0, len(lines)))
+            bad = data.draw(st.one_of(
+                st.text(alphabet="abc xyz", min_size=1).filter(str.strip),  # no '='
+                st.sampled_from(["bogus = 1", "E0 = 3", "d t = 2"]),  # unknown keys
+                st.sampled_from(["dt = 2.5", "seed = x", "e0 = fast", "m = 1e3"]),  # bad values
+            ))
+        lines.insert(at, bad)
+        with pytest.raises(ConfigError, match=f"^line {at + 1}: "):
+            parse_config("\n".join(lines))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(max_size=60))
+    def test_any_text_parses_or_raises_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert set(cfg) <= set(cli._CONFIG_KEYS)
+
+
 class TestRunCommand:
     def test_frozen_corridor_row(self, tmp_path):
         cfg = write_config(tmp_path, CORRIDOR_CFG)

@@ -1,5 +1,7 @@
 """Region parsing, geometry helpers, and the BFS distance field."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridswarm.grid import (
     DIRECTIONS,
@@ -150,3 +152,62 @@ class TestConstructors:
     def test_text_variants_round_trip(self):
         assert parse_region(line_region_text(7)).n == line_region(7).n
         assert parse_region(square_region_text(5)).entry == square_region(5).entry
+
+
+def text_oracle(text: str):
+    """What a region text describes, read without ``parse_region``: None
+    if it is malformed or disconnected, else ``(n, entry, distances)``
+    from a breadth-first search over the coordinates of its free cells."""
+    rows = [r for r in (raw.rstrip() for raw in text.splitlines()) if r and not r.startswith("#")]
+    if not rows or len({len(r) for r in rows}) != 1 or set("".join(rows)) - set("W.E"):
+        return None
+    width = len(rows[0])
+    free = {(x, y) for y, r in enumerate(rows) for x, c in enumerate(r) if c != "W"}
+    entries = [(x, y) for y, r in enumerate(rows) for x, c in enumerate(r) if c == "E"]
+    if len(entries) != 1:
+        return None
+    dist = {entries[0]: 0}
+    queue = [entries[0]]
+    for x, y in queue:
+        for nb in ((x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y)):
+            if nb in free and nb not in dist:
+                dist[nb] = dist[(x, y)] + 1
+                queue.append(nb)
+    if len(dist) != len(free):
+        return None
+    (ex, ey), = entries
+    distances = [dist.get((c % width, c // width), -1) for c in range(width * len(rows))]
+    return len(free), ey * width + ex, distances
+
+
+@st.composite
+def region_texts(draw):
+    """Grids of walls and free cells with zero, one or two entries, with
+    comment and blank lines, trailing whitespace, and now and then a
+    ragged row or an unknown character."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from("W..."), min_size=w * h, max_size=w * h))
+    for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+        cells[draw(st.integers(0, w * h - 1))] = "E"
+    rows = ["".join(cells[y * w:(y + 1) * w]) + draw(st.sampled_from(["", "", " ", "\t"]))
+            for y in range(h)]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, h)), draw(st.sampled_from(["", "# W.E", "   "])))
+    if draw(st.integers(0, 7)) == 0:
+        y = draw(st.integers(0, len(rows) - 1))
+        rows[y] = draw(st.sampled_from([rows[y][:-1], rows[y] + ".", " " + rows[y], rows[y] + "x"]))
+    return "\n".join(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=region_texts() | st.text(alphabet="WE.# x\n\t", max_size=40) | st.text(max_size=20))
+def test_parse_region_agrees_with_a_bfs_on_the_text(text):
+    """``parse_region`` returns the region a BFS on the text finds, or
+    raises ``RegionError``, and never any other exception."""
+    want = text_oracle(text)
+    try:
+        region = parse_region(text)
+    except RegionError:
+        assert want is None
+        return
+    assert want == (region.n, region.entry, list(region.distances))

@@ -1,8 +1,11 @@
 """The compiled kernel against its Python reference (``reference.py``):
 whole event logs on the golden and audited runs and on random small
 regions, and each rule on random neighborhoods, draw for draw."""
+import gc
 import random
+from dataclasses import fields, make_dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,8 +15,11 @@ import reference
 from gridswarm import SimParams, engine, parse_region, rules, run, square_region
 from gridswarm._build import kernel
 from gridswarm.agents import (
+    MODE_FAILED,
     MODE_MOBILE,
+    MODE_NAMES,
     MODE_SETTLED,
+    MODE_SHUTDOWN,
     S_BEACON,
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
@@ -23,6 +29,7 @@ from gridswarm.agents import (
     AgentRecord,
     ParamError,
 )
+from gridswarm.engine import Event, InvariantError
 from test_engine import AUDITED
 from test_golden import GOLDEN, REGIONS
 
@@ -49,6 +56,14 @@ def test_constants_agree_with_the_python_definitions():
     for name in ("A_STAY", "A_MOVE", "A_SETTLE_HERE", "A_SETTLE_AT", "A_SHUTDOWN"):
         assert getattr(kernel, name) == getattr(rules, name), name
     assert kernel.ID_BITS == engine._ID_BITS == 32
+
+
+def test_mode_names_agree_with_the_python_definitions():
+    sim = engine.Simulation(square_region(3), SimParams())
+    for mode in (MODE_SHUTDOWN, MODE_FAILED):
+        a = AgentRecord(id=7, mode=mode, s1=S_MOBILE, s2=0, pos=0, energy=1.0)
+        with pytest.raises(ValueError, match=f"agent 7 cannot sense in mode {MODE_NAMES[mode]}$"):
+            kernel.sense(sim, a)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -271,3 +286,62 @@ class TestWakeKeyWidth:
         assert keys == [int(u * 2**32) << 32 | i for u, i in zip(us, (1, 2, 3))]
         assert max(keys) >> 32 == 2**32 - 1
         same_run(region, params)
+
+
+class TestBoundaryTypes:
+    """The kernel accepts the engine's own types and no others."""
+
+    @pytest.mark.parametrize("kw", [dict(e0=9, alpha=0), dict(e0=9, alpha=1)])
+    def test_int_energy_params_give_float_energies(self, kw):
+        """Every stored energy is a float, and the log is the one float
+        parameters give."""
+        def params(**energies):
+            return SimParams(algorithm="sllg-ea", approach=2, dt=1, seed=3, **energies)
+
+        region = square_region(7)
+        got = run(region, params(**kw), log_events=True)
+        want = run(region, params(**{k: float(v) for k, v in kw.items()}), log_events=True)
+        assert {type(e.energy) for e in got.events} == {float}
+        assert {type(a.energy) for a in got.sim.agents} == {float}
+        assert log_of(got) == log_of(want)
+        assert got.metrics == want.metrics
+
+    FIELDS = dict(id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=0, pos=0, energy=9.0, t_m=1)
+    XI = (SENSE_EMPTY,) * 10
+    REJECTED = {  # case: (call, the error's message)
+        "sense-record": (lambda self: kernel.sense(
+            engine.Simulation(square_region(3), SimParams()), SimpleNamespace(**self.FIELDS)),
+            "expected an AgentRecord"),
+        "rule-record": (lambda self: rules.mobile_decide_sllg(
+            SimpleNamespace(**self.FIELDS), self.XI, SimParams(), random.random),
+            "expected an AgentRecord"),
+        "slot": (lambda self: rules.settled_decide_sllg(
+            AgentRecord(**{**self.FIELDS, "mode": MODE_SETTLED, "s1": S_BEACON, "s2": 1}),
+            (SENSE_EMPTY, 1, SENSE_EMPTY, SENSE_EMPTY, SENSE_EMPTY) + (SENSE_EMPTY,) * 5,
+            SimParams(), 1),
+            "a sensed slot is SENSE_EMPTY, SENSE_WALL or an"),
+        "event-cell": (lambda self: Event(0, 1, "move", "3", 4, S_MOBILE, 2, 5.0).format(),
+                       "event field 3 must be an int"),
+        "bind": (lambda self: kernel.bind(
+            make_dataclass("Record", [(f.name, f.type) for f in fields(AgentRecord)]),
+            Event, InvariantError, rules._action),
+            "Record.id is not a slot"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_other_types_raise_type_error(self, case):
+        call, match = self.REJECTED[case]
+        with pytest.raises(TypeError, match=match):
+            call(self)
+        # A failed call leaves the kernel bound as before.
+        assert same_run(square_region(5), SimParams(e0=8, seed=1)).metrics.a_c > 0
+
+
+def test_logged_kernel_events_are_not_tracked_by_the_collector():
+    """Moves and transitions hold ints, a str and a float: the kernel
+    leaves them out of the cyclic collector's walks."""
+    res = run(square_region(9), SimParams(algorithm="sllg-ea", approach=2, e0=10, dt=1,
+                                          alpha=0.05, seed=1), log_events=True)
+    kernel_events = [e for e in res.events if e.action in ("move", "transition")]
+    assert {e.action for e in kernel_events} == {"move", "transition"}
+    assert not any(gc.is_tracked(e) for e in kernel_events)
