@@ -7,11 +7,13 @@
 
    It accepts the engine's own types and no others: agents are
    ``AgentRecord``s, read and written straight through their slots; the
-   per-cell views ``gview`` and ``aview`` and ``ground`` are lists; the
-   region's ``neighbors`` and ``distances`` are tuples or lists; a sensed
-   slot is ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of
-   ints; an ``Event`` has int fields, a str action and an int or float
-   energy.  Anything else raises ``TypeError``.  The run's energy
+   occupant layers ``ground`` and ``air`` are lists whose cells hold an
+   ``AgentRecord`` or ``None``; the region's ``neighbors`` and
+   ``distances`` are tuples or lists, and a neighbor index of ``-1`` is a
+   wall; an ``Event`` has int fields, a str action and an int or float
+   energy.  A sensed neighborhood handed to a rule from Python holds in
+   each slot ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of
+   ints.  Anything else raises ``TypeError``.  The run's energy
    parameters are read as doubles, and every energy the kernel stores is
    a Python float, so every trajectory is the one the Python definitions
    give, draw for draw.
@@ -28,10 +30,11 @@
    the Python classes it needs through ``bind``.
 
    The wake loop calls the sense and decide callables it is given once
-   per wake.  When they are this module's own functions it runs them
-   directly on the sensed slots, without building the tuple or the
-   ``Action``; any other callable (a wrapper that times or checks them)
-   is called through Python with the usual arguments. */
+   per wake.  When they are this module's own functions it reads the
+   sensed slots straight off the occupants' records and runs the rules
+   on them, without building the tuple or the ``Action``; any other
+   callable (a wrapper that times or checks them) is called through
+   Python with the usual arguments. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
@@ -53,16 +56,16 @@ static const char *const S1_TEXT[] = {"mobile", "beacon", "closed_beacon", "low_
 /* Attribute names; the first NF are the fields of an AgentRecord. */
 enum {
     F_ID, F_MODE, F_S1, F_S2, F_POS, F_ENERGY, F_TM, F_SETTLE, NF,
-    N_KIND = NF, N_DIRECTION, N_REGION, N_NEIGHBORS, N_DISTANCES, N_GVIEW,
-    N_AVIEW, N_GROUND, N_AGENTS, N_STALE, N_MOBILE_IDS, N_DRAW, N_P, N_E0,
-    N_ALPHA, N_ECRIT_MOBILE, N_ECRIT_SETTLED, N_APPROACH, N_M, N_D_MAX,
-    N_ADVERSARIAL, N_BATCH, N_COUNT
+    N_KIND = NF, N_DIRECTION, N_REGION, N_NEIGHBORS, N_DISTANCES, N_GROUND,
+    N_AIR, N_AGENTS, N_STALE, N_MOBILE_IDS, N_DRAW, N_P, N_E0, N_ALPHA,
+    N_ECRIT_MOBILE, N_ECRIT_SETTLED, N_APPROACH, N_M, N_D_MAX, N_ADVERSARIAL,
+    N_BATCH, N_COUNT
 };
 static const char *const NAMES[N_COUNT] = {
     "id", "mode", "s1", "s2", "pos", "energy", "t_m", "settle_step",
-    "kind", "direction", "region", "neighbors", "distances", "gview",
-    "aview", "ground", "agents", "stale", "mobile_ids", "draw", "p", "e0",
-    "alpha", "ecrit_mobile", "ecrit_settled", "approach", "m", "d_max",
+    "kind", "direction", "region", "neighbors", "distances", "ground", "air",
+    "agents", "stale", "mobile_ids", "draw", "p", "e0", "alpha",
+    "ecrit_mobile", "ecrit_settled", "approach", "m", "d_max",
     "_adversarial", "_batch",
 };
 static PyObject *NAME[N_COUNT];
@@ -257,9 +260,12 @@ seq_long(PyObject *seq, long i, long *out)
 enum { K_EMPTY, K_WALL, K_AGENT };
 typedef struct {
     int kind;
-    long s1, s2;  /* of an agent */
+    long s1, s2;    /* of an agent */
+    PyObject *rec;  /* the agent, when read off a layer (borrowed) */
 } slot_t;
 
+/* A slot of a sensed tuple: ``SENSE_EMPTY``, ``SENSE_WALL`` or an agent's
+   ``(s1, s2)``. */
 static int
 decode(PyObject *o, slot_t *s)
 {
@@ -284,37 +290,43 @@ decode(PyObject *o, slot_t *s)
     return -1;
 }
 
+/* A slot read off a layer cell: its occupant ``o`` is ``None`` (empty)
+   or an ``AgentRecord``, whose own ``s1`` and ``s2`` it projects. */
+static int
+occupant(PyObject *o, slot_t *s)
+{
+    s->rec = o;
+    if (o == Py_None) {
+        s->kind = K_EMPTY;
+        return 0;
+    }
+    s->kind = K_AGENT;
+    return rget_long(o, F_S1, &s->s1) < 0 ? -1 : rget_long(o, F_S2, &s->s2);
+}
+
 /* Slots the rules read: a mobile reads all but its own air (slot 5), a
    settled agent its four ground neighbors. */
 #define MOBILE_SLOTS 0x3DF
 #define SETTLED_SLOTS 0x1E
 
-static int
-decode_slots(PyObject *const *slots, slot_t *sl, int mask)
-{
-    int i;
-    for (i = 0; i < 10; i++) {
-        if (!(mask >> i & 1))
-            sl[i].kind = K_EMPTY;
-        else if (decode(slots[i], &sl[i]) < 0)
-            return -1;
-    }
-    return 0;
-}
-
-/* Decode the slots of a sensed neighborhood ``xi``, any 10-item sequence. */
+/* Decode the slots ``mask`` names of a sensed neighborhood ``xi``, any
+   10-item sequence; the others read empty. */
 static int
 decode_xi(PyObject *xi, slot_t *sl, int mask)
 {
     PyObject *fast = PySequence_Fast(xi, "a sensed neighborhood must be a sequence");
-    int r = -1;
+    int i, r = -1;
     if (fast == NULL)
         return -1;
     if (PySequence_Fast_GET_SIZE(fast) != 10)
         PyErr_Format(PyExc_ValueError, "a sensed neighborhood has 10 slots, not %zd",
                      PySequence_Fast_GET_SIZE(fast));
     else
-        r = decode_slots(PySequence_Fast_ITEMS(fast), sl, mask);
+        for (r = i = 0; r == 0 && i < 10; i++) {
+            sl[i].kind = K_EMPTY;
+            if (mask >> i & 1)
+                r = decode(PySequence_Fast_GET_ITEM(fast, i), &sl[i]);
+        }
     Py_DECREF(fast);
     return r;
 }
@@ -374,7 +386,7 @@ call_draw(PyObject *draw, double *u)
     return (*u == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* ``rules._pick``: the index of a uniform choice among ``k``; one draw. */
+/* The index ``int(u * k)`` of a uniform choice among ``k``; one draw. */
 static int
 pick(ctx_t *c, Py_ssize_t k, Py_ssize_t *out)
 {
@@ -733,24 +745,15 @@ RULE(settled, sllg, R_SLLG)
 RULE(settled, slug, R_SLUG)
 RULE(settled, sltt, R_SLTT)
 
-static PyObject *
-k_pick(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
-{
-    double u;
-    Py_ssize_t k, i;
-    if (check_args("pick", nargs, 2) < 0 || (k = PyObject_Length(args[1])) < 0
-        || call_draw(args[0], &u) < 0 || draw_index(u, k, &i) < 0)
-        return NULL;
-    return PySequence_GetItem(args[1], i);
-}
-
-/* Gather the ten sensed slots of agent ``a`` (borrowed references). */
+/* Gather the ten sensed slots of agent ``a`` off the occupant layers
+   ``ground`` and ``air``: a neighbor index of ``-1`` reads as a wall, and
+   a settled agent's air slots read empty. */
 static int
-gather(PyObject *neighbors, PyObject *gview, PyObject *aview, PyObject *a, long mode,
-       PyObject **slots)
+gather(PyObject *neighbors, PyObject *ground, PyObject *air, PyObject *a, long mode,
+       slot_t *sl)
 {
-    long pos, cells[5];
-    PyObject *nb;
+    long cell;
+    PyObject *nb, *g, *v = Py_None;
     int i;
     if (mode != MODE_MOBILE && mode != MODE_SETTLED) {
         PyObject *id = rget(a, F_ID);
@@ -763,36 +766,42 @@ gather(PyObject *neighbors, PyObject *gview, PyObject *aview, PyObject *a, long 
         Py_DECREF(id);
         return -1;
     }
-    if (rget_long(a, F_POS, &pos) < 0 || (nb = seq_item(neighbors, pos)) == NULL)
+    if (rget_long(a, F_POS, &cell) < 0 || (nb = seq_item(neighbors, cell)) == NULL)
         return -1;
-    cells[0] = pos;
-    for (i = 1; i < 5; i++)
-        if (seq_long(nb, i - 1, &cells[i]) < 0) {
-            Py_DECREF(nb);
-            return -1;
-        }
-    Py_DECREF(nb);
     for (i = 0; i < 5; i++) {
-        if ((slots[i] = list_item(gview, cells[i])) == NULL)
-            return -1;
-        if (mode != MODE_MOBILE)
-            slots[5 + i] = EMPTY;
-        else if ((slots[5 + i] = list_item(aview, cells[i])) == NULL)
-            return -1;
+        if (i && seq_long(nb, i - 1, &cell) < 0)
+            break;
+        if (cell < 0) {
+            sl[i].kind = K_WALL;
+            sl[5 + i].kind = mode == MODE_MOBILE ? K_WALL : K_EMPTY;
+        }
+        else if ((g = list_item(ground, cell)) == NULL
+                 || (mode == MODE_MOBILE && (v = list_item(air, cell)) == NULL)
+                 || occupant(g, &sl[i]) < 0 || occupant(v, &sl[5 + i]) < 0)
+            break;
     }
-    return 0;
+    Py_DECREF(nb);
+    return i < 5 ? -1 : 0;
 }
 
+/* The sensed tuple of ten gathered slots, each ``(s1, s2)`` packed from
+   the occupant's own slot objects. */
 static PyObject *
-slots_tuple(PyObject *const *slots)
+sensed_tuple(const slot_t *sl)
 {
-    PyObject *t = PyTuple_New(10);
+    PyObject *t = PyTuple_New(10), *v;
     int i;
-    if (t == NULL)
-        return NULL;
-    for (i = 0; i < 10; i++) {
-        Py_INCREF(slots[i]);
-        PyTuple_SET_ITEM(t, i, slots[i]);
+    for (i = 0; t != NULL && i < 10; i++) {
+        if (sl[i].kind == K_AGENT) {
+            if ((v = PyTuple_Pack(2, *rslot(sl[i].rec, F_S1), *rslot(sl[i].rec, F_S2))) == NULL)
+                Py_CLEAR(t);
+        }
+        else {
+            v = sl[i].kind == K_WALL ? WALL : EMPTY;
+            Py_INCREF(v);
+        }
+        if (t != NULL)
+            PyTuple_SET_ITEM(t, i, v);
     }
     return t;
 }
@@ -800,28 +809,28 @@ slots_tuple(PyObject *const *slots)
 static PyObject *
 k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *slots[10], *region = NULL, *neighbors = NULL, *gview = NULL, *aview = NULL;
-    PyObject *r = NULL;
+    PyObject *region = NULL, *neighbors = NULL, *ground = NULL, *air = NULL, *r = NULL;
+    slot_t sl[10];
     long mode;
     if (check_args("sense", nargs, 2) < 0 || rget_long(args[1], F_MODE, &mode) < 0)
         return NULL;
     if ((region = PyObject_GetAttr(args[0], NAME[N_REGION]))
         && (neighbors = PyObject_GetAttr(region, NAME[N_NEIGHBORS]))
-        && (gview = PyObject_GetAttr(args[0], NAME[N_GVIEW]))
-        && (mode != MODE_MOBILE || (aview = PyObject_GetAttr(args[0], NAME[N_AVIEW])))
-        && gather(neighbors, gview, aview, args[1], mode, slots) == 0)
-        r = slots_tuple(slots);
+        && (ground = PyObject_GetAttr(args[0], NAME[N_GROUND]))
+        && (mode != MODE_MOBILE || (air = PyObject_GetAttr(args[0], NAME[N_AIR])))
+        && gather(neighbors, ground, air, args[1], mode, sl) == 0)
+        r = sensed_tuple(sl);
     Py_XDECREF(region);
     Py_XDECREF(neighbors);
-    Py_XDECREF(gview);
-    Py_XDECREF(aview);
+    Py_XDECREF(ground);
+    Py_XDECREF(air);
     return r;
 }
 
 /* -- the world of one wake call ------------------------------------------ */
 
 typedef struct {
-    PyObject *sim, *p, *agents, *ground, *gview, *aview, *stale, *mobile_ids;
+    PyObject *sim, *p, *agents, *ground, *air, *stale, *mobile_ids;
     PyObject *neighbors, *distances, *draw, *batch, *approach;
     int approach1, adversarial;
     double m, e0, alpha;
@@ -834,8 +843,7 @@ world_close(world_t *w)
     Py_CLEAR(w->p);
     Py_CLEAR(w->agents);
     Py_CLEAR(w->ground);
-    Py_CLEAR(w->gview);
-    Py_CLEAR(w->aview);
+    Py_CLEAR(w->air);
     Py_CLEAR(w->stale);
     Py_CLEAR(w->mobile_ids);
     Py_CLEAR(w->neighbors);
@@ -855,7 +863,7 @@ world_open(world_t *w, PyObject *sim)
     w->sim = sim;
 #define GET(field, obj, name) ((w->field = PyObject_GetAttr(obj, NAME[name])) != NULL)
     if (!(GET(p, sim, N_P) && GET(agents, sim, N_AGENTS) && GET(ground, sim, N_GROUND)
-          && GET(gview, sim, N_GVIEW) && GET(aview, sim, N_AVIEW) && GET(stale, sim, N_STALE)
+          && GET(air, sim, N_AIR) && GET(stale, sim, N_STALE)
           && GET(mobile_ids, sim, N_MOBILE_IDS) && GET(draw, sim, N_DRAW)
           && GET(batch, sim, N_BATCH) && GET(approach, w->p, N_APPROACH)))
         goto error;
@@ -987,8 +995,8 @@ mark(world_t *w, long cell, order_t *order)
 {
     long cells[5], gid, s1;
     uint64_t key;
-    PyObject *nb, *gid_obj, *g;
-    int i;
+    PyObject *nb, *g, *id;
+    int i, r;
     if ((nb = seq_item(w->neighbors, cell)) == NULL)
         return -1;
     cells[0] = cell;
@@ -1001,18 +1009,20 @@ mark(world_t *w, long cell, order_t *order)
     for (i = 0; i < 5; i++) {
         if (cells[i] < 0)
             continue;
-        if ((gid_obj = list_item(w->ground, cells[i])) == NULL)
+        if ((g = list_item(w->ground, cells[i])) == NULL)
             return -1;
-        gid = PyLong_AsLong(gid_obj);
-        if (gid == -1 && PyErr_Occurred())
-            return -1;
-        if (!gid)
+        if (g == Py_None)
             continue;
-        if ((g = list_item(w->agents, gid - 1)) == NULL || rget_long(g, F_S1, &s1) < 0)
+        if (rget_long(g, F_S1, &s1) < 0)
             return -1;
         if (s1 == S_LOW_ENERGY)
             continue;
-        if (PySet_Add(w->stale, gid_obj) < 0)
+        if ((id = rget(g, F_ID)) == NULL)
+            return -1;
+        gid = PyLong_AsLong(id);
+        r = (gid == -1 && PyErr_Occurred()) ? -1 : PySet_Add(w->stale, id);
+        Py_DECREF(id);
+        if (r < 0)
             return -1;
         if (order == NULL || (gid <= order->n_ids && order->scheduled[gid]))
             continue;
@@ -1039,38 +1049,6 @@ k_mark_ground_change(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t n
     if (r < 0)
         return NULL;
     Py_RETURN_NONE;
-}
-
-static PyObject *
-k_wake_keys(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
-{
-    world_t w;
-    PyObject *fast = NULL, *out = NULL;
-    Py_ssize_t i, n;
-    uint64_t key;
-    long aid;
-    if (check_args("wake_keys", nargs, 2) < 0
-        || (fast = PySequence_Fast(args[1], "ids must be a sequence")) == NULL)
-        return NULL;
-    if (world_open(&w, args[0]) < 0) {
-        Py_DECREF(fast);
-        return NULL;
-    }
-    n = PySequence_Fast_GET_SIZE(fast);
-    if ((out = PyList_New(n)) != NULL)
-        for (i = 0; i < n; i++) {
-            PyObject *k;
-            aid = PyLong_AsLong(PySequence_Fast_GET_ITEM(fast, i));
-            if ((aid == -1 && PyErr_Occurred()) || wake_key(&w, aid, &key) < 0
-                || (k = PyLong_FromUnsignedLongLong(key)) == NULL) {
-                Py_CLEAR(out);
-                break;
-            }
-            PyList_SET_ITEM(out, i, k);
-        }
-    world_close(&w);
-    Py_DECREF(fast);
-    return out;
 }
 
 /* -- energy -------------------------------------------------------------- */
@@ -1137,13 +1115,11 @@ typedef struct {
 static PyObject *
 wake_sense(wake_t *k, PyObject *a, long mode, int rule, slot_t *sl, int mask)
 {
-    PyObject *slots[10], *xi;
+    PyObject *xi;
     if (k->own_sense) {
-        if (gather(k->w->neighbors, k->w->gview, k->w->aview, a, mode, slots) < 0)
+        if (gather(k->w->neighbors, k->w->ground, k->w->air, a, mode, sl) < 0)
             return NULL;
-        if (rule < 0)
-            return slots_tuple(slots);
-        return decode_slots(slots, sl, mask) < 0 ? NULL : Py_None;
+        return rule < 0 ? sensed_tuple(sl) : Py_None;
     }
     {
         PyObject *args[2] = {k->w->sim, a};
@@ -1164,7 +1140,7 @@ wake_mobile(wake_t *k, PyObject *a)
     slot_t sl[10];
     act_t out;
     PyObject *xi, *action = NULL, *s2 = NULL, *src = NULL, *nb = NULL, *dst = NULL;
-    PyObject *s1 = NULL, *energy = NULL, *id = NULL, *pair;
+    PyObject *s1 = NULL, *energy = NULL, *id = NULL;
     long kind, dir, src_l, dst_l, tm;
     int r = -1, occupied;
 
@@ -1200,26 +1176,23 @@ wake_mobile(wake_t *k, PyObject *a)
             goto done;
         occupied = dst_l < 0;
         if (!occupied) {
-            PyObject *v = list_item(w->aview, dst_l);
-            if (v == NULL || (occupied = PyObject_IsTrue(v)) < 0)
+            PyObject *v = list_item(w->air, dst_l);
+            if (v == NULL)
                 goto done;
+            occupied = v != Py_None;
         }
         if (occupied) {
             if ((id = rget(a, F_ID)) != NULL)
                 PyErr_Format(InvariantError, "agent %S moved into an occupied or wall cell", id);
             goto done;
         }
-        if (list_set(w->aview, src_l, EMPTY) < 0 || rset(a, F_POS, dst) < 0
-            || rset(a, F_S2, s2) < 0 || (s1 = rget(a, F_S1)) == NULL
-            || (pair = PyTuple_Pack(2, s1, s2)) == NULL)
-            goto done;
-        occupied = list_set(w->aview, dst_l, pair);
-        Py_DECREF(pair);
-        if (occupied < 0)
+        if (list_set(w->air, src_l, Py_None) < 0 || list_set(w->air, dst_l, a) < 0
+            || rset(a, F_POS, dst) < 0 || rset(a, F_S2, s2) < 0)
             goto done;
         if (w->batch != NULL) {
             PyObject *fields[8];
-            if ((id = rget(a, F_ID)) == NULL || (energy = rget(a, F_ENERGY)) == NULL)
+            if ((id = rget(a, F_ID)) == NULL || (s1 = rget(a, F_S1)) == NULL
+                || (energy = rget(a, F_ENERGY)) == NULL)
                 goto done;
             fields[0] = k->t, fields[1] = id, fields[2] = STR_MOVE, fields[3] = src;
             fields[4] = dst, fields[5] = s1, fields[6] = s2, fields[7] = energy;
@@ -1263,7 +1236,7 @@ wake_settled(wake_t *k, PyObject *a, long mode)
     world_t *w = k->w;
     slot_t sl[10];
     PyObject *xi, *new_s1 = NULL, *id = NULL, *s1 = NULL, *pos = NULL, *s2 = NULL;
-    PyObject *energy = NULL, *pair;
+    PyObject *energy = NULL;
     long old_l, new_l, pos_l, tm, ss;
     int r = -1, ne, d;
 
@@ -1305,17 +1278,13 @@ wake_settled(wake_t *k, PyObject *a, long mode)
                     goto done;
                 }
         }
-        if (rset(a, F_S1, new_s1) < 0 || (pos = rget(a, F_POS)) == NULL
-            || (s2 = rget(a, F_S2)) == NULL || (pair = PyTuple_Pack(2, new_s1, s2)) == NULL)
+        if (rset(a, F_S1, new_s1) < 0 || (pos = rget(a, F_POS)) == NULL)
             goto done;
-        pos_l = PyLong_AsLong(pos);
-        ne = (pos_l == -1 && PyErr_Occurred()) ? -1 : list_set(w->gview, pos_l, pair);
-        Py_DECREF(pair);
-        if (ne < 0)
+        if ((pos_l = PyLong_AsLong(pos)) == -1 && PyErr_Occurred())
             goto done;
         if (w->batch != NULL) {
             PyObject *fields[8];
-            if ((energy = rget(a, F_ENERGY)) == NULL)
+            if ((s2 = rget(a, F_S2)) == NULL || (energy = rget(a, F_ENERGY)) == NULL)
                 goto done;
             fields[0] = k->t, fields[1] = id, fields[2] = STR_TRANSITION, fields[3] = pos;
             fields[4] = pos, fields[5] = new_s1, fields[6] = s2, fields[7] = energy;
@@ -1683,10 +1652,10 @@ static PyMethodDef methods[] = {
          "observed ``(s1, s2)`` of an agent.  A mobile agent senses both layers;\n"
          "a settled one only the ground (its air slots read empty); any other\n"
          "mode raises ``ValueError``.\n\n"
-         "``world`` exposes ``region`` and the per-cell views ``gview`` and\n"
-         "``aview``: each cell holds ``SENSE_EMPTY`` or its occupant's ``(s1, s2)``,\n"
-         "and one extra last slot holds ``SENSE_WALL``, so the neighbor index\n"
-         "``-1`` of a wall or the outside reads as a wall."),
+         "``world`` exposes ``region`` and the occupant layers ``ground`` and\n"
+         "``air``: each cell holds its occupant's ``AgentRecord`` or ``None``,\n"
+         "and the neighbor index ``-1`` of a wall or the outside reads as a wall.\n"
+         "Each ``(s1, s2)`` is a new tuple of the occupant's own ``s1`` and ``s2``."),
     FAST(mobile_decide_sllg, "mobile_decide_sllg(a, xi, p, draw)\n--\n\nThe sllg-ea mobile rule."),
     FAST(mobile_decide_slug, "mobile_decide_slug(a, xi, p, draw)\n--\n\nThe slug-ea mobile rule."),
     FAST(mobile_decide_sltt, "mobile_decide_sltt(a, xi, p, draw)\n--\n\nThe sltt-ea mobile rule."),
@@ -1696,13 +1665,8 @@ static PyMethodDef methods[] = {
          "settled_decide_slug(a, xi, p, approach)\n--\n\nThe slug-ea settled rule."),
     FAST(settled_decide_sltt,
          "settled_decide_sltt(a, xi, p, approach)\n--\n\nThe sltt-ea settled rule."),
-    FAST(pick,
-         "pick(draw, items)\n--\n\n"
-         "``items[int(draw() * len(items))]``: a uniform choice for one draw."),
     FAST(wake, "wake(sim, t, sense, mobile_decide, settled_decide, apply_mobile)\n--\n\n"
                "The body of ``Simulation._wake``."),
-    FAST(wake_keys, "wake_keys(sim, ids)\n--\n\n"
-                    "The packed wake keys of the agents ``ids`` this step, in order."),
     FAST(mark_ground_change,
          "mark_ground_change(sim, cell)\n--\n\n"
          "The body of ``Simulation._mark_ground_change``: mark a cell's settled\n"

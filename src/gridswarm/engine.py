@@ -17,7 +17,7 @@ settled neighbors and the event-line formatter are compiled
 (``_kernel.c``, built on first import by ``_build.py``).  The kernel
 accepts the types defined here and in ``agents`` and ``rules`` and no
 others: an ``AgentRecord`` (any other object raises ``TypeError``), the
-views as lists, ``Event``s with int fields, a str action and an int or
+layers as lists, ``Event``s with int fields, a str action and an int or
 float energy.  It reads the energy parameters as doubles, and every
 energy the engine stores is a float, whatever the type of ``e0`` and
 ``alpha``.  ``_wake`` hands it the module's ``sense`` and the decide
@@ -38,12 +38,12 @@ the agent's stored count of movement ticks; ``t_s``, its count of
 settled steps, is not stored but computed from ``settle_step`` and the
 last step charged.
 
-Each layer is a per-cell sensed view, ``gview`` and ``aview``: a cell
-holds ``SENSE_EMPTY`` (falsy) or its occupant's ``(s1, s2)``, and an
-extra last slot holds ``SENSE_WALL`` so that the neighbor index ``-1``
-reads as a wall.  They are updated wherever the world changes, so
-``sense`` is a gather of ten slots.  Only the ground also keeps agent
-ids (``ground``), to look settled neighbors up by cell.
+The two layers are per-cell occupant lists, ``ground`` and ``air``: a
+cell holds its occupant's ``AgentRecord`` or ``None``.  An agent's
+``(s1, s2)`` is stored once, in its record, and ``sense`` reads it off
+the occupants of the agent's cell and its four neighbors; the neighbor
+index ``-1`` reads as a wall.  The layers change at entry, move, settle,
+shutdown and failure; a sub-state transition changes only the record.
 
 Invariant: the wake order holds only mobiles and settled agents that
 are not low-energy, and energy events concern only settled agents, each
@@ -88,8 +88,6 @@ from .agents import (
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
     S_MOBILE,
-    SENSE_EMPTY,
-    SENSE_WALL,
     AgentRecord,
     SimParams,
     sense,
@@ -101,9 +99,6 @@ from .rules import A_SETTLE_AT, A_SHUTDOWN, REGISTRY, _action
 TERM_CLOSED = "closed"
 TERM_LOW_ENERGY = "low_energy"
 TERM_STEP_CAP = "step_cap"
-
-# Wake keys pack the sub-step above the agent id.
-_ID_BITS = kernel.ID_BITS
 
 # The event-log lines of a batch of events, each ending in a newline.
 format_events = kernel.format_events
@@ -197,10 +192,9 @@ class Simulation:
         self.p = params
         self.draw = _uniform_stream(np.random.default_rng(params.seed))
         ncells = region.width * region.height
-        self.ground = [0] * ncells  # settled agent id per cell, 0 = empty
-        # Sensed views of the two layers, with a trailing wall slot.
-        self.gview: list = [SENSE_EMPTY] * ncells + [SENSE_WALL]
-        self.aview: list = [SENSE_EMPTY] * ncells + [SENSE_WALL]
+        # The occupant of each cell, per layer; None when it is empty.
+        self.ground: list[AgentRecord | None] = [None] * ncells
+        self.air: list[AgentRecord | None] = [None] * ncells
         self.agents: list[AgentRecord] = []
         self.mobile_ids: list[int] = []
         self.settled_count = 0
@@ -269,11 +263,6 @@ class Simulation:
         itself, against its own wake order."""
         kernel.mark_ground_change(self, cell)
 
-    def _wake_keys(self, ids) -> list[int]:
-        """Packed keys of the agents ``ids`` in this step's wake order,
-        in the order given; a random sub-step costs one draw."""
-        return kernel.wake_keys(self, ids)
-
     # -- one step ----------------------------------------------------------
 
     def step(self) -> None:
@@ -303,10 +292,10 @@ class Simulation:
         if t % self.p.dt:
             return
         entry = self.region.entry
-        if self.aview[entry]:
+        if self.air[entry] is not None:
             return
-        gid = self.ground[entry]
-        s2 = self.agents[gid - 1].s2 if gid else 0
+        g = self.ground[entry]
+        s2 = 0 if g is None else g.s2
         aid = len(self.agents) + 1
         # Entering consumes one unit of movement energy; energies are floats.
         a = AgentRecord(
@@ -319,7 +308,7 @@ class Simulation:
             t_m=1,
         )
         self.agents.append(a)
-        self.aview[entry] = (S_MOBILE, s2)
+        self.air[entry] = a
         self.mobile_ids.append(aid)
         self._log(t, a, "enter", -1, entry)
 
@@ -334,8 +323,7 @@ class Simulation:
             self._touch_settled_energy(a, t + 1)
             if kind == 1:
                 a.mode = MODE_FAILED
-                self.ground[a.pos] = 0
-                self.gview[a.pos] = SENSE_EMPTY
+                self.ground[a.pos] = None
                 self.settled_count -= 1
                 stale.discard(aid)
                 self._log(t, a, "fail", a.pos, a.pos)
@@ -351,12 +339,11 @@ class Simulation:
         if self._on_events is not None and self._batch:
             self._on_events(self._batch)
             self._batch = []
-        gid = self.ground[self.region.entry]
-        if gid:
-            s1 = self.agents[gid - 1].s1
-            if s1 == S_LOW_ENERGY:
+        g = self.ground[self.region.entry]
+        if g is not None:
+            if g.s1 == S_LOW_ENERGY:
                 self.terminated = TERM_LOW_ENERGY
-            elif s1 == S_CLOSED_BEACON:
+            elif g.s1 == S_CLOSED_BEACON:
                 self.terminated = TERM_CLOSED
         self.t = t + 1
 
@@ -366,22 +353,21 @@ class Simulation:
         kind = act.kind
         src = a.pos
         if kind == A_SHUTDOWN:
-            self.aview[src] = SENSE_EMPTY
+            self.air[src] = None
             a.mode = MODE_SHUTDOWN
             self.mobile_ids.remove(a.id)
             self._log(t, a, "shutdown", src, -1)
             return
         # Settle, either in place or into an adjacent empty cell.
         dst = self.region.neighbors[src][act.direction - 1] if kind == A_SETTLE_AT else src
-        if dst < 0 or self.ground[dst]:
+        if dst < 0 or self.ground[dst] is not None:
             raise InvariantError(f"agent {a.id} settled into an occupied or wall cell")
-        self.aview[src] = SENSE_EMPTY
-        self.ground[dst] = a.id
+        self.air[src] = None
+        self.ground[dst] = a
         a.pos = dst
         a.mode = MODE_SETTLED
         a.s1 = S_BEACON
         a.s2 = act.s2
-        self.gview[dst] = (a.s1, a.s2)
         a.settle_step = t
         self.mobile_ids.remove(a.id)
         self.settled_count += 1

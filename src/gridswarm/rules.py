@@ -61,9 +61,6 @@ def _action(kind: int, direction: int, s2: int) -> Action:
     return Action(kind, direction, s2)
 
 
-# ``items[int(u * len(items))]`` for one draw ``u``: every tie-break.
-_pick = kernel.pick
-
 # Mobile rules: ``(a, xi, p, draw) -> Action``.  ``xi`` is the sensed
 # neighborhood (``agents.sense``): the ground of the own cell and of the
 # N, E, S, W neighbors, then the same for the air.

@@ -4,7 +4,7 @@ rules and the wake loop as they were written in Python, used by
 
 ``ReferenceSimulation`` is a ``Simulation`` whose ``_wake`` is the
 Python loop over a heap of wake keys, with the Python ``sense`` and
-rules and its own ``_wake_keys`` and ``_mark_ground_change``; entry,
+rules, its own ``_wake_keys`` and its own ``_mark_ground_change``; entry,
 ``_apply_mobile``, energy and termination are the engine's own.  As in
 the kernel, the loop marks a settler's cell once ``_apply_mobile`` has
 settled it.  Its event log must equal the engine's line for line.
@@ -26,7 +26,8 @@ from gridswarm.agents import (
     AgentRecord,
     SimParams,
 )
-from gridswarm.engine import _ID_BITS, Event, InvariantError, RunResult, Simulation, _new_event
+from gridswarm._build import kernel
+from gridswarm.engine import Event, InvariantError, RunResult, Simulation, _new_event
 from gridswarm.grid import DIRECTIONS, EAST, NORTH, SOUTH, WEST, Region
 from gridswarm.rules import (
     A_MOVE,
@@ -38,8 +39,19 @@ from gridswarm.rules import (
     _action,
 )
 
+# Wake keys pack the sub-step above the agent id.
+_ID_BITS = kernel.ID_BITS
 _ID_MASK = (1 << _ID_BITS) - 1
 _UNSENSED_AIR = (SENSE_EMPTY,) * 5  # air slots of a settled agent
+
+
+def _slot(layer: list, cell: int):
+    """What a layer shows at ``cell``: ``SENSE_WALL`` for the neighbor
+    index ``-1``, ``SENSE_EMPTY`` or the occupant's ``(s1, s2)``."""
+    if cell < 0:
+        return SENSE_WALL
+    o = layer[cell]
+    return SENSE_EMPTY if o is None else (o.s1, o.s2)
 
 
 def sense(world, a: AgentRecord) -> tuple:
@@ -52,20 +64,17 @@ def sense(world, a: AgentRecord) -> tuple:
     layers; settled agents sense only the ground layer (their air
     slots read empty).
 
-    ``world`` must expose ``region`` and the per-cell sensed views
-    ``gview`` (ground) and ``aview`` (air): each cell holds
-    ``SENSE_EMPTY`` or the ``(s1, s2)`` its occupant projects, and one
-    extra last slot holds ``SENSE_WALL``, so the neighbor index ``-1``
-    of a wall or the outside reads as a wall.
+    ``world`` must expose ``region`` and the occupant layers ``ground``
+    and ``air``: each cell holds its occupant's ``AgentRecord`` or
+    ``None``, and the neighbor index ``-1`` of a wall or the outside
+    reads as a wall.
     """
-    pos = a.pos
-    n, e, s, w = world.region.neighbors[pos]
-    g = world.gview
+    cells = (a.pos, *world.region.neighbors[a.pos])
+    ground = tuple(_slot(world.ground, c) for c in cells)
     if a.mode == MODE_MOBILE:
-        v = world.aview
-        return (g[pos], g[n], g[e], g[s], g[w], v[pos], v[n], v[e], v[s], v[w])
+        return ground + tuple(_slot(world.air, c) for c in cells)
     if a.mode == MODE_SETTLED:
-        return (g[pos], g[n], g[e], g[s], g[w]) + _UNSENSED_AIR
+        return ground + _UNSENSED_AIR
     raise ValueError(f"agent {a.id} cannot sense in mode {MODE_NAMES.get(a.mode, a.mode)}")
 
 
@@ -345,11 +354,10 @@ class ReferenceSimulation(Simulation):
         for c in (cell, *self.region.neighbors[cell]):
             if c < 0:
                 continue
-            gid = ground[c]
-            if not gid:
+            g = ground[c]
+            if g is None or g.s1 == S_LOW_ENERGY:
                 continue
-            if self.agents[gid - 1].s1 == S_LOW_ENERGY:
-                continue
+            gid = g.id
             self.stale.add(gid)
             if heap is None or gid in scheduled:
                 continue
@@ -396,7 +404,7 @@ class ReferenceSimulation(Simulation):
         settled_decide = self._settled_decide
         heappop = heapq.heappop
         neighbors = self.region.neighbors
-        aview = self.aview
+        air = self.air
         emit = None if self._batch is None else self._batch.append
         while heap:
             key = heappop(heap)
@@ -408,14 +416,14 @@ class ReferenceSimulation(Simulation):
                 if kind == A_MOVE:  # the common case, inlined
                     src = a.pos
                     dst = neighbors[src][act.direction - 1]
-                    if dst < 0 or aview[dst]:
+                    if dst < 0 or air[dst] is not None:
                         raise InvariantError(
                             f"agent {aid} moved into an occupied or wall cell"
                         )
-                    aview[src] = SENSE_EMPTY
+                    air[src] = None
+                    air[dst] = a
                     a.pos = dst
                     a.s2 = s2 = act.s2
-                    aview[dst] = (a.s1, s2)
                     if emit is not None:
                         emit(
                             _new_event(
@@ -427,7 +435,7 @@ class ReferenceSimulation(Simulation):
                     if kind != A_SHUTDOWN:  # a settler changed its cell's ground
                         self._mark_ground_change(a.pos, key, heap, scheduled)
                 a.t_m = t_m = a.t_m + 1
-                a.energy = p.e0 - t_m  # a mobile has no settled steps
+                a.energy = float(p.e0) - t_m  # a mobile has no settled steps
             else:  # a settled agent that is not low-energy
                 self._touch_settled_energy(a, t)
                 xi = sense(self, a)
@@ -441,7 +449,6 @@ class ReferenceSimulation(Simulation):
                             f"agent {aid} closed with an empty neighbor in sight"
                         )
                     a.s1 = new_s1
-                    self.gview[a.pos] = (new_s1, a.s2)
                     self._log(t, a, "transition", a.pos, a.pos)
                     self._mark_ground_change(a.pos, key, heap, scheduled)
 

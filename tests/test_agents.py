@@ -87,8 +87,7 @@ class TestSense:
             id=aid, mode=MODE_SETTLED, s1=s1, s2=s2, pos=cell, energy=48.0
         )
         sim.agents.append(a)
-        sim.ground[cell] = aid
-        sim.gview[cell] = (a.s1, a.s2)
+        sim.ground[cell] = a
         return a
 
     def place_mobile(self, sim, cell, s2=0):
@@ -97,7 +96,7 @@ class TestSense:
             id=aid, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=cell, energy=49.0
         )
         sim.agents.append(a)
-        sim.aview[cell] = (a.s1, a.s2)
+        sim.air[cell] = a
         return a
 
     def test_mobile_senses_both_layers(self):
@@ -132,26 +131,23 @@ class TestSense:
         assert xi[7] == SENSE_WALL
 
 
-def mobiles_by_cell(world) -> dict:
-    """The air layer rebuilt from the agent records: each mobile agent
-    by its cell.  Two mobiles in one cell fail the calling test."""
-    air = {}
-    for m in world.agents:
-        if m.mode == MODE_MOBILE:
-            assert m.pos not in air, (world.t, m.id, air[m.pos].id)
-            air[m.pos] = m
-    return air
+def by_cell(world, mode) -> dict:
+    """A layer rebuilt from the agent records: each agent in ``mode`` by
+    its cell.  Two such agents in one cell fail the calling test."""
+    layer = {}
+    for a in world.agents:
+        if a.mode == mode:
+            assert a.pos not in layer, (world.t, a.id, layer[a.pos].id)
+            layer[a.pos] = a
+    return layer
 
 
 def reference_sense(world, a: AgentRecord) -> tuple:
-    """Sensing read straight from the ground's agent ids and the agent
-    records, branch by branch; the engine's view-based ``sense`` must
-    agree with it on every wake.  No per-cell array of the air layer is
-    read."""
-    region = world.region
-    ground = world.ground
-    agents = world.agents
-    nbs = region.neighbors[a.pos]
+    """Sensing rebuilt from the agent records alone, branch by branch;
+    the engine's ``sense`` must agree with it on every wake.  Neither
+    occupant layer is read."""
+    ground = by_cell(world, MODE_SETTLED)
+    nbs = world.region.neighbors[a.pos]
 
     if a.mode == MODE_SETTLED:
         xi = [SENSE_EMPTY] * 10
@@ -160,21 +156,18 @@ def reference_sense(world, a: AgentRecord) -> tuple:
             nb = nbs[d]
             if nb < 0:
                 xi[1 + d] = SENSE_WALL
-            else:
-                gid = ground[nb]
-                if gid:
-                    g = agents[gid - 1]
-                    xi[1 + d] = (g.s1, g.s2)
+            elif nb in ground:
+                g = ground[nb]
+                xi[1 + d] = (g.s1, g.s2)
         return tuple(xi)
 
     if a.mode != MODE_MOBILE:
         raise ValueError(f"agent {a.id} cannot sense in mode {MODE_NAMES.get(a.mode, a.mode)}")
 
-    air = mobiles_by_cell(world)
+    air = by_cell(world, MODE_MOBILE)
     xi = [SENSE_EMPTY] * 10
-    gid = ground[a.pos]
-    if gid:
-        g = agents[gid - 1]
+    if a.pos in ground:
+        g = ground[a.pos]
         xi[0] = (g.s1, g.s2)
     xi[5] = (a.s1, a.s2)
     for d in range(4):
@@ -183,19 +176,19 @@ def reference_sense(world, a: AgentRecord) -> tuple:
             xi[1 + d] = SENSE_WALL
             xi[6 + d] = SENSE_WALL
             continue
-        gid = ground[nb]
-        if gid:
-            g = agents[gid - 1]
+        if nb in ground:
+            g = ground[nb]
             xi[1 + d] = (g.s1, g.s2)
-        other = air.get(nb)
-        if other is not None:
-            xi[6 + d] = (other.s1, other.s2)
+        if nb in air:
+            m = air[nb]
+            xi[6 + d] = (m.s1, m.s2)
     return tuple(xi)
 
 
 class TestSenseMatchesReference:
-    """The sensed views stay in step with the world through every kind
-    of change, including settled failures (which must clear the cell)."""
+    """The occupant layers stay in step with the agent records through
+    every kind of change, including settled failures (which must clear
+    the cell)."""
 
     @pytest.mark.parametrize(
         "side,kw",
@@ -226,11 +219,8 @@ class TestSenseMatchesReference:
         assert (res.metrics.nda_failed > 0) == (params.alpha > 0)
 
         sim = res.sim
-        for cell, gid in enumerate(sim.ground):
-            g = sim.agents[gid - 1] if gid else None
-            assert sim.gview[cell] == ((g.s1, g.s2) if g else SENSE_EMPTY)
-        air = mobiles_by_cell(sim)
+        ground, air = by_cell(sim, MODE_SETTLED), by_cell(sim, MODE_MOBILE)
+        assert len(sim.ground) == len(sim.air) == sim.region.width * sim.region.height
         for cell in range(len(sim.ground)):
-            m = air.get(cell)
-            assert sim.aview[cell] == ((m.s1, m.s2) if m else SENSE_EMPTY)
-        assert sim.gview[-1] == sim.aview[-1] == SENSE_WALL
+            assert sim.ground[cell] is ground.get(cell)
+            assert sim.air[cell] is air.get(cell)

@@ -27,12 +27,10 @@ from gridswarm.agents import (
     S_BEACON,
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
-    SENSE_EMPTY,
     AgentRecord,
 )
 from gridswarm.engine import (
     _BLOCK,
-    _ID_BITS,
     TERM_CLOSED,
     TERM_LOW_ENERGY,
     TERM_STEP_CAP,
@@ -40,7 +38,8 @@ from gridswarm.engine import (
     _uniform_stream,
 )
 from gridswarm.grid import EAST, NORTH
-from gridswarm.rules import A_MOVE, A_SETTLE_AT, A_SETTLE_HERE, Action, _pick
+from gridswarm.rules import A_MOVE, A_SETTLE_AT, A_SETTLE_HERE, Action
+from reference import _ID_BITS, ReferenceSimulation, _pick
 
 
 def run_logged(region: Region, **kw) -> RunResult:
@@ -176,13 +175,13 @@ class TestStructuralInvariants:
     def test_final_occupancy_is_consistent(self):
         res = self.result()
         sim = res.sim
-        for cell, gid in enumerate(sim.ground):
-            if gid:
-                a = sim.agents[gid - 1]
-                assert a.pos == cell and a.mode == MODE_SETTLED
+        for cell, g in enumerate(sim.ground):
+            if g is not None:
+                assert sim.agents[g.id - 1] is g
+                assert g.pos == cell and g.mode == MODE_SETTLED
         for a in sim.agents:
             if a.mode == MODE_SETTLED:
-                assert sim.ground[a.pos] == a.id
+                assert sim.ground[a.pos] is a
 
     def test_one_settled_agent_per_cell(self):
         res = self.result()
@@ -254,9 +253,8 @@ class TestAirframeParking:
         assert down, "expected at least one exhausted agent in this scenario"
         air = {m.pos: m for m in sim.agents if m.mode == MODE_MOBILE}
         for a in down:
-            m = air.get(a.pos)
-            assert sim.aview[a.pos] == ((m.s1, m.s2) if m else SENSE_EMPTY)
-            assert sim.ground[a.pos] != a.id
+            assert sim.air[a.pos] is air.get(a.pos)
+            assert sim.ground[a.pos] is not a
 
     def test_mobile_agents_occupy_air(self):
         res = run_logged(line_region(40), dt=1, e0=500, max_steps=6)
@@ -264,9 +262,9 @@ class TestAirframeParking:
         mobiles = [a for a in sim.agents if a.mode == MODE_MOBILE]
         assert mobiles
         for a in mobiles:
-            assert sim.aview[a.pos] == (a.s1, a.s2)
+            assert sim.air[a.pos] is a
         # Every occupied air cell holds one of them.
-        assert sum(1 for v in sim.aview[:-1] if v) == len(mobiles)
+        assert sum(1 for v in sim.air if v is not None) == len(mobiles)
 
 
 class TestSchedulers:
@@ -387,7 +385,9 @@ class TestSettlingHorizon:
 
 class TestRandomSource:
     """The engine's uniform stream is the generator's own stream, and the
-    integers taken from it are those of ``low + int(u * (high - low))``."""
+    integers the reference takes from it (wake keys and tie-breaks) are
+    those of ``low + int(u * (high - low))``; ``test_kernel.py`` holds the
+    kernel's to the reference's, draw for draw."""
 
     N = 3 * _BLOCK + 5  # crosses three block boundaries
 
@@ -408,7 +408,7 @@ class TestRandomSource:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 1000, 2**20 + 3])
     def test_wake_keys_match_integer_draws(self, m):
-        sim = Simulation(square_region(5), SimParams(m=m))
+        sim = ReferenceSimulation(square_region(5), SimParams(m=m))
         us = self.draws()
         sim.draw = iter(us).__next__
         ids = list(range(1, len(us) + 1))

@@ -5,6 +5,7 @@ import gc
 import random
 from dataclasses import fields, make_dataclass
 from fractions import Fraction
+from itertools import cycle
 from types import SimpleNamespace
 
 import pytest
@@ -38,12 +39,23 @@ def log_of(res) -> list[str]:
     return [e.format() for e in res.events]
 
 
-def same_run(region, params):
-    """Assert the engine and the reference give the same log and metrics."""
-    got = run(region, params, log_events=True)
-    want = reference.reference_run(region, params)
+def energy_types(res) -> tuple[list, list]:
+    """The type of every logged energy and of every final record's."""
+    return [type(e.energy) for e in res.events], [type(a.energy) for a in res.sim.agents]
+
+
+def assert_same_run(got, want):
+    """Assert two runs give the same log, metrics and energy types."""
     assert log_of(got) == log_of(want)
     assert got.metrics == want.metrics
+    assert energy_types(got) == energy_types(want)
+
+
+def same_run(region, params):
+    """Assert the engine and the reference give the same log, metrics and
+    energy types."""
+    got = run(region, params, log_events=True)
+    assert_same_run(got, reference.reference_run(region, params))
     return got
 
 
@@ -55,7 +67,7 @@ def test_constants_agree_with_the_python_definitions():
         assert getattr(kernel, name) == getattr(agents, name), name
     for name in ("A_STAY", "A_MOVE", "A_SETTLE_HERE", "A_SETTLE_AT", "A_SHUTDOWN"):
         assert getattr(kernel, name) == getattr(rules, name), name
-    assert kernel.ID_BITS == engine._ID_BITS == 32
+    assert kernel.ID_BITS == 32
 
 
 def test_mode_names_agree_with_the_python_definitions():
@@ -175,7 +187,8 @@ COUNTERS = st.integers(0, 9)
 AGENT_SLOT = st.tuples(st.sampled_from([S_BEACON, S_CLOSED_BEACON, S_LOW_ENERGY]), COUNTERS)
 GROUND_SLOT = st.one_of(st.just(SENSE_EMPTY), st.just(SENSE_WALL), AGENT_SLOT)
 ENERGIES = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 9.0]) | st.floats(0.0, 12.0)
-DRAWS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.999999]) | st.floats(0.0, 0.9999999),
+DRAWS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.999999, 1.0 - 2.0**-53])
+                 | st.floats(0.0, 0.9999999),
                  min_size=4, max_size=4)
 
 
@@ -276,16 +289,32 @@ class TestWakeKeyWidth:
         with pytest.raises(ParamError, match="2\\*\\*32"):
             SimParams(m=2**32 + 1).validate()
 
+    EXTREMES = (0.0, 0.5, 1.0 - 2.0**-53)
+
     def test_keys_at_m_2_32_equal_the_reference(self):
+        self.check_extreme_draws(2**32)
+
+    def test_keys_at_m_2_20_plus_3_equal_the_reference(self):
+        self.check_extreme_draws(2**20 + 3)
+
+    def check_extreme_draws(self, m):
+        """Engine and reference, both drawing from a script that cycles
+        the extremes of [0, 1), log the same run; the reference packs the
+        keys exactly, the largest sub-step being ``m - 1``."""
         region = square_region(7)
-        params = SimParams(m=2**32, e0=9, dt=1, approach=2, seed=4)
-        sim = engine.Simulation(region, params)
-        us = [0.0, 0.5, 1.0 - 2.0**-53]
-        sim.draw = iter(us).__next__
-        keys = sim._wake_keys([1, 2, 3])
-        assert keys == [int(u * 2**32) << 32 | i for u, i in zip(us, (1, 2, 3))]
-        assert max(keys) >> 32 == 2**32 - 1
-        same_run(region, params)
+        params = SimParams(m=m, e0=9, dt=1, approach=2, seed=4)
+        ref = reference.ReferenceSimulation(region, params)
+        ref.draw = cycle(self.EXTREMES).__next__
+        keys = ref._wake_keys([1, 2, 3])
+        assert keys == [int(u * m) << 32 | i for u, i in zip(self.EXTREMES, (1, 2, 3))]
+        assert max(keys) >> 32 == m - 1
+        runs = []
+        for sim in (engine.Simulation(region, params, log_events=True),
+                    reference.ReferenceSimulation(region, params, log_events=True)):
+            sim.draw = cycle(self.EXTREMES).__next__
+            runs.append(sim.run())
+        assert_same_run(*runs)
+        assert runs[0].metrics.a_c > 0
 
 
 class TestBoundaryTypes:

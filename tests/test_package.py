@@ -1,6 +1,7 @@
 """Package hygiene: no module imports a name it never uses, every
-function is used somewhere, every field of a slotted record is read
-somewhere, and every exported name resolves."""
+function is used somewhere, every private name is used by the package
+itself, every field of a slotted record is read somewhere, and every
+exported name resolves."""
 import ast
 from pathlib import Path
 
@@ -73,6 +74,44 @@ def unreferenced_functions(defining: list[Path], using: list[Path]) -> list[str]
 
 def test_every_function_is_referenced():
     assert unreferenced_functions(MODULES, MODULES + TESTS) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_names_unread(paths: list[Path]) -> list[str]:
+    """Private names that ``paths`` bind at module level or define as a
+    function or method, and that no name or attribute load in ``paths``
+    reads: code kept only for the tests."""
+    read: set[str] = set()
+    bound = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound.append((path, node.lineno, node.name))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            else:
+                targets = [getattr(stmt, "target", None)]
+            bound += [(path, stmt.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(stmt, ast.ClassDef):
+                bound.append((path, stmt.lineno, stmt.name))
+    return sorted(
+        f"{path.name}:{line} {name}"
+        for path, line, name in bound
+        if _is_private(name) and name not in read
+    )
+
+
+def test_private_names_are_used_in_src():
+    assert private_names_unread(MODULES) == []
 
 
 def _is_slots_dataclass(decorator: ast.expr) -> bool:
