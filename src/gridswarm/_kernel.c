@@ -3,7 +3,10 @@
    This module holds sensing, the six decide rules, the body of
    ``Simulation._wake`` (wake keys, the wake order, the mobile and
    settled branches), the marking of settled agents whose ground
-   neighborhood changed, and the event-log line formatter.
+   neighborhood changed, the building of every logged ``Event``, the
+   event-log line formatter, and the run's random stream: PCG64 seeded
+   as NumPy's ``SeedSequence`` seeds it, so it draws the same floats as
+   NumPy's ``default_rng(seed).random()``.
 
    It accepts the engine's own types and no others: agents are
    ``AgentRecord``s, read and written straight through their slots; the
@@ -71,7 +74,7 @@ static const char *const NAMES[N_COUNT] = {
 static PyObject *NAME[N_COUNT];
 
 static PyObject *EMPTY, *WALL;  /* SENSE_EMPTY and SENSE_WALL: the ints 0, -1 */
-static PyObject *ONE;
+static PyObject *ZERO, *ONE;
 static PyObject *STR_MOVE, *STR_TRANSITION;
 
 /* Set by ``bind``. */
@@ -1077,13 +1080,14 @@ k_settled_energy(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs
 
 /* -- events -------------------------------------------------------------- */
 
-/* Append ``Event(t, agent, action, src, dst, s1, s2, energy)`` to the batch. */
+/* Append ``Event(t, agent, action, src, dst, s1, s2, energy)`` to
+   ``batch``, a list, or to nothing when it is NULL. */
 static int
-emit(world_t *w, PyObject *const *fields)
+emit(PyObject *batch, PyObject *const *fields)
 {
     PyObject *ev;
     int i, r;
-    if (w->batch == NULL)
+    if (batch == NULL)
         return 0;
     if ((ev = EventType->tp_alloc(EventType, 8)) == NULL)
         return -1;
@@ -1094,9 +1098,36 @@ emit(world_t *w, PyObject *const *fields)
     /* Ints, a str and a float cannot form a cycle: keep the log out of
        the collector's walks. */
     PyObject_GC_UnTrack(ev);
-    r = PyList_Append(w->batch, ev);
+    r = PyList_Append(batch, ev);
     Py_DECREF(ev);
     return r;
+}
+
+static PyObject *
+k_log_event(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *fields[8] = {NULL}, *a;
+    int r = -1;
+    if (check_args("log_event", nargs, 6) < 0 || check_bound() < 0)
+        return NULL;
+    if (args[0] == Py_None)
+        Py_RETURN_NONE;
+    if (!PyList_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError, "the event batch must be a list or None");
+        return NULL;
+    }
+    a = args[2];
+    fields[0] = args[1], fields[2] = args[3], fields[3] = args[4], fields[4] = args[5];
+    if ((fields[1] = rget(a, F_ID)) != NULL && (fields[5] = rget(a, F_S1)) != NULL
+        && (fields[6] = rget(a, F_S2)) != NULL && (fields[7] = rget(a, F_ENERGY)) != NULL)
+        r = emit(args[0], fields);
+    Py_XDECREF(fields[1]);
+    Py_XDECREF(fields[5]);
+    Py_XDECREF(fields[6]);
+    Py_XDECREF(fields[7]);
+    if (r < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 /* -- the wake loop ------------------------------------------------------- */
@@ -1196,7 +1227,7 @@ wake_mobile(wake_t *k, PyObject *a)
                 goto done;
             fields[0] = k->t, fields[1] = id, fields[2] = STR_MOVE, fields[3] = src;
             fields[4] = dst, fields[5] = s1, fields[6] = s2, fields[7] = energy;
-            if (emit(w, fields) < 0)
+            if (emit(w->batch, fields) < 0)
                 goto done;
         }
     }
@@ -1288,7 +1319,7 @@ wake_settled(wake_t *k, PyObject *a, long mode)
                 goto done;
             fields[0] = k->t, fields[1] = id, fields[2] = STR_TRANSITION, fields[3] = pos;
             fields[4] = pos, fields[5] = new_s1, fields[6] = s2, fields[7] = energy;
-            if (emit(w, fields) < 0)
+            if (emit(w->batch, fields) < 0)
                 goto done;
         }
         if (mark(w, pos_l, &k->order) < 0)
@@ -1596,6 +1627,186 @@ k_format_events(PyObject *Py_UNUSED(m), PyObject *events)
     return sb_finish(&b, ok);
 }
 
+/* -- the random stream --------------------------------------------------- */
+
+/* ``uniform_stream(seed)`` is called with no arguments for each draw and
+   returns the floats of NumPy's ``default_rng(seed).random()``, in
+   order.  The seed's 32-bit words are mixed into a pool of four as
+   NumPy's ``SeedSequence`` mixes them, the pool generates the four
+   64-bit words that seed a PCG64 generator (XSL-RR 128/64) as NumPy's
+   ``pcg64_set_seed`` does, and a draw is the top 53 bits of one output
+   times 2**-53. */
+
+__extension__ typedef unsigned __int128 u128;
+
+#define POOL 4
+#define HASH_INIT_A 0x43b0d7e5u
+#define HASH_MULT_A 0x931e8875u
+#define HASH_INIT_B 0x8b51f9ddu
+#define HASH_MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+#define PCG_MULT ((u128)0x2360ed051fc65da4u << 64 | 0x4385df649fccf645u)
+
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    u128 state, inc;
+} stream_t;
+
+static uint32_t
+hashmix(uint32_t v, uint32_t *h)
+{
+    v ^= *h;
+    *h *= HASH_MULT_A;
+    v *= *h;
+    return v ^ v >> 16;
+}
+
+static uint32_t
+mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_MULT_L * x - MIX_MULT_R * y;
+    return r ^ r >> 16;
+}
+
+/* The 32-bit words of the int ``seed >= 0``, least significant first,
+   one word for 0, in a ``PyMem`` block; ``*n`` gets their count. */
+static uint32_t *
+seed_words(PyObject *seed, Py_ssize_t *n)
+{
+    PyObject *v, *shift = NULL, *next;
+    uint32_t *words = NULL, *grown;
+    Py_ssize_t cap = 0;
+    int r;
+    *n = 0;
+    if ((v = PyNumber_Index(seed)) == NULL)
+        return NULL;
+    if ((r = PyObject_RichCompareBool(v, ZERO, Py_LT)) != 0) {
+        if (r > 0)
+            PyErr_Format(PyExc_ValueError, "a seed must be >= 0, got %S", v);
+        goto error;
+    }
+    if ((shift = PyLong_FromLong(32)) == NULL)
+        goto error;
+    do {
+        if (*n == cap) {
+            cap = cap ? 2 * cap : POOL;
+            if ((grown = PyMem_Realloc(words, (size_t)cap * sizeof(*words))) == NULL) {
+                PyErr_NoMemory();
+                goto error;
+            }
+            words = grown;
+        }
+        words[(*n)++] = (uint32_t)PyLong_AsUnsignedLongLongMask(v);
+        if ((next = PyNumber_Rshift(v, shift)) == NULL)
+            goto error;
+        Py_SETREF(v, next);
+    } while ((r = PyObject_IsTrue(v)) > 0);
+    if (r < 0)
+        goto error;
+    Py_DECREF(v);
+    Py_DECREF(shift);
+    return words;
+error:
+    Py_DECREF(v);
+    Py_XDECREF(shift);
+    PyMem_Free(words);
+    return NULL;
+}
+
+static void
+pcg_step(stream_t *s)
+{
+    s->state = s->state * PCG_MULT + s->inc;
+}
+
+/* Seed ``s`` from the ``n`` words of entropy ``e``. */
+static void
+stream_seed(stream_t *s, const uint32_t *e, Py_ssize_t n)
+{
+    uint32_t pool[POOL], h = HASH_INIT_A, x;
+    uint64_t val[POOL];
+    Py_ssize_t i, j;
+    /* SeedSequence: the first words into the pool, each pool word mixed
+       into the others, then each further word into every pool word. */
+    for (i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < n ? e[i] : 0, &h);
+    for (i = 0; i < POOL; i++)
+        for (j = 0; j < POOL; j++)
+            if (i != j)
+                pool[j] = mix(pool[j], hashmix(pool[i], &h));
+    for (i = POOL; i < n; i++)
+        for (j = 0; j < POOL; j++)
+            pool[j] = mix(pool[j], hashmix(e[i], &h));
+    /* ``generate_state(4, uint64)``: eight 32-bit words cycling over
+       the pool, paired low word first. */
+    memset(val, 0, sizeof(val));
+    h = HASH_INIT_B;
+    for (i = 0; i < 2 * POOL; i++) {
+        x = pool[i % POOL] ^ h;
+        h *= HASH_MULT_B;
+        x *= h;
+        val[i / 2] |= (uint64_t)(x ^ x >> 16) << (i % 2 * 32);
+    }
+    /* ``pcg64_set_seed``: the state from ``val[0:2]``, the increment
+       from ``val[2:4]``, high word first. */
+    s->inc = ((u128)val[2] << 64 | val[3]) << 1 | 1;
+    s->state = 0;
+    pcg_step(s);
+    s->state += (u128)val[0] << 64 | val[1];
+    pcg_step(s);
+}
+
+static PyObject *
+stream_draw(PyObject *self, PyObject *const *Py_UNUSED(args), size_t nargsf, PyObject *kwnames)
+{
+    stream_t *s = (stream_t *)self;
+    uint64_t x;
+    unsigned rot;
+    if (PyVectorcall_NARGS(nargsf) != 0 || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "a uniform_stream draw takes no arguments");
+        return NULL;
+    }
+    pcg_step(s);
+    rot = (unsigned)(s->state >> 122);
+    x = (uint64_t)(s->state >> 64) ^ (uint64_t)s->state;
+    x = x >> rot | x << (-rot & 63);
+    return PyFloat_FromDouble((double)(x >> 11) * (1.0 / 9007199254740992.0));
+}
+
+static PyObject *
+stream_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"seed", NULL};
+    PyObject *seed;
+    stream_t *s;
+    uint32_t *words;
+    Py_ssize_t n;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:uniform_stream", kwlist, &seed)
+        || (words = seed_words(seed, &n)) == NULL)
+        return NULL;
+    if ((s = (stream_t *)type->tp_alloc(type, 0)) != NULL) {
+        s->vectorcall = stream_draw;
+        stream_seed(s, words, n);
+    }
+    PyMem_Free(words);
+    return (PyObject *)s;
+}
+
+static PyTypeObject StreamType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "gridswarm._kernel.uniform_stream",
+    .tp_basicsize = sizeof(stream_t),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "uniform_stream(seed)\n--\n\n"
+              "A draw callable: each call returns the next float in [0, 1) of\n"
+              "NumPy's ``default_rng(seed).random()``.  ``seed`` is an int >= 0.",
+    .tp_new = stream_new,
+    .tp_call = PyVectorcall_Call,
+    .tp_vectorcall_offset = offsetof(stream_t, vectorcall),
+};
+
 /* -- binding ------------------------------------------------------------- */
 
 static PyObject *
@@ -1677,6 +1888,9 @@ static PyMethodDef methods[] = {
      "format_event(ev)\n--\n\nThe event-log line of one event, without a newline."},
     {"format_events", (PyCFunction)k_format_events, METH_O,
      "format_events(events)\n--\n\nThe event-log lines of a batch, each ending in a newline."},
+    FAST(log_event, "log_event(batch, t, a, action, src, dst)\n--\n\n"
+                    "Append ``Event(t, a.id, action, src, dst, a.s1, a.s2, a.energy)``\n"
+                    "to the list ``batch``, untracked by the collector; ``None`` logs nothing."),
     FAST(bind, "bind(AgentRecord, Event, InvariantError, _action)\n--\n\n"
                "Hand the kernel the Python classes and tables it works with."),
     {NULL, NULL, 0, NULL},
@@ -1704,7 +1918,7 @@ PyInit__kernel(void)
         if ((NAME[i] = PyUnicode_InternFromString(NAMES[i])) == NULL)
             goto error;
     if ((EMPTY = PyLong_FromLong(0)) == NULL || (WALL = PyLong_FromLong(-1)) == NULL
-        || (ONE = PyLong_FromLong(1)) == NULL
+        || (ZERO = PyLong_FromLong(0)) == NULL || (ONE = PyLong_FromLong(1)) == NULL
         || (STR_MOVE = PyUnicode_InternFromString("move")) == NULL
         || (STR_TRANSITION = PyUnicode_InternFromString("transition")) == NULL
         || add_own(m, "sense", &own_sense) < 0
@@ -1725,7 +1939,8 @@ PyInit__kernel(void)
         || PyModule_AddIntConstant(m, "A_SETTLE_HERE", A_SETTLE_HERE) < 0
         || PyModule_AddIntConstant(m, "A_SETTLE_AT", A_SETTLE_AT) < 0
         || PyModule_AddIntConstant(m, "A_SHUTDOWN", A_SHUTDOWN) < 0
-        || PyModule_AddIntConstant(m, "ID_BITS", ID_BITS) < 0)
+        || PyModule_AddIntConstant(m, "ID_BITS", ID_BITS) < 0
+        || PyModule_AddType(m, &StreamType) < 0)
         goto error;
     return m;
 error:

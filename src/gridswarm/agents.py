@@ -9,6 +9,7 @@ value or a direction code).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import bounds
@@ -109,6 +110,13 @@ class SimParams:
             )
         if self.max_steps is not None and self.max_steps < 1:
             raise ParamError(f"max_steps must be >= 1, got {self.max_steps}")
+        # A run is repeatable only from a given seed: no None for OS entropy.
+        try:
+            seed_ok = operator.index(self.seed) >= 0
+        except TypeError:
+            seed_ok = False
+        if not seed_ok:
+            raise ParamError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 @dataclass(slots=True)

@@ -62,10 +62,15 @@ it.  Keys are unique, so this is the order a heap would pop.
 
 Events are collected per step: in ``events`` for ``log_events=True``,
 or in a batch handed to ``on_events`` when the step closes (the CLI
-formats each batch in one call and writes it to the log file).
+formats each batch in one call and writes it to the log file).  The
+kernel builds every ``Event``, those logged here through
+``kernel.log_event`` too, and leaves it untracked by the cyclic
+collector.
 
-All randomness comes from one stream of uniform floats in [0, 1), drawn
-from the seeded numpy generator in blocks of 4096; a random sub-step is
+All randomness comes from one stream of uniform floats in [0, 1),
+``kernel.uniform_stream(seed)``: PCG64 seeded as NumPy's
+``SeedSequence`` seeds it, so its floats are those of NumPy's
+``default_rng(seed).random()``, in order.  A random sub-step is
 ``int(u * m)`` and a rule's tie-break among ``k`` options is
 ``int(u * k)``.
 """
@@ -74,10 +79,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .agents import (
     MODE_FAILED,
@@ -127,10 +129,6 @@ class Event(NamedTuple):
         return kernel.format_event(self)
 
 
-# Builds an ``Event`` from one tuple without the Python-level
-# ``NamedTuple.__new__``: ``_new_event(Event, (t, agent, ...))``.
-_new_event = tuple.__new__
-
 kernel.bind(AgentRecord, Event, InvariantError, _action)
 
 
@@ -159,18 +157,6 @@ def default_step_cap(region: Region, p: SimParams) -> int:
     return 50 * region.n * (p.dt + 2)
 
 
-# Uniform floats drawn from the generator per fetch.
-_BLOCK = 4096
-
-
-def _uniform_stream(rng: np.random.Generator) -> Callable[[], float]:
-    """A draw callable returning the generator's floats in [0, 1) in
-    order; they are fetched in blocks of ``_BLOCK`` and served by a
-    C-level iterator, so a draw runs no Python frame."""
-    blocks = iter(lambda: rng.random(_BLOCK).tolist(), None)
-    return chain.from_iterable(blocks).__next__
-
-
 class Simulation:
     """Mutable world state for one run.
 
@@ -190,7 +176,7 @@ class Simulation:
             raise ValueError("pass either log_events or on_events, not both")
         self.region = region
         self.p = params
-        self.draw = _uniform_stream(np.random.default_rng(params.seed))
+        self.draw = kernel.uniform_stream(params.seed)
         ncells = region.width * region.height
         # The occupant of each cell, per layer; None when it is empty.
         self.ground: list[AgentRecord | None] = [None] * ncells
@@ -215,15 +201,6 @@ class Simulation:
         self.terminated: str | None = None
 
     # -- helpers -----------------------------------------------------------
-
-    def _log(self, t, agent, action, src, dst):
-        if self._batch is not None:
-            self._batch.append(
-                _new_event(
-                    Event,
-                    (t, agent.id, action, src, dst, agent.s1, agent.s2, agent.energy),
-                )
-            )
 
     def _touch_settled_energy(self, a: AgentRecord, t: int) -> None:
         """Materialize a settled agent's lazily tracked energy as of the
@@ -310,7 +287,7 @@ class Simulation:
         self.agents.append(a)
         self.air[entry] = a
         self.mobile_ids.append(aid)
-        self._log(t, a, "enter", -1, entry)
+        kernel.log_event(self._batch, t, a, "enter", -1, entry)
 
     def _charge(self, t: int) -> None:
         """Apply the settled-energy events due by ``t``: threshold
@@ -326,7 +303,7 @@ class Simulation:
                 self.ground[a.pos] = None
                 self.settled_count -= 1
                 stale.discard(aid)
-                self._log(t, a, "fail", a.pos, a.pos)
+                kernel.log_event(self._batch, t, a, "fail", a.pos, a.pos)
                 self._mark_ground_change(a.pos)
             elif a.s1 != S_LOW_ENERGY:  # kind 0: the reporting threshold
                 stale.add(aid)
@@ -356,7 +333,7 @@ class Simulation:
             self.air[src] = None
             a.mode = MODE_SHUTDOWN
             self.mobile_ids.remove(a.id)
-            self._log(t, a, "shutdown", src, -1)
+            kernel.log_event(self._batch, t, a, "shutdown", src, -1)
             return
         # Settle, either in place or into an adjacent empty cell.
         dst = self.region.neighbors[src][act.direction - 1] if kind == A_SETTLE_AT else src
@@ -372,7 +349,7 @@ class Simulation:
         self.mobile_ids.remove(a.id)
         self.settled_count += 1
         self._schedule_energy_events(a)
-        self._log(t, a, "settle", src, dst)
+        kernel.log_event(self._batch, t, a, "settle", src, dst)
 
     # -- whole runs --------------------------------------------------------
 

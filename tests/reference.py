@@ -27,7 +27,7 @@ from gridswarm.agents import (
     SimParams,
 )
 from gridswarm._build import kernel
-from gridswarm.engine import Event, InvariantError, RunResult, Simulation, _new_event
+from gridswarm.engine import Event, InvariantError, RunResult, Simulation
 from gridswarm.grid import DIRECTIONS, EAST, NORTH, SOUTH, WEST, Region
 from gridswarm.rules import (
     A_MOVE,
@@ -43,6 +43,8 @@ from gridswarm.rules import (
 _ID_BITS = kernel.ID_BITS
 _ID_MASK = (1 << _ID_BITS) - 1
 _UNSENSED_AIR = (SENSE_EMPTY,) * 5  # air slots of a settled agent
+# Builds an ``Event`` from one tuple: ``_new_event(Event, (t, agent, ...))``.
+_new_event = tuple.__new__
 
 
 def _slot(layer: list, cell: int):
@@ -449,7 +451,13 @@ class ReferenceSimulation(Simulation):
                             f"agent {aid} closed with an empty neighbor in sight"
                         )
                     a.s1 = new_s1
-                    self._log(t, a, "transition", a.pos, a.pos)
+                    if emit is not None:
+                        emit(
+                            _new_event(
+                                Event,
+                                (t, aid, "transition", a.pos, a.pos, new_s1, a.s2, a.energy),
+                            )
+                        )
                     self._mark_ground_change(a.pos, key, heap, scheduled)
 
 

@@ -63,6 +63,9 @@ class TestSimParams:
             dict(e0=2.0**53),
             dict(alpha=1e-300),
             dict(alpha=5e-324),
+            dict(seed=None),
+            dict(seed=-1),
+            dict(seed=1.5),
         ],
     )
     def test_invalid_parameters_rejected(self, kw):

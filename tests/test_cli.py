@@ -237,6 +237,16 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 2
         assert "missing the 'region' key" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **kw: calls.append(a) or run(*a, **kw))
+        cfg = write_config(tmp_path, CORRIDOR_CFG.replace("seed = 0", "seed = -1"))
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "seed must be an int >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
     def test_without_out_writes_header_and_row_to_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CORRIDOR_CFG)
         out = tmp_path / "out.csv"

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audit import audit_run
@@ -29,14 +29,8 @@ from gridswarm.agents import (
     S_LOW_ENERGY,
     AgentRecord,
 )
-from gridswarm.engine import (
-    _BLOCK,
-    TERM_CLOSED,
-    TERM_LOW_ENERGY,
-    TERM_STEP_CAP,
-    InvariantError,
-    _uniform_stream,
-)
+from gridswarm._build import kernel
+from gridswarm.engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP, InvariantError
 from gridswarm.grid import EAST, NORTH
 from gridswarm.rules import A_MOVE, A_SETTLE_AT, A_SETTLE_HERE, Action
 from reference import _ID_BITS, ReferenceSimulation, _pick
@@ -384,18 +378,38 @@ class TestSettlingHorizon:
 
 
 class TestRandomSource:
-    """The engine's uniform stream is the generator's own stream, and the
-    integers the reference takes from it (wake keys and tie-breaks) are
-    those of ``low + int(u * (high - low))``; ``test_kernel.py`` holds the
+    """The engine's uniform stream, the kernel's PCG64, is NumPy's
+    ``default_rng(seed).random()`` stream, and the integers the reference
+    takes from it (wake keys and tie-breaks) are those of
+    ``low + int(u * (high - low))``; ``test_kernel.py`` holds the
     kernel's to the reference's, draw for draw."""
 
-    N = 3 * _BLOCK + 5  # crosses three block boundaries
+    N = 3 * 4096 + 5
 
-    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @staticmethod
+    def kernel_draws(seed, n):
+        draw = kernel.uniform_stream(seed)
+        return [draw() for _ in range(n)]
+
+    # Seeds of one to five 32-bit words; 2**128 + 3 and 10**40 take
+    # SeedSequence's second mixing loop.
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**32, 2**64 + 5, 2**128 + 3, 10**40])
     def test_draws_equal_generator_stream(self, seed):
-        draw = _uniform_stream(np.random.default_rng(seed))
-        drawn = [draw() for _ in range(self.N)]
-        assert drawn == np.random.default_rng(seed).random(self.N).tolist()
+        assert self.kernel_draws(seed, self.N) == np.random.default_rng(seed).random(self.N).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**200), n=st.integers(1, 40))
+    def test_draws_equal_generator_stream_on_any_seed(self, seed, n):
+        assert self.kernel_draws(seed, n) == np.random.default_rng(seed).random(n).tolist()
+
+    def test_simulation_draws_the_seeds_stream(self):
+        sim = Simulation(square_region(5), SimParams(seed=2**70 + 1))
+        assert [sim.draw() for _ in range(50)] == self.kernel_draws(2**70 + 1, 50)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_stream_refuses_what_is_not_an_int_at_least_0(self, seed):
+        with pytest.raises((TypeError, ValueError)):
+            kernel.uniform_stream(seed)
 
     @staticmethod
     def old_integers(u, low, high):

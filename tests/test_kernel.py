@@ -274,6 +274,17 @@ class TestParameterTypes:
             params.algorithm = algorithm
             same_run(square_region(7), params)
 
+    def test_int_energies_log_float_moves_before_settling(self):
+        """Int ``e0`` and ``alpha`` on a run where mobiles move before they
+        settle: every move logs a float energy, as in the reference."""
+        params = SimParams(dt=2, seed=3, e0=20, alpha=1, ecrit_mobile=2)
+        for algorithm in ("sllg-ea", "slug-ea", "sltt-ea"):
+            params.algorithm = algorithm
+            events = same_run(square_region(7), params).events
+            moves = [e for e in events if e.action == "move"]
+            assert {e.agent for e in moves} & {e.agent for e in events if e.action == "settle"}
+            assert {type(e.energy) for e in moves} == {float}
+
     @pytest.mark.parametrize("name", ["e0", "alpha", "ecrit_mobile", "ecrit_settled"])
     def test_energy_a_float_cannot_hold_is_rejected(self, name):
         value = {"e0": 12, "alpha": 0.5, "ecrit_mobile": 2, "ecrit_settled": 1}[name]
@@ -374,3 +385,13 @@ def test_logged_kernel_events_are_not_tracked_by_the_collector():
     kernel_events = [e for e in res.events if e.action in ("move", "transition")]
     assert {e.action for e in kernel_events} == {"move", "transition"}
     assert not any(gc.is_tracked(e) for e in kernel_events)
+
+
+def test_every_logged_event_is_untracked_by_the_collector():
+    """Entries, settles, shutdowns and failures, logged from Python, are
+    built by the kernel too: no event of the log is tracked."""
+    region, params, *_ = GOLDEN["sltt-a2-adversarial-alpha-fail"]
+    res = run(REGIONS[region](), SimParams(**params), log_events=True)
+    assert {e.action for e in res.events} == {
+        "enter", "move", "settle", "transition", "shutdown", "fail"}
+    assert not any(gc.is_tracked(e) for e in res.events)

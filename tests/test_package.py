@@ -1,8 +1,11 @@
 """Package hygiene: no module imports a name it never uses, every
 function is used somewhere, every private name is used by the package
-itself, every field of a slotted record is read somewhere, and every
-exported name resolves."""
+itself, every field of a slotted record is read somewhere, every
+exported name resolves, and a run imports no NumPy."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,3 +155,19 @@ def test_every_slot_field_is_read():
 def test_exports_resolve():
     missing = [name for name in gridswarm.__all__ if not hasattr(gridswarm, name)]
     assert missing == []
+
+
+def test_a_cli_run_imports_no_numpy(tmp_path):
+    """NumPy is a test dependency only: importing the CLI and running
+    ``square:5`` through it leaves it unimported."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("region = square:5\nseed = 3\n")
+    script = (
+        "import sys, gridswarm.cli\n"
+        f"assert gridswarm.cli.main(['run', '--config', {str(cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
