@@ -12,32 +12,38 @@
    ``AgentRecord``s, read and written straight through their slots; the
    occupant layers ``ground`` and ``air`` are lists whose cells hold an
    ``AgentRecord`` or ``None``; the region's ``neighbors`` and
-   ``distances`` are tuples or lists, and a neighbor index of ``-1`` is a
-   wall; an ``Event`` has int fields, a str action and an int or float
-   energy.  A sensed neighborhood handed to a rule from Python holds in
-   each slot ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of
-   ints.  Anything else raises ``TypeError``.  The run's energy
+   ``distances`` are tuples, a neighbor index of ``-1`` is a wall and
+   any index outside a sequence raises ``IndexError``; an ``Event`` has
+   int fields, a str action and an int or float energy.  A sensed
+   neighborhood handed to a rule from Python holds in each slot
+   ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of ints.
+   Anything else raises ``TypeError``.  The run's energy
    parameters are read as doubles, and every energy the kernel stores is
    a Python float, so every trajectory is the one the Python definitions
    give, draw for draw.
 
-   The wake order of a step is the kernel's own: a sorted array of keys
-   read by a cursor and a byte per agent id, both sized at the agents of
-   the step's start (each agent wakes at most once a step, and none
-   enters during the wakes).  ``Simulation._apply_mobile(a, act, t)``
-   settles or shuts an agent down; the kernel then marks the settler's
-   cell itself, so a settled neighbor whose wake is still ahead wakes
-   into the change.
+   The wake order of a step is the kernel's own, built from
+   ``Simulation.awake``, the set of ids of the agents that wake next
+   step: a sorted array of keys read by a cursor and a byte per agent
+   id, both sized at the agents of the step's start (each agent wakes at
+   most once a step, and none enters during the wakes).  The kernel
+   keeps ``awake`` up to date at a ground change and at the end of a
+   settled wake.  ``Simulation._apply_mobile(a, act, t)`` settles or
+   shuts an agent down; the kernel then marks the settler's cell itself,
+   so a settled neighbor whose wake is still ahead wakes into the change.
 
    ``_build.py`` compiles it on first import.  ``engine.py`` hands it
    the Python classes it needs through ``bind``.
 
-   The wake loop calls the sense and decide callables it is given once
-   per wake.  When they are this module's own functions it reads the
-   sensed slots straight off the occupants' records and runs the rules
-   on them, without building the tuple or the ``Action``; any other
-   callable (a wrapper that times or checks them) is called through
-   Python with the usual arguments. */
+   A wake takes one of two paths, chosen once per ``wake`` call for each
+   mode.  When ``sense`` and the mode's decide rule are both this
+   module's own functions, the wake gathers the sensed slots straight
+   off the occupants' records and runs the rule on them, building no
+   tuple and no ``Action``.  Otherwise (a wrapper that times or checks
+   them) it calls both through Python with the usual arguments and
+   decodes the result into C values at the call: an ``Action`` into its
+   kind, direction and ``s2``, a settled ``s1`` into a long.  After that
+   every wake runs the same code. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
@@ -60,14 +66,14 @@ static const char *const S1_TEXT[] = {"mobile", "beacon", "closed_beacon", "low_
 enum {
     F_ID, F_MODE, F_S1, F_S2, F_POS, F_ENERGY, F_TM, F_SETTLE, NF,
     N_KIND = NF, N_DIRECTION, N_REGION, N_NEIGHBORS, N_DISTANCES, N_GROUND,
-    N_AIR, N_AGENTS, N_STALE, N_MOBILE_IDS, N_DRAW, N_P, N_E0, N_ALPHA,
+    N_AIR, N_AGENTS, N_AWAKE, N_DRAW, N_P, N_E0, N_ALPHA,
     N_ECRIT_MOBILE, N_ECRIT_SETTLED, N_APPROACH, N_M, N_D_MAX, N_ADVERSARIAL,
     N_BATCH, N_COUNT
 };
 static const char *const NAMES[N_COUNT] = {
     "id", "mode", "s1", "s2", "pos", "energy", "t_m", "settle_step",
     "kind", "direction", "region", "neighbors", "distances", "ground", "air",
-    "agents", "stale", "mobile_ids", "draw", "p", "e0", "alpha",
+    "agents", "awake", "draw", "p", "e0", "alpha",
     "ecrit_mobile", "ecrit_settled", "approach", "m", "d_max",
     "_adversarial", "_batch",
 };
@@ -185,19 +191,15 @@ attr_double(PyObject *o, int n, double *out)
 
 /* -- sequences ----------------------------------------------------------- */
 
-/* Borrowed item ``i`` of a list, with Python's negative indexing. */
+/* Borrowed item ``i`` of a list; ``IndexError`` unless ``0 <= i < len``. */
 static PyObject *
 list_item(PyObject *list, long i)
 {
-    Py_ssize_t n;
     if (!PyList_Check(list)) {
         PyErr_Format(PyExc_TypeError, "expected a list, got %.100s", Py_TYPE(list)->tp_name);
         return NULL;
     }
-    n = PyList_GET_SIZE(list);
-    if (i < 0)
-        i += n;
-    if (i < 0 || i >= n) {
+    if (i < 0 || i >= PyList_GET_SIZE(list)) {
         PyErr_SetString(PyExc_IndexError, "list index out of range");
         return NULL;
     }
@@ -211,46 +213,35 @@ list_set(PyObject *list, long i, PyObject *v)
     PyObject *old = list_item(list, i);
     if (old == NULL)
         return -1;
-    if (i < 0)
-        i += PyList_GET_SIZE(list);
     Py_INCREF(v);
     PyList_SET_ITEM(list, i, v);
     Py_DECREF(old);
     return 0;
 }
 
-/* New reference to item ``i`` of a tuple or a list, Python indexing. */
+/* New reference to item ``i`` of a tuple; ``IndexError`` unless
+   ``0 <= i < len``. */
 static PyObject *
-seq_item(PyObject *seq, long i)
+tuple_item(PyObject *tuple, long i)
 {
-    Py_ssize_t n;
     PyObject *v;
-    if (PyList_CheckExact(seq)) {
-        v = list_item(seq, i);
-        Py_XINCREF(v);
-        return v;
-    }
-    if (!PyTuple_CheckExact(seq)) {
-        PyErr_Format(PyExc_TypeError, "expected a tuple or a list, got %.100s",
-                     Py_TYPE(seq)->tp_name);
+    if (!PyTuple_CheckExact(tuple)) {
+        PyErr_Format(PyExc_TypeError, "expected a tuple, got %.100s", Py_TYPE(tuple)->tp_name);
         return NULL;
     }
-    n = PyTuple_GET_SIZE(seq);
-    if (i < 0)
-        i += n;
-    if (i < 0 || i >= n) {
+    if (i < 0 || i >= PyTuple_GET_SIZE(tuple)) {
         PyErr_SetString(PyExc_IndexError, "tuple index out of range");
         return NULL;
     }
-    v = PyTuple_GET_ITEM(seq, i);
+    v = PyTuple_GET_ITEM(tuple, i);
     Py_INCREF(v);
     return v;
 }
 
 static int
-seq_long(PyObject *seq, long i, long *out)
+tuple_long(PyObject *tuple, long i, long *out)
 {
-    PyObject *v = seq_item(seq, i);
+    PyObject *v = tuple_item(tuple, i);
     if (v == NULL)
         return -1;
     *out = PyLong_AsLong(v);
@@ -402,12 +393,11 @@ pick(ctx_t *c, Py_ssize_t k, Py_ssize_t *out)
 /* -- mobile rules -------------------------------------------------------- */
 
 typedef struct {
-    int kind, dir;
-    long s2;
+    long kind, dir, s2;
 } act_t;
 
 static int
-act(act_t *a, int kind, int dir, long s2)
+act(act_t *a, long kind, long dir, long s2)
 {
     a->kind = kind;
     a->dir = dir;
@@ -769,10 +759,10 @@ gather(PyObject *neighbors, PyObject *ground, PyObject *air, PyObject *a, long m
         Py_DECREF(id);
         return -1;
     }
-    if (rget_long(a, F_POS, &cell) < 0 || (nb = seq_item(neighbors, cell)) == NULL)
+    if (rget_long(a, F_POS, &cell) < 0 || (nb = tuple_item(neighbors, cell)) == NULL)
         return -1;
     for (i = 0; i < 5; i++) {
-        if (i && seq_long(nb, i - 1, &cell) < 0)
+        if (i && tuple_long(nb, i - 1, &cell) < 0)
             break;
         if (cell < 0) {
             sl[i].kind = K_WALL;
@@ -833,7 +823,7 @@ k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 /* -- the world of one wake call ------------------------------------------ */
 
 typedef struct {
-    PyObject *sim, *p, *agents, *ground, *air, *stale, *mobile_ids;
+    PyObject *sim, *p, *agents, *ground, *air, *awake;
     PyObject *neighbors, *distances, *draw, *batch, *approach;
     int approach1, adversarial;
     double m, e0, alpha;
@@ -847,8 +837,7 @@ world_close(world_t *w)
     Py_CLEAR(w->agents);
     Py_CLEAR(w->ground);
     Py_CLEAR(w->air);
-    Py_CLEAR(w->stale);
-    Py_CLEAR(w->mobile_ids);
+    Py_CLEAR(w->awake);
     Py_CLEAR(w->neighbors);
     Py_CLEAR(w->distances);
     Py_CLEAR(w->draw);
@@ -866,8 +855,7 @@ world_open(world_t *w, PyObject *sim)
     w->sim = sim;
 #define GET(field, obj, name) ((w->field = PyObject_GetAttr(obj, NAME[name])) != NULL)
     if (!(GET(p, sim, N_P) && GET(agents, sim, N_AGENTS) && GET(ground, sim, N_GROUND)
-          && GET(air, sim, N_AIR) && GET(stale, sim, N_STALE)
-          && GET(mobile_ids, sim, N_MOBILE_IDS) && GET(draw, sim, N_DRAW)
+          && GET(air, sim, N_AIR) && GET(awake, sim, N_AWAKE) && GET(draw, sim, N_DRAW)
           && GET(batch, sim, N_BATCH) && GET(approach, w->p, N_APPROACH)))
         goto error;
 #undef GET
@@ -916,7 +904,7 @@ wake_key(world_t *w, long aid, uint64_t *key)
     if (w->adversarial) {
         PyObject *a = list_item(w->agents, aid - 1);
         long pos, dist;
-        if (a == NULL || rget_long(a, F_POS, &pos) < 0 || seq_long(w->distances, pos, &dist) < 0)
+        if (a == NULL || rget_long(a, F_POS, &pos) < 0 || tuple_long(w->distances, pos, &dist) < 0)
             return -1;
         if (dist < 0 || (uint64_t)dist > ID_MASK) {
             PyErr_Format(PyExc_ValueError, "agent %ld woke on a cell at distance %ld", aid, dist);
@@ -989,7 +977,7 @@ insort(order_t *o, long aid, uint64_t key)
 }
 
 /* A cell's projected ground state changed: its settled occupant and
-   settled neighbors that are not low-energy become stale.  During a wake
+   settled neighbors that are not low-energy join ``awake``.  During a wake
    (``order`` not NULL), one whose key this step would come after the
    waking agent's is inserted into the order and wakes into the change
    now. */
@@ -1000,11 +988,11 @@ mark(world_t *w, long cell, order_t *order)
     uint64_t key;
     PyObject *nb, *g, *id;
     int i, r;
-    if ((nb = seq_item(w->neighbors, cell)) == NULL)
+    if ((nb = tuple_item(w->neighbors, cell)) == NULL)
         return -1;
     cells[0] = cell;
     for (i = 1; i < 5; i++)
-        if (seq_long(nb, i - 1, &cells[i]) < 0) {
+        if (tuple_long(nb, i - 1, &cells[i]) < 0) {
             Py_DECREF(nb);
             return -1;
         }
@@ -1023,7 +1011,7 @@ mark(world_t *w, long cell, order_t *order)
         if ((id = rget(g, F_ID)) == NULL)
             return -1;
         gid = PyLong_AsLong(id);
-        r = (gid == -1 && PyErr_Occurred()) ? -1 : PySet_Add(w->stale, id);
+        r = (gid == -1 && PyErr_Occurred()) ? -1 : PySet_Add(w->awake, id);
         Py_DECREF(id);
         if (r < 0)
             return -1;
@@ -1137,70 +1125,80 @@ typedef struct {
     PyObject *t, *sense, *mobile_decide, *settled_decide, *apply_mobile;
     order_t order;
     long t_l;
-    int own_sense, mobile_r, settled_r;  /* -1: a callable of Python's */
+    int mobile_r, settled_r;  /* the own rule of the mode, or -1: call Python */
 } wake_t;
 
-/* Sense for agent ``a``: fills ``sl`` when the rule is ours and returns
-   the sensed tuple (new reference) when the rule needs one, else None
-   (borrowed, not to be released). */
+/* The seams called through Python: ``sense(sim, a)``, then ``decide(a,
+   xi, p, last)``; a new reference to the decision. */
 static PyObject *
-wake_sense(wake_t *k, PyObject *a, long mode, int rule, slot_t *sl, int mask)
+call_seams(wake_t *k, PyObject *a, PyObject *decide, PyObject *last)
 {
-    PyObject *xi;
-    if (k->own_sense) {
-        if (gather(k->w->neighbors, k->w->ground, k->w->air, a, mode, sl) < 0)
-            return NULL;
-        return rule < 0 ? sensed_tuple(sl) : Py_None;
-    }
-    {
-        PyObject *args[2] = {k->w->sim, a};
-        xi = PyObject_Vectorcall(k->sense, args, 2, NULL);
-    }
-    if (xi != NULL && rule >= 0) {
-        int r = decode_xi(xi, sl, mask);
-        Py_DECREF(xi);
-        return r < 0 ? NULL : Py_None;
-    }
-    return xi;
+    PyObject *args[4] = {k->w->sim, a}, *xi, *r;
+    if ((xi = PyObject_Vectorcall(k->sense, args, 2, NULL)) == NULL)
+        return NULL;
+    args[0] = a, args[1] = xi, args[2] = k->w->p, args[3] = last;
+    r = PyObject_Vectorcall(decide, args, 4, NULL);
+    Py_DECREF(xi);
+    return r;
+}
+
+/* The outcome of a mobile wake: the own rule on slots gathered off the
+   layers, or the seams' ``Action`` decoded. */
+static int
+decide_mobile(wake_t *k, PyObject *a, act_t *out)
+{
+    world_t *w = k->w;
+    slot_t sl[10];
+    PyObject *action;
+    long kind, dir, s2;
+    int r;
+    if (k->mobile_r >= 0)
+        return gather(w->neighbors, w->ground, w->air, a, MODE_MOBILE, sl) < 0
+                   ? -1 : mobile_rule(k->mobile_r, &w->ctx, a, sl, out);
+    if ((action = call_seams(k, a, k->mobile_decide, w->draw)) == NULL)
+        return -1;
+    r = attr_long(action, N_KIND, &kind) < 0 || attr_long(action, N_DIRECTION, &dir) < 0
+        || attr_long(action, F_S2, &s2) < 0;
+    Py_DECREF(action);
+    return r ? -1 : act(out, kind, dir, s2);
+}
+
+/* The sub-state a settled wake projects next: the own rule on slots
+   gathered off ``ground``, or the seams' ``s1`` decoded. */
+static int
+decide_settled(wake_t *k, PyObject *a, long mode, long *out)
+{
+    world_t *w = k->w;
+    slot_t sl[10];
+    PyObject *s1;
+    if (k->settled_r >= 0)
+        return gather(w->neighbors, w->ground, w->air, a, mode, sl) < 0
+                   ? -1 : settled_rule(k->settled_r, &w->ctx, a, sl, w->approach1, out);
+    if ((s1 = call_seams(k, a, k->settled_decide, w->approach)) == NULL)
+        return -1;
+    *out = PyLong_AsLong(s1);
+    Py_DECREF(s1);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
 static int
 wake_mobile(wake_t *k, PyObject *a)
 {
     world_t *w = k->w;
-    slot_t sl[10];
     act_t out;
-    PyObject *xi, *action = NULL, *s2 = NULL, *src = NULL, *nb = NULL, *dst = NULL;
+    PyObject *s2 = NULL, *src = NULL, *nb = NULL, *dst = NULL;
     PyObject *s1 = NULL, *energy = NULL, *id = NULL;
-    long kind, dir, src_l, dst_l, tm;
+    long src_l, dst_l, tm;
     int r = -1, occupied;
 
-    if ((xi = wake_sense(k, a, MODE_MOBILE, k->mobile_r, sl, MOBILE_SLOTS)) == NULL)
+    if (decide_mobile(k, a, &out) < 0)
         return -1;
-    if (k->mobile_r >= 0) {
-        if (mobile_rule(k->mobile_r, &w->ctx, a, sl, &out) < 0)
-            return -1;
-        kind = out.kind;
-    }
-    else {
-        PyObject *args[4] = {a, xi, w->p, w->draw};
-        action = PyObject_Vectorcall(k->mobile_decide, args, 4, NULL);
-        Py_DECREF(xi);
-        if (action == NULL || attr_long(action, N_KIND, &kind) < 0)
-            goto done;
-    }
-    if (kind == A_MOVE) {  /* the common case, inlined */
-        if (action == NULL) {
-            dir = out.dir;
-            s2 = PyLong_FromLong(out.s2);
-        }
-        else if (attr_long(action, N_DIRECTION, &dir) == 0)
-            s2 = PyObject_GetAttr(action, NAME[F_S2]);
-        if (s2 == NULL || (src = rget(a, F_POS)) == NULL)
+    if (out.kind == A_MOVE) {  /* the common case, inlined */
+        if ((s2 = PyLong_FromLong(out.s2)) == NULL || (src = rget(a, F_POS)) == NULL)
             goto done;
         src_l = PyLong_AsLong(src);
-        if ((src_l == -1 && PyErr_Occurred()) || (nb = seq_item(w->neighbors, src_l)) == NULL
-            || (dst = seq_item(nb, dir - 1)) == NULL)
+        if ((src_l == -1 && PyErr_Occurred()) || (nb = tuple_item(w->neighbors, src_l)) == NULL
+            || (dst = tuple_item(nb, out.dir - 1)) == NULL)
             goto done;
         dst_l = PyLong_AsLong(dst);
         if (dst_l == -1 && PyErr_Occurred())
@@ -1231,15 +1229,17 @@ wake_mobile(wake_t *k, PyObject *a)
                 goto done;
         }
     }
-    else if (kind != A_STAY) {  /* shut down or settle */
+    else if (out.kind != A_STAY) {  /* shut down or settle */
         PyObject *args[3], *res;
-        if (action == NULL && (action = make_action(&out)) == NULL)
+        if ((args[1] = make_action(&out)) == NULL)
             goto done;
-        args[0] = a, args[1] = action, args[2] = k->t;
-        if ((res = PyObject_Vectorcall(k->apply_mobile, args, 3, NULL)) == NULL)
+        args[0] = a, args[2] = k->t;
+        res = PyObject_Vectorcall(k->apply_mobile, args, 3, NULL);
+        Py_DECREF(args[1]);
+        if (res == NULL)
             goto done;
         Py_DECREF(res);
-        if (kind != A_SHUTDOWN  /* a settler changed its cell's ground */
+        if (out.kind != A_SHUTDOWN  /* a settler changed its cell's ground */
             && (rget_long(a, F_POS, &dst_l) < 0 || mark(w, dst_l, &k->order) < 0))
             goto done;
     }
@@ -1250,7 +1250,6 @@ wake_mobile(wake_t *k, PyObject *a)
         goto done;
     r = 0;
 done:
-    Py_XDECREF(action);
     Py_XDECREF(s2);
     Py_XDECREF(src);
     Py_XDECREF(nb);
@@ -1261,46 +1260,31 @@ done:
     return r;
 }
 
+/* A settled wake ends with the agent out of ``awake``; a transition's
+   marks put it back unless it reported low. */
 static int
 wake_settled(wake_t *k, PyObject *a, long mode)
 {
     world_t *w = k->w;
     slot_t sl[10];
-    PyObject *xi, *new_s1 = NULL, *id = NULL, *s1 = NULL, *pos = NULL, *s2 = NULL;
-    PyObject *energy = NULL;
+    PyObject *new_s1 = NULL, *id = NULL, *pos = NULL, *s2 = NULL, *energy = NULL;
     long old_l, new_l, pos_l, tm, ss;
-    int r = -1, ne, d;
+    int r = -1, d;
 
     if (mode == MODE_SETTLED  /* materialize the lazily tracked energy */
         && (rget_long(a, F_TM, &tm) < 0 || rget_long(a, F_SETTLE, &ss) < 0
             || rset_new(a, F_ENERGY, settled_energy(w->e0, w->alpha, tm, k->t_l - 1 - ss)) < 0))
         return -1;
-    if ((xi = wake_sense(k, a, mode, k->settled_r, sl, SETTLED_SLOTS)) == NULL)
-        return -1;
-    if (k->settled_r >= 0) {
-        if (settled_rule(k->settled_r, &w->ctx, a, sl, w->approach1, &new_l) < 0)
-            return -1;
-        new_s1 = PyLong_FromLong(new_l);
-        xi = NULL;
-    }
-    else {
-        PyObject *args[4] = {a, xi, w->p, w->approach};
-        new_s1 = PyObject_Vectorcall(k->settled_decide, args, 4, NULL);
-    }
-    if (new_s1 == NULL || (id = rget(a, F_ID)) == NULL || PySet_Discard(w->stale, id) < 0
-        || (s1 = rget(a, F_S1)) == NULL || (ne = PyObject_RichCompareBool(new_s1, s1, Py_NE)) < 0)
+    if (decide_settled(k, a, mode, &new_l) < 0 || (id = rget(a, F_ID)) == NULL
+        || PySet_Discard(w->awake, id) < 0 || rget_long(a, F_S1, &old_l) < 0)
         goto done;
-    if (ne) {
-        old_l = PyLong_AsLong(s1);
-        new_l = PyLong_AsLong(new_s1);
-        if ((old_l == -1 || new_l == -1) && PyErr_Occurred())
-            goto done;
+    if (new_l != old_l) {
         if (old_l == S_CLOSED_BEACON && new_l == S_BEACON) {
             PyErr_Format(InvariantError, "agent %S reopened a closed beacon", id);
             goto done;
         }
         if (new_l == S_CLOSED_BEACON) {
-            if (xi != NULL && decode_xi(xi, sl, SETTLED_SLOTS) < 0)
+            if (gather(w->neighbors, w->ground, w->air, a, mode, sl) < 0)
                 goto done;
             for (d = 1; d <= 4; d++)
                 if (sl[d].kind == K_EMPTY) {
@@ -1309,7 +1293,8 @@ wake_settled(wake_t *k, PyObject *a, long mode)
                     goto done;
                 }
         }
-        if (rset(a, F_S1, new_s1) < 0 || (pos = rget(a, F_POS)) == NULL)
+        if ((new_s1 = PyLong_FromLong(new_l)) == NULL || rset(a, F_S1, new_s1) < 0
+            || (pos = rget(a, F_POS)) == NULL)
             goto done;
         if ((pos_l = PyLong_AsLong(pos)) == -1 && PyErr_Occurred())
             goto done;
@@ -1327,10 +1312,8 @@ wake_settled(wake_t *k, PyObject *a, long mode)
     }
     r = 0;
 done:
-    Py_XDECREF(xi);
     Py_XDECREF(new_s1);
     Py_XDECREF(id);
-    Py_XDECREF(s1);
     Py_XDECREF(pos);
     Py_XDECREF(s2);
     Py_XDECREF(energy);
@@ -1348,70 +1331,55 @@ rule_index(PyObject *f, PyObject *const *own)
 }
 
 static int
-cmp_long(const void *x, const void *y)
-{
-    long a = *(const long *)x, b = *(const long *)y;
-    return (a > b) - (a < b);
-}
-
-static int
 cmp_key(const void *x, const void *y)
 {
     uint64_t a = *(const uint64_t *)x, b = *(const uint64_t *)y;
     return (a > b) - (a < b);
 }
 
-/* This step's wake order: all mobiles plus the stale settled agents,
-   keyed in id order (``mobile_ids`` order when none is stale), sorted;
+/* This step's wake order: the agents in ``awake``, keyed and sorted; a
+   random key is one draw, so random keys are drawn in id order.
    ``order_free`` after, also on failure. */
 static int
 wake_order(world_t *w, order_t *o)
 {
-    Py_ssize_t n_mob, n_stale, n, i = 0;
-    long *ids = NULL;
-    PyObject *it = NULL, *item;
-    int r = -1;
+    PyObject *it, *item;
+    Py_ssize_t i;
+    long aid;
 
     memset(o, 0, sizeof(*o));
-    if (!PyList_Check(w->agents) || !PyList_Check(w->mobile_ids) || !PySet_Check(w->stale)) {
-        PyErr_SetString(PyExc_TypeError, "agents and mobile_ids must be lists and stale a set");
+    if (!PyList_Check(w->agents) || !PySet_Check(w->awake)) {
+        PyErr_SetString(PyExc_TypeError, "agents must be a list and awake a set");
         return -1;
     }
-    n_mob = PyList_GET_SIZE(w->mobile_ids);
-    n_stale = PySet_GET_SIZE(w->stale);
-    n = n_mob + n_stale;
     o->n_ids = PyList_GET_SIZE(w->agents);
     o->keys = PyMem_Malloc(sizeof(uint64_t) * (size_t)(o->n_ids ? o->n_ids : 1));
     o->scheduled = PyMem_Calloc((size_t)o->n_ids + 1, 1);
-    ids = PyMem_Malloc(sizeof(long) * (size_t)(n ? n : 1));
-    if (o->keys == NULL || o->scheduled == NULL || ids == NULL) {
+    if (o->keys == NULL || o->scheduled == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    for (i = 0; i < n_mob; i++)
-        if ((ids[i] = PyLong_AsLong(PyList_GET_ITEM(w->mobile_ids, i))) == -1 && PyErr_Occurred())
-            goto done;
-    if ((it = PyObject_GetIter(w->stale)) == NULL)
-        goto done;
-    while (i < n && (item = PyIter_Next(it)) != NULL) {
-        ids[i] = PyLong_AsLong(item);
+    if ((it = PyObject_GetIter(w->awake)) == NULL)
+        return -1;
+    /* ``admit`` takes each id once and only if it names an agent, so the
+       ids fit ``keys``. */
+    while ((item = PyIter_Next(it)) != NULL) {
+        aid = PyLong_AsLong(item);
         Py_DECREF(item);
-        if (ids[i++] == -1 && PyErr_Occurred())
-            goto done;
+        if ((aid == -1 && PyErr_Occurred()) || admit(o, aid) < 0)
+            break;
+        o->keys[o->n++] = (uint64_t)aid;
     }
+    Py_DECREF(it);
     if (PyErr_Occurred())
-        goto done;
-    if (n_stale)
-        qsort(ids, (size_t)n, sizeof(long), cmp_long);
-    for (i = 0; i < n; i++)
-        if (admit(o, ids[i]) < 0 || wake_key(w, ids[i], &o->keys[o->n++]) < 0)
-            goto done;
+        return -1;
+    if (!w->adversarial)
+        qsort(o->keys, (size_t)o->n, sizeof(uint64_t), cmp_key);
+    for (i = 0; i < o->n; i++)
+        if (wake_key(w, (long)o->keys[i], &o->keys[i]) < 0)
+            return -1;
     qsort(o->keys, (size_t)o->n, sizeof(uint64_t), cmp_key);
-    r = 0;
-done:
-    Py_XDECREF(it);
-    PyMem_Free(ids);
-    return r;
+    return 0;
 }
 
 static PyObject *
@@ -1419,7 +1387,7 @@ k_wake(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
     world_t w;
     wake_t k;
-    int r;
+    int r, own_sensing;
 
     if (check_args("wake", nargs, 6) < 0 || world_open(&w, args[0]) < 0)
         return NULL;
@@ -1430,9 +1398,10 @@ k_wake(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
     k.mobile_decide = args[3];
     k.settled_decide = args[4];
     k.apply_mobile = args[5];
-    k.own_sense = k.sense == own_sense;
-    k.mobile_r = rule_index(k.mobile_decide, own_mobile);
-    k.settled_r = rule_index(k.settled_decide, own_settled);
+    /* A mode's wakes are compiled only when sense and its rule both are. */
+    own_sensing = k.sense == own_sense;
+    k.mobile_r = own_sensing ? rule_index(k.mobile_decide, own_mobile) : -1;
+    k.settled_r = own_sensing ? rule_index(k.settled_decide, own_settled) : -1;
     k.t_l = PyLong_AsLong(k.t);
     r = (k.t_l == -1 && PyErr_Occurred()) ? -1 : wake_order(&w, &k.order);
     /* The order may grow behind the cursor's back: only after it. */
@@ -1880,8 +1849,9 @@ static PyMethodDef methods[] = {
                "The body of ``Simulation._wake``."),
     FAST(mark_ground_change,
          "mark_ground_change(sim, cell)\n--\n\n"
-         "The body of ``Simulation._mark_ground_change``: mark a cell's settled\n"
-         "occupant and settled neighbors stale, between steps."),
+         "The body of ``Simulation._mark_ground_change``: put a cell's settled\n"
+         "occupant and settled neighbors that are not low-energy into ``awake``,\n"
+         "between steps."),
     FAST(settled_energy, "settled_energy(e0, t_m, alpha, t_s)\n--\n\n"
                          "The settled ledger ``e0 - t_m - alpha * t_s``."),
     {"format_event", (PyCFunction)k_format_event, METH_O,

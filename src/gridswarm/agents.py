@@ -48,6 +48,14 @@ class ParamError(ValueError):
     """Raised for inconsistent run parameters."""
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is a whole number; an integral float is one."""
+    try:
+        return value % 1 == 0
+    except TypeError:
+        return False
+
+
 @dataclass
 class SimParams:
     """Parameters of a single run."""
@@ -81,6 +89,10 @@ class SimParams:
             raise ParamError(f"unknown scheduler {self.scheduler!r}; expected one of {SCHEDULERS}")
         if self.approach not in (1, 2):
             raise ParamError(f"approach must be 1 or 2, got {self.approach}")
+        for name in ("dt", "m", "max_steps"):
+            value = getattr(self, name)
+            if not (_integral(value) or name == "max_steps" and value is None):
+                raise ParamError(f"{name} must be an integer, got {value!r}")
         if self.dt < 1:
             raise ParamError(f"dt must be >= 1, got {self.dt}")
         if self.m < 1:

@@ -20,23 +20,24 @@ others: an ``AgentRecord`` (any other object raises ``TypeError``), the
 layers as lists, ``Event``s with int fields, a str action and an int or
 float energy.  It reads the energy parameters as doubles, and every
 energy the engine stores is a float, whatever the type of ``e0`` and
-``alpha``.  ``_wake`` hands it the module's ``sense`` and the decide
-callables the run was set up with, so each is called once per wake
-whatever it is.
+``alpha``.  ``_wake`` hands it the module's ``sense`` and the run's
+decide callables: a wake runs compiled when both are the kernel's own,
+and otherwise calls both through Python, each once.
 
-For speed on large regions the engine elides wake-ups that are
-provably no-ops: a settled agent's decision depends only on its own
-record and the ground state of its four neighbors, so it is only
-processed while "stale" - newly settled, a neighbor's projected state
-changed, or its energy crossed a reporting threshold.  Skipped agents
-behave identically to processed ones because their decision would
-return their current sub-state unchanged.  Settled energy is likewise
-closed-form in the number of settled steps, so per-step ticking is
-replaced by scheduled threshold events; the ledger identity
-``energy = e0 - t_m - alpha * t_s`` is preserved exactly.  ``t_m`` is
-the agent's stored count of movement ticks; ``t_s``, its count of
-settled steps, is not stored but computed from ``settle_step`` and the
-last step charged.
+Who wakes is one set of agent ids, ``awake``.  An agent joins it when
+it enters, when a ground change in its neighborhood marks it, and when
+its energy crosses the reporting threshold; it leaves when it shuts
+down, fails, or ends a settled wake (a transition's marks put it back
+unless it reported low).  So ``awake`` holds every mobile, and no
+settled agent in it is low-energy.  A settled agent outside it is not
+woken: its decision reads only its own record and the ground of its
+four neighbors, unchanged since its last wake, so it would keep its
+sub-state.  Settled energy is likewise closed-form in the number of
+settled steps, so per-step ticking is replaced by scheduled threshold
+events; the ledger identity ``energy = e0 - t_m - alpha * t_s`` is
+preserved exactly.  ``t_m`` is the agent's stored count of movement
+ticks; ``t_s``, its count of settled steps, is not stored but computed
+from ``settle_step`` and the last step charged.
 
 The two layers are per-cell occupant lists, ``ground`` and ``air``: a
 cell holds its occupant's ``AgentRecord`` or ``None``.  An agent's
@@ -44,21 +45,21 @@ cell holds its occupant's ``AgentRecord`` or ``None``.  An agent's
 the occupants of the agent's cell and its four neighbors; the neighbor
 index ``-1`` reads as a wall.  The layers change at entry, move, settle,
 shutdown and failure; a sub-state transition changes only the record.
+Energy events concern only settled agents, each with at most one event
+per kind, kind 0 popping before kind 1.
 
-Invariant: the wake order holds only mobiles and settled agents that
-are not low-energy, and energy events concern only settled agents, each
-with at most one event per kind, kind 0 popping before kind 1.
-
-The wake order of a step belongs to the kernel: a sorted array of keys
-``(sub << 32) | id``, read by a cursor, and a byte per agent id telling
-which agents have a key this step.  ``sub`` is a uniform sub-step in
-``[0, m)`` under the random scheduler, and the agent's hop distance from
-the entry under the adversarial one (settled agents do not move, so
-lazily inserted agents compare the same way as the rest).  A settled
-agent whose ground neighborhood changes during the step, and whose key
-lies after the cursor, is inserted in order; the kernel marks a
-transition's cell, and a settler's once ``_apply_mobile`` has settled
-it.  Keys are unique, so this is the order a heap would pop.
+The wake order of a step belongs to the kernel: the agents of
+``awake``, keyed in id order (a random key is one draw) and sorted, as
+an array of keys ``(sub << 32) | id`` read by a cursor, with a byte per
+agent id telling which agents have a key this step.  ``sub`` is a
+uniform sub-step in ``[0, m)`` under the random scheduler, and the
+agent's hop distance from the entry under the adversarial one (settled
+agents do not move, so lazily inserted agents compare the same way as
+the rest).  A settled agent whose ground neighborhood changes during
+the step, and whose key lies after the cursor, is inserted in order;
+the kernel marks a transition's cell, and a settler's once
+``_apply_mobile`` has settled it.  Keys are unique, so this is the
+order a heap would pop.
 
 Events are collected per step: in ``events`` for ``log_events=True``,
 or in a batch handed to ``on_events`` when the step closes (the CLI
@@ -182,9 +183,9 @@ class Simulation:
         self.ground: list[AgentRecord | None] = [None] * ncells
         self.air: list[AgentRecord | None] = [None] * ncells
         self.agents: list[AgentRecord] = []
-        self.mobile_ids: list[int] = []
+        # The ids of the agents that wake next step.
+        self.awake: set[int] = set()
         self.settled_count = 0
-        self.stale: set[int] = set()
         self.events: list[Event] | None = [] if log_events else None
         self._on_events = on_events
         # Where events go as they happen; None logs nothing.
@@ -235,9 +236,9 @@ class Simulation:
 
     def _mark_ground_change(self, cell: int) -> None:
         """Between steps, a cell's projected ground state changed: its
-        settled neighbors (and its own occupant) are flagged stale and
-        re-processed next step.  During a step the kernel marks changes
-        itself, against its own wake order."""
+        settled occupant and settled neighbors that are not low-energy
+        join ``awake``.  During a step the kernel marks changes itself,
+        against its own wake order."""
         kernel.mark_ground_change(self, cell)
 
     # -- one step ----------------------------------------------------------
@@ -250,9 +251,9 @@ class Simulation:
         self._close(t)
 
     def _wake(self, t: int) -> None:
-        """Wake every mobile agent and every stale settled agent once, in
-        key order; each senses the world as earlier wakes left it.  A
-        mobile pays this step's movement tick at the end of its wake.
+        """Wake every agent in ``awake`` once, in key order; each senses
+        the world as earlier wakes left it.  A mobile pays this step's
+        movement tick at the end of its wake.
 
         ``sense`` is read here on every call, and the decide rules are
         the ones the run was set up with: each is called once per wake.
@@ -286,14 +287,14 @@ class Simulation:
         )
         self.agents.append(a)
         self.air[entry] = a
-        self.mobile_ids.append(aid)
+        self.awake.add(aid)
         kernel.log_event(self._batch, t, a, "enter", -1, entry)
 
     def _charge(self, t: int) -> None:
         """Apply the settled-energy events due by ``t``: threshold
         crossings and failures.  Mobiles were charged in their wakes."""
         agents = self.agents
-        stale = self.stale
+        awake = self.awake
         while self._energy_events and self._energy_events[0][0] <= t:
             _, kind, aid = heapq.heappop(self._energy_events)
             a = agents[aid - 1]
@@ -302,11 +303,11 @@ class Simulation:
                 a.mode = MODE_FAILED
                 self.ground[a.pos] = None
                 self.settled_count -= 1
-                stale.discard(aid)
+                awake.discard(aid)
                 kernel.log_event(self._batch, t, a, "fail", a.pos, a.pos)
                 self._mark_ground_change(a.pos)
             elif a.s1 != S_LOW_ENERGY:  # kind 0: the reporting threshold
-                stale.add(aid)
+                awake.add(aid)
 
     def _close(self, t: int) -> None:
         """Record the step's series, hand the step's events to
@@ -326,13 +327,13 @@ class Simulation:
 
     def _apply_mobile(self, a, act, t):
         """Shut down or settle; moves are applied inline in ``_wake``.
-        The caller marks a settler's cell."""
+        A settler stays in ``awake``: the caller marks its cell."""
         kind = act.kind
         src = a.pos
         if kind == A_SHUTDOWN:
             self.air[src] = None
             a.mode = MODE_SHUTDOWN
-            self.mobile_ids.remove(a.id)
+            self.awake.discard(a.id)
             kernel.log_event(self._batch, t, a, "shutdown", src, -1)
             return
         # Settle, either in place or into an adjacent empty cell.
@@ -346,7 +347,6 @@ class Simulation:
         a.s1 = S_BEACON
         a.s2 = act.s2
         a.settle_step = t
-        self.mobile_ids.remove(a.id)
         self.settled_count += 1
         self._schedule_energy_events(a)
         kernel.log_event(self._batch, t, a, "settle", src, dst)

@@ -5,9 +5,12 @@ rules and the wake loop as they were written in Python, used by
 ``ReferenceSimulation`` is a ``Simulation`` whose ``_wake`` is the
 Python loop over a heap of wake keys, with the Python ``sense`` and
 rules, its own ``_wake_keys`` and its own ``_mark_ground_change``; entry,
-``_apply_mobile``, energy and termination are the engine's own.  As in
-the kernel, the loop marks a settler's cell once ``_apply_mobile`` has
-settled it.  Its event log must equal the engine's line for line.
+``_apply_mobile``, energy and termination are the engine's own.  The
+heap holds a key for each id in ``awake``, drawn in id order; a settled
+wake ends with the agent out of ``awake``, and a ground change puts the
+settled agents it marks back in.  As in the kernel, the loop marks a
+settler's cell once ``_apply_mobile`` has settled it.  Its event log
+must equal the engine's line for line.
 """
 from __future__ import annotations
 
@@ -347,11 +350,11 @@ class ReferenceSimulation(Simulation):
         self._mobile_decide, self._settled_decide = REGISTRY[params.algorithm]
 
     def _mark_ground_change(self, cell: int, cur_key=None, heap=None, scheduled=None):
-        """A cell's projected ground state changed: settled neighbors
-        (and the cell's own occupant) must be re-processed.  If their
-        wake this step is still ahead in ``heap``, they wake into the
-        change now; otherwise, or between steps, they stay flagged for
-        the next step."""
+        """A cell's projected ground state changed: its settled occupant
+        and settled neighbors that are not low-energy join ``awake``.  If
+        their wake this step is still ahead in ``heap``, they wake into
+        the change now; otherwise, or between steps, they wake next
+        step."""
         ground = self.ground
         for c in (cell, *self.region.neighbors[cell]):
             if c < 0:
@@ -360,7 +363,7 @@ class ReferenceSimulation(Simulation):
             if g is None or g.s1 == S_LOW_ENERGY:
                 continue
             gid = g.id
-            self.stale.add(gid)
+            self.awake.add(gid)
             if heap is None or gid in scheduled:
                 continue
             (key,) = self._wake_keys((gid,))
@@ -380,20 +383,13 @@ class ReferenceSimulation(Simulation):
         return [int(draw() * m) << _ID_BITS | aid for aid in ids]
 
     def _wake(self, t: int) -> None:
-        """Wake every mobile agent and every stale settled agent once, in
-        heap order; each senses the world as earlier wakes left it.  A
-        mobile pays this step's movement tick at the end of its wake."""
+        """Wake every agent in ``awake`` once, in heap order; each senses
+        the world as earlier wakes left it.  A mobile pays this step's
+        movement tick at the end of its wake."""
         p = self.p
         agents = self.agents
-        stale = self.stale
-
-        # Candidates: all mobiles plus stale settled agents.  They may be
-        # ``mobile_ids`` itself, which is fully read before any wake
-        # changes it.
-        if stale:
-            candidates = sorted(self.mobile_ids + list(stale))
-        else:
-            candidates = self.mobile_ids
+        awake = self.awake
+        candidates = sorted(awake)
 
         # Every agent enters the heap at most once per step, so
         # ``scheduled`` also tells which agents were already woken.
@@ -442,7 +438,7 @@ class ReferenceSimulation(Simulation):
                 self._touch_settled_energy(a, t)
                 xi = sense(self, a)
                 new_s1 = settled_decide(a, xi, p, p.approach)
-                stale.discard(aid)
+                awake.discard(aid)
                 if new_s1 != a.s1:
                     if a.s1 == S_CLOSED_BEACON and new_s1 == S_BEACON:
                         raise InvariantError(f"agent {aid} reopened a closed beacon")

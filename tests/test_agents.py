@@ -66,6 +66,9 @@ class TestSimParams:
             dict(seed=None),
             dict(seed=-1),
             dict(seed=1.5),
+            dict(dt=1.5),
+            dict(m=2.5),
+            dict(max_steps=10.5),
         ],
     )
     def test_invalid_parameters_rejected(self, kw):

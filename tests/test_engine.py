@@ -30,10 +30,17 @@ from gridswarm.agents import (
     AgentRecord,
 )
 from gridswarm._build import kernel
-from gridswarm.engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP, InvariantError
+from gridswarm.engine import (
+    TERM_CLOSED,
+    TERM_LOW_ENERGY,
+    TERM_STEP_CAP,
+    InvariantError,
+    default_step_cap,
+)
 from gridswarm.grid import EAST, NORTH
 from gridswarm.rules import A_MOVE, A_SETTLE_AT, A_SETTLE_HERE, Action
 from reference import _ID_BITS, ReferenceSimulation, _pick
+from test_golden import GOLDEN, REGIONS
 
 
 def run_logged(region: Region, **kw) -> RunResult:
@@ -181,6 +188,23 @@ class TestStructuralInvariants:
         res = self.result()
         positions = [a.pos for a in res.sim.agents if a.mode == MODE_SETTLED]
         assert len(positions) == len(set(positions))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_awake_holds_every_mobile_and_no_idle_agent(name):
+    """At every step boundary ``awake`` holds every mobile, and each id in
+    it is a mobile's or that of a settled agent that is not low-energy."""
+    region, params, *_ = GOLDEN[name]
+    sim = Simulation(REGIONS[region](), SimParams(**params))
+    cap = sim.p.max_steps or default_step_cap(sim.region, sim.p)
+    while sim.terminated is None and sim.t < cap:
+        sim.step()
+        mobiles = {a.id for a in sim.agents if a.mode == MODE_MOBILE}
+        reporting = {a.id for a in sim.agents
+                     if a.mode == MODE_SETTLED and a.s1 != S_LOW_ENERGY}
+        assert mobiles <= sim.awake, f"step {sim.t - 1}: {sorted(mobiles - sim.awake)}"
+        assert sim.awake <= mobiles | reporting, (
+            f"step {sim.t - 1}: {sorted(sim.awake - mobiles - reporting)}")
 
 
 class TestEntryCadence:

@@ -90,29 +90,47 @@ def test_audited_run_equals_reference(name):
     same_run(square_region(side), SimParams(**kw))
 
 
-@pytest.mark.parametrize("name", ["sllg-a2-random", "slug-a2-random-alpha-fail",
-                                  "sltt-a2-adversarial-alpha-fail"])
-def test_wrapped_callables_see_every_wake(name, monkeypatch):
+# What a case wraps: the seams ``perfbench/tracer.py`` wraps, or some.
+WRAPPED = {"all": ("sense", "mobile", "settled"), "sense": ("sense",),
+           "rules": ("mobile", "settled")}
+
+
+@pytest.mark.parametrize("name,wrapped", [
+    pytest.param(name, wrapped, id=name if wrapped == "all" else f"{name}-{wrapped}-only")
+    for name in ["sllg-a2-random", "slug-a2-random-alpha-fail", "sltt-a2-adversarial-alpha-fail"]
+    for wrapped in WRAPPED
+])
+def test_wrapped_callables_see_every_wake(name, wrapped, monkeypatch):
     """Wrapped ``sense`` and decide callables, as a tracer installs them,
-    run through Python once per wake and leave the log unchanged."""
+    all or some, run through Python once per wake of their kind and leave
+    the log unchanged.  The reference's wake loop counts the wakes."""
     region, params, *_ = GOLDEN[name]
     params = SimParams(**params)
     plain = log_of(run(REGIONS[region](), params, log_events=True))
-    calls = {"sense": 0, "mobile": 0, "settled": 0}
+    wakes = {"mobile": 0, "settled": 0}
+    calls = dict.fromkeys(WRAPPED[wrapped], 0)
 
-    def counted(key, fn):
+    def counted(counts, key, fn):
         def wrapper(*args):
-            calls[key] += 1
+            counts[key] += 1
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(engine, "sense", counted("sense", engine.sense))
-    mobile, settled = rules.REGISTRY[params.algorithm]
-    monkeypatch.setitem(rules.REGISTRY, params.algorithm,
-                        (counted("mobile", mobile), counted("settled", settled)))
+    def wrap_rules(registry, counts):
+        mobile, settled = registry[params.algorithm]
+        monkeypatch.setitem(registry, params.algorithm,
+                            (counted(counts, "mobile", mobile), counted(counts, "settled", settled)))
+
+    wrap_rules(reference.REGISTRY, wakes)
+    assert log_of(reference.reference_run(REGIONS[region](), params)) == plain
+    assert wakes["mobile"] > 0 and wakes["settled"] > 0
+    wakes["sense"] = wakes["mobile"] + wakes["settled"]
+    if "sense" in calls:
+        monkeypatch.setattr(engine, "sense", counted(calls, "sense", engine.sense))
+    if "mobile" in calls:
+        wrap_rules(rules.REGISTRY, calls)
     assert log_of(run(REGIONS[region](), params, log_events=True)) == plain
-    assert calls["mobile"] > 0 and calls["settled"] > 0
-    assert calls["sense"] == calls["mobile"] + calls["settled"]
+    assert calls == {key: wakes[key] for key in calls}
 
 
 @st.composite
@@ -367,6 +385,13 @@ class TestBoundaryTypes:
             Event, InvariantError, rules._action),
             "Record.id is not a slot"),
     }
+
+    @pytest.mark.parametrize("pos", [-1, 9])
+    def test_a_cell_outside_the_region_raises_index_error(self, pos):
+        """A cell index is read as given: ``-1`` is not the last cell."""
+        sim = engine.Simulation(square_region(3), SimParams())
+        with pytest.raises(IndexError):
+            kernel.sense(sim, AgentRecord(**{**self.FIELDS, "pos": pos}))
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_other_types_raise_type_error(self, case):

@@ -1,7 +1,8 @@
 """Package hygiene: no module imports a name it never uses, every
 function is used somewhere, every private name is used by the package
-itself, every field of a slotted record is read somewhere, every
-exported name resolves, and a run imports no NumPy."""
+itself, every callable of the compiled kernel is read by the package,
+every field of a slotted record is read somewhere, every exported name
+resolves, and a run imports no NumPy."""
 import ast
 import os
 import subprocess
@@ -150,6 +151,28 @@ def unread_slot_fields(paths: list[Path]) -> list[str]:
 
 def test_every_slot_field_is_read():
     assert unread_slot_fields(MODULES) == []
+
+
+def kernel_names_unread(paths: list[Path]) -> list[str]:
+    """Callables the compiled kernel exports that no module in ``paths``
+    reads as ``kernel.<name>``: C code kept only for the tests."""
+    from gridswarm._build import kernel
+
+    read = {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernel"
+    }
+    exported = {
+        name for name in dir(kernel)
+        if not name.startswith("_") and callable(getattr(kernel, name))
+    }
+    return sorted(exported - read)
+
+
+def test_kernel_exports_are_used_in_src():
+    assert kernel_names_unread(MODULES) == []
 
 
 def test_exports_resolve():
