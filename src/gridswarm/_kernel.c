@@ -1,49 +1,69 @@
-/* The per-wake hot path of gridswarm, compiled.
+/* The simulation step of gridswarm, compiled.
 
-   This module holds sensing, the six decide rules, the body of
-   ``Simulation._wake`` (wake keys, the wake order, the mobile and
-   settled branches), the marking of settled agents whose ground
-   neighborhood changed, the building of every logged ``Event``, the
-   event-log line formatter, and the run's random stream: PCG64 seeded
-   as NumPy's ``SeedSequence`` seeds it, so it draws the same floats as
-   NumPy's ``default_rng(seed).random()``.
+   This module holds all of ``Simulation.step``: the wake loop (wake
+   keys, the wake order, moves, settling, shutdown and the settled
+   wakes), the entry attempt, the settled-energy events and the close of
+   the step.  With it come sensing, the six decide rules, the marking of
+   settled agents whose ground neighborhood changed, the building of
+   every logged ``Event``, the event-log line formatter, and the run's
+   random stream: PCG64 seeded as NumPy's ``SeedSequence`` seeds it, so
+   it draws the same floats as NumPy's ``default_rng(seed).random()``.
 
-   It accepts the engine's own types and no others: agents are
+   A run's state is a ``world``, built once per run by
+   ``Simulation.__init__`` after ``validate``.  It holds the region's
+   neighbors and distances as C int arrays, the parameters as C scalars
+   (``p.d_max`` is read once, through its property), the settled count,
+   the termination and the heap of settled-energy events as a C array.
+   It refers to the run's own ``agents``, occupant layers ``ground`` and
+   ``air``, wake set ``awake``, series ``ac_series`` and event sink: the
+   Simulation's objects, not copies, so agents placed by hand take part.
+   It refers to no ``Simulation``, so a finished run is freed without the
+   cyclic collector.
+
+   ``step(world, t, draw, sense, mobile_decide, settled_decide)`` runs
+   step ``t``: the wakes, the entry attempt every ``dt`` steps, the
+   settled-energy events due by ``t`` (threshold crossings and failures)
+   and the close (the step's ``ac_series`` entry, the hand-off of its
+   events to ``on_events``, and termination read off the entry cell); it
+   returns the termination, or ``None``.  ``world.finish(t)`` sets each
+   settled agent's energy as of the end of step ``t``.
+
+   The kernel accepts the engine's own types and no others: agents are
    ``AgentRecord``s, read and written straight through their slots; the
-   occupant layers ``ground`` and ``air`` are lists whose cells hold an
-   ``AgentRecord`` or ``None``; the region's ``neighbors`` and
-   ``distances`` are tuples, a neighbor index of ``-1`` is a wall and
-   any index outside a sequence raises ``IndexError``; an ``Event`` has
-   int fields, a str action and an int or float energy.  A sensed
-   neighborhood handed to a rule from Python holds in each slot
-   ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of ints.
-   Anything else raises ``TypeError``.  The run's energy
-   parameters are read as doubles, and every energy the kernel stores is
-   a Python float, so every trajectory is the one the Python definitions
-   give, draw for draw.
+   occupant layers are lists whose cells hold an ``AgentRecord`` or
+   ``None``; ``awake`` is a set of agent ids; a cell index outside the region
+   raises ``IndexError``; an ``Event`` has int fields, a str action and
+   an int or float energy.  A sensed neighborhood handed to a rule from
+   Python holds in each slot ``SENSE_EMPTY``, ``SENSE_WALL`` or an
+   ``(s1, s2)`` tuple of ints, and a mobile rule called through Python
+   returns an ``Action``.  Anything else raises ``TypeError``.  The
+   energy parameters are read as doubles and every energy the kernel
+   stores is a Python float, so every trajectory is the one the Python
+   definitions give, draw for draw.  A move or a settle in a direction
+   outside 1-4 raises ``InvariantError``.
 
-   The wake order of a step is the kernel's own, built from
-   ``Simulation.awake``, the set of ids of the agents that wake next
-   step: a sorted array of keys read by a cursor and a byte per agent
-   id, both sized at the agents of the step's start (each agent wakes at
-   most once a step, and none enters during the wakes).  The kernel
-   keeps ``awake`` up to date at a ground change and at the end of a
-   settled wake.  ``Simulation._apply_mobile(a, act, t)`` settles or
-   shuts an agent down; the kernel then marks the settler's cell itself,
-   so a settled neighbor whose wake is still ahead wakes into the change.
+   The wake order of a step is built from ``awake``: a sorted array of
+   keys read by a cursor and a mark per agent id, both sized at the
+   agents of the step's start (each agent wakes at most once a step, and
+   none enters during the wakes).  The kernel keeps ``awake`` up to date
+   at a ground change, at the end of a settled wake, at a shutdown and at
+   the energy events; a ground change during the wakes inserts a settled
+   neighbor whose key lies ahead, so it wakes into the change.
+
+   A wake takes one of two paths, chosen once per step for each mode.
+   When ``sense`` and the mode's decide rule are both this module's own
+   functions, the wake gathers the sensed slots straight off the
+   occupants' records and runs the rule on them, building no tuple and no
+   ``Action``.  Otherwise (a wrapper that times or checks them) it calls
+   ``sense(world, a)`` and the rule through Python with the usual
+   arguments and decodes the result into C values at the call: an
+   ``Action`` into its kind, direction and ``s2``, a settled ``s1`` into
+   a long.  After that every wake runs the same code.  ``draw`` is called
+   through Python too unless it is this module's own stream.
 
    ``_build.py`` compiles it on first import.  ``engine.py`` hands it
-   the Python classes it needs through ``bind``.
-
-   A wake takes one of two paths, chosen once per ``wake`` call for each
-   mode.  When ``sense`` and the mode's decide rule are both this
-   module's own functions, the wake gathers the sensed slots straight
-   off the occupants' records and runs the rule on them, building no
-   tuple and no ``Action``.  Otherwise (a wrapper that times or checks
-   them) it calls both through Python with the usual arguments and
-   decodes the result into C values at the call: an ``Action`` into its
-   kind, direction and ``s2``, a settled ``s1`` into a long.  After that
-   every wake runs the same code. */
+   the slots of ``AgentRecord`` and ``Action`` and the Python classes it
+   needs through ``bind``. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
@@ -52,7 +72,7 @@
 #include <string.h>
 
 /* Shared with agents.py and rules.py; the tests check they agree. */
-enum { MODE_MOBILE = 0, MODE_SETTLED = 1 };
+enum { MODE_MOBILE = 0, MODE_SETTLED = 1, MODE_SHUTDOWN = 2, MODE_FAILED = 3 };
 enum { S_MOBILE = 0, S_BEACON = 1, S_CLOSED_BEACON = 2, S_LOW_ENERGY = 3 };
 enum { A_STAY = 0, A_MOVE = 1, A_SETTLE_HERE = 2, A_SETTLE_AT = 3, A_SHUTDOWN = 4 };
 static const char *const MODE_TEXT[] = {"mobile", "settled", "shutdown", "failed"};
@@ -65,29 +85,36 @@ static const char *const S1_TEXT[] = {"mobile", "beacon", "closed_beacon", "low_
 /* Attribute names; the first NF are the fields of an AgentRecord. */
 enum {
     F_ID, F_MODE, F_S1, F_S2, F_POS, F_ENERGY, F_TM, F_SETTLE, NF,
-    N_KIND = NF, N_DIRECTION, N_REGION, N_NEIGHBORS, N_DISTANCES, N_GROUND,
-    N_AIR, N_AGENTS, N_AWAKE, N_DRAW, N_P, N_E0, N_ALPHA,
-    N_ECRIT_MOBILE, N_ECRIT_SETTLED, N_APPROACH, N_M, N_D_MAX, N_ADVERSARIAL,
-    N_BATCH, N_COUNT
+    N_KIND = NF, N_DIRECTION, N_REGION, N_NEIGHBORS, N_DISTANCES, N_GROUND, N_AIR,
+    N_WIDTH, N_HEIGHT, N_ENTRY, N_E0, N_ALPHA, N_ECRIT_MOBILE, N_ECRIT_SETTLED,
+    N_APPROACH, N_M, N_DT, N_D_MAX, N_SCHEDULER, N_COUNT
 };
 static const char *const NAMES[N_COUNT] = {
     "id", "mode", "s1", "s2", "pos", "energy", "t_m", "settle_step",
     "kind", "direction", "region", "neighbors", "distances", "ground", "air",
-    "agents", "awake", "draw", "p", "e0", "alpha",
-    "ecrit_mobile", "ecrit_settled", "approach", "m", "d_max",
-    "_adversarial", "_batch",
+    "width", "height", "entry", "e0", "alpha", "ecrit_mobile", "ecrit_settled",
+    "approach", "m", "dt", "d_max", "scheduler",
 };
 static PyObject *NAME[N_COUNT];
 
 static PyObject *EMPTY, *WALL;  /* SENSE_EMPTY and SENSE_WALL: the ints 0, -1 */
 static PyObject *ZERO, *ONE;
-static PyObject *STR_MOVE, *STR_TRANSITION;
+/* Event actions and terminations. */
+enum { E_ENTER, E_MOVE, E_SETTLE, E_SHUTDOWN, E_TRANSITION, E_FAIL, E_CLOSED, E_LOW_ENERGY, NS };
+static const char *const STR_TEXT[NS] = {
+    "enter", "move", "settle", "shutdown", "transition", "fail", "closed", "low_energy",
+};
+static PyObject *STR[NS];
 
 /* Set by ``bind``. */
 static PyTypeObject *Record;      /* AgentRecord */
 static Py_ssize_t rec_off[NF];    /* its slot offsets */
 static PyTypeObject *EventType;
 static PyObject *InvariantError, *action_fn;
+enum { NA = 3 };                   /* the slots of an Action */
+static const int ACT_NAMES[NA] = {N_KIND, N_DIRECTION, F_S2};
+static PyTypeObject *ActionType;
+static Py_ssize_t act_off[NA];
 
 /* This module's own sense and rules, told apart from wrappers by identity. */
 enum { R_SLLG, R_SLUG, R_SLTT, NR };
@@ -106,40 +133,44 @@ rslot(PyObject *a, int f)
     return (PyObject **)((char *)a + rec_off[f]);
 }
 
-/* New reference to field ``f`` of ``a``. */
+/* Borrowed reference to field ``f`` of ``a``. */
 static PyObject *
-rget(PyObject *a, int f)
+rborrow(PyObject *a, int f)
 {
     PyObject **slot = rslot(a, f);
     if (slot == NULL)
         return NULL;
-    if (*slot == NULL) {
+    if (*slot == NULL)
         PyErr_SetObject(PyExc_AttributeError, NAME[f]);
-        return NULL;
-    }
-    Py_INCREF(*slot);
     return *slot;
+}
+
+/* New reference to field ``f`` of ``a``. */
+static PyObject *
+rget(PyObject *a, int f)
+{
+    PyObject *v = rborrow(a, f);
+    Py_XINCREF(v);
+    return v;
 }
 
 static int
 rget_long(PyObject *a, int f, long *out)
 {
-    PyObject *v = rget(a, f);
+    PyObject *v = rborrow(a, f);
     if (v == NULL)
         return -1;
     *out = PyLong_AsLong(v);
-    Py_DECREF(v);
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
 static int
 rget_double(PyObject *a, int f, double *out)
 {
-    PyObject *v = rget(a, f);
+    PyObject *v = rborrow(a, f);
     if (v == NULL)
         return -1;
     *out = PyFloat_AsDouble(v);
-    Py_DECREF(v);
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
@@ -187,6 +218,16 @@ attr_double(PyObject *o, int n, double *out)
     *out = PyFloat_AsDouble(v);
     Py_DECREF(v);
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Raise ``InvariantError("agent <a.id> <what>")``; returns -1. */
+static int
+invariant(PyObject *a, const char *what)
+{
+    PyObject *id = rborrow(a, F_ID);
+    if (id != NULL)
+        PyErr_Format(InvariantError, "agent %S %s", id, what);
+    return -1;
 }
 
 /* -- sequences ----------------------------------------------------------- */
@@ -248,7 +289,6 @@ tuple_long(PyObject *tuple, long i, long *out)
     Py_DECREF(v);
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
-
 /* -- sensed slots -------------------------------------------------------- */
 
 enum { K_EMPTY, K_WALL, K_AGENT };
@@ -324,7 +364,6 @@ decode_xi(PyObject *xi, slot_t *sl, int mask)
     Py_DECREF(fast);
     return r;
 }
-
 /* -- the parameters and the draw a rule reads ---------------------------- */
 
 typedef struct {
@@ -369,11 +408,21 @@ draw_index(double u, Py_ssize_t k, Py_ssize_t *out)
     return 0;
 }
 
+/* The random stream, defined below. */
+static PyTypeObject StreamType;
+static double stream_next(PyObject *self);
+
+/* One draw of ``draw``: this module's own stream directly, any other
+   callable through Python. */
 static int
 call_draw(PyObject *draw, double *u)
 {
-    PyObject *v = PyObject_CallNoArgs(draw);
-    if (v == NULL)
+    PyObject *v;
+    if (Py_IS_TYPE(draw, &StreamType)) {
+        *u = stream_next(draw);
+        return 0;
+    }
+    if ((v = PyObject_CallNoArgs(draw)) == NULL)
         return -1;
     *u = PyFloat_AsDouble(v);
     Py_DECREF(v);
@@ -656,7 +705,6 @@ settled_rule(int r, ctx_t *c, PyObject *a, const slot_t *xi, int approach1, long
     *out = settled_common(c, energy, s1, xi, rel, nrel, approach1);
     return 0;
 }
-
 /* -- the rules and sense as Python callables ----------------------------- */
 
 static int
@@ -738,43 +786,46 @@ RULE(settled, sllg, R_SLLG)
 RULE(settled, slug, R_SLUG)
 RULE(settled, sltt, R_SLTT)
 
-/* Gather the ten sensed slots of agent ``a`` off the occupant layers
-   ``ground`` and ``air``: a neighbor index of ``-1`` reads as a wall, and
-   a settled agent's air slots read empty. */
+/* -- sensing ------------------------------------------------------------- */
+
+/* The mode of agent ``a``, which must be mobile or settled to sense. */
 static int
-gather(PyObject *neighbors, PyObject *ground, PyObject *air, PyObject *a, long mode,
-       slot_t *sl)
+sensing_mode(PyObject *a, long *mode)
 {
-    long cell;
-    PyObject *nb, *g, *v = Py_None;
+    PyObject *id;
+    if (rget_long(a, F_MODE, mode) < 0)
+        return -1;
+    if (*mode == MODE_MOBILE || *mode == MODE_SETTLED)
+        return 0;
+    if ((id = rborrow(a, F_ID)) == NULL)
+        return -1;
+    if (*mode >= 0 && *mode < 4)
+        PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %s", id, MODE_TEXT[*mode]);
+    else
+        PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %ld", id, *mode);
+    return -1;
+}
+
+/* Gather the ten sensed slots of an agent in ``mode`` off the occupant
+   layers ``ground`` and ``air``, for its cell and its N, E, S, W
+   neighbors ``cells``: a cell of ``-1`` reads as a wall, and a settled
+   agent's air slots read empty. */
+static int
+gather(const long *cells, PyObject *ground, PyObject *air, long mode, slot_t *sl)
+{
+    PyObject *g, *v = Py_None;
     int i;
-    if (mode != MODE_MOBILE && mode != MODE_SETTLED) {
-        PyObject *id = rget(a, F_ID);
-        if (id == NULL)
-            return -1;
-        if (mode >= 0 && mode < 4)
-            PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %s", id, MODE_TEXT[mode]);
-        else
-            PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %ld", id, mode);
-        Py_DECREF(id);
-        return -1;
-    }
-    if (rget_long(a, F_POS, &cell) < 0 || (nb = tuple_item(neighbors, cell)) == NULL)
-        return -1;
     for (i = 0; i < 5; i++) {
-        if (i && tuple_long(nb, i - 1, &cell) < 0)
-            break;
-        if (cell < 0) {
+        if (cells[i] < 0) {
             sl[i].kind = K_WALL;
             sl[5 + i].kind = mode == MODE_MOBILE ? K_WALL : K_EMPTY;
         }
-        else if ((g = list_item(ground, cell)) == NULL
-                 || (mode == MODE_MOBILE && (v = list_item(air, cell)) == NULL)
+        else if ((g = list_item(ground, cells[i])) == NULL
+                 || (mode == MODE_MOBILE && (v = list_item(air, cells[i])) == NULL)
                  || occupant(g, &sl[i]) < 0 || occupant(v, &sl[5 + i]) < 0)
-            break;
+            return -1;
     }
-    Py_DECREF(nb);
-    return i < 5 ? -1 : 0;
+    return 0;
 }
 
 /* The sensed tuple of ten gathered slots, each ``(s1, s2)`` packed from
@@ -802,95 +853,250 @@ sensed_tuple(const slot_t *sl)
 static PyObject *
 k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *region = NULL, *neighbors = NULL, *ground = NULL, *air = NULL, *r = NULL;
+    PyObject *region, *neighbors = NULL, *nb = NULL, *ground = NULL, *air = NULL, *r = NULL;
     slot_t sl[10];
-    long mode;
-    if (check_args("sense", nargs, 2) < 0 || rget_long(args[1], F_MODE, &mode) < 0)
+    long mode, cells[5];
+    int i;
+    if (check_args("sense", nargs, 2) < 0 || sensing_mode(args[1], &mode) < 0
+        || rget_long(args[1], F_POS, &cells[0]) < 0
+        || (region = PyObject_GetAttr(args[0], NAME[N_REGION])) == NULL)
         return NULL;
-    if ((region = PyObject_GetAttr(args[0], NAME[N_REGION]))
-        && (neighbors = PyObject_GetAttr(region, NAME[N_NEIGHBORS]))
-        && (ground = PyObject_GetAttr(args[0], NAME[N_GROUND]))
+    neighbors = PyObject_GetAttr(region, NAME[N_NEIGHBORS]);
+    Py_DECREF(region);
+    if (neighbors == NULL || (nb = tuple_item(neighbors, cells[0])) == NULL)
+        goto done;
+    for (i = 1; i < 5; i++)
+        if (tuple_long(nb, i - 1, &cells[i]) < 0)
+            goto done;
+    if ((ground = PyObject_GetAttr(args[0], NAME[N_GROUND]))
         && (mode != MODE_MOBILE || (air = PyObject_GetAttr(args[0], NAME[N_AIR])))
-        && gather(neighbors, ground, air, args[1], mode, sl) == 0)
+        && gather(cells, ground, air, mode, sl) == 0)
         r = sensed_tuple(sl);
-    Py_XDECREF(region);
+done:
     Py_XDECREF(neighbors);
+    Py_XDECREF(nb);
     Py_XDECREF(ground);
     Py_XDECREF(air);
     return r;
 }
 
-/* -- the world of one wake call ------------------------------------------ */
+/* -- the world of one run ------------------------------------------------ */
+
+/* A settled-energy event: at the end of step ``step``, agent ``id``
+   crosses the reporting threshold (kind 0) or fails (kind 1). */
+typedef struct {
+    long step, id;
+    int kind;
+} energy_event_t;
 
 typedef struct {
-    PyObject *sim, *p, *agents, *ground, *air, *awake;
-    PyObject *neighbors, *distances, *draw, *batch, *approach;
+    PyObject_HEAD
+    /* The run's own objects, shared with its Simulation. */
+    PyObject *region, *p, *agents, *ground, *air, *awake, *ac_series;
+    PyObject *batch;      /* where events go as they happen; NULL logs nothing */
+    PyObject *on_events;  /* takes each step's batch, or NULL */
+    PyObject *approach;   /* ``p.approach``, handed to a settled seam */
+    PyObject *nbt;        /* ``region.neighbors``: the int objects of the cells */
+    PyObject *entry_int, *settled_int;
+    /* The region. */
+    Py_ssize_t ncells;
+    int (*nb)[4];  /* the N, E, S, W neighbors of each cell, -1 for a wall */
+    int *dist;     /* the hop distance of each cell from the entry */
+    long entry;
+    /* The parameters. */
+    double e0, alpha, m;
+    long dt;
     int approach1, adversarial;
-    double m, e0, alpha;
-    ctx_t ctx;
+    ctx_t ctx;  /* its ``draw`` is the step's */
+    /* The run. */
+    long settled, t;
+    PyObject *terminated;  /* an interned str, or NULL */
+    energy_event_t *heap;
+    Py_ssize_t nheap, heap_cap;
+    /* The step's wake order: ``keys[cur:nkeys]`` are the wakes still
+       ahead, in order, and ``keyed[id] == round`` for an agent keyed this
+       step.  Both are sized at the ``nids`` agents of the step's start:
+       each of them has at most one key a step. */
+    uint64_t *keys, *keyed, round;
+    Py_ssize_t nkeys, cur, nids, ids_cap;
+    /* The step's seams, borrowed for the call. */
+    PyObject *t_int, *sense, *mobile_decide, *settled_decide;
+    int mobile_r, settled_r;  /* the own rule of the mode, or -1: call Python */
 } world_t;
 
-static void
-world_close(world_t *w)
+static PyTypeObject WorldType;
+
+/* -- cells ------------------------------------------------------------- */
+
+/* The cell of agent ``a``; ``IndexError`` unless it lies in the region. */
+static int
+cell_of(world_t *w, PyObject *a, long *cell)
 {
-    Py_CLEAR(w->p);
-    Py_CLEAR(w->agents);
-    Py_CLEAR(w->ground);
-    Py_CLEAR(w->air);
-    Py_CLEAR(w->awake);
-    Py_CLEAR(w->neighbors);
-    Py_CLEAR(w->distances);
-    Py_CLEAR(w->draw);
-    Py_CLEAR(w->batch);
-    Py_CLEAR(w->approach);
+    if (rget_long(a, F_POS, cell) < 0)
+        return -1;
+    if (*cell < 0 || *cell >= w->ncells) {
+        PyErr_Format(PyExc_IndexError, "cell %ld lies outside the region", *cell);
+        return -1;
+    }
+    return 0;
 }
 
-/* Read the simulation's state and parameters; ``world_close`` after. */
-static int
-world_open(world_t *w, PyObject *sim)
+/* Cell ``cell`` and its N, E, S, W neighbors. */
+static void
+around(world_t *w, long cell, long *cells)
 {
-    PyObject *region, *adv;
-    int r;
-    memset(w, 0, sizeof(*w));
-    w->sim = sim;
-#define GET(field, obj, name) ((w->field = PyObject_GetAttr(obj, NAME[name])) != NULL)
-    if (!(GET(p, sim, N_P) && GET(agents, sim, N_AGENTS) && GET(ground, sim, N_GROUND)
-          && GET(air, sim, N_AIR) && GET(awake, sim, N_AWAKE) && GET(draw, sim, N_DRAW)
-          && GET(batch, sim, N_BATCH) && GET(approach, w->p, N_APPROACH)))
-        goto error;
-#undef GET
-    if (w->batch == Py_None)
-        Py_CLEAR(w->batch);
-    else if (!PyList_Check(w->batch)) {
-        PyErr_SetString(PyExc_TypeError, "the event batch must be a list or None");
-        goto error;
-    }
-    if (check_bound() < 0 || (region = PyObject_GetAttr(sim, NAME[N_REGION])) == NULL)
-        goto error;
-    w->neighbors = PyObject_GetAttr(region, NAME[N_NEIGHBORS]);
-    w->distances = PyObject_GetAttr(region, NAME[N_DISTANCES]);
-    Py_DECREF(region);
-    if (w->neighbors == NULL || w->distances == NULL
-        || (adv = PyObject_GetAttr(sim, NAME[N_ADVERSARIAL])) == NULL)
-        goto error;
-    r = PyObject_IsTrue(adv);
-    Py_DECREF(adv);
-    if (r < 0)
-        goto error;
-    w->adversarial = r;
-    if ((w->approach1 = PyObject_RichCompareBool(w->approach, ONE, Py_EQ)) < 0
-        || attr_double(w->p, N_M, &w->m) < 0 || attr_double(w->p, N_E0, &w->e0) < 0
-        || attr_double(w->p, N_ALPHA, &w->alpha) < 0
-        || attr_double(w->p, N_ECRIT_MOBILE, &w->ctx.ecrit_mobile) < 0
-        || attr_double(w->p, N_ECRIT_SETTLED, &w->ctx.ecrit_settled) < 0)
-        goto error;
-    w->ctx.p = w->p;
-    w->ctx.draw = w->draw;
-    return 0;
-error:
-    world_close(w);
-    return -1;
+    int i;
+    cells[0] = cell;
+    for (i = 0; i < 4; i++)
+        cells[i + 1] = w->nb[cell][i];
 }
+
+/* The int object of the neighbor of ``cell`` in direction ``dir``. */
+static PyObject *
+neighbor_int(world_t *w, long cell, long dir)
+{
+    return PyTuple_GET_ITEM(PyTuple_GET_ITEM(w->nbt, cell), dir - 1);
+}
+
+/* -- events and the ledger --------------------------------------------- */
+
+/* Log ``Event(t, a.id, action, src, dst, a.s1, a.s2, a.energy)``, if the
+   run logs events. */
+static int
+log_event(world_t *w, PyObject *a, int action, PyObject *src, PyObject *dst)
+{
+    static const int at[4] = {1, 5, 6, 7}, field[4] = {F_ID, F_S1, F_S2, F_ENERGY};
+    PyObject *fields[8], *ev;
+    int i, r;
+    if (w->batch == NULL)
+        return 0;
+    fields[0] = w->t_int, fields[2] = STR[action], fields[3] = src, fields[4] = dst;
+    for (i = 0; i < 4; i++)
+        if ((fields[at[i]] = rborrow(a, field[i])) == NULL)
+            return -1;
+    if ((ev = EventType->tp_alloc(EventType, 8)) == NULL)
+        return -1;
+    for (i = 0; i < 8; i++) {
+        Py_INCREF(fields[i]);
+        PyTuple_SET_ITEM(ev, i, fields[i]);
+    }
+    /* Ints, a str and a float cannot form a cycle: keep the log out of
+       the collector's walks. */
+    PyObject_GC_UnTrack(ev);
+    r = PyList_Append(w->batch, ev);
+    Py_DECREF(ev);
+    return r;
+}
+
+/* Set settled agent ``a``'s energy as of the end of step ``t`` from the
+   ledger ``e0 - t_m - alpha * t_s``, with ``t_s = t - settle_step`` (each
+   int here is below 2**53, so exact as a double). */
+static int
+materialize(world_t *w, PyObject *a, long t)
+{
+    long tm, ss;
+    if (rget_long(a, F_TM, &tm) < 0 || rget_long(a, F_SETTLE, &ss) < 0)
+        return -1;
+    return rset_new(a, F_ENERGY,
+                    PyFloat_FromDouble((w->e0 - (double)tm) - w->alpha * (double)(t - ss)));
+}
+
+static int
+ev_less(const energy_event_t *x, const energy_event_t *y)
+{
+    if (x->step != y->step)
+        return x->step < y->step;
+    if (x->kind != y->kind)
+        return x->kind < y->kind;
+    return x->id < y->id;
+}
+
+static int
+heap_push(world_t *w, long step, int kind, long id)
+{
+    energy_event_t ev = {step, id, kind}, *grown;
+    Py_ssize_t i = w->nheap, parent;
+    if (w->nheap == w->heap_cap) {
+        Py_ssize_t cap = w->heap_cap ? 2 * w->heap_cap : 64;
+        if ((grown = PyMem_Realloc(w->heap, sizeof(*grown) * (size_t)cap)) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        w->heap = grown;
+        w->heap_cap = cap;
+    }
+    for (; i > 0 && ev_less(&ev, &w->heap[parent = (i - 1) / 2]); i = parent)
+        w->heap[i] = w->heap[parent];
+    w->heap[i] = ev;
+    w->nheap++;
+    return 0;
+}
+
+static energy_event_t
+heap_pop(world_t *w)
+{
+    energy_event_t top = w->heap[0], last = w->heap[--w->nheap];
+    Py_ssize_t i = 0, child;
+    while ((child = 2 * i + 1) < w->nheap) {
+        if (child + 1 < w->nheap && ev_less(&w->heap[child + 1], &w->heap[child]))
+            child++;
+        if (!ev_less(&w->heap[child], &last))
+            break;
+        w->heap[i] = w->heap[child];
+        i = child;
+    }
+    w->heap[i] = last;
+    return top;
+}
+
+/* The first end-of-step index after settling at step ``s`` at which the
+   settled energy ``e_settle - alpha * t_s`` is at most ``threshold``. */
+static long
+first_step(world_t *w, double e_settle, double threshold, long s)
+{
+    double alpha = w->alpha, k = ceil((e_settle - threshold) / alpha - 1e-12);
+    while (e_settle - alpha * (k - 1) <= threshold)
+        k -= 1;
+    while (e_settle - alpha * k > threshold)
+        k += 1;
+    return s + (k > 1 ? (long)k : 1);
+}
+
+/* Schedule the energy events of agent ``a``, settling now. */
+static int
+schedule(world_t *w, PyObject *a)
+{
+    long tm, id;
+    double e_settle;
+    if (w->alpha <= 0)
+        return 0;
+    if (rget_long(a, F_TM, &tm) < 0 || rget_long(a, F_ID, &id) < 0)
+        return -1;
+    /* The settling step itself is still charged as a movement tick at
+       the end of the wake. */
+    e_settle = w->e0 - (double)(tm + 1);
+    if (e_settle > w->ctx.ecrit_settled
+        && heap_push(w, first_step(w, e_settle, w->ctx.ecrit_settled, w->t), 0, id) < 0)
+        return -1;
+    return heap_push(w, first_step(w, e_settle, 0.0, w->t), 1, id);
+}
+
+/* Put agent ``a`` into ``awake``, or take it out. */
+static int
+awake_add(world_t *w, PyObject *a)
+{
+    PyObject *id = rborrow(a, F_ID);
+    return id == NULL ? -1 : PySet_Add(w->awake, id);
+}
+
+static int
+awake_discard(world_t *w, PyObject *a)
+{
+    PyObject *id = rborrow(a, F_ID);
+    return id == NULL || PySet_Discard(w->awake, id) < 0 ? -1 : 0;
+}
+
+/* -- the wake order ---------------------------------------------------- */
 
 /* The wake key of agent ``aid`` this step; a random one costs one draw. */
 static int
@@ -903,18 +1109,18 @@ wake_key(world_t *w, long aid, uint64_t *key)
     }
     if (w->adversarial) {
         PyObject *a = list_item(w->agents, aid - 1);
-        long pos, dist;
-        if (a == NULL || rget_long(a, F_POS, &pos) < 0 || tuple_long(w->distances, pos, &dist) < 0)
+        long pos;
+        if (a == NULL || cell_of(w, a, &pos) < 0)
             return -1;
-        if (dist < 0 || (uint64_t)dist > ID_MASK) {
-            PyErr_Format(PyExc_ValueError, "agent %ld woke on a cell at distance %ld", aid, dist);
+        if (w->dist[pos] < 0) {
+            PyErr_Format(PyExc_ValueError, "agent %ld woke on a wall cell", aid);
             return -1;
         }
-        sub = (uint64_t)dist;
+        sub = (uint64_t)w->dist[pos];
     }
     else {
         double u;
-        if (call_draw(w->draw, &u) < 0)
+        if (call_draw(w->ctx.draw, &u) < 0)
             return -1;
         u *= w->m;
         if (!(u >= 0.0 && u < 4294967296.0)) {
@@ -927,76 +1133,129 @@ wake_key(world_t *w, long aid, uint64_t *key)
     return 0;
 }
 
-/* The wake order of one step: ``keys[cur:n]`` are the wakes still ahead,
-   in order, and ``scheduled[id]`` is 1 for an agent that has a key this
-   step.  Both are sized at the agents of the step's start: each of them
-   has at most one key a step. */
-typedef struct {
-    uint64_t *keys;
-    unsigned char *scheduled;
-    Py_ssize_t n, cur, n_ids;
-} order_t;
-
-static void
-order_free(order_t *o)
-{
-    PyMem_Free(o->keys);
-    PyMem_Free(o->scheduled);
-}
-
 /* Note that agent ``aid`` has a key this step. */
 static int
-admit(order_t *o, long aid)
+admit(world_t *w, long aid)
 {
-    if (aid < 1 || aid > o->n_ids || o->scheduled[aid]) {
+    if (aid < 1 || aid > w->nids || w->keyed[aid] == w->round) {
         PyErr_Format(InvariantError, "agent %ld cannot join this step's wake order", aid);
         return -1;
     }
-    o->scheduled[aid] = 1;
+    w->keyed[aid] = w->round;
     return 0;
 }
 
 /* Insert ``key`` of agent ``aid`` after the cursor, in order. */
 static int
-insort(order_t *o, long aid, uint64_t key)
+insort(world_t *w, long aid, uint64_t key)
 {
-    Py_ssize_t lo = o->cur, hi = o->n, mid;
-    if (admit(o, aid) < 0)
+    Py_ssize_t lo = w->cur, hi = w->nkeys, mid;
+    if (admit(w, aid) < 0)
         return -1;
     while (lo < hi) {
         mid = (lo + hi) / 2;
-        if (key < o->keys[mid])
+        if (key < w->keys[mid])
             hi = mid;
         else
             lo = mid + 1;
     }
-    memmove(o->keys + lo + 1, o->keys + lo, sizeof(uint64_t) * (size_t)(o->n - lo));
-    o->keys[lo] = key;
-    o->n++;
+    memmove(w->keys + lo + 1, w->keys + lo, sizeof(uint64_t) * (size_t)(w->nkeys - lo));
+    w->keys[lo] = key;
+    w->nkeys++;
+    return 0;
+}
+
+static int
+cmp_key(const void *x, const void *y)
+{
+    uint64_t a = *(const uint64_t *)x, b = *(const uint64_t *)y;
+    return (a > b) - (a < b);
+}
+
+/* Sort ``n`` keys: by insertion when there are few, as in most steps. */
+static void
+sort_keys(uint64_t *keys, Py_ssize_t n)
+{
+    Py_ssize_t i, j;
+    uint64_t k;
+    if (n > 32) {
+        qsort(keys, (size_t)n, sizeof(uint64_t), cmp_key);
+        return;
+    }
+    for (i = 1; i < n; i++) {
+        for (k = keys[i], j = i; j > 0 && keys[j - 1] > k; j--)
+            keys[j] = keys[j - 1];
+        keys[j] = k;
+    }
+}
+
+/* Resize ``*array`` to ``n`` words. */
+static int
+resize(uint64_t **array, Py_ssize_t n)
+{
+    uint64_t *grown = PyMem_Realloc(*array, sizeof(uint64_t) * (size_t)n);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *array = grown;
+    return 0;
+}
+
+/* This step's wake order: the agents in ``awake``, keyed and sorted; a
+   random key is one draw, so random keys are drawn in id order. */
+static int
+wake_order(world_t *w)
+{
+    PyObject *it, *item;
+    Py_ssize_t i;
+    long aid;
+
+    w->nkeys = w->cur = 0;
+    w->nids = PyList_GET_SIZE(w->agents);
+    if (w->nids >= w->ids_cap) {  /* grow both, the marks of new ids cleared */
+        Py_ssize_t cap = 2 * w->nids + 64;
+        if (resize(&w->keys, cap) < 0 || resize(&w->keyed, cap) < 0)
+            return -1;
+        memset(w->keyed + w->ids_cap, 0, sizeof(uint64_t) * (size_t)(cap - w->ids_cap));
+        w->ids_cap = cap;
+    }
+    w->round++;
+    if ((it = PyObject_GetIter(w->awake)) == NULL)
+        return -1;
+    /* ``admit`` takes each id once and only if it names an agent, so the
+       ids fit ``keys``. */
+    while ((item = PyIter_Next(it)) != NULL) {
+        aid = PyLong_AsLong(item);
+        Py_DECREF(item);
+        if ((aid == -1 && PyErr_Occurred()) || admit(w, aid) < 0)
+            break;
+        w->keys[w->nkeys++] = (uint64_t)aid;
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred())
+        return -1;
+    if (!w->adversarial)
+        sort_keys(w->keys, w->nkeys);
+    for (i = 0; i < w->nkeys; i++)
+        if (wake_key(w, (long)w->keys[i], &w->keys[i]) < 0)
+            return -1;
+    sort_keys(w->keys, w->nkeys);
     return 0;
 }
 
 /* A cell's projected ground state changed: its settled occupant and
-   settled neighbors that are not low-energy join ``awake``.  During a wake
-   (``order`` not NULL), one whose key this step would come after the
-   waking agent's is inserted into the order and wakes into the change
-   now. */
+   settled neighbors that are not low-energy join ``awake``.  During the
+   wakes, one whose key this step would come after the waking agent's is
+   inserted into the order and wakes into the change now. */
 static int
-mark(world_t *w, long cell, order_t *order)
+mark(world_t *w, long cell, int during_wakes)
 {
     long cells[5], gid, s1;
     uint64_t key;
-    PyObject *nb, *g, *id;
-    int i, r;
-    if ((nb = tuple_item(w->neighbors, cell)) == NULL)
-        return -1;
-    cells[0] = cell;
-    for (i = 1; i < 5; i++)
-        if (tuple_long(nb, i - 1, &cells[i]) < 0) {
-            Py_DECREF(nb);
-            return -1;
-        }
-    Py_DECREF(nb);
+    PyObject *g, *id;
+    int i;
+    around(w, cell, cells);
     for (i = 0; i < 5; i++) {
         if (cells[i] < 0)
             continue;
@@ -1008,157 +1267,78 @@ mark(world_t *w, long cell, order_t *order)
             return -1;
         if (s1 == S_LOW_ENERGY)
             continue;
-        if ((id = rget(g, F_ID)) == NULL)
+        if ((id = rborrow(g, F_ID)) == NULL
+            || ((gid = PyLong_AsLong(id)) == -1 && PyErr_Occurred()) || PySet_Add(w->awake, id) < 0)
             return -1;
-        gid = PyLong_AsLong(id);
-        r = (gid == -1 && PyErr_Occurred()) ? -1 : PySet_Add(w->awake, id);
-        Py_DECREF(id);
-        if (r < 0)
-            return -1;
-        if (order == NULL || (gid <= order->n_ids && order->scheduled[gid]))
+        if (!during_wakes || (gid >= 1 && gid <= w->nids && w->keyed[gid] == w->round))
             continue;
         if (wake_key(w, gid, &key) < 0
-            || (key > order->keys[order->cur - 1] && insort(order, gid, key) < 0))
+            || (key > w->keys[w->cur - 1] && insort(w, gid, key) < 0))
             return -1;
     }
     return 0;
 }
 
-static PyObject *
-k_mark_ground_change(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
-{
-    world_t w;
-    long cell;
-    int r;
-    if (check_args("mark_ground_change", nargs, 2) < 0)
-        return NULL;
-    cell = PyLong_AsLong(args[1]);
-    if ((cell == -1 && PyErr_Occurred()) || world_open(&w, args[0]) < 0)
-        return NULL;
-    r = mark(&w, cell, NULL);
-    world_close(&w);
-    if (r < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
+/* -- the wakes --------------------------------------------------------- */
 
-/* -- energy -------------------------------------------------------------- */
-
-/* ``e0 - t_m - alpha * t_s``: the settled ledger (each int here is below
-   2**53, so exact as a double). */
-static PyObject *
-settled_energy(double e0, double alpha, long tm, long ts)
-{
-    return PyFloat_FromDouble((e0 - (double)tm) - alpha * (double)ts);
-}
-
-static PyObject *
-k_settled_energy(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
-{
-    double e0, alpha;
-    long tm, ts;
-    if (check_args("settled_energy", nargs, 4) < 0
-        || ((e0 = PyFloat_AsDouble(args[0])) == -1.0 && PyErr_Occurred())
-        || ((tm = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
-        || ((alpha = PyFloat_AsDouble(args[2])) == -1.0 && PyErr_Occurred())
-        || ((ts = PyLong_AsLong(args[3])) == -1 && PyErr_Occurred()))
-        return NULL;
-    return settled_energy(e0, alpha, tm, ts);
-}
-
-/* -- events -------------------------------------------------------------- */
-
-/* Append ``Event(t, agent, action, src, dst, s1, s2, energy)`` to
-   ``batch``, a list, or to nothing when it is NULL. */
-static int
-emit(PyObject *batch, PyObject *const *fields)
-{
-    PyObject *ev;
-    int i, r;
-    if (batch == NULL)
-        return 0;
-    if ((ev = EventType->tp_alloc(EventType, 8)) == NULL)
-        return -1;
-    for (i = 0; i < 8; i++) {
-        Py_INCREF(fields[i]);
-        PyTuple_SET_ITEM(ev, i, fields[i]);
-    }
-    /* Ints, a str and a float cannot form a cycle: keep the log out of
-       the collector's walks. */
-    PyObject_GC_UnTrack(ev);
-    r = PyList_Append(batch, ev);
-    Py_DECREF(ev);
-    return r;
-}
-
-static PyObject *
-k_log_event(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *fields[8] = {NULL}, *a;
-    int r = -1;
-    if (check_args("log_event", nargs, 6) < 0 || check_bound() < 0)
-        return NULL;
-    if (args[0] == Py_None)
-        Py_RETURN_NONE;
-    if (!PyList_Check(args[0])) {
-        PyErr_SetString(PyExc_TypeError, "the event batch must be a list or None");
-        return NULL;
-    }
-    a = args[2];
-    fields[0] = args[1], fields[2] = args[3], fields[3] = args[4], fields[4] = args[5];
-    if ((fields[1] = rget(a, F_ID)) != NULL && (fields[5] = rget(a, F_S1)) != NULL
-        && (fields[6] = rget(a, F_S2)) != NULL && (fields[7] = rget(a, F_ENERGY)) != NULL)
-        r = emit(args[0], fields);
-    Py_XDECREF(fields[1]);
-    Py_XDECREF(fields[5]);
-    Py_XDECREF(fields[6]);
-    Py_XDECREF(fields[7]);
-    if (r < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* -- the wake loop ------------------------------------------------------- */
-
-typedef struct {
-    world_t *w;
-    PyObject *t, *sense, *mobile_decide, *settled_decide, *apply_mobile;
-    order_t order;
-    long t_l;
-    int mobile_r, settled_r;  /* the own rule of the mode, or -1: call Python */
-} wake_t;
-
-/* The seams called through Python: ``sense(sim, a)``, then ``decide(a,
+/* The seams called through Python: ``sense(world, a)``, then ``decide(a,
    xi, p, last)``; a new reference to the decision. */
 static PyObject *
-call_seams(wake_t *k, PyObject *a, PyObject *decide, PyObject *last)
+call_seams(world_t *w, PyObject *a, PyObject *decide, PyObject *last)
 {
-    PyObject *args[4] = {k->w->sim, a}, *xi, *r;
-    if ((xi = PyObject_Vectorcall(k->sense, args, 2, NULL)) == NULL)
+    PyObject *args[4] = {(PyObject *)w, a}, *xi, *r;
+    if ((xi = PyObject_Vectorcall(w->sense, args, 2, NULL)) == NULL)
         return NULL;
-    args[0] = a, args[1] = xi, args[2] = k->w->p, args[3] = last;
+    args[0] = a, args[1] = xi, args[2] = w->p, args[3] = last;
     r = PyObject_Vectorcall(decide, args, 4, NULL);
     Py_DECREF(xi);
     return r;
 }
 
+/* The sensed slots of agent ``a`` in ``mode``, gathered off the layers. */
+static int
+sense_own(world_t *w, PyObject *a, long mode, slot_t *sl)
+{
+    long cells[5];
+    if (cell_of(w, a, &cells[0]) < 0)
+        return -1;
+    around(w, cells[0], cells);
+    return gather(cells, w->ground, w->air, mode, sl);
+}
+
+/* Field ``f`` (kind, direction, s2) of the ``Action`` ``action``. */
+static int
+action_field(PyObject *action, int f, long *out)
+{
+    PyObject *v;
+    if (!Py_IS_TYPE(action, ActionType)) {
+        PyErr_Format(PyExc_TypeError, "a mobile rule returns an Action, not %.100s",
+                     Py_TYPE(action)->tp_name);
+        return -1;
+    }
+    if ((v = *(PyObject **)((char *)action + act_off[f])) == NULL) {
+        PyErr_SetObject(PyExc_AttributeError, NAME[ACT_NAMES[f]]);
+        return -1;
+    }
+    *out = PyLong_AsLong(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
 /* The outcome of a mobile wake: the own rule on slots gathered off the
    layers, or the seams' ``Action`` decoded. */
 static int
-decide_mobile(wake_t *k, PyObject *a, act_t *out)
+decide_mobile(world_t *w, PyObject *a, act_t *out)
 {
-    world_t *w = k->w;
     slot_t sl[10];
     PyObject *action;
     long kind, dir, s2;
     int r;
-    if (k->mobile_r >= 0)
-        return gather(w->neighbors, w->ground, w->air, a, MODE_MOBILE, sl) < 0
-                   ? -1 : mobile_rule(k->mobile_r, &w->ctx, a, sl, out);
-    if ((action = call_seams(k, a, k->mobile_decide, w->draw)) == NULL)
+    if (w->mobile_r >= 0)
+        return sense_own(w, a, MODE_MOBILE, sl) < 0 ? -1 : mobile_rule(w->mobile_r, &w->ctx, a, sl, out);
+    if ((action = call_seams(w, a, w->mobile_decide, w->ctx.draw)) == NULL)
         return -1;
-    r = attr_long(action, N_KIND, &kind) < 0 || attr_long(action, N_DIRECTION, &dir) < 0
-        || attr_long(action, F_S2, &s2) < 0;
+    r = action_field(action, 0, &kind) < 0 || action_field(action, 1, &dir) < 0
+        || action_field(action, 2, &s2) < 0;
     Py_DECREF(action);
     return r ? -1 : act(out, kind, dir, s2);
 }
@@ -1166,158 +1346,158 @@ decide_mobile(wake_t *k, PyObject *a, act_t *out)
 /* The sub-state a settled wake projects next: the own rule on slots
    gathered off ``ground``, or the seams' ``s1`` decoded. */
 static int
-decide_settled(wake_t *k, PyObject *a, long mode, long *out)
+decide_settled(world_t *w, PyObject *a, long *out)
 {
-    world_t *w = k->w;
     slot_t sl[10];
     PyObject *s1;
-    if (k->settled_r >= 0)
-        return gather(w->neighbors, w->ground, w->air, a, mode, sl) < 0
-                   ? -1 : settled_rule(k->settled_r, &w->ctx, a, sl, w->approach1, out);
-    if ((s1 = call_seams(k, a, k->settled_decide, w->approach)) == NULL)
+    if (w->settled_r >= 0)
+        return sense_own(w, a, MODE_SETTLED, sl) < 0
+                   ? -1 : settled_rule(w->settled_r, &w->ctx, a, sl, w->approach1, out);
+    if ((s1 = call_seams(w, a, w->settled_decide, w->approach)) == NULL)
         return -1;
     *out = PyLong_AsLong(s1);
     Py_DECREF(s1);
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
+/* Move mobile ``a`` from ``src`` in direction ``dir``, carrying ``s2``. */
 static int
-wake_mobile(wake_t *k, PyObject *a)
+move(world_t *w, PyObject *a, long src, long dir, long s2)
 {
-    world_t *w = k->w;
-    act_t out;
-    PyObject *s2 = NULL, *src = NULL, *nb = NULL, *dst = NULL;
-    PyObject *s1 = NULL, *energy = NULL, *id = NULL;
-    long src_l, dst_l, tm;
-    int r = -1, occupied;
-
-    if (decide_mobile(k, a, &out) < 0)
+    long dst = w->nb[src][dir - 1];
+    PyObject *v, *src_int, *s2_int;
+    int r;
+    if (dst >= 0 && (v = list_item(w->air, dst)) == NULL)
         return -1;
-    if (out.kind == A_MOVE) {  /* the common case, inlined */
-        if ((s2 = PyLong_FromLong(out.s2)) == NULL || (src = rget(a, F_POS)) == NULL)
-            goto done;
-        src_l = PyLong_AsLong(src);
-        if ((src_l == -1 && PyErr_Occurred()) || (nb = tuple_item(w->neighbors, src_l)) == NULL
-            || (dst = tuple_item(nb, out.dir - 1)) == NULL)
-            goto done;
-        dst_l = PyLong_AsLong(dst);
-        if (dst_l == -1 && PyErr_Occurred())
-            goto done;
-        occupied = dst_l < 0;
-        if (!occupied) {
-            PyObject *v = list_item(w->air, dst_l);
-            if (v == NULL)
-                goto done;
-            occupied = v != Py_None;
-        }
-        if (occupied) {
-            if ((id = rget(a, F_ID)) != NULL)
-                PyErr_Format(InvariantError, "agent %S moved into an occupied or wall cell", id);
-            goto done;
-        }
-        if (list_set(w->air, src_l, Py_None) < 0 || list_set(w->air, dst_l, a) < 0
-            || rset(a, F_POS, dst) < 0 || rset(a, F_S2, s2) < 0)
-            goto done;
-        if (w->batch != NULL) {
-            PyObject *fields[8];
-            if ((id = rget(a, F_ID)) == NULL || (s1 = rget(a, F_S1)) == NULL
-                || (energy = rget(a, F_ENERGY)) == NULL)
-                goto done;
-            fields[0] = k->t, fields[1] = id, fields[2] = STR_MOVE, fields[3] = src;
-            fields[4] = dst, fields[5] = s1, fields[6] = s2, fields[7] = energy;
-            if (emit(w->batch, fields) < 0)
-                goto done;
-        }
+    if (dst < 0 || v != Py_None)
+        return invariant(a, "moved into an occupied or wall cell");
+    if ((s2_int = PyLong_FromLong(s2)) == NULL)
+        return -1;
+    if ((src_int = rget(a, F_POS)) == NULL) {
+        Py_DECREF(s2_int);
+        return -1;
     }
-    else if (out.kind != A_STAY) {  /* shut down or settle */
-        PyObject *args[3], *res;
-        if ((args[1] = make_action(&out)) == NULL)
-            goto done;
-        args[0] = a, args[2] = k->t;
-        res = PyObject_Vectorcall(k->apply_mobile, args, 3, NULL);
-        Py_DECREF(args[1]);
-        if (res == NULL)
-            goto done;
-        Py_DECREF(res);
-        if (out.kind != A_SHUTDOWN  /* a settler changed its cell's ground */
-            && (rget_long(a, F_POS, &dst_l) < 0 || mark(w, dst_l, &k->order) < 0))
-            goto done;
+    r = list_set(w->air, src, Py_None) < 0 || list_set(w->air, dst, a) < 0
+        || rset(a, F_POS, neighbor_int(w, src, dir)) < 0 || rset(a, F_S2, s2_int) < 0
+        || log_event(w, a, E_MOVE, src_int, neighbor_int(w, src, dir)) < 0;
+    Py_DECREF(s2_int);
+    Py_DECREF(src_int);
+    return r ? -1 : 0;
+}
+
+/* Settle mobile ``a`` from ``src``, in place or into the empty neighbor
+   the outcome names, and mark the cell; it stays in ``awake``. */
+static int
+settle(world_t *w, PyObject *a, long src, const act_t *out)
+{
+    long dst = out->kind == A_SETTLE_AT ? w->nb[src][out->dir - 1] : src;
+    PyObject *g, *src_int, *dst_int, *s2_int, *count;
+    int r;
+    if (dst >= 0 && (g = list_item(w->ground, dst)) == NULL)
+        return -1;
+    if (dst < 0 || g != Py_None)
+        return invariant(a, "settled into an occupied or wall cell");
+    if ((count = PyLong_FromLong(w->settled + 1)) == NULL)
+        return -1;
+    Py_SETREF(w->settled_int, count);
+    w->settled++;
+    if ((s2_int = PyLong_FromLong(out->s2)) == NULL)
+        return -1;
+    if ((src_int = rget(a, F_POS)) == NULL) {
+        Py_DECREF(s2_int);
+        return -1;
+    }
+    dst_int = out->kind == A_SETTLE_AT ? neighbor_int(w, src, out->dir) : src_int;
+    r = list_set(w->air, src, Py_None) < 0 || list_set(w->ground, dst, a) < 0
+        || rset(a, F_POS, dst_int) < 0 || rset_new(a, F_MODE, PyLong_FromLong(MODE_SETTLED)) < 0
+        || rset_new(a, F_S1, PyLong_FromLong(S_BEACON)) < 0 || rset(a, F_S2, s2_int) < 0
+        || rset(a, F_SETTLE, w->t_int) < 0 || schedule(w, a) < 0
+        || log_event(w, a, E_SETTLE, src_int, dst_int) < 0 || mark(w, dst, 1) < 0;
+    Py_DECREF(s2_int);
+    Py_DECREF(src_int);
+    return r ? -1 : 0;
+}
+
+static int
+shut_down(world_t *w, PyObject *a, long src)
+{
+    PyObject *pos = rborrow(a, F_POS);
+    return pos == NULL || list_set(w->air, src, Py_None) < 0
+                   || rset_new(a, F_MODE, PyLong_FromLong(MODE_SHUTDOWN)) < 0
+                   || awake_discard(w, a) < 0
+                   || log_event(w, a, E_SHUTDOWN, pos, WALL) < 0
+               ? -1 : 0;
+}
+
+static int
+wake_mobile(world_t *w, PyObject *a)
+{
+    act_t out;
+    long src, tm;
+    int r;
+
+    if (decide_mobile(w, a, &out) < 0 || cell_of(w, a, &src) < 0)
+        return -1;
+    if ((out.kind == A_MOVE || out.kind == A_SETTLE_AT) && (out.dir < 1 || out.dir > 4)) {
+        char what[64];
+        PyOS_snprintf(what, sizeof(what), "chose direction %ld, not one of 1-4", out.dir);
+        return invariant(a, what);
+    }
+    switch (out.kind) {
+    case A_STAY:
+        r = 0;
+        break;
+    case A_MOVE:
+        r = move(w, a, src, out.dir, out.s2);
+        break;
+    case A_SETTLE_HERE:
+    case A_SETTLE_AT:
+        r = settle(w, a, src, &out);
+        break;
+    case A_SHUTDOWN:
+        r = shut_down(w, a, src);
+        break;
+    default:
+        return invariant(a, "chose an action of no known kind");
     }
     /* The movement tick of this step, whatever the agent did; a mobile
        has no settled steps. */
-    if (rget_long(a, F_TM, &tm) < 0 || rset_new(a, F_TM, PyLong_FromLong(tm + 1)) < 0
+    if (r < 0 || rget_long(a, F_TM, &tm) < 0 || rset_new(a, F_TM, PyLong_FromLong(tm + 1)) < 0
         || rset_new(a, F_ENERGY, PyFloat_FromDouble(w->e0 - (double)(tm + 1))) < 0)
-        goto done;
-    r = 0;
-done:
-    Py_XDECREF(s2);
-    Py_XDECREF(src);
-    Py_XDECREF(nb);
-    Py_XDECREF(dst);
-    Py_XDECREF(s1);
-    Py_XDECREF(energy);
-    Py_XDECREF(id);
-    return r;
+        return -1;
+    return 0;
 }
 
 /* A settled wake ends with the agent out of ``awake``; a transition's
    marks put it back unless it reported low. */
 static int
-wake_settled(wake_t *k, PyObject *a, long mode)
+wake_settled(world_t *w, PyObject *a)
 {
-    world_t *w = k->w;
     slot_t sl[10];
-    PyObject *new_s1 = NULL, *id = NULL, *pos = NULL, *s2 = NULL, *energy = NULL;
-    long old_l, new_l, pos_l, tm, ss;
-    int r = -1, d;
+    PyObject *pos;
+    long old_l, new_l, pos_l;
+    int d;
 
-    if (mode == MODE_SETTLED  /* materialize the lazily tracked energy */
-        && (rget_long(a, F_TM, &tm) < 0 || rget_long(a, F_SETTLE, &ss) < 0
-            || rset_new(a, F_ENERGY, settled_energy(w->e0, w->alpha, tm, k->t_l - 1 - ss)) < 0))
+    /* Materialize the lazily tracked energy, as of the end of last step. */
+    if (materialize(w, a, w->t - 1) < 0
+        || decide_settled(w, a, &new_l) < 0 || awake_discard(w, a) < 0
+        || rget_long(a, F_S1, &old_l) < 0)
         return -1;
-    if (decide_settled(k, a, mode, &new_l) < 0 || (id = rget(a, F_ID)) == NULL
-        || PySet_Discard(w->awake, id) < 0 || rget_long(a, F_S1, &old_l) < 0)
-        goto done;
-    if (new_l != old_l) {
-        if (old_l == S_CLOSED_BEACON && new_l == S_BEACON) {
-            PyErr_Format(InvariantError, "agent %S reopened a closed beacon", id);
-            goto done;
-        }
-        if (new_l == S_CLOSED_BEACON) {
-            if (gather(w->neighbors, w->ground, w->air, a, mode, sl) < 0)
-                goto done;
-            for (d = 1; d <= 4; d++)
-                if (sl[d].kind == K_EMPTY) {
-                    PyErr_Format(InvariantError,
-                                 "agent %S closed with an empty neighbor in sight", id);
-                    goto done;
-                }
-        }
-        if ((new_s1 = PyLong_FromLong(new_l)) == NULL || rset(a, F_S1, new_s1) < 0
-            || (pos = rget(a, F_POS)) == NULL)
-            goto done;
-        if ((pos_l = PyLong_AsLong(pos)) == -1 && PyErr_Occurred())
-            goto done;
-        if (w->batch != NULL) {
-            PyObject *fields[8];
-            if ((s2 = rget(a, F_S2)) == NULL || (energy = rget(a, F_ENERGY)) == NULL)
-                goto done;
-            fields[0] = k->t, fields[1] = id, fields[2] = STR_TRANSITION, fields[3] = pos;
-            fields[4] = pos, fields[5] = new_s1, fields[6] = s2, fields[7] = energy;
-            if (emit(w->batch, fields) < 0)
-                goto done;
-        }
-        if (mark(w, pos_l, &k->order) < 0)
-            goto done;
+    if (new_l == old_l)
+        return 0;
+    if (old_l == S_CLOSED_BEACON && new_l == S_BEACON)
+        return invariant(a, "reopened a closed beacon");
+    if (new_l == S_CLOSED_BEACON) {
+        if (sense_own(w, a, MODE_SETTLED, sl) < 0)
+            return -1;
+        for (d = 1; d <= 4; d++)
+            if (sl[d].kind == K_EMPTY)
+                return invariant(a, "closed with an empty neighbor in sight");
     }
-    r = 0;
-done:
-    Py_XDECREF(new_s1);
-    Py_XDECREF(id);
-    Py_XDECREF(pos);
-    Py_XDECREF(s2);
-    Py_XDECREF(energy);
-    return r;
+    if (rset_new(a, F_S1, PyLong_FromLong(new_l)) < 0 || cell_of(w, a, &pos_l) < 0)
+        return -1;
+    pos = rborrow(a, F_POS);
+    return log_event(w, a, E_TRANSITION, pos, pos) < 0 || mark(w, pos_l, 1) < 0 ? -1 : 0;
 }
 
 static int
@@ -1330,101 +1510,391 @@ rule_index(PyObject *f, PyObject *const *own)
     return -1;
 }
 
+/* Wake every agent in ``awake`` once, in key order; each senses the
+   world as earlier wakes left it.  A mobile pays this step's movement
+   tick at the end of its wake. */
 static int
-cmp_key(const void *x, const void *y)
+wake_all(world_t *w)
 {
-    uint64_t a = *(const uint64_t *)x, b = *(const uint64_t *)y;
-    return (a > b) - (a < b);
+    PyObject *a;
+    long mode;
+    int r = wake_order(w);
+    /* The order may grow behind the cursor's back: only after it. */
+    while (r == 0 && w->cur < w->nkeys) {
+        uint64_t key = w->keys[w->cur++];
+        if ((a = list_item(w->agents, (long)(key & ID_MASK) - 1)) == NULL)
+            return -1;
+        Py_INCREF(a);
+        r = sensing_mode(a, &mode);
+        if (r == 0)
+            r = mode == MODE_MOBILE ? wake_mobile(w, a) : wake_settled(w, a);
+        Py_DECREF(a);
+    }
+    return r;
 }
 
-/* This step's wake order: the agents in ``awake``, keyed and sorted; a
-   random key is one draw, so random keys are drawn in id order.
-   ``order_free`` after, also on failure. */
-static int
-wake_order(world_t *w, order_t *o)
-{
-    PyObject *it, *item;
-    Py_ssize_t i;
-    long aid;
+/* -- entry, energy events and the close -------------------------------- */
 
-    memset(o, 0, sizeof(*o));
-    if (!PyList_Check(w->agents) || !PySet_Check(w->awake)) {
-        PyErr_SetString(PyExc_TypeError, "agents must be a list and awake a set");
+/* Every ``dt`` steps, once the wakes have resolved, a new agent enters if
+   the entry's air is free; it stays dormant (no sensing, no energy tick)
+   until the next step.  Entering costs one unit of movement energy. */
+static int
+enter(world_t *w)
+{
+    PyObject *v, *g, *s2, *a, *id;
+    Py_ssize_t n = PyList_GET_SIZE(w->agents);
+    int r;
+    if (w->t % w->dt)
+        return 0;
+    if ((v = list_item(w->air, w->entry)) == NULL || (g = list_item(w->ground, w->entry)) == NULL)
         return -1;
-    }
-    o->n_ids = PyList_GET_SIZE(w->agents);
-    o->keys = PyMem_Malloc(sizeof(uint64_t) * (size_t)(o->n_ids ? o->n_ids : 1));
-    o->scheduled = PyMem_Calloc((size_t)o->n_ids + 1, 1);
-    if (o->keys == NULL || o->scheduled == NULL) {
-        PyErr_NoMemory();
+    if (v != Py_None)
+        return 0;
+    if ((s2 = g == Py_None ? ZERO : rborrow(g, F_S2)) == NULL
+        || (a = Record->tp_alloc(Record, 0)) == NULL)
         return -1;
-    }
-    if ((it = PyObject_GetIter(w->awake)) == NULL)
+    r = rset_new(a, F_ID, id = PyLong_FromSsize_t(n + 1)) < 0
+        || rset_new(a, F_MODE, PyLong_FromLong(MODE_MOBILE)) < 0
+        || rset_new(a, F_S1, PyLong_FromLong(S_MOBILE)) < 0 || rset(a, F_S2, s2) < 0
+        || rset(a, F_POS, w->entry_int) < 0
+        || rset_new(a, F_ENERGY, PyFloat_FromDouble(w->e0 - 1)) < 0
+        || rset(a, F_TM, ONE) < 0 || rset(a, F_SETTLE, WALL) < 0
+        || PyList_Append(w->agents, a) < 0 || list_set(w->air, w->entry, a) < 0
+        || PySet_Add(w->awake, id) < 0 || log_event(w, a, E_ENTER, WALL, w->entry_int) < 0;
+    Py_DECREF(a);
+    return r ? -1 : 0;
+}
+
+/* Settled agent ``a`` fails: it leaves the ground and ``awake``. */
+static int
+fail(world_t *w, PyObject *a)
+{
+    PyObject *count, *pos;
+    long cell;
+    if (cell_of(w, a, &cell) < 0 || (count = PyLong_FromLong(w->settled - 1)) == NULL)
         return -1;
-    /* ``admit`` takes each id once and only if it names an agent, so the
-       ids fit ``keys``. */
-    while ((item = PyIter_Next(it)) != NULL) {
-        aid = PyLong_AsLong(item);
-        Py_DECREF(item);
-        if ((aid == -1 && PyErr_Occurred()) || admit(o, aid) < 0)
-            break;
-        o->keys[o->n++] = (uint64_t)aid;
-    }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
-        return -1;
-    if (!w->adversarial)
-        qsort(o->keys, (size_t)o->n, sizeof(uint64_t), cmp_key);
-    for (i = 0; i < o->n; i++)
-        if (wake_key(w, (long)o->keys[i], &o->keys[i]) < 0)
+    Py_SETREF(w->settled_int, count);
+    w->settled--;
+    pos = rborrow(a, F_POS);
+    return rset_new(a, F_MODE, PyLong_FromLong(MODE_FAILED)) < 0
+                   || list_set(w->ground, cell, Py_None) < 0
+                   || awake_discard(w, a) < 0
+                   || log_event(w, a, E_FAIL, pos, pos) < 0 || mark(w, cell, 0) < 0
+               ? -1 : 0;
+}
+
+/* Apply the settled-energy events due by this step: threshold crossings
+   and failures.  Mobiles were charged in their wakes. */
+static int
+charge(world_t *w)
+{
+    energy_event_t ev;
+    PyObject *a;
+    long mode, s1;
+    int r;
+    while (w->nheap && w->heap[0].step <= w->t) {
+        ev = heap_pop(w);
+        if ((a = list_item(w->agents, ev.id - 1)) == NULL)
             return -1;
-    qsort(o->keys, (size_t)o->n, sizeof(uint64_t), cmp_key);
+        Py_INCREF(a);
+        r = rget_long(a, F_MODE, &mode);
+        if (r == 0 && mode == MODE_SETTLED)
+            r = materialize(w, a, w->t);
+        if (r == 0 && ev.kind == 1)
+            r = fail(w, a);
+        else if (r == 0)  /* the reporting threshold */
+            r = rget_long(a, F_S1, &s1) < 0 ? -1
+                : s1 != S_LOW_ENERGY ? awake_add(w, a) : 0;
+        Py_DECREF(a);
+        if (r < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Record the step's series, hand the step's events to ``on_events`` and
+   read termination off the entry cell; a new reference to it, or to
+   ``None``. */
+static PyObject *
+close_step(world_t *w)
+{
+    PyObject *g, *r, *batch;
+    long s1;
+    if (PyList_Append(w->ac_series, w->settled_int) < 0)
+        return NULL;
+    if (w->on_events != NULL && PyList_GET_SIZE(w->batch)) {
+        if ((r = PyObject_CallOneArg(w->on_events, w->batch)) == NULL)
+            return NULL;
+        Py_DECREF(r);
+        if ((batch = PyList_New(0)) == NULL)
+            return NULL;
+        Py_SETREF(w->batch, batch);
+    }
+    if ((g = list_item(w->ground, w->entry)) == NULL)
+        return NULL;
+    if (g != Py_None) {
+        if (rget_long(g, F_S1, &s1) < 0)
+            return NULL;
+        if (s1 == S_LOW_ENERGY)
+            w->terminated = STR[E_LOW_ENERGY];
+        else if (s1 == S_CLOSED_BEACON)
+            w->terminated = STR[E_CLOSED];
+    }
+    r = w->terminated ? w->terminated : Py_None;
+    Py_INCREF(r);
+    return r;
+}
+
+static PyObject *
+k_step(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    world_t *w;
+    PyObject *r = NULL;
+    int own_sensing;
+    if (check_args("step", nargs, 6) < 0)
+        return NULL;
+    if (!Py_IS_TYPE(args[0], &WorldType)) {
+        PyErr_Format(PyExc_TypeError, "expected a world, got %.100s", Py_TYPE(args[0])->tp_name);
+        return NULL;
+    }
+    w = (world_t *)args[0];
+    if ((w->t = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
+        return NULL;
+    w->t_int = args[1];
+    w->ctx.draw = args[2];
+    w->sense = args[3];
+    w->mobile_decide = args[4];
+    w->settled_decide = args[5];
+    /* A mode's wakes are compiled only when sense and its rule both are. */
+    own_sensing = w->sense == own_sense;
+    w->mobile_r = own_sensing ? rule_index(w->mobile_decide, own_mobile) : -1;
+    w->settled_r = own_sensing ? rule_index(w->settled_decide, own_settled) : -1;
+    if (wake_all(w) == 0 && enter(w) == 0 && charge(w) == 0)
+        r = close_step(w);
+    w->t_int = w->ctx.draw = w->sense = w->mobile_decide = w->settled_decide = NULL;
+    return r;
+}
+
+/* -- building the world ------------------------------------------------ */
+
+static int
+world_traverse(world_t *w, visitproc visit, void *arg)
+{
+    Py_VISIT(w->region);
+    Py_VISIT(w->p);
+    Py_VISIT(w->agents);
+    Py_VISIT(w->ground);
+    Py_VISIT(w->air);
+    Py_VISIT(w->awake);
+    Py_VISIT(w->ac_series);
+    Py_VISIT(w->batch);
+    Py_VISIT(w->on_events);
+    Py_VISIT(w->approach);
+    Py_VISIT(w->nbt);
+    Py_VISIT(w->entry_int);
+    Py_VISIT(w->settled_int);
+    return 0;
+}
+
+static int
+world_clear(world_t *w)
+{
+    Py_CLEAR(w->region);
+    Py_CLEAR(w->p);
+    Py_CLEAR(w->agents);
+    Py_CLEAR(w->ground);
+    Py_CLEAR(w->air);
+    Py_CLEAR(w->awake);
+    Py_CLEAR(w->ac_series);
+    Py_CLEAR(w->batch);
+    Py_CLEAR(w->on_events);
+    Py_CLEAR(w->approach);
+    Py_CLEAR(w->nbt);
+    Py_CLEAR(w->entry_int);
+    Py_CLEAR(w->settled_int);
+    return 0;
+}
+
+static void
+world_dealloc(world_t *w)
+{
+    PyObject_GC_UnTrack(w);
+    world_clear(w);
+    PyMem_Free(w->nb);
+    PyMem_Free(w->dist);
+    PyMem_Free(w->heap);
+    PyMem_Free(w->keys);
+    PyMem_Free(w->keyed);
+    Py_TYPE(w)->tp_free((PyObject *)w);
+}
+
+/* Read the region into C arrays: each cell's four neighbors, each in
+   ``[-1, ncells)``, and its distance. */
+static int
+read_region(world_t *w)
+{
+    PyObject *distances = NULL, *nb;
+    long width, height, v;
+    Py_ssize_t c;
+    int i, r = -1;
+    if (attr_long(w->region, N_WIDTH, &width) < 0 || attr_long(w->region, N_HEIGHT, &height) < 0
+        || attr_long(w->region, N_ENTRY, &w->entry) < 0
+        || (w->entry_int = PyLong_FromLong(w->entry)) == NULL
+        || (w->nbt = PyObject_GetAttr(w->region, NAME[N_NEIGHBORS])) == NULL
+        || (distances = PyObject_GetAttr(w->region, NAME[N_DISTANCES])) == NULL)
+        goto done;
+    w->ncells = (Py_ssize_t)width * height;
+    w->nb = PyMem_Malloc(sizeof(*w->nb) * (size_t)(w->ncells + 1));
+    w->dist = PyMem_Malloc(sizeof(int) * (size_t)(w->ncells + 1));
+    if (w->nb == NULL || w->dist == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (c = 0; c < w->ncells; c++) {
+        if ((nb = tuple_item(w->nbt, c)) == NULL)
+            goto done;
+        for (i = 0; i < 4 && tuple_long(nb, i, &v) == 0 && v >= -1 && v < w->ncells; i++)
+            w->nb[c][i] = (int)v;
+        r = PyTuple_GET_SIZE(nb) == 4 && i == 4 ? 0 : -1;
+        Py_DECREF(nb);
+        if (r < 0 || tuple_long(distances, c, &v) < 0 || v < -1 || v > INT_MAX)
+            break;
+        w->dist[c] = (int)v;
+    }
+    if (c < w->ncells || w->entry < 0 || w->entry >= w->ncells || PyTuple_GET_SIZE(w->nbt) != c
+        || PyTuple_GET_SIZE(distances) != c) {
+        r = -1;
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "a region has four neighbors and a distance "
+                                              "per cell, each a cell or -1, and its entry");
+    }
+done:
+    Py_XDECREF(distances);
+    return r;
+}
+
+/* Read the parameters into C scalars; ``p.d_max`` once, through its
+   property. */
+static int
+read_params(world_t *w)
+{
+    PyObject *scheduler;
+    double dt;
+    int r;
+    if (attr_double(w->p, N_E0, &w->e0) < 0 || attr_double(w->p, N_ALPHA, &w->alpha) < 0
+        || attr_double(w->p, N_ECRIT_MOBILE, &w->ctx.ecrit_mobile) < 0
+        || attr_double(w->p, N_ECRIT_SETTLED, &w->ctx.ecrit_settled) < 0
+        || attr_double(w->p, N_M, &w->m) < 0 || attr_double(w->p, N_DT, &dt) < 0
+        || attr_long(w->p, N_D_MAX, &w->ctx.d_max) < 0
+        || (w->approach = PyObject_GetAttr(w->p, NAME[N_APPROACH])) == NULL
+        || (w->approach1 = PyObject_RichCompareBool(w->approach, ONE, Py_EQ)) < 0
+        || (scheduler = PyObject_GetAttr(w->p, NAME[N_SCHEDULER])) == NULL)
+        return -1;
+    r = PyUnicode_Check(scheduler) ? PyUnicode_CompareWithASCIIString(scheduler, "adversarial") : 1;
+    Py_DECREF(scheduler);
+    if (!(dt >= 1 && dt < INFINITY) || dt != floor(dt)) {
+        PyErr_Format(PyExc_ValueError, "dt must be an integer >= 1, got %g", dt);
+        return -1;
+    }
+    /* ``t % dt`` is 0 only at 0 for any ``dt`` of 2**62 or more. */
+    w->dt = dt >= 4611686018427387904.0 ? LONG_MAX : (long)dt;
+    w->adversarial = r == 0;
+    w->ctx.have_d_max = 1;
+    w->ctx.p = w->p;
     return 0;
 }
 
 static PyObject *
-k_wake(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+world_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    world_t w;
-    wake_t k;
-    int r, own_sensing;
-
-    if (check_args("wake", nargs, 6) < 0 || world_open(&w, args[0]) < 0)
+    static char *kwlist[] = {"region", "p", "agents", "ground", "air", "awake", "ac_series",
+                             "events", "on_events", NULL};
+    PyObject *o[9];
+    world_t *w;
+    int i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!O!O!O!O!OO:world", kwlist, &o[0], &o[1],
+                                     &PyList_Type, &o[2], &PyList_Type, &o[3], &PyList_Type, &o[4],
+                                     &PySet_Type, &o[5], &PyList_Type, &o[6], &o[7], &o[8])
+        || check_bound() < 0)
         return NULL;
-    memset(&k, 0, sizeof(k));
-    k.w = &w;
-    k.t = args[1];
-    k.sense = args[2];
-    k.mobile_decide = args[3];
-    k.settled_decide = args[4];
-    k.apply_mobile = args[5];
-    /* A mode's wakes are compiled only when sense and its rule both are. */
-    own_sensing = k.sense == own_sense;
-    k.mobile_r = own_sensing ? rule_index(k.mobile_decide, own_mobile) : -1;
-    k.settled_r = own_sensing ? rule_index(k.settled_decide, own_settled) : -1;
-    k.t_l = PyLong_AsLong(k.t);
-    r = (k.t_l == -1 && PyErr_Occurred()) ? -1 : wake_order(&w, &k.order);
-    /* The order may grow behind the cursor's back: only after it. */
-    while (r == 0 && k.order.cur < k.order.n) {
-        uint64_t key = k.order.keys[k.order.cur++];
-        PyObject *a = list_item(w.agents, (long)(key & ID_MASK) - 1);
-        long mode;
-        if (a == NULL) {
-            r = -1;
-            break;
-        }
-        Py_INCREF(a);
-        r = rget_long(a, F_MODE, &mode);
-        if (r == 0)
-            r = mode == MODE_MOBILE ? wake_mobile(&k, a) : wake_settled(&k, a, mode);
-        Py_DECREF(a);
+    if (o[7] != Py_None && !PyList_Check(o[7])) {
+        PyErr_SetString(PyExc_TypeError, "events is a list or None");
+        return NULL;
     }
-    order_free(&k.order);
-    world_close(&w);
-    if (r < 0)
+    if ((w = (world_t *)type->tp_alloc(type, 0)) == NULL)
         return NULL;
+    for (i = 0; i < 7; i++)
+        Py_INCREF(o[i]);
+    w->region = o[0], w->p = o[1], w->agents = o[2], w->ground = o[3], w->air = o[4];
+    w->awake = o[5], w->ac_series = o[6];
+    if (o[7] != Py_None) {
+        Py_INCREF(o[7]);
+        w->batch = o[7];
+    }
+    else if (o[8] != Py_None) {
+        Py_INCREF(o[8]);
+        w->on_events = o[8];
+        w->batch = PyList_New(0);
+    }
+    Py_INCREF(ZERO);
+    w->settled_int = ZERO;
+    if ((w->on_events != NULL && w->batch == NULL) || read_region(w) < 0 || read_params(w) < 0)
+        Py_CLEAR(w);
+    return (PyObject *)w;
+}
+
+static PyObject *
+world_finish(world_t *w, PyObject *arg)
+{
+    long t = PyLong_AsLong(arg), mode;
+    Py_ssize_t i;
+    PyObject *a;
+    if (t == -1 && PyErr_Occurred())
+        return NULL;
+    for (i = 0; i < PyList_GET_SIZE(w->agents); i++) {
+        a = PyList_GET_ITEM(w->agents, i);
+        if (rget_long(a, F_MODE, &mode) < 0
+            || (mode == MODE_SETTLED && materialize(w, a, t) < 0))
+            return NULL;
+    }
     Py_RETURN_NONE;
 }
+
+static PyMethodDef world_methods[] = {
+    {"finish", (PyCFunction)world_finish, METH_O,
+     "finish(t)\n--\n\n"
+     "Set each settled agent's energy from the ledger as of the end of step ``t``."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef world_members[] = {
+    {"region", T_OBJECT_EX, offsetof(world_t, region), READONLY, "The run's region."},
+    {"agents", T_OBJECT_EX, offsetof(world_t, agents), READONLY, "The run's agents."},
+    {"ground", T_OBJECT_EX, offsetof(world_t, ground), READONLY, "The ground layer."},
+    {"air", T_OBJECT_EX, offsetof(world_t, air), READONLY, "The air layer."},
+    {"t", T_LONG, offsetof(world_t, t), READONLY, "The step run last, or running."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject WorldType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "gridswarm._kernel.world",
+    .tp_basicsize = sizeof(world_t),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "world(region, p, agents, ground, air, awake, ac_series, events, on_events)\n--\n\n"
+              "The state of one run that ``step`` advances.  ``agents``, ``ground``,\n"
+              "``air``, ``awake`` and ``ac_series`` are the run's own objects, which\n"
+              "the world refers to, not copies.  Events go to the list ``events``,\n"
+              "or in one list per step to ``on_events``, or nowhere when both are\n"
+              "``None``.  ``region``, ``agents``, ``ground``, ``air`` and the step\n"
+              "``t`` are readable, so ``sense`` takes a world.",
+    .tp_new = world_new,
+    .tp_dealloc = (destructor)world_dealloc,
+    .tp_traverse = (traverseproc)world_traverse,
+    .tp_clear = (inquiry)world_clear,
+    .tp_methods = world_methods,
+    .tp_members = world_members,
+};
 
 /* -- the event-log formatter --------------------------------------------- */
 
@@ -1595,7 +2065,6 @@ k_format_events(PyObject *Py_UNUSED(m), PyObject *events)
     Py_DECREF(fast);
     return sb_finish(&b, ok);
 }
-
 /* -- the random stream --------------------------------------------------- */
 
 /* ``uniform_stream(seed)`` is called with no arguments for each draw and
@@ -1727,21 +2196,28 @@ stream_seed(stream_t *s, const uint32_t *e, Py_ssize_t n)
     pcg_step(s);
 }
 
-static PyObject *
-stream_draw(PyObject *self, PyObject *const *Py_UNUSED(args), size_t nargsf, PyObject *kwnames)
+/* The next float of the stream ``self``. */
+static double
+stream_next(PyObject *self)
 {
     stream_t *s = (stream_t *)self;
     uint64_t x;
     unsigned rot;
-    if (PyVectorcall_NARGS(nargsf) != 0 || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
-        PyErr_SetString(PyExc_TypeError, "a uniform_stream draw takes no arguments");
-        return NULL;
-    }
     pcg_step(s);
     rot = (unsigned)(s->state >> 122);
     x = (uint64_t)(s->state >> 64) ^ (uint64_t)s->state;
     x = x >> rot | x << (-rot & 63);
-    return PyFloat_FromDouble((double)(x >> 11) * (1.0 / 9007199254740992.0));
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static PyObject *
+stream_draw(PyObject *self, PyObject *const *Py_UNUSED(args), size_t nargsf, PyObject *kwnames)
+{
+    if (PyVectorcall_NARGS(nargsf) != 0 || (kwnames != NULL && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "a uniform_stream draw takes no arguments");
+        return NULL;
+    }
+    return PyFloat_FromDouble(stream_next(self));
 }
 
 static PyObject *
@@ -1778,46 +2254,60 @@ static PyTypeObject StreamType = {
 
 /* -- binding ------------------------------------------------------------- */
 
+/* The slot offsets of the member descriptors ``descrs``, a tuple of the
+   slots ``names`` of one class, in order; that class, or NULL. */
+static PyTypeObject *
+slot_offsets(PyObject *descrs, const int *names, int n, Py_ssize_t *offs)
+{
+    PyTypeObject *type = NULL;
+    PyObject *d;
+    int i;
+    if (!PyTuple_Check(descrs) || PyTuple_GET_SIZE(descrs) != n) {
+        PyErr_Format(PyExc_TypeError, "expected a tuple of %d slots, got %R", n, descrs);
+        return NULL;
+    }
+    for (i = 0; i < n; i++) {
+        d = PyTuple_GET_ITEM(descrs, i);
+        if (!Py_IS_TYPE(d, &PyMemberDescr_Type)
+            || ((PyMemberDescrObject *)d)->d_member->type != T_OBJECT_EX
+            || PyUnicode_Compare(PyDescr_NAME(d), NAME[names[i]]) != 0
+            || (type != NULL && PyDescr_TYPE(d) != type)) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_TypeError, "%R is not the slot %s", d, NAMES[names[i]]);
+            return NULL;
+        }
+        type = PyDescr_TYPE(d);
+        offs[i] = ((PyMemberDescrObject *)d)->d_member->offset;
+    }
+    return type;
+}
+
 static PyObject *
 k_bind(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *record, *event;
-    Py_ssize_t offs[NF];
-    int f;
-    if (check_args("bind", nargs, 4) < 0)
+    static const int rec_names[NF] = {F_ID, F_MODE, F_S1, F_S2, F_POS, F_ENERGY, F_TM, F_SETTLE};
+    Py_ssize_t roffs[NF], aoffs[NA];
+    PyTypeObject *record, *action;
+    if (check_args("bind", nargs, 5) < 0
+        || (record = slot_offsets(args[0], rec_names, NF, roffs)) == NULL
+        || (action = slot_offsets(args[1], ACT_NAMES, NA, aoffs)) == NULL)
         return NULL;
-    record = args[0], event = args[1];
-    if (!PyType_Check(record) || !PyType_Check(event)
-        || !PyType_IsSubtype((PyTypeObject *)event, &PyTuple_Type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "bind(AgentRecord, Event, InvariantError, _action): bad argument types");
+    if (!PyType_Check(args[2]) || !PyType_IsSubtype((PyTypeObject *)args[2], &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "an Event is a tuple type");
         return NULL;
-    }
-    /* Records are read and written straight through their slots. */
-    for (f = 0; f < NF; f++) {
-        PyObject *d = PyObject_GetAttr(record, NAME[f]);
-        int slot = d != NULL && Py_IS_TYPE(d, &PyMemberDescr_Type)
-                   && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX;
-        if (slot)
-            offs[f] = ((PyMemberDescrObject *)d)->d_member->offset;
-        Py_XDECREF(d);
-        if (d == NULL && !PyErr_ExceptionMatches(PyExc_AttributeError))
-            return NULL;
-        if (!slot) {
-            PyErr_Format(PyExc_TypeError, "%.100s.%s is not a slot",
-                         ((PyTypeObject *)record)->tp_name, NAMES[f]);
-            return NULL;
-        }
     }
     Py_INCREF(record);
-    Py_XSETREF(Record, (PyTypeObject *)record);
-    memcpy(rec_off, offs, sizeof(offs));
-    Py_INCREF(event);
-    Py_XSETREF(EventType, (PyTypeObject *)event);
+    Py_XSETREF(Record, record);
+    memcpy(rec_off, roffs, sizeof(roffs));
+    Py_INCREF(action);
+    Py_XSETREF(ActionType, action);
+    memcpy(act_off, aoffs, sizeof(aoffs));
     Py_INCREF(args[2]);
-    Py_XSETREF(InvariantError, args[2]);
+    Py_XSETREF(EventType, (PyTypeObject *)args[2]);
     Py_INCREF(args[3]);
-    Py_XSETREF(action_fn, args[3]);
+    Py_XSETREF(InvariantError, args[3]);
+    Py_INCREF(args[4]);
+    Py_XSETREF(action_fn, args[4]);
     Py_RETURN_NONE;
 }
 
@@ -1845,29 +2335,24 @@ static PyMethodDef methods[] = {
          "settled_decide_slug(a, xi, p, approach)\n--\n\nThe slug-ea settled rule."),
     FAST(settled_decide_sltt,
          "settled_decide_sltt(a, xi, p, approach)\n--\n\nThe sltt-ea settled rule."),
-    FAST(wake, "wake(sim, t, sense, mobile_decide, settled_decide, apply_mobile)\n--\n\n"
-               "The body of ``Simulation._wake``."),
-    FAST(mark_ground_change,
-         "mark_ground_change(sim, cell)\n--\n\n"
-         "The body of ``Simulation._mark_ground_change``: put a cell's settled\n"
-         "occupant and settled neighbors that are not low-energy into ``awake``,\n"
-         "between steps."),
-    FAST(settled_energy, "settled_energy(e0, t_m, alpha, t_s)\n--\n\n"
-                         "The settled ledger ``e0 - t_m - alpha * t_s``."),
+    FAST(step, "step(world, t, draw, sense, mobile_decide, settled_decide)\n--\n\n"
+               "Run step ``t`` of ``world``: the wakes, the entry attempt, the\n"
+               "settled-energy events and the close; the termination, or ``None``."),
     {"format_event", (PyCFunction)k_format_event, METH_O,
      "format_event(ev)\n--\n\nThe event-log line of one event, without a newline."},
     {"format_events", (PyCFunction)k_format_events, METH_O,
      "format_events(events)\n--\n\nThe event-log lines of a batch, each ending in a newline."},
-    FAST(log_event, "log_event(batch, t, a, action, src, dst)\n--\n\n"
-                    "Append ``Event(t, a.id, action, src, dst, a.s1, a.s2, a.energy)``\n"
-                    "to the list ``batch``, untracked by the collector; ``None`` logs nothing."),
-    FAST(bind, "bind(AgentRecord, Event, InvariantError, _action)\n--\n\n"
-               "Hand the kernel the Python classes and tables it works with."),
+    FAST(bind, "bind(record_slots, action_slots, Event, InvariantError, _action)\n--\n\n"
+               "Hand the kernel the Python classes it works with: the slots of\n"
+               "``AgentRecord`` (``id``, ``mode``, ``s1``, ``s2``, ``pos``, ``energy``,\n"
+               "``t_m``, ``settle_step``) and of ``Action`` (``kind``, ``direction``,\n"
+               "``s2``) as member descriptors, through which it reads and writes\n"
+               "them, ``Event``, ``InvariantError`` and ``rules._action``."),
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_kernel", "The per-wake hot path of gridswarm, compiled.", -1,
+    PyModuleDef_HEAD_INIT, "_kernel", "The simulation step of gridswarm, compiled.", -1,
     methods, NULL, NULL, NULL, NULL,
 };
 
@@ -1887,10 +2372,11 @@ PyInit__kernel(void)
     for (i = 0; i < N_COUNT; i++)
         if ((NAME[i] = PyUnicode_InternFromString(NAMES[i])) == NULL)
             goto error;
+    for (i = 0; i < NS; i++)
+        if ((STR[i] = PyUnicode_InternFromString(STR_TEXT[i])) == NULL)
+            goto error;
     if ((EMPTY = PyLong_FromLong(0)) == NULL || (WALL = PyLong_FromLong(-1)) == NULL
         || (ZERO = PyLong_FromLong(0)) == NULL || (ONE = PyLong_FromLong(1)) == NULL
-        || (STR_MOVE = PyUnicode_InternFromString("move")) == NULL
-        || (STR_TRANSITION = PyUnicode_InternFromString("transition")) == NULL
         || add_own(m, "sense", &own_sense) < 0
         || add_own(m, "mobile_decide_sllg", &own_mobile[R_SLLG]) < 0
         || add_own(m, "mobile_decide_slug", &own_mobile[R_SLUG]) < 0
@@ -1900,6 +2386,8 @@ PyInit__kernel(void)
         || add_own(m, "settled_decide_sltt", &own_settled[R_SLTT]) < 0
         || PyModule_AddIntConstant(m, "MODE_MOBILE", MODE_MOBILE) < 0
         || PyModule_AddIntConstant(m, "MODE_SETTLED", MODE_SETTLED) < 0
+        || PyModule_AddIntConstant(m, "MODE_SHUTDOWN", MODE_SHUTDOWN) < 0
+        || PyModule_AddIntConstant(m, "MODE_FAILED", MODE_FAILED) < 0
         || PyModule_AddIntConstant(m, "S_MOBILE", S_MOBILE) < 0
         || PyModule_AddIntConstant(m, "S_BEACON", S_BEACON) < 0
         || PyModule_AddIntConstant(m, "S_CLOSED_BEACON", S_CLOSED_BEACON) < 0
@@ -1910,7 +2398,7 @@ PyInit__kernel(void)
         || PyModule_AddIntConstant(m, "A_SETTLE_AT", A_SETTLE_AT) < 0
         || PyModule_AddIntConstant(m, "A_SHUTDOWN", A_SHUTDOWN) < 0
         || PyModule_AddIntConstant(m, "ID_BITS", ID_BITS) < 0
-        || PyModule_AddType(m, &StreamType) < 0)
+        || PyModule_AddType(m, &StreamType) < 0 || PyModule_AddType(m, &WorldType) < 0)
         goto error;
     return m;
 error:

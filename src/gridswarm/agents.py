@@ -101,7 +101,11 @@ class SimParams:
             raise ParamError(f"m must be at most 2**32, got {self.m}")
         for name in ("e0", "alpha", "ecrit_mobile", "ecrit_settled"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value < _ENERGY_LIMIT):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ParamError(f"{name} must be a number, got {value!r}") from None
+            if not (finite and value < _ENERGY_LIMIT):
                 raise ParamError(f"{name} must be finite and below 2**53, got {value}")
             # The kernel compares energies as floats.
             if float(value) != value:

@@ -1,28 +1,34 @@
 """Discrete-time simulation engine.
 
-One time step runs four phases, each a method of ``Simulation``:
-(1) ``_wake``: every active agent wakes exactly once at its scheduled
-sub-step and senses the world as left by earlier wake-ups of the same
-step; an agent that was mobile when its wake began is charged its
-movement tick at the end of that wake, whatever it did (move, stay,
-settle or shut down), after its event is logged; (2) ``_attempt_entry``:
-every ``dt`` steps, after the wake-ups, a new agent enters if the
-entry's air is free; (3) ``_charge``: the settled-energy events due by
-this step are applied; (4) ``_close``: the step's series are recorded,
-the step's events are handed on and termination is read off the entry
-cell.
+One time step runs four phases, all in one compiled call,
+``kernel.step`` (``_kernel.c``, built on first import by ``_build.py``):
+(1) the wakes: every agent of ``awake`` wakes exactly once at its
+scheduled sub-step and senses the world as left by earlier wake-ups of
+the same step; an agent that was mobile when its wake began is charged
+its movement tick at the end of that wake, whatever it did (move, stay,
+settle or shut down), after its event is logged; (2) the entry: every
+``dt`` steps, after the wake-ups, a new agent enters if the entry's air
+is free; (3) the energy events: the settled-energy events due by this
+step are applied; (4) the close: the step's ``ac_series`` entry is
+recorded, the step's events are handed on and termination is read off
+the entry cell.  ``Simulation.step`` makes that call and advances the
+clock; it is the seam a tracer wraps, once per step.
 
-The body of ``_wake``, sensing, the decide rules, the marking of
-settled neighbors and the event-line formatter are compiled
-(``_kernel.c``, built on first import by ``_build.py``).  The kernel
-accepts the types defined here and in ``agents`` and ``rules`` and no
-others: an ``AgentRecord`` (any other object raises ``TypeError``), the
-layers as lists, ``Event``s with int fields, a str action and an int or
-float energy.  It reads the energy parameters as doubles, and every
-energy the engine stores is a float, whatever the type of ``e0`` and
-``alpha``.  ``_wake`` hands it the module's ``sense`` and the run's
-decide callables: a wake runs compiled when both are the kernel's own,
-and otherwise calls both through Python, each once.
+The kernel steps a per-run ``world``, built in ``Simulation.__init__``:
+the region and the parameters as C values (``d_max`` read once, through
+the ``SimParams`` property), the settled count, the termination and the
+heap of settled-energy events, and references to this module's
+``agents``, ``ground``, ``air``, ``awake``, ``ac_series`` and event sink,
+the same objects, so that agents placed by hand take part.  The world
+refers to no ``Simulation``: a finished run is freed by reference
+counting alone.  ``draw``, the module's ``sense`` and the run's decide
+callables are passed on every step: a wake runs compiled when ``sense``
+and its mode's rule are both the kernel's own, and otherwise calls both
+through Python, each once, with the world as ``sense``'s first argument.
+The kernel accepts the types defined here and in ``agents`` and
+``rules`` and no others; it reads the energy parameters as doubles, and
+every energy the engine stores is a float, whatever the type of ``e0``
+and ``alpha``.
 
 Who wakes is one set of agent ids, ``awake``.  An agent joins it when
 it enters, when a ground change in its neighborhood marks it, and when
@@ -34,10 +40,12 @@ woken: its decision reads only its own record and the ground of its
 four neighbors, unchanged since its last wake, so it would keep its
 sub-state.  Settled energy is likewise closed-form in the number of
 settled steps, so per-step ticking is replaced by scheduled threshold
-events; the ledger identity ``energy = e0 - t_m - alpha * t_s`` is
-preserved exactly.  ``t_m`` is the agent's stored count of movement
-ticks; ``t_s``, its count of settled steps, is not stored but computed
-from ``settle_step`` and the last step charged.
+events (kind 0 crosses the reporting threshold, kind 1 fails; at most
+one of each per agent, kind 0 popping first); the ledger identity
+``energy = e0 - t_m - alpha * t_s`` is preserved exactly.  ``t_m`` is
+the agent's stored count of movement ticks; ``t_s``, its count of
+settled steps, is not stored but computed from ``settle_step`` and the
+last step charged.  The run's end sets every settled energy.
 
 The two layers are per-cell occupant lists, ``ground`` and ``air``: a
 cell holds its occupant's ``AgentRecord`` or ``None``.  An agent's
@@ -45,27 +53,22 @@ cell holds its occupant's ``AgentRecord`` or ``None``.  An agent's
 the occupants of the agent's cell and its four neighbors; the neighbor
 index ``-1`` reads as a wall.  The layers change at entry, move, settle,
 shutdown and failure; a sub-state transition changes only the record.
-Energy events concern only settled agents, each with at most one event
-per kind, kind 0 popping before kind 1.
 
-The wake order of a step belongs to the kernel: the agents of
-``awake``, keyed in id order (a random key is one draw) and sorted, as
-an array of keys ``(sub << 32) | id`` read by a cursor, with a byte per
-agent id telling which agents have a key this step.  ``sub`` is a
-uniform sub-step in ``[0, m)`` under the random scheduler, and the
-agent's hop distance from the entry under the adversarial one (settled
-agents do not move, so lazily inserted agents compare the same way as
-the rest).  A settled agent whose ground neighborhood changes during
-the step, and whose key lies after the cursor, is inserted in order;
-the kernel marks a transition's cell, and a settler's once
-``_apply_mobile`` has settled it.  Keys are unique, so this is the
-order a heap would pop.
+The wake order of a step: the agents of ``awake``, keyed in id order (a
+random key is one draw) and sorted, as an array of keys ``(sub << 32) |
+id`` read by a cursor, with a mark per agent id telling which agents
+have a key this step.  ``sub`` is a uniform sub-step in ``[0, m)`` under
+the random scheduler, and the agent's hop distance from the entry under
+the adversarial one (settled agents do not move, so lazily inserted
+agents compare the same way as the rest).  A settled agent whose ground
+neighborhood changes during the step, and whose key lies after the
+cursor, is inserted in order.  Keys are unique, so this is the order a
+heap would pop.
 
 Events are collected per step: in ``events`` for ``log_events=True``,
 or in a batch handed to ``on_events`` when the step closes (the CLI
 formats each batch in one call and writes it to the log file).  The
-kernel builds every ``Event``, those logged here through
-``kernel.log_event`` too, and leaves it untracked by the cyclic
+kernel builds every ``Event`` and leaves it untracked by the cyclic
 collector.
 
 All randomness comes from one stream of uniform floats in [0, 1),
@@ -77,27 +80,13 @@ All randomness comes from one stream of uniform floats in [0, 1),
 """
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .agents import (
-    MODE_FAILED,
-    MODE_MOBILE,
-    MODE_SETTLED,
-    MODE_SHUTDOWN,
-    S_BEACON,
-    S_CLOSED_BEACON,
-    S_LOW_ENERGY,
-    S_MOBILE,
-    AgentRecord,
-    SimParams,
-    sense,
-)
+from .agents import MODE_FAILED, MODE_SHUTDOWN, AgentRecord, SimParams, sense
 from ._build import kernel
 from .grid import Region
-from .rules import A_SETTLE_AT, A_SHUTDOWN, REGISTRY, _action
+from .rules import REGISTRY, Action, _action
 
 TERM_CLOSED = "closed"
 TERM_LOW_ENERGY = "low_energy"
@@ -130,7 +119,13 @@ class Event(NamedTuple):
         return kernel.format_event(self)
 
 
-kernel.bind(AgentRecord, Event, InvariantError, _action)
+# The kernel reads and writes records and actions through these slots.
+kernel.bind(
+    (AgentRecord.id, AgentRecord.mode, AgentRecord.s1, AgentRecord.s2, AgentRecord.pos,
+     AgentRecord.energy, AgentRecord.t_m, AgentRecord.settle_step),
+    (Action.kind, Action.direction, Action.s2),
+    Event, InvariantError, _action,
+)
 
 
 @dataclass
@@ -185,171 +180,32 @@ class Simulation:
         self.agents: list[AgentRecord] = []
         # The ids of the agents that wake next step.
         self.awake: set[int] = set()
-        self.settled_count = 0
         self.events: list[Event] | None = [] if log_events else None
-        self._on_events = on_events
-        # Where events go as they happen; None logs nothing.
-        self._batch: list[Event] | None = (
-            self.events if log_events else [] if on_events is not None else None
-        )
+        # Settled agents at the close of each step.
         self.ac_series: list[int] = []
-        # Scheduled settled-energy events: (step, kind, agent_id) with
-        # kind 0 = crosses the reporting threshold, 1 = fails.
-        self._energy_events: list[tuple[int, int, int]] = []
         self._mobile_decide, self._settled_decide = REGISTRY[params.algorithm]
-        self._adversarial = params.scheduler == "adversarial"
+        # The run's state as the kernel steps it: the objects above, not
+        # copies, and no reference back to this Simulation.
+        self._world = kernel.world(
+            region, params, self.agents, self.ground, self.air, self.awake,
+            self.ac_series, self.events, on_events,
+        )
         self.t = 0
         self.terminated: str | None = None
-
-    # -- helpers -----------------------------------------------------------
-
-    def _touch_settled_energy(self, a: AgentRecord, t: int) -> None:
-        """Materialize a settled agent's lazily tracked energy as of the
-        ticks applied through the end of step ``t - 1``; the kernel's
-        settled wakes apply the same ledger."""
-        if a.mode == MODE_SETTLED:
-            a.energy = kernel.settled_energy(
-                self.p.e0, a.t_m, self.p.alpha, t - 1 - a.settle_step
-            )
-
-    def _schedule_energy_events(self, a: AgentRecord) -> None:
-        p = self.p
-        if p.alpha <= 0:
-            return
-        # Energy entering settled life: the settling step itself is
-        # still charged as a movement tick at the end of the wake.
-        e_settle = p.e0 - (a.t_m + 1)
-        s = a.settle_step
-
-        def first_step(threshold: float) -> int:
-            # Smallest end-of-step index t with e_settle - alpha*(t - s) <= threshold.
-            k = math.ceil((e_settle - threshold) / p.alpha - 1e-12)
-            while e_settle - p.alpha * (k - 1) <= threshold:
-                k -= 1
-            while e_settle - p.alpha * k > threshold:
-                k += 1
-            return s + max(k, 1)
-
-        if e_settle > p.ecrit_settled:
-            heapq.heappush(self._energy_events, (first_step(p.ecrit_settled), 0, a.id))
-        heapq.heappush(self._energy_events, (first_step(0.0), 1, a.id))
-
-    def _mark_ground_change(self, cell: int) -> None:
-        """Between steps, a cell's projected ground state changed: its
-        settled occupant and settled neighbors that are not low-energy
-        join ``awake``.  During a step the kernel marks changes itself,
-        against its own wake order."""
-        kernel.mark_ground_change(self, cell)
 
     # -- one step ----------------------------------------------------------
 
     def step(self) -> None:
+        """Run step ``t`` in one kernel call: the wakes, the entry attempt,
+        the settled-energy events due by ``t`` and the close; then advance
+        the clock.  ``draw``, the module's ``sense`` and the run's decide
+        callables are read here on every call, so each can be replaced
+        between steps."""
         t = self.t
-        self._wake(t)
-        self._attempt_entry(t)
-        self._charge(t)
-        self._close(t)
-
-    def _wake(self, t: int) -> None:
-        """Wake every agent in ``awake`` once, in key order; each senses
-        the world as earlier wakes left it.  A mobile pays this step's
-        movement tick at the end of its wake.
-
-        ``sense`` is read here on every call, and the decide rules are
-        the ones the run was set up with: each is called once per wake.
-        A mobile that settles or shuts down goes to ``_apply_mobile``;
-        the kernel then marks a settler's cell."""
-        kernel.wake(
-            self, t, sense, self._mobile_decide, self._settled_decide, self._apply_mobile
+        self.terminated = kernel.step(
+            self._world, t, self.draw, sense, self._mobile_decide, self._settled_decide
         )
-
-    def _attempt_entry(self, t: int) -> None:
-        """Every ``dt`` steps, once this step's wake-ups have resolved, a
-        new agent enters if the entry's air is free; it stays dormant (no
-        sensing, no energy tick) until the next step."""
-        if t % self.p.dt:
-            return
-        entry = self.region.entry
-        if self.air[entry] is not None:
-            return
-        g = self.ground[entry]
-        s2 = 0 if g is None else g.s2
-        aid = len(self.agents) + 1
-        # Entering consumes one unit of movement energy; energies are floats.
-        a = AgentRecord(
-            id=aid,
-            mode=MODE_MOBILE,
-            s1=S_MOBILE,
-            s2=s2,
-            pos=entry,
-            energy=float(self.p.e0) - 1,
-            t_m=1,
-        )
-        self.agents.append(a)
-        self.air[entry] = a
-        self.awake.add(aid)
-        kernel.log_event(self._batch, t, a, "enter", -1, entry)
-
-    def _charge(self, t: int) -> None:
-        """Apply the settled-energy events due by ``t``: threshold
-        crossings and failures.  Mobiles were charged in their wakes."""
-        agents = self.agents
-        awake = self.awake
-        while self._energy_events and self._energy_events[0][0] <= t:
-            _, kind, aid = heapq.heappop(self._energy_events)
-            a = agents[aid - 1]
-            self._touch_settled_energy(a, t + 1)
-            if kind == 1:
-                a.mode = MODE_FAILED
-                self.ground[a.pos] = None
-                self.settled_count -= 1
-                awake.discard(aid)
-                kernel.log_event(self._batch, t, a, "fail", a.pos, a.pos)
-                self._mark_ground_change(a.pos)
-            elif a.s1 != S_LOW_ENERGY:  # kind 0: the reporting threshold
-                awake.add(aid)
-
-    def _close(self, t: int) -> None:
-        """Record the step's series, hand the step's events to
-        ``on_events``, read termination off the entry cell and advance
-        the clock."""
-        self.ac_series.append(self.settled_count)
-        if self._on_events is not None and self._batch:
-            self._on_events(self._batch)
-            self._batch = []
-        g = self.ground[self.region.entry]
-        if g is not None:
-            if g.s1 == S_LOW_ENERGY:
-                self.terminated = TERM_LOW_ENERGY
-            elif g.s1 == S_CLOSED_BEACON:
-                self.terminated = TERM_CLOSED
         self.t = t + 1
-
-    def _apply_mobile(self, a, act, t):
-        """Shut down or settle; moves are applied inline in ``_wake``.
-        A settler stays in ``awake``: the caller marks its cell."""
-        kind = act.kind
-        src = a.pos
-        if kind == A_SHUTDOWN:
-            self.air[src] = None
-            a.mode = MODE_SHUTDOWN
-            self.awake.discard(a.id)
-            kernel.log_event(self._batch, t, a, "shutdown", src, -1)
-            return
-        # Settle, either in place or into an adjacent empty cell.
-        dst = self.region.neighbors[src][act.direction - 1] if kind == A_SETTLE_AT else src
-        if dst < 0 or self.ground[dst] is not None:
-            raise InvariantError(f"agent {a.id} settled into an occupied or wall cell")
-        self.air[src] = None
-        self.ground[dst] = a
-        a.pos = dst
-        a.mode = MODE_SETTLED
-        a.s1 = S_BEACON
-        a.s2 = act.s2
-        a.settle_step = t
-        self.settled_count += 1
-        self._schedule_energy_events(a)
-        kernel.log_event(self._batch, t, a, "settle", src, dst)
 
     # -- whole runs --------------------------------------------------------
 
@@ -361,8 +217,7 @@ class Simulation:
                 self.terminated = TERM_STEP_CAP
         t_end = self.t - 1
         agents = self.agents
-        for a in agents:
-            self._touch_settled_energy(a, t_end + 1)
+        self._world.finish(t_end)
         spent = [self.p.e0 - a.energy for a in agents]
         metrics = RunMetrics(
             terminated=self.terminated,
@@ -370,7 +225,7 @@ class Simulation:
             n_agents=len(agents),
             e_total=sum(spent),
             max_ei=max(spent, default=0.0),
-            a_c=self.settled_count,
+            a_c=self.ac_series[-1],
             nda_shutdown=sum(a.mode == MODE_SHUTDOWN for a in agents),
             nda_failed=sum(a.mode == MODE_FAILED for a in agents),
             ac_series=self.ac_series,

@@ -1,36 +1,50 @@
 """The Python reference of the compiled kernel: ``sense``, the six decide
-rules and the wake loop as they were written in Python, used by
+rules and the whole step as they were written in Python, used by
 ``test_kernel.py`` as an oracle for ``_kernel.c``.
 
-``ReferenceSimulation`` is a ``Simulation`` whose ``_wake`` is the
-Python loop over a heap of wake keys, with the Python ``sense`` and
-rules, its own ``_wake_keys`` and its own ``_mark_ground_change``; entry,
-``_apply_mobile``, energy and termination are the engine's own.  The
-heap holds a key for each id in ``awake``, drawn in id order; a settled
-wake ends with the agent out of ``awake``, and a ground change puts the
-settled agents it marks back in.  As in the kernel, the loop marks a
-settler's cell once ``_apply_mobile`` has settled it.  Its event log
-must equal the engine's line for line.
+``ReferenceSimulation`` steps a run in Python: the wake loop over a heap
+of wake keys, with the Python ``sense`` and rules, its own
+``_wake_keys`` and ``_mark_ground_change``, and its own entry, settling
+and shutdown, settled-energy events (a ``heapq`` of ``(step, kind, id)``
+with the closed-form schedule), close and end-of-run energies.  It
+shares no phase with the engine.  The heap holds a key for each id in
+``awake``, drawn in id order; a settled wake ends with the agent out of
+``awake``, and a ground change puts the settled agents it marks back in.
+The loop marks a settler's cell once ``_apply_mobile`` has settled it.
+Its event log and metrics must equal the engine's.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 from gridswarm.agents import (
+    MODE_FAILED,
     MODE_MOBILE,
     MODE_NAMES,
     MODE_SETTLED,
+    MODE_SHUTDOWN,
     S_BEACON,
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
+    S_MOBILE,
     SENSE_EMPTY,
     SENSE_WALL,
     AgentRecord,
     SimParams,
 )
 from gridswarm._build import kernel
-from gridswarm.engine import Event, InvariantError, RunResult, Simulation
+from gridswarm.engine import (
+    TERM_CLOSED,
+    TERM_LOW_ENERGY,
+    TERM_STEP_CAP,
+    Event,
+    InvariantError,
+    RunMetrics,
+    RunResult,
+    default_step_cap,
+)
 from gridswarm.grid import DIRECTIONS, EAST, NORTH, SOUTH, WEST, Region
 from gridswarm.rules import (
     A_MOVE,
@@ -338,16 +352,82 @@ REGISTRY = {
 
 
 # ---------------------------------------------------------------------------
-# The wake loop
+# The step
 # ---------------------------------------------------------------------------
 
 
-class ReferenceSimulation(Simulation):
-    """A ``Simulation`` whose wakes run the Python reference."""
+class ReferenceSimulation:
+    """A run stepped by the Python reference: the heap-based wake loop, the
+    entry, the settled-energy events and the close, with the Python
+    ``sense`` and rules.  It has the attributes of a ``Simulation`` that
+    the tests read, and shares no phase with the engine."""
 
     def __init__(self, region: Region, params: SimParams, log_events: bool = False):
-        super().__init__(region, params, log_events=log_events)
+        params.validate()
+        self.region = region
+        self.p = params
+        self.draw = kernel.uniform_stream(params.seed)
+        ncells = region.width * region.height
+        self.ground: list[AgentRecord | None] = [None] * ncells
+        self.air: list[AgentRecord | None] = [None] * ncells
+        self.agents: list[AgentRecord] = []
+        self.awake: set[int] = set()
+        self.settled_count = 0
+        self.events: list[Event] | None = [] if log_events else None
+        self.ac_series: list[int] = []
+        # Scheduled settled-energy events: (step, kind, agent_id) with
+        # kind 0 = crosses the reporting threshold, 1 = fails.
+        self._energy_events: list[tuple[int, int, int]] = []
         self._mobile_decide, self._settled_decide = REGISTRY[params.algorithm]
+        self._adversarial = params.scheduler == "adversarial"
+        self.t = 0
+        self.terminated: str | None = None
+
+    def _emit(self, t: int, a: AgentRecord, action: str, src: int, dst: int) -> None:
+        if self.events is not None:
+            self.events.append(
+                _new_event(Event, (t, a.id, action, src, dst, a.s1, a.s2, a.energy))
+            )
+
+    # -- the settled ledger ----------------------------------------------------
+
+    def _touch_settled_energy(self, a: AgentRecord, t: int) -> None:
+        """Materialize a settled agent's lazily tracked energy as of the
+        ticks applied through the end of step ``t - 1``."""
+        if a.mode == MODE_SETTLED:
+            t_s = t - 1 - a.settle_step
+            a.energy = float(self.p.e0) - a.t_m - float(self.p.alpha) * t_s
+
+    def _schedule_energy_events(self, a: AgentRecord) -> None:
+        p = self.p
+        if p.alpha <= 0:
+            return
+        # Energy entering settled life: the settling step itself is
+        # still charged as a movement tick at the end of the wake.
+        e_settle = p.e0 - (a.t_m + 1)
+        s = a.settle_step
+
+        def first_step(threshold: float) -> int:
+            # Smallest end-of-step index t with e_settle - alpha*(t - s) <= threshold.
+            k = math.ceil((e_settle - threshold) / p.alpha - 1e-12)
+            while e_settle - p.alpha * (k - 1) <= threshold:
+                k -= 1
+            while e_settle - p.alpha * k > threshold:
+                k += 1
+            return s + max(k, 1)
+
+        if e_settle > p.ecrit_settled:
+            heapq.heappush(self._energy_events, (first_step(p.ecrit_settled), 0, a.id))
+        heapq.heappush(self._energy_events, (first_step(0.0), 1, a.id))
+
+    # -- one step --------------------------------------------------------------
+
+    def step(self) -> None:
+        t = self.t
+        self._wake(t)
+        self._attempt_entry(t)
+        self._charge(t)
+        self._close(t)
 
     def _mark_ground_change(self, cell: int, cur_key=None, heap=None, scheduled=None):
         """A cell's projected ground state changed: its settled occupant
@@ -403,7 +483,6 @@ class ReferenceSimulation(Simulation):
         heappop = heapq.heappop
         neighbors = self.region.neighbors
         air = self.air
-        emit = None if self._batch is None else self._batch.append
         while heap:
             key = heappop(heap)
             aid = key & _ID_MASK
@@ -411,7 +490,7 @@ class ReferenceSimulation(Simulation):
             if a.mode == MODE_MOBILE:
                 act = mobile_decide(a, sense(self, a), p, draw)
                 kind = act.kind
-                if kind == A_MOVE:  # the common case, inlined
+                if kind == A_MOVE:
                     src = a.pos
                     dst = neighbors[src][act.direction - 1]
                     if dst < 0 or air[dst] is not None:
@@ -421,13 +500,8 @@ class ReferenceSimulation(Simulation):
                     air[src] = None
                     air[dst] = a
                     a.pos = dst
-                    a.s2 = s2 = act.s2
-                    if emit is not None:
-                        emit(
-                            _new_event(
-                                Event, (t, aid, "move", src, dst, a.s1, s2, a.energy)
-                            )
-                        )
+                    a.s2 = act.s2
+                    self._emit(t, a, "move", src, dst)
                 elif kind != A_STAY:
                     self._apply_mobile(a, act, t)
                     if kind != A_SHUTDOWN:  # a settler changed its cell's ground
@@ -447,15 +521,111 @@ class ReferenceSimulation(Simulation):
                             f"agent {aid} closed with an empty neighbor in sight"
                         )
                     a.s1 = new_s1
-                    if emit is not None:
-                        emit(
-                            _new_event(
-                                Event,
-                                (t, aid, "transition", a.pos, a.pos, new_s1, a.s2, a.energy),
-                            )
-                        )
+                    self._emit(t, a, "transition", a.pos, a.pos)
                     self._mark_ground_change(a.pos, key, heap, scheduled)
 
+    def _apply_mobile(self, a: AgentRecord, act: Action, t: int) -> None:
+        """Shut down or settle; a settler stays in ``awake``."""
+        src = a.pos
+        if act.kind == A_SHUTDOWN:
+            self.air[src] = None
+            a.mode = MODE_SHUTDOWN
+            self.awake.discard(a.id)
+            self._emit(t, a, "shutdown", src, -1)
+            return
+        # Settle, either in place or into an adjacent empty cell.
+        dst = self.region.neighbors[src][act.direction - 1] if act.kind == A_SETTLE_AT else src
+        if dst < 0 or self.ground[dst] is not None:
+            raise InvariantError(f"agent {a.id} settled into an occupied or wall cell")
+        self.air[src] = None
+        self.ground[dst] = a
+        a.pos = dst
+        a.mode = MODE_SETTLED
+        a.s1 = S_BEACON
+        a.s2 = act.s2
+        a.settle_step = t
+        self.settled_count += 1
+        self._schedule_energy_events(a)
+        self._emit(t, a, "settle", src, dst)
+
+    def _attempt_entry(self, t: int) -> None:
+        """Every ``dt`` steps, once this step's wake-ups have resolved, a
+        new agent enters if the entry's air is free; it stays dormant
+        until the next step."""
+        if t % self.p.dt:
+            return
+        entry = self.region.entry
+        if self.air[entry] is not None:
+            return
+        g = self.ground[entry]
+        a = AgentRecord(
+            id=len(self.agents) + 1,
+            mode=MODE_MOBILE,
+            s1=S_MOBILE,
+            s2=0 if g is None else g.s2,
+            pos=entry,
+            energy=float(self.p.e0) - 1,  # entering costs one unit
+            t_m=1,
+        )
+        self.agents.append(a)
+        self.air[entry] = a
+        self.awake.add(a.id)
+        self._emit(t, a, "enter", -1, entry)
+
+    def _charge(self, t: int) -> None:
+        """Apply the settled-energy events due by ``t``: threshold
+        crossings and failures."""
+        while self._energy_events and self._energy_events[0][0] <= t:
+            _, kind, aid = heapq.heappop(self._energy_events)
+            a = self.agents[aid - 1]
+            self._touch_settled_energy(a, t + 1)
+            if kind == 1:
+                a.mode = MODE_FAILED
+                self.ground[a.pos] = None
+                self.settled_count -= 1
+                self.awake.discard(aid)
+                self._emit(t, a, "fail", a.pos, a.pos)
+                self._mark_ground_change(a.pos)
+            elif a.s1 != S_LOW_ENERGY:  # kind 0: the reporting threshold
+                self.awake.add(aid)
+
+    def _close(self, t: int) -> None:
+        """Record the step's series, read termination off the entry cell
+        and advance the clock."""
+        self.ac_series.append(self.settled_count)
+        g = self.ground[self.region.entry]
+        if g is not None:
+            if g.s1 == S_LOW_ENERGY:
+                self.terminated = TERM_LOW_ENERGY
+            elif g.s1 == S_CLOSED_BEACON:
+                self.terminated = TERM_CLOSED
+        self.t = t + 1
+
+    # -- a whole run -----------------------------------------------------------
+
+    def run(self) -> RunResult:
+        cap = self.p.max_steps or default_step_cap(self.region, self.p)
+        while self.terminated is None:
+            self.step()
+            if self.terminated is None and self.t >= cap:
+                self.terminated = TERM_STEP_CAP
+        t_end = self.t - 1
+        agents = self.agents
+        for a in agents:
+            self._touch_settled_energy(a, t_end + 1)
+        spent = [self.p.e0 - a.energy for a in agents]
+        metrics = RunMetrics(
+            terminated=self.terminated,
+            t_c=t_end,
+            n_agents=len(agents),
+            e_total=sum(spent),
+            max_ei=max(spent, default=0.0),
+            a_c=self.settled_count,
+            nda_shutdown=sum(a.mode == MODE_SHUTDOWN for a in agents),
+            nda_failed=sum(a.mode == MODE_FAILED for a in agents),
+            ac_series=self.ac_series,
+        )
+        return RunResult(metrics=metrics, events=self.events, sim=self)
 
 
 def reference_run(region: Region, params: SimParams) -> RunResult:

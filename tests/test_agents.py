@@ -69,6 +69,8 @@ class TestSimParams:
             dict(dt=1.5),
             dict(m=2.5),
             dict(max_steps=10.5),
+            dict(e0="10"),
+            dict(ecrit_mobile=None),
         ],
     )
     def test_invalid_parameters_rejected(self, kw):

@@ -27,6 +27,7 @@ from gridswarm.agents import (
     S_BEACON,
     S_CLOSED_BEACON,
     S_LOW_ENERGY,
+    S_MOBILE,
     AgentRecord,
 )
 from gridswarm._build import kernel
@@ -38,7 +39,7 @@ from gridswarm.engine import (
     default_step_cap,
 )
 from gridswarm.grid import EAST, NORTH
-from gridswarm.rules import A_MOVE, A_SETTLE_AT, A_SETTLE_HERE, Action
+from gridswarm.rules import A_MOVE, A_SETTLE_AT, A_SETTLE_HERE, A_STAY, Action, _action
 from reference import _ID_BITS, ReferenceSimulation, _pick
 from test_golden import GOLDEN, REGIONS
 
@@ -482,6 +483,10 @@ class TestInvariantChecks:
              "reopened a closed beacon"),
             ("E.", 1, Action(A_SETTLE_HERE, s2=1), [S_CLOSED_BEACON], 2,
              "closed with an empty neighbor in sight"),
+            # A direction outside 1-4 names no neighbor: 0 is not the west.
+            (".E.", 1, Action(A_MOVE, 0, 1), None, 1, "chose direction 0, not one of 1-4"),
+            (".E.", 1, Action(A_SETTLE_AT, 0, 1), None, 1, "chose direction 0, not one of 1-4"),
+            (".E.", 1, Action(A_SETTLE_AT, 5, 1), None, 1, "chose direction 5, not one of 1-4"),
         ],
     )
     def test_illegal_outcome_raises(self, text, dt, mobile, settled, t, match):
@@ -493,6 +498,9 @@ class TestInvariantChecks:
             for _ in range(4):
                 sim.step()
         assert sim.t == t
+
+
+SETTLE, STAY = _action(A_SETTLE_HERE, 0, 0), _action(A_STAY, 0, 0)
 
 
 def ledger_steps(e0, t_m, alpha, threshold, s):
@@ -507,27 +515,47 @@ def ledger_steps(e0, t_m, alpha, threshold, s):
 
 class TestSettledEnergySchedule:
     """The closed-form step of each settled-energy event equals the first
-    step at which the per-step float ledger crosses its threshold."""
+    step at which the per-step float ledger crosses its threshold.
+
+    A mobile with ``t_m`` movement ticks is placed on the entry of a
+    one-cell region and settles there at step ``s``; the run is stepped
+    past its termination until the agent fails.  The log shows the step
+    of the failure, and the reporting threshold one step after it is
+    crossed, as the ``low_energy`` transition of the agent's next wake;
+    when both fall due in one step, the agent fails before it wakes.  An
+    agent that settles at or below the threshold reports low at its
+    first settled wake."""
 
     @staticmethod
-    def scheduled(e0, t_m, alpha, ecrit_settled, s):
-        sim = Simulation(
-            square_region(3), SimParams(e0=e0, alpha=alpha, ecrit_settled=ecrit_settled)
-        )
-        # ``t_m`` before the settling step's own tick, as at a settle.
-        a = AgentRecord(
-            id=1, mode=MODE_SETTLED, s1=S_BEACON, s2=1, pos=0,
-            energy=e0 - t_m, t_m=t_m, settle_step=s,
-        )
-        sim._schedule_energy_events(a)
-        return {kind: step for step, kind, _ in sim._energy_events}
+    def logged(e0, t_m, alpha, ecrit_settled, s):
+        """The steps of the agent's ``low_energy`` transitions and of its failure."""
+        params = SimParams(e0=e0, alpha=alpha, ecrit_settled=ecrit_settled,
+                           algorithm="sltt-ea", dt=10**9)
+        sim = Simulation(parse_region("E\n"), params, log_events=True)
+        # Agent 1 settles at once; an entrant at step 0 only stays.
+        sim._mobile_decide = lambda a, xi, p, draw: SETTLE if a.id == 1 else STAY
+        a = AgentRecord(id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=0, pos=0,
+                        energy=e0 - t_m, t_m=t_m)
+        sim.agents.append(a)
+        sim.air[0] = a
+        sim.awake.add(1)
+        sim.t = s
+        # It fails within e0 / alpha settled steps.
+        while a.mode != MODE_FAILED and sim.t <= s + e0 / alpha + 2:
+            sim.step()
+        low = [e.t for e in sim.events if e.agent == 1 and e.s1 == S_LOW_ENERGY
+               and e.action == "transition"]
+        (fail,) = [e.t for e in sim.events if e.agent == 1 and e.action == "fail"]
+        return low, fail
 
     def check(self, e0, t_m, alpha, ecrit_settled, s):
-        got = self.scheduled(e0, t_m, alpha, ecrit_settled, s)
-        want = {1: ledger_steps(e0, t_m + 1, alpha, 0.0, s)}
+        low, fail = self.logged(e0, t_m, alpha, ecrit_settled, s)
+        assert fail == ledger_steps(e0, t_m + 1, alpha, 0.0, s)
         if e0 - (t_m + 1) > ecrit_settled:
-            want[0] = ledger_steps(e0, t_m + 1, alpha, ecrit_settled, s)
-        assert got == want
+            crossed = ledger_steps(e0, t_m + 1, alpha, ecrit_settled, s)
+            assert low == ([crossed + 1] if crossed < fail else [])
+        else:
+            assert low == [s + 1]
 
     @given(
         e0=st.one_of(st.integers(3, 100).map(float), st.floats(3.0, 100.0)),

@@ -13,6 +13,7 @@ import pytest
 
 from audit import audit_run
 from gridswarm import SimParams, Simulation, parse_region, run, square_region
+from gridswarm.agents import MODE_FAILED, MODE_SETTLED
 from gridswarm.engine import TERM_LOW_ENERGY, TERM_STEP_CAP
 
 WALLED = """\
@@ -140,14 +141,21 @@ def test_event_log_audit(name):
 )
 def test_audit_catches_one_settled_tick_too_many(name, monkeypatch):
     """The audit's ledger check has teeth: an engine that charges each
-    settled agent one settled step too many fails it on every
-    ``alpha > 0`` config."""
-    touch = Simulation._touch_settled_energy
-    monkeypatch.setattr(
-        Simulation, "_touch_settled_energy", lambda self, a, t: touch(self, a, t + 1)
-    )
+    settled agent one settled step too many, in the energies its run ends
+    with, fails it on every ``alpha > 0`` config."""
     region, params, *_ = GOLDEN[name]
-    violations = audit_run(REGIONS[region](), SimParams(**params))
+    params = SimParams(**params)
+    simulate = Simulation.run
+
+    def run_one_tick_too_many(self):
+        res = simulate(self)
+        for a in res.sim.agents:
+            if a.mode in (MODE_SETTLED, MODE_FAILED):
+                a.energy -= params.alpha
+        return res
+
+    monkeypatch.setattr(Simulation, "run", run_one_tick_too_many)
+    violations = audit_run(REGIONS[region](), params)
     assert any("ledger" in v for v in violations)
 
 

@@ -3,7 +3,8 @@ whole event logs on the golden and audited runs and on random small
 regions, and each rule on random neighborhoods, draw for draw."""
 import gc
 import random
-from dataclasses import fields, make_dataclass
+import weakref
+from dataclasses import field, fields, make_dataclass
 from fractions import Fraction
 from itertools import cycle
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from gridswarm.agents import (
     ParamError,
 )
 from gridswarm.engine import Event, InvariantError
+from gridswarm.rules import Action
 from test_engine import AUDITED
 from test_golden import GOLDEN, REGIONS
 
@@ -62,8 +64,8 @@ def same_run(region, params):
 def test_constants_agree_with_the_python_definitions():
     from gridswarm import agents
 
-    for name in ("MODE_MOBILE", "MODE_SETTLED", "S_MOBILE", "S_BEACON",
-                 "S_CLOSED_BEACON", "S_LOW_ENERGY"):
+    for name in ("MODE_MOBILE", "MODE_SETTLED", "MODE_SHUTDOWN", "MODE_FAILED", "S_MOBILE",
+                 "S_BEACON", "S_CLOSED_BEACON", "S_LOW_ENERGY"):
         assert getattr(kernel, name) == getattr(agents, name), name
     for name in ("A_STAY", "A_MOVE", "A_SETTLE_HERE", "A_SETTLE_AT", "A_SHUTDOWN"):
         assert getattr(kernel, name) == getattr(rules, name), name
@@ -131,6 +133,40 @@ def test_wrapped_callables_see_every_wake(name, wrapped, monkeypatch):
         wrap_rules(rules.REGISTRY, calls)
     assert log_of(run(REGIONS[region](), params, log_events=True)) == plain
     assert calls == {key: wakes[key] for key in calls}
+
+
+def test_a_draw_replaced_between_steps_keys_the_next_wakes_as_in_the_reference():
+    """``Simulation.draw`` is read on every step: a scripted draw put in
+    between two steps keys the wakes and breaks the ties that follow
+    exactly as it does in the reference, and changes the run."""
+    region, params, *_ = GOLDEN["sllg-a2-random"]
+    runs = []
+    for cls in (engine.Simulation, reference.ReferenceSimulation):
+        sim = cls(REGIONS[region](), SimParams(**params), log_events=True)
+        for _ in range(20):
+            sim.step()
+        assert sim.terminated is None
+        sim.draw = cycle([0.0, 0.5, 0.25, 0.999, 0.75, 0.1]).__next__
+        runs.append(sim.run())
+    assert_same_run(*runs)
+    assert log_of(runs[0]) != log_of(run(REGIONS[region](), SimParams(**params), log_events=True))
+
+
+@pytest.mark.parametrize("sink", ["log_events", "on_events", None])
+def test_a_finished_run_is_freed_without_the_collector(sink):
+    """The kernel's world refers to no ``Simulation``: with the cyclic
+    collector off, dropping a run's result frees its ``Simulation``."""
+    kw = {"log_events": dict(log_events=True), "on_events": dict(on_events=[].append),
+          None: {}}[sink]
+    gc.disable()
+    try:
+        res = run(square_region(9), SimParams(e0=10, alpha=0.05, seed=1), **kw)
+        assert res.metrics.a_c > 0
+        sim = weakref.ref(res.sim)
+        del res
+        assert sim() is None
+    finally:
+        gc.enable()
 
 
 @st.composite
@@ -364,6 +400,9 @@ class TestBoundaryTypes:
         assert log_of(got) == log_of(want)
         assert got.metrics == want.metrics
 
+    # A record class without slots.
+    PLAIN = make_dataclass(
+        "Record", [(f.name, f.type, field(default=0)) for f in fields(AgentRecord)])
     FIELDS = dict(id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=0, pos=0, energy=9.0, t_m=1)
     XI = (SENSE_EMPTY,) * 10
     REJECTED = {  # case: (call, the error's message)
@@ -381,9 +420,9 @@ class TestBoundaryTypes:
         "event-cell": (lambda self: Event(0, 1, "move", "3", 4, S_MOBILE, 2, 5.0).format(),
                        "event field 3 must be an int"),
         "bind": (lambda self: kernel.bind(
-            make_dataclass("Record", [(f.name, f.type) for f in fields(AgentRecord)]),
-            Event, InvariantError, rules._action),
-            "Record.id is not a slot"),
+            tuple(getattr(self.PLAIN, f.name) for f in fields(AgentRecord)),
+            (Action.kind, Action.direction, Action.s2), Event, InvariantError, rules._action),
+            "0 is not the slot id"),
     }
 
     @pytest.mark.parametrize("pos", [-1, 9])
@@ -392,6 +431,17 @@ class TestBoundaryTypes:
         sim = engine.Simulation(square_region(3), SimParams())
         with pytest.raises(IndexError):
             kernel.sense(sim, AgentRecord(**{**self.FIELDS, "pos": pos}))
+
+    @pytest.mark.parametrize("pos", [-1, 9])
+    def test_a_record_outside_the_region_raises_index_error_from_step(self, pos):
+        """A hand-placed record whose cell lies outside the region: the
+        step reads no cell off the region's arrays for it."""
+        for scheduler in ("random", "adversarial"):
+            sim = engine.Simulation(square_region(3), SimParams(scheduler=scheduler))
+            sim.agents.append(AgentRecord(**{**self.FIELDS, "pos": pos}))
+            sim.awake.add(1)
+            with pytest.raises(IndexError, match=f"cell {pos} lies outside the region"):
+                sim.step()
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_other_types_raise_type_error(self, case):
