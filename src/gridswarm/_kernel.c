@@ -12,8 +12,9 @@
    A run's state is a ``world``, built once per run by
    ``Simulation.__init__`` after ``validate``.  It holds the region's
    neighbors and distances as C int arrays, the parameters as C scalars
-   (``p.d_max`` is read once, through its property), the settled count,
-   the termination and the heap of settled-energy events as a C array.
+   (``p.d_max`` is read once, through its property, and ``dt`` as an
+   int), the settled count and the heap of settled-energy events as a C
+   array.
    It refers to the run's own ``agents``, occupant layers ``ground`` and
    ``air``, wake set ``awake``, series ``ac_series`` and event sink: the
    Simulation's objects, not copies, so agents placed by hand take part.
@@ -25,8 +26,11 @@
    settled-energy events due by ``t`` (threshold crossings and failures)
    and the close (the step's ``ac_series`` entry, the hand-off of its
    events to ``on_events``, and termination read off the entry cell); it
-   returns the termination, or ``None``.  ``world.finish(t)`` sets each
-   settled agent's energy as of the end of step ``t``.
+   returns the termination the entry cell reads, or ``None``.  A step
+   keeps its seams and its wake order in the world, so a seam that
+   steps the same world again raises ``RuntimeError``.
+   ``world.finish(t)`` sets each settled agent's energy as of the end
+   of step ``t``.
 
    The kernel accepts the engine's own types and no others: agents are
    ``AgentRecord``s, read and written straight through their slots; the
@@ -36,7 +40,8 @@
    an int or float energy.  A sensed neighborhood handed to a rule from
    Python holds in each slot ``SENSE_EMPTY``, ``SENSE_WALL`` or an
    ``(s1, s2)`` tuple of ints, and a mobile rule called through Python
-   returns an ``Action``.  Anything else raises ``TypeError``.  The
+   returns an ``Action``, a tuple ``(kind, direction, s2)``.  Anything
+   else raises ``TypeError``.  The
    energy parameters are read as doubles and every energy the kernel
    stores is a Python float, so every trajectory is the one the Python
    definitions give, draw for draw.  A move or a settle in a direction
@@ -57,13 +62,14 @@
    ``Action``.  Otherwise (a wrapper that times or checks them) it calls
    ``sense(world, a)`` and the rule through Python with the usual
    arguments and decodes the result into C values at the call: an
-   ``Action`` into its kind, direction and ``s2``, a settled ``s1`` into
-   a long.  After that every wake runs the same code.  ``draw`` is called
-   through Python too unless it is this module's own stream.
+   ``Action`` by position into its kind, direction and ``s2``, a settled
+   ``s1`` into a long.  After that every wake runs the same code.
+   ``draw`` is called through Python too unless it is this module's own
+   stream.
 
    ``_build.py`` compiles it on first import.  ``engine.py`` hands it
-   the slots of ``AgentRecord`` and ``Action`` and the Python classes it
-   needs through ``bind``. */
+   the slots of ``AgentRecord`` and the Python classes it needs through
+   ``bind``. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
@@ -85,13 +91,13 @@ static const char *const S1_TEXT[] = {"mobile", "beacon", "closed_beacon", "low_
 /* Attribute names; the first NF are the fields of an AgentRecord. */
 enum {
     F_ID, F_MODE, F_S1, F_S2, F_POS, F_ENERGY, F_TM, F_SETTLE, NF,
-    N_KIND = NF, N_DIRECTION, N_REGION, N_NEIGHBORS, N_DISTANCES, N_GROUND, N_AIR,
+    N_REGION = NF, N_NEIGHBORS, N_DISTANCES, N_GROUND, N_AIR,
     N_WIDTH, N_HEIGHT, N_ENTRY, N_E0, N_ALPHA, N_ECRIT_MOBILE, N_ECRIT_SETTLED,
     N_APPROACH, N_M, N_DT, N_D_MAX, N_SCHEDULER, N_COUNT
 };
 static const char *const NAMES[N_COUNT] = {
     "id", "mode", "s1", "s2", "pos", "energy", "t_m", "settle_step",
-    "kind", "direction", "region", "neighbors", "distances", "ground", "air",
+    "region", "neighbors", "distances", "ground", "air",
     "width", "height", "entry", "e0", "alpha", "ecrit_mobile", "ecrit_settled",
     "approach", "m", "dt", "d_max", "scheduler",
 };
@@ -111,10 +117,6 @@ static PyTypeObject *Record;      /* AgentRecord */
 static Py_ssize_t rec_off[NF];    /* its slot offsets */
 static PyTypeObject *EventType;
 static PyObject *InvariantError, *action_fn;
-enum { NA = 3 };                   /* the slots of an Action */
-static const int ACT_NAMES[NA] = {N_KIND, N_DIRECTION, F_S2};
-static PyTypeObject *ActionType;
-static Py_ssize_t act_off[NA];
 
 /* This module's own sense and rules, told apart from wrappers by identity. */
 enum { R_SLLG, R_SLUG, R_SLTT, NR };
@@ -910,7 +912,7 @@ typedef struct {
     ctx_t ctx;  /* its ``draw`` is the step's */
     /* The run. */
     long settled, t;
-    PyObject *terminated;  /* an interned str, or NULL */
+    int stepping;  /* a step is running: one may not start inside it */
     energy_event_t *heap;
     Py_ssize_t nheap, heap_cap;
     /* The step's wake order: ``keys[cur:nkeys]`` are the wakes still
@@ -1172,21 +1174,10 @@ cmp_key(const void *x, const void *y)
     return (a > b) - (a < b);
 }
 
-/* Sort ``n`` keys: by insertion when there are few, as in most steps. */
 static void
 sort_keys(uint64_t *keys, Py_ssize_t n)
 {
-    Py_ssize_t i, j;
-    uint64_t k;
-    if (n > 32) {
-        qsort(keys, (size_t)n, sizeof(uint64_t), cmp_key);
-        return;
-    }
-    for (i = 1; i < n; i++) {
-        for (k = keys[i], j = i; j > 0 && keys[j - 1] > k; j--)
-            keys[j] = keys[j - 1];
-        keys[j] = k;
-    }
+    qsort(keys, (size_t)n, sizeof(uint64_t), cmp_key);
 }
 
 /* Resize ``*array`` to ``n`` words. */
@@ -1306,24 +1297,6 @@ sense_own(world_t *w, PyObject *a, long mode, slot_t *sl)
     return gather(cells, w->ground, w->air, mode, sl);
 }
 
-/* Field ``f`` (kind, direction, s2) of the ``Action`` ``action``. */
-static int
-action_field(PyObject *action, int f, long *out)
-{
-    PyObject *v;
-    if (!Py_IS_TYPE(action, ActionType)) {
-        PyErr_Format(PyExc_TypeError, "a mobile rule returns an Action, not %.100s",
-                     Py_TYPE(action)->tp_name);
-        return -1;
-    }
-    if ((v = *(PyObject **)((char *)action + act_off[f])) == NULL) {
-        PyErr_SetObject(PyExc_AttributeError, NAME[ACT_NAMES[f]]);
-        return -1;
-    }
-    *out = PyLong_AsLong(v);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
-
 /* The outcome of a mobile wake: the own rule on slots gathered off the
    layers, or the seams' ``Action`` decoded. */
 static int
@@ -1331,16 +1304,23 @@ decide_mobile(world_t *w, PyObject *a, act_t *out)
 {
     slot_t sl[10];
     PyObject *action;
-    long kind, dir, s2;
-    int r;
+    long f[3];
+    int i, r = 0;
     if (w->mobile_r >= 0)
         return sense_own(w, a, MODE_MOBILE, sl) < 0 ? -1 : mobile_rule(w->mobile_r, &w->ctx, a, sl, out);
     if ((action = call_seams(w, a, w->mobile_decide, w->ctx.draw)) == NULL)
         return -1;
-    r = action_field(action, 0, &kind) < 0 || action_field(action, 1, &dir) < 0
-        || action_field(action, 2, &s2) < 0;
+    /* An ``Action`` is the tuple ``(kind, direction, s2)``. */
+    if (!PyTuple_Check(action) || PyTuple_GET_SIZE(action) != 3) {
+        PyErr_Format(PyExc_TypeError, "a mobile rule returns an Action, not %.100s",
+                     Py_TYPE(action)->tp_name);
+        r = -1;
+    }
+    for (i = 0; r == 0 && i < 3; i++)
+        if ((f[i] = PyLong_AsLong(PyTuple_GET_ITEM(action, i))) == -1 && PyErr_Occurred())
+            r = -1;
     Py_DECREF(action);
-    return r ? -1 : act(out, kind, dir, s2);
+    return r < 0 ? -1 : act(out, f[0], f[1], f[2]);
 }
 
 /* The sub-state a settled wake projects next: the own rule on slots
@@ -1614,18 +1594,18 @@ charge(world_t *w)
 
 /* Record the step's series, hand the step's events to ``on_events`` and
    read termination off the entry cell; a new reference to it, or to
-   ``None``. */
+   ``None`` while the entry cell terminates nothing. */
 static PyObject *
 close_step(world_t *w)
 {
-    PyObject *g, *r, *batch;
+    PyObject *g, *r = Py_None, *batch, *ret;
     long s1;
     if (PyList_Append(w->ac_series, w->settled_int) < 0)
         return NULL;
     if (w->on_events != NULL && PyList_GET_SIZE(w->batch)) {
-        if ((r = PyObject_CallOneArg(w->on_events, w->batch)) == NULL)
+        if ((ret = PyObject_CallOneArg(w->on_events, w->batch)) == NULL)
             return NULL;
-        Py_DECREF(r);
+        Py_DECREF(ret);
         if ((batch = PyList_New(0)) == NULL)
             return NULL;
         Py_SETREF(w->batch, batch);
@@ -1636,11 +1616,10 @@ close_step(world_t *w)
         if (rget_long(g, F_S1, &s1) < 0)
             return NULL;
         if (s1 == S_LOW_ENERGY)
-            w->terminated = STR[E_LOW_ENERGY];
+            r = STR[E_LOW_ENERGY];
         else if (s1 == S_CLOSED_BEACON)
-            w->terminated = STR[E_CLOSED];
+            r = STR[E_CLOSED];
     }
-    r = w->terminated ? w->terminated : Py_None;
     Py_INCREF(r);
     return r;
 }
@@ -1658,8 +1637,15 @@ k_step(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     w = (world_t *)args[0];
+    /* The step's seams and wake order live in the world for the call: a
+       seam that stepped the same world again would pull them away. */
+    if (w->stepping) {
+        PyErr_SetString(PyExc_RuntimeError, "the world is already stepping");
+        return NULL;
+    }
     if ((w->t = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
         return NULL;
+    w->stepping = 1;
     w->t_int = args[1];
     w->ctx.draw = args[2];
     w->sense = args[3];
@@ -1672,6 +1658,7 @@ k_step(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
     if (wake_all(w) == 0 && enter(w) == 0 && charge(w) == 0)
         r = close_step(w);
     w->t_int = w->ctx.draw = w->sense = w->mobile_decide = w->settled_decide = NULL;
+    w->stepping = 0;
     return r;
 }
 
@@ -1778,26 +1765,35 @@ done:
 static int
 read_params(world_t *w)
 {
-    PyObject *scheduler;
-    double dt;
-    int r;
+    PyObject *scheduler, *dt;
+    int r, overflow;
     if (attr_double(w->p, N_E0, &w->e0) < 0 || attr_double(w->p, N_ALPHA, &w->alpha) < 0
         || attr_double(w->p, N_ECRIT_MOBILE, &w->ctx.ecrit_mobile) < 0
         || attr_double(w->p, N_ECRIT_SETTLED, &w->ctx.ecrit_settled) < 0
-        || attr_double(w->p, N_M, &w->m) < 0 || attr_double(w->p, N_DT, &dt) < 0
-        || attr_long(w->p, N_D_MAX, &w->ctx.d_max) < 0
+        || attr_double(w->p, N_M, &w->m) < 0 || attr_long(w->p, N_D_MAX, &w->ctx.d_max) < 0
         || (w->approach = PyObject_GetAttr(w->p, NAME[N_APPROACH])) == NULL
         || (w->approach1 = PyObject_RichCompareBool(w->approach, ONE, Py_EQ)) < 0
         || (scheduler = PyObject_GetAttr(w->p, NAME[N_SCHEDULER])) == NULL)
         return -1;
     r = PyUnicode_Check(scheduler) ? PyUnicode_CompareWithASCIIString(scheduler, "adversarial") : 1;
     Py_DECREF(scheduler);
-    if (!(dt >= 1 && dt < INFINITY) || dt != floor(dt)) {
-        PyErr_Format(PyExc_ValueError, "dt must be an integer >= 1, got %g", dt);
+    /* An integral float ``dt`` reads as its int.  ``t % dt`` is 0 only at
+       0 for any ``dt`` a long does not hold: such a ``dt`` reads as
+       ``LONG_MAX``. */
+    if ((dt = PyObject_GetAttr(w->p, NAME[N_DT])) == NULL)
+        return -1;
+    Py_SETREF(dt, PyNumber_Long(dt));
+    if (dt == NULL)
+        return -1;
+    w->dt = PyLong_AsLongAndOverflow(dt, &overflow);
+    Py_DECREF(dt);
+    if (overflow > 0)
+        w->dt = LONG_MAX;
+    if (w->dt < 1) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "dt must be an integer >= 1");
         return -1;
     }
-    /* ``t % dt`` is 0 only at 0 for any ``dt`` of 2**62 or more. */
-    w->dt = dt >= 4611686018427387904.0 ? LONG_MAX : (long)dt;
     w->adversarial = r == 0;
     w->ctx.have_d_max = 1;
     w->ctx.p = w->p;
@@ -2254,30 +2250,31 @@ static PyTypeObject StreamType = {
 
 /* -- binding ------------------------------------------------------------- */
 
-/* The slot offsets of the member descriptors ``descrs``, a tuple of the
-   slots ``names`` of one class, in order; that class, or NULL. */
+/* The slot offsets of ``descrs``, a tuple of the member descriptors of
+   one class's slots, the fields ``F_ID`` to ``F_SETTLE`` in order; that
+   class, or NULL. */
 static PyTypeObject *
-slot_offsets(PyObject *descrs, const int *names, int n, Py_ssize_t *offs)
+slot_offsets(PyObject *descrs, Py_ssize_t *offs)
 {
     PyTypeObject *type = NULL;
     PyObject *d;
-    int i;
-    if (!PyTuple_Check(descrs) || PyTuple_GET_SIZE(descrs) != n) {
-        PyErr_Format(PyExc_TypeError, "expected a tuple of %d slots, got %R", n, descrs);
+    int f;
+    if (!PyTuple_Check(descrs) || PyTuple_GET_SIZE(descrs) != NF) {
+        PyErr_Format(PyExc_TypeError, "expected a tuple of %d slots, got %R", NF, descrs);
         return NULL;
     }
-    for (i = 0; i < n; i++) {
-        d = PyTuple_GET_ITEM(descrs, i);
+    for (f = 0; f < NF; f++) {
+        d = PyTuple_GET_ITEM(descrs, f);
         if (!Py_IS_TYPE(d, &PyMemberDescr_Type)
             || ((PyMemberDescrObject *)d)->d_member->type != T_OBJECT_EX
-            || PyUnicode_Compare(PyDescr_NAME(d), NAME[names[i]]) != 0
+            || PyUnicode_Compare(PyDescr_NAME(d), NAME[f]) != 0
             || (type != NULL && PyDescr_TYPE(d) != type)) {
             if (!PyErr_Occurred())
-                PyErr_Format(PyExc_TypeError, "%R is not the slot %s", d, NAMES[names[i]]);
+                PyErr_Format(PyExc_TypeError, "%R is not the slot %s", d, NAMES[f]);
             return NULL;
         }
         type = PyDescr_TYPE(d);
-        offs[i] = ((PyMemberDescrObject *)d)->d_member->offset;
+        offs[f] = ((PyMemberDescrObject *)d)->d_member->offset;
     }
     return type;
 }
@@ -2285,29 +2282,23 @@ slot_offsets(PyObject *descrs, const int *names, int n, Py_ssize_t *offs)
 static PyObject *
 k_bind(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
-    static const int rec_names[NF] = {F_ID, F_MODE, F_S1, F_S2, F_POS, F_ENERGY, F_TM, F_SETTLE};
-    Py_ssize_t roffs[NF], aoffs[NA];
-    PyTypeObject *record, *action;
-    if (check_args("bind", nargs, 5) < 0
-        || (record = slot_offsets(args[0], rec_names, NF, roffs)) == NULL
-        || (action = slot_offsets(args[1], ACT_NAMES, NA, aoffs)) == NULL)
+    Py_ssize_t offs[NF];
+    PyTypeObject *record;
+    if (check_args("bind", nargs, 4) < 0 || (record = slot_offsets(args[0], offs)) == NULL)
         return NULL;
-    if (!PyType_Check(args[2]) || !PyType_IsSubtype((PyTypeObject *)args[2], &PyTuple_Type)) {
+    if (!PyType_Check(args[1]) || !PyType_IsSubtype((PyTypeObject *)args[1], &PyTuple_Type)) {
         PyErr_SetString(PyExc_TypeError, "an Event is a tuple type");
         return NULL;
     }
     Py_INCREF(record);
     Py_XSETREF(Record, record);
-    memcpy(rec_off, roffs, sizeof(roffs));
-    Py_INCREF(action);
-    Py_XSETREF(ActionType, action);
-    memcpy(act_off, aoffs, sizeof(aoffs));
+    memcpy(rec_off, offs, sizeof(offs));
+    Py_INCREF(args[1]);
+    Py_XSETREF(EventType, (PyTypeObject *)args[1]);
     Py_INCREF(args[2]);
-    Py_XSETREF(EventType, (PyTypeObject *)args[2]);
+    Py_XSETREF(InvariantError, args[2]);
     Py_INCREF(args[3]);
-    Py_XSETREF(InvariantError, args[3]);
-    Py_INCREF(args[4]);
-    Py_XSETREF(action_fn, args[4]);
+    Py_XSETREF(action_fn, args[3]);
     Py_RETURN_NONE;
 }
 
@@ -2342,12 +2333,12 @@ static PyMethodDef methods[] = {
      "format_event(ev)\n--\n\nThe event-log line of one event, without a newline."},
     {"format_events", (PyCFunction)k_format_events, METH_O,
      "format_events(events)\n--\n\nThe event-log lines of a batch, each ending in a newline."},
-    FAST(bind, "bind(record_slots, action_slots, Event, InvariantError, _action)\n--\n\n"
+    FAST(bind, "bind(record_slots, Event, InvariantError, _action)\n--\n\n"
                "Hand the kernel the Python classes it works with: the slots of\n"
                "``AgentRecord`` (``id``, ``mode``, ``s1``, ``s2``, ``pos``, ``energy``,\n"
-               "``t_m``, ``settle_step``) and of ``Action`` (``kind``, ``direction``,\n"
-               "``s2``) as member descriptors, through which it reads and writes\n"
-               "them, ``Event``, ``InvariantError`` and ``rules._action``."),
+               "``t_m``, ``settle_step``) as member descriptors, through which it\n"
+               "reads and writes records, ``Event``, ``InvariantError`` and\n"
+               "``rules._action``."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -16,10 +16,10 @@ clock; it is the seam a tracer wraps, once per step.
 
 The kernel steps a per-run ``world``, built in ``Simulation.__init__``:
 the region and the parameters as C values (``d_max`` read once, through
-the ``SimParams`` property), the settled count, the termination and the
-heap of settled-energy events, and references to this module's
-``agents``, ``ground``, ``air``, ``awake``, ``ac_series`` and event sink,
-the same objects, so that agents placed by hand take part.  The world
+the ``SimParams`` property), the settled count and the heap of
+settled-energy events, and references to the run's ``agents``,
+``ground``, ``air``, ``awake``, ``ac_series`` and event sink, the same
+objects, so that agents placed by hand take part.  The world
 refers to no ``Simulation``: a finished run is freed by reference
 counting alone.  ``draw``, the module's ``sense`` and the run's decide
 callables are passed on every step: a wake runs compiled when ``sense``
@@ -86,7 +86,7 @@ from typing import Callable, NamedTuple
 from .agents import MODE_FAILED, MODE_SHUTDOWN, AgentRecord, SimParams, sense
 from ._build import kernel
 from .grid import Region
-from .rules import REGISTRY, Action, _action
+from .rules import REGISTRY, _action
 
 TERM_CLOSED = "closed"
 TERM_LOW_ENERGY = "low_energy"
@@ -119,11 +119,10 @@ class Event(NamedTuple):
         return kernel.format_event(self)
 
 
-# The kernel reads and writes records and actions through these slots.
+# The kernel reads and writes records through these slots.
 kernel.bind(
     (AgentRecord.id, AgentRecord.mode, AgentRecord.s1, AgentRecord.s2, AgentRecord.pos,
      AgentRecord.energy, AgentRecord.t_m, AgentRecord.settle_step),
-    (Action.kind, Action.direction, Action.s2),
     Event, InvariantError, _action,
 )
 
@@ -200,11 +199,14 @@ class Simulation:
         the settled-energy events due by ``t`` and the close; then advance
         the clock.  ``draw``, the module's ``sense`` and the run's decide
         callables are read here on every call, so each can be replaced
-        between steps."""
+        between steps.  ``terminated`` is set only when the entry cell ends
+        the run, so a step past the end keeps it."""
         t = self.t
-        self.terminated = kernel.step(
+        terminated = kernel.step(
             self._world, t, self.draw, sense, self._mobile_decide, self._settled_decide
         )
+        if terminated is not None:
+            self.terminated = terminated
         self.t = t + 1
 
     # -- whole runs --------------------------------------------------------

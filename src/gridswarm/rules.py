@@ -35,8 +35,8 @@ property, at most once per call (once per step in the wake loop).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from ._build import kernel
 
@@ -44,9 +44,9 @@ from ._build import kernel
 A_STAY, A_MOVE, A_SETTLE_HERE, A_SETTLE_AT, A_SHUTDOWN = range(5)
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
-    """Outcome of one mobile wake-up."""
+class Action(NamedTuple):
+    """Outcome of one mobile wake-up; the kernel reads a rule's
+    ``Action`` by position, as it reads an ``Event``."""
 
     kind: int
     direction: int = 0  # 1-4 for A_MOVE / A_SETTLE_AT

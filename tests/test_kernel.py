@@ -32,7 +32,7 @@ from gridswarm.agents import (
     ParamError,
 )
 from gridswarm.engine import Event, InvariantError
-from gridswarm.rules import Action
+from gridswarm.rules import A_STAY
 from test_engine import AUDITED
 from test_golden import GOLDEN, REGIONS
 
@@ -150,6 +150,27 @@ def test_a_draw_replaced_between_steps_keys_the_next_wakes_as_in_the_reference()
         runs.append(sim.run())
     assert_same_run(*runs)
     assert log_of(runs[0]) != log_of(run(REGIONS[region](), SimParams(**params), log_events=True))
+
+
+def test_a_step_inside_a_step_raises_runtime_error():
+    """A seam that steps its own run again is refused, and the outer
+    step goes on to its close."""
+    sim = engine.Simulation(square_region(5), SimParams(seed=1))
+    stream, raised = sim.draw, []
+
+    def draw():
+        try:
+            sim.step()
+        except RuntimeError as e:
+            raised.append(str(e))
+        return stream()
+
+    for _ in range(3):
+        sim.step()
+    sim.draw = draw
+    sim.step()
+    assert raised and set(raised) == {"the world is already stepping"}
+    assert sim.t == 4 and len(sim.ac_series) == 4
 
 
 @pytest.mark.parametrize("sink", ["log_events", "on_events", None])
@@ -421,9 +442,19 @@ class TestBoundaryTypes:
                        "event field 3 must be an int"),
         "bind": (lambda self: kernel.bind(
             tuple(getattr(self.PLAIN, f.name) for f in fields(AgentRecord)),
-            (Action.kind, Action.direction, Action.s2), Event, InvariantError, rules._action),
+            Event, InvariantError, rules._action),
             "0 is not the slot id"),
+        "action": (lambda self: self.step_deciding(SimpleNamespace(kind=A_STAY, direction=0, s2=0)),
+                   "a mobile rule returns an Action, not"),
     }
+
+    @staticmethod
+    def step_deciding(action):
+        """Step a run twice, so that its first entrant wakes and decides ``action``."""
+        sim = engine.Simulation(square_region(3), SimParams())
+        sim._mobile_decide = lambda a, xi, p, draw: action
+        sim.step()
+        sim.step()
 
     @pytest.mark.parametrize("pos", [-1, 9])
     def test_a_cell_outside_the_region_raises_index_error(self, pos):
@@ -442,6 +473,19 @@ class TestBoundaryTypes:
             sim.awake.add(1)
             with pytest.raises(IndexError, match=f"cell {pos} lies outside the region"):
                 sim.step()
+
+    @pytest.mark.parametrize("dt", [2.0, 2**63, 10**400])
+    def test_an_integral_dt_of_any_size_runs_as_in_the_reference(self, dt):
+        """``dt`` is read as an int: an integral float as its value, one
+        that no C long holds as the largest long."""
+        def params(dt):
+            return SimParams(dt=dt, seed=3, max_steps=30)
+
+        got = same_run(square_region(3), params(dt))
+        if dt == 2:
+            assert got.metrics == run(square_region(3), params(2)).metrics
+        else:
+            assert got.metrics.n_agents == 1
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_other_types_raise_type_error(self, case):
@@ -470,3 +514,12 @@ def test_every_logged_event_is_untracked_by_the_collector():
     assert {e.action for e in res.events} == {
         "enter", "move", "settle", "transition", "shutdown", "fail"}
     assert not any(gc.is_tracked(e) for e in res.events)
+
+
+def test_a_step_past_the_step_cap_keeps_the_termination():
+    """Only the entry cell sets ``terminated`` at a step: a step past the
+    cap ``run`` stopped at leaves ``step_cap`` as it is."""
+    sim = engine.Simulation(square_region(9), SimParams(seed=1, max_steps=5))
+    assert sim.run().metrics.terminated == engine.TERM_STEP_CAP
+    sim.step()
+    assert sim.terminated == engine.TERM_STEP_CAP
