@@ -32,8 +32,11 @@
    ``world.finish(t)`` sets each settled agent's energy as of the end
    of step ``t``.
 
+   It defines ``AgentRecord``, the state of one agent: ``id`` and ``pos``
+   are int objects, the other fields C values, so a movement tick, a
+   settle or a transition is a plain C store.
    The kernel accepts the engine's own types and no others: agents are
-   ``AgentRecord``s, read and written straight through their slots; the
+   ``AgentRecord``s, checked once as each arrives from Python; the
    occupant layers are lists whose cells hold an ``AgentRecord`` or
    ``None``; ``awake`` is a set of agent ids; a cell index outside the region
    raises ``IndexError``; an ``Event`` has int fields, a str action and
@@ -41,10 +44,9 @@
    Python holds in each slot ``SENSE_EMPTY``, ``SENSE_WALL`` or an
    ``(s1, s2)`` tuple of ints, and a mobile rule called through Python
    returns an ``Action``, a tuple ``(kind, direction, s2)``.  Anything
-   else raises ``TypeError``.  The
-   energy parameters are read as doubles and every energy the kernel
-   stores is a Python float, so every trajectory is the one the Python
-   definitions give, draw for draw.  A move or a settle in a direction
+   else raises ``TypeError``.  The energy parameters and every energy
+   are doubles, so every trajectory is the one the Python definitions
+   give, draw for draw.  A move or a settle in a direction
    outside 1-4 raises ``InvariantError``.
 
    The wake order of a step is built from ``awake``: a sorted array of
@@ -68,8 +70,7 @@
    stream.
 
    ``_build.py`` compiles it on first import.  ``engine.py`` hands it
-   the slots of ``AgentRecord`` and the Python classes it needs through
-   ``bind``. */
+   the Python classes it needs through ``bind``. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
@@ -88,15 +89,13 @@ static const char *const S1_TEXT[] = {"mobile", "beacon", "closed_beacon", "low_
 #define ID_BITS 32
 #define ID_MASK ((UINT64_C(1) << ID_BITS) - 1)
 
-/* Attribute names; the first NF are the fields of an AgentRecord. */
+/* Attribute names. */
 enum {
-    F_ID, F_MODE, F_S1, F_S2, F_POS, F_ENERGY, F_TM, F_SETTLE, NF,
-    N_REGION = NF, N_NEIGHBORS, N_DISTANCES, N_GROUND, N_AIR,
+    N_REGION, N_NEIGHBORS, N_DISTANCES, N_GROUND, N_AIR,
     N_WIDTH, N_HEIGHT, N_ENTRY, N_E0, N_ALPHA, N_ECRIT_MOBILE, N_ECRIT_SETTLED,
     N_APPROACH, N_M, N_DT, N_D_MAX, N_SCHEDULER, N_COUNT
 };
 static const char *const NAMES[N_COUNT] = {
-    "id", "mode", "s1", "s2", "pos", "energy", "t_m", "settle_step",
     "region", "neighbors", "distances", "ground", "air",
     "width", "height", "entry", "e0", "alpha", "ecrit_mobile", "ecrit_settled",
     "approach", "m", "dt", "d_max", "scheduler",
@@ -113,8 +112,6 @@ static const char *const STR_TEXT[NS] = {
 static PyObject *STR[NS];
 
 /* Set by ``bind``. */
-static PyTypeObject *Record;      /* AgentRecord */
-static Py_ssize_t rec_off[NF];    /* its slot offsets */
 static PyTypeObject *EventType;
 static PyObject *InvariantError, *action_fn;
 
@@ -122,82 +119,11 @@ static PyObject *InvariantError, *action_fn;
 enum { R_SLLG, R_SLUG, R_SLTT, NR };
 static PyObject *own_sense, *own_mobile[NR], *own_settled[NR];
 
-/* -- AgentRecord fields -------------------------------------------------- */
-
-/* The slot of field ``f`` of ``a``, or NULL if ``a`` is no AgentRecord. */
-static PyObject **
-rslot(PyObject *a, int f)
-{
-    if (Record == NULL || Py_TYPE(a) != Record) {
-        PyErr_Format(PyExc_TypeError, "expected an AgentRecord, got %.100s", Py_TYPE(a)->tp_name);
-        return NULL;
-    }
-    return (PyObject **)((char *)a + rec_off[f]);
-}
-
-/* Borrowed reference to field ``f`` of ``a``. */
-static PyObject *
-rborrow(PyObject *a, int f)
-{
-    PyObject **slot = rslot(a, f);
-    if (slot == NULL)
-        return NULL;
-    if (*slot == NULL)
-        PyErr_SetObject(PyExc_AttributeError, NAME[f]);
-    return *slot;
-}
-
-/* New reference to field ``f`` of ``a``. */
-static PyObject *
-rget(PyObject *a, int f)
-{
-    PyObject *v = rborrow(a, f);
-    Py_XINCREF(v);
-    return v;
-}
-
 static int
-rget_long(PyObject *a, int f, long *out)
+long_of(PyObject *v, long *out)
 {
-    PyObject *v = rborrow(a, f);
-    if (v == NULL)
-        return -1;
     *out = PyLong_AsLong(v);
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
-
-static int
-rget_double(PyObject *a, int f, double *out)
-{
-    PyObject *v = rborrow(a, f);
-    if (v == NULL)
-        return -1;
-    *out = PyFloat_AsDouble(v);
-    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
-}
-
-/* Set field ``f`` of ``a`` to ``v`` (not stolen). */
-static int
-rset(PyObject *a, int f, PyObject *v)
-{
-    PyObject **slot = rslot(a, f);
-    if (slot == NULL)
-        return -1;
-    Py_INCREF(v);
-    Py_XSETREF(*slot, v);
-    return 0;
-}
-
-/* As ``rset``, but steals ``v``, which may be NULL after a failed call. */
-static int
-rset_new(PyObject *a, int f, PyObject *v)
-{
-    int r;
-    if (v == NULL)
-        return -1;
-    r = rset(a, f, v);
-    Py_DECREF(v);
-    return r;
 }
 
 static int
@@ -222,13 +148,171 @@ attr_double(PyObject *o, int n, double *out)
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
+/* -- the agent record ---------------------------------------------------- */
+
+/* ``AgentRecord``: the state of one agent.  ``id`` and ``pos`` are int
+   objects, shared with the events and the ``awake`` entries that name
+   them; the rest are C values.  Ints cannot form a cycle, so records
+   stay out of the cyclic collector. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *id, *pos;  /* ints; ``pos`` is a linear cell index */
+    long mode, s1, s2;
+    double energy;
+    long t_m;          /* movement ticks, the entry's included */
+    long settle_step;  /* step during which the agent settled */
+} rec_t;
+
+static PyTypeObject RecordType;
+
+/* ``o`` as a record; ``TypeError`` if it is none.  Every object that
+   arrives from Python as a record passes here once. */
+static rec_t *
+as_record(PyObject *o)
+{
+    if (Py_IS_TYPE(o, &RecordType))
+        return (rec_t *)o;
+    PyErr_Format(PyExc_TypeError, "expected an AgentRecord, got %.100s", Py_TYPE(o)->tp_name);
+    return NULL;
+}
+
+/* The fields, each of one type, by their offset: an int object, a long
+   or a double.  A setter that fails leaves the field as it was. */
+#define FIELD(a, off, type) ((type *)((char *)(a) + (size_t)(off)))
+
+static int
+undeletable(PyObject *v)
+{
+    if (v != NULL)
+        return 0;
+    PyErr_SetString(PyExc_TypeError, "an AgentRecord's fields cannot be deleted");
+    return -1;
+}
+
+static PyObject *
+get_int(PyObject *a, void *off)
+{
+    return Py_NewRef(*FIELD(a, off, PyObject *));
+}
+
+static int
+set_int(PyObject *a, PyObject *v, void *off)
+{
+    if (undeletable(v) < 0 || (v = PyNumber_Index(v)) == NULL)
+        return -1;
+    Py_XSETREF(*FIELD(a, off, PyObject *), v);
+    return 0;
+}
+
+static PyObject *
+get_long(PyObject *a, void *off)
+{
+    return PyLong_FromLong(*FIELD(a, off, long));
+}
+
+static int
+set_long(PyObject *a, PyObject *v, void *off)
+{
+    long x;
+    if (undeletable(v) < 0 || long_of(v, &x) < 0)
+        return -1;
+    *FIELD(a, off, long) = x;
+    return 0;
+}
+
+static PyObject *
+get_double(PyObject *a, void *off)
+{
+    return PyFloat_FromDouble(*FIELD(a, off, double));
+}
+
+static int
+set_double(PyObject *a, PyObject *v, void *off)
+{
+    double x;
+    if (undeletable(v) < 0 || ((x = PyFloat_AsDouble(v)) == -1.0 && PyErr_Occurred()))
+        return -1;
+    *FIELD(a, off, double) = x;
+    return 0;
+}
+
+#define REC_FIELD(name, kind, doc) \
+    {#name, get_##kind, set_##kind, doc, (void *)offsetof(rec_t, name)}
+static PyGetSetDef rec_fields[] = {
+    REC_FIELD(id, int, "The agent's id, from 1 in order of entry."),
+    REC_FIELD(mode, long, "The lifecycle mode, ``MODE_*``."),
+    REC_FIELD(s1, long, "The projected sub-state, ``S_*``."),
+    REC_FIELD(s2, long, "The payload: a counter or a direction code."),
+    REC_FIELD(pos, int, "The agent's cell, a linear index."),
+    REC_FIELD(energy, double, "The energy left."),
+    REC_FIELD(t_m, long, "Movement ticks, the entry's included."),
+    REC_FIELD(settle_step, long, "The step during which the agent settled, or -1."),
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+/* The constructor sets each field given through its setter, so it
+   takes what an assignment takes. */
+static PyObject *
+rec_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"id", "mode", "s1", "s2", "pos", "energy", "t_m", "settle_step", NULL};
+    PyObject *v[8] = {NULL};
+    rec_t *a;
+    int i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOOO|OO:AgentRecord", kwlist, &v[0], &v[1],
+                                     &v[2], &v[3], &v[4], &v[5], &v[6], &v[7])
+        || (a = (rec_t *)type->tp_alloc(type, 0)) == NULL)
+        return NULL;
+    a->settle_step = -1;
+    for (i = 0; i < 8; i++)
+        if (v[i] != NULL && rec_fields[i].set((PyObject *)a, v[i], rec_fields[i].closure) < 0) {
+            Py_DECREF(a);
+            return NULL;
+        }
+    return (PyObject *)a;
+}
+
+static void
+rec_dealloc(rec_t *a)
+{
+    Py_XDECREF(a->id);
+    Py_XDECREF(a->pos);
+    Py_TYPE(a)->tp_free((PyObject *)a);
+}
+
+static PyObject *
+rec_repr(rec_t *a)
+{
+    PyObject *energy = PyFloat_FromDouble(a->energy), *r;
+    if (energy == NULL)
+        return NULL;
+    r = PyUnicode_FromFormat("AgentRecord(id=%R, mode=%ld, s1=%ld, s2=%ld, pos=%R, energy=%R, "
+                             "t_m=%ld, settle_step=%ld)", a->id, a->mode, a->s1, a->s2, a->pos,
+                             energy, a->t_m, a->settle_step);
+    Py_DECREF(energy);
+    return r;
+}
+
+static PyTypeObject RecordType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "gridswarm._kernel.AgentRecord",
+    .tp_basicsize = sizeof(rec_t),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "AgentRecord(id, mode, s1, s2, pos, energy, t_m=0, settle_step=-1)\n--\n\n"
+              "Mutable per-agent state tracked by the engine.  ``id`` and ``pos``\n"
+              "are ints, ``energy`` a float and the rest C longs; each field keeps\n"
+              "its type on assignment.",
+    .tp_new = rec_new,
+    .tp_dealloc = (destructor)rec_dealloc,
+    .tp_repr = (reprfunc)rec_repr,
+    .tp_getset = rec_fields,
+};
+
 /* Raise ``InvariantError("agent <a.id> <what>")``; returns -1. */
 static int
-invariant(PyObject *a, const char *what)
+invariant(rec_t *a, const char *what)
 {
-    PyObject *id = rborrow(a, F_ID);
-    if (id != NULL)
-        PyErr_Format(InvariantError, "agent %S %s", id, what);
+    PyErr_Format(InvariantError, "agent %S %s", a->id, what);
     return -1;
 }
 
@@ -296,8 +380,7 @@ tuple_long(PyObject *tuple, long i, long *out)
 enum { K_EMPTY, K_WALL, K_AGENT };
 typedef struct {
     int kind;
-    long s1, s2;    /* of an agent */
-    PyObject *rec;  /* the agent, when read off a layer (borrowed) */
+    long s1, s2;  /* of an agent */
 } slot_t;
 
 /* A slot of a sensed tuple: ``SENSE_EMPTY``, ``SENSE_WALL`` or an agent's
@@ -311,11 +394,8 @@ decode(PyObject *o, slot_t *s)
     }
     if (PyTuple_CheckExact(o) && PyTuple_GET_SIZE(o) == 2) {
         s->kind = K_AGENT;
-        s->s1 = PyLong_AsLong(PyTuple_GET_ITEM(o, 0));
-        if (s->s1 == -1 && PyErr_Occurred())
-            return -1;
-        s->s2 = PyLong_AsLong(PyTuple_GET_ITEM(o, 1));
-        return (s->s2 == -1 && PyErr_Occurred()) ? -1 : 0;
+        return long_of(PyTuple_GET_ITEM(o, 0), &s->s1) < 0 ? -1
+               : long_of(PyTuple_GET_ITEM(o, 1), &s->s2);
     }
     if (o == WALL) {
         s->kind = K_WALL;
@@ -331,13 +411,15 @@ decode(PyObject *o, slot_t *s)
 static int
 occupant(PyObject *o, slot_t *s)
 {
-    s->rec = o;
+    rec_t *a;
     if (o == Py_None) {
         s->kind = K_EMPTY;
         return 0;
     }
-    s->kind = K_AGENT;
-    return rget_long(o, F_S1, &s->s1) < 0 ? -1 : rget_long(o, F_S2, &s->s2);
+    if ((a = as_record(o)) == NULL)
+        return -1;
+    s->kind = K_AGENT, s->s1 = a->s1, s->s2 = a->s2;
+    return 0;
 }
 
 /* Slots the rules read: a mobile reads all but its own air (slot 5), a
@@ -369,24 +451,10 @@ decode_xi(PyObject *xi, slot_t *sl, int mask)
 /* -- the parameters and the draw a rule reads ---------------------------- */
 
 typedef struct {
-    PyObject *p;     /* SimParams, borrowed */
     PyObject *draw;  /* borrowed */
     double ecrit_mobile, ecrit_settled;
     long d_max;
-    int have_d_max;  /* ``p.d_max`` is read once, when first needed */
 } ctx_t;
-
-static int
-get_d_max(ctx_t *c, long *out)
-{
-    if (!c->have_d_max) {
-        if (attr_long(c->p, N_D_MAX, &c->d_max) < 0)
-            return -1;
-        c->have_d_max = 1;
-    }
-    *out = c->d_max;
-    return 0;
-}
 
 /* ``int(u * k)`` as an index into ``k`` items, with Python's checks. */
 static int
@@ -477,16 +545,14 @@ static int
 mobile_sllg(ctx_t *c, double energy, long s2, const slot_t *xi, act_t *out)
 {
     int dirs[4], k, d, any_up = 0, have = 0;
-    long dest, best = 0, d_max;
+    long dest, best = 0;
     Py_ssize_t i;
     if (energy <= c->ecrit_mobile)
         return act(out, A_SHUTDOWN, 0, 0);
     if (xi[0].kind == K_EMPTY)
         return act(out, A_SETTLE_HERE, 0, 1);
     if ((k = empty_dirs(xi, dirs))) {
-        if (get_d_max(c, &d_max) < 0)
-            return -1;
-        if (s2 >= d_max)  /* the settling horizon */
+        if (s2 >= c->d_max)  /* the settling horizon */
             return act(out, A_STAY, 0, 0);
         if (pick(c, k, &i) < 0)
             return -1;
@@ -530,7 +596,7 @@ static int
 mobile_slug(ctx_t *c, double energy, const slot_t *xi, act_t *out)
 {
     int dirs[4], ups[4], downs[4], k, nu = 0, nd = 0, d, beacon = 0;
-    long s2, up = 0, down = 0, d_max;
+    long s2, up = 0, down = 0;
     Py_ssize_t i;
     if (energy <= c->ecrit_mobile)
         return act(out, A_SHUTDOWN, 0, 0);
@@ -543,9 +609,7 @@ mobile_slug(ctx_t *c, double energy, const slot_t *xi, act_t *out)
     /* Re-synchronize the own counter from the agent settled beneath. */
     s2 = xi[0].s2;
     if ((k = empty_dirs(xi, dirs))) {
-        if (get_d_max(c, &d_max) < 0)
-            return -1;
-        if (s2 >= d_max)  /* the settling horizon */
+        if (s2 >= c->d_max)  /* the settling horizon */
             return act(out, A_STAY, 0, 0);
         if (pick(c, k, &i) < 0)
             return -1;
@@ -629,15 +693,11 @@ mobile_sltt(ctx_t *c, double energy, const slot_t *xi, act_t *out)
 
 /* Run mobile rule ``r``; reads ``a.energy`` and, for sllg-ea, ``a.s2``. */
 static int
-mobile_rule(int r, ctx_t *c, PyObject *a, const slot_t *xi, act_t *out)
+mobile_rule(int r, ctx_t *c, const rec_t *a, const slot_t *xi, act_t *out)
 {
-    double energy;
-    long s2;
-    if (rget_double(a, F_ENERGY, &energy) < 0)
-        return -1;
     if (r == R_SLLG)
-        return rget_long(a, F_S2, &s2) < 0 ? -1 : mobile_sllg(c, energy, s2, xi, out);
-    return r == R_SLUG ? mobile_slug(c, energy, xi, out) : mobile_sltt(c, energy, xi, out);
+        return mobile_sllg(c, a->energy, a->s2, xi, out);
+    return r == R_SLUG ? mobile_slug(c, a->energy, xi, out) : mobile_sltt(c, a->energy, xi, out);
 }
 
 /* -- settled rules ------------------------------------------------------- */
@@ -680,32 +740,22 @@ settled_common(ctx_t *c, double energy, long s1, const slot_t *xi, const long *r
     return s1;
 }
 
-/* Run settled rule ``r``; reads ``a.energy``, ``a.s1`` and ``a.s2``. */
-static int
-settled_rule(int r, ctx_t *c, PyObject *a, const slot_t *xi, int approach1, long *out)
+/* The sub-state settled rule ``r`` gives; reads ``a.energy``, ``a.s1``
+   and ``a.s2``. */
+static long
+settled_rule(int r, ctx_t *c, const rec_t *a, const slot_t *xi, int approach1)
 {
-    double energy;
-    long s1, s2, d_max, rel[4];
+    long s2 = a->s2, rel[4];
     int d, nrel = 0;
-    if (rget_double(a, F_ENERGY, &energy) < 0 || rget_long(a, F_S1, &s1) < 0
-        || rget_long(a, F_S2, &s2) < 0)
-        return -1;
-    if (r != R_SLTT) {
-        if (get_d_max(c, &d_max) < 0)
-            return -1;
-        if (s2 >= d_max) {  /* the settling horizon */
-            *out = S_LOW_ENERGY;
-            return 0;
-        }
-    }
+    if (r != R_SLTT && s2 >= c->d_max)  /* the settling horizon */
+        return S_LOW_ENERGY;
     for (d = 1; d <= 4; d++) {
         const slot_t *g = &xi[d];
         if (g->kind == K_AGENT
             && (r == R_SLLG ? g->s2 == s2 + 1 : r == R_SLUG ? g->s2 > s2 : g->s2 == d))
             rel[nrel++] = g->s1;
     }
-    *out = settled_common(c, energy, s1, xi, rel, nrel, approach1);
-    return 0;
+    return settled_common(c, a->energy, a->s1, xi, rel, nrel, approach1);
 }
 /* -- the rules and sense as Python callables ----------------------------- */
 
@@ -741,18 +791,21 @@ make_action(const act_t *a)
     return r;
 }
 
+/* A rule called from Python reads ``p.d_max`` once per call, through
+   its property, as the world does once per run. */
 static PyObject *
 py_mobile(int r, const char *name, PyObject *const *args, Py_ssize_t nargs)
 {
     ctx_t c = {0};
     slot_t xi[10];
     act_t out;
-    if (check_args(name, nargs, 4) < 0)
+    rec_t *a;
+    if (check_args(name, nargs, 4) < 0 || (a = as_record(args[0])) == NULL)
         return NULL;
-    c.p = args[2];
     c.draw = args[3];
-    if (attr_double(c.p, N_ECRIT_MOBILE, &c.ecrit_mobile) < 0
-        || decode_xi(args[1], xi, MOBILE_SLOTS) < 0 || mobile_rule(r, &c, args[0], xi, &out) < 0)
+    if (attr_double(args[2], N_ECRIT_MOBILE, &c.ecrit_mobile) < 0
+        || attr_long(args[2], N_D_MAX, &c.d_max) < 0
+        || decode_xi(args[1], xi, MOBILE_SLOTS) < 0 || mobile_rule(r, &c, a, xi, &out) < 0)
         return NULL;
     return make_action(&out);
 }
@@ -762,17 +815,15 @@ py_settled(int r, const char *name, PyObject *const *args, Py_ssize_t nargs)
 {
     ctx_t c = {0};
     slot_t xi[10];
-    long out;
+    rec_t *a;
     int approach1;
-    if (check_args(name, nargs, 4) < 0)
+    if (check_args(name, nargs, 4) < 0 || (a = as_record(args[0])) == NULL
+        || (approach1 = PyObject_RichCompareBool(args[3], ONE, Py_EQ)) < 0
+        || attr_double(args[2], N_ECRIT_SETTLED, &c.ecrit_settled) < 0
+        || attr_long(args[2], N_D_MAX, &c.d_max) < 0
+        || decode_xi(args[1], xi, SETTLED_SLOTS) < 0)
         return NULL;
-    c.p = args[2];
-    if ((approach1 = PyObject_RichCompareBool(args[3], ONE, Py_EQ)) < 0
-        || attr_double(c.p, N_ECRIT_SETTLED, &c.ecrit_settled) < 0
-        || decode_xi(args[1], xi, SETTLED_SLOTS) < 0
-        || settled_rule(r, &c, args[0], xi, approach1, &out) < 0)
-        return NULL;
-    return PyLong_FromLong(out);
+    return PyLong_FromLong(settled_rule(r, &c, a, xi, approach1));
 }
 
 #define RULE(KIND, NAME, R)                                                           \
@@ -792,19 +843,15 @@ RULE(settled, sltt, R_SLTT)
 
 /* The mode of agent ``a``, which must be mobile or settled to sense. */
 static int
-sensing_mode(PyObject *a, long *mode)
+sensing_mode(const rec_t *a)
 {
-    PyObject *id;
-    if (rget_long(a, F_MODE, mode) < 0)
-        return -1;
-    if (*mode == MODE_MOBILE || *mode == MODE_SETTLED)
+    if (a->mode == MODE_MOBILE || a->mode == MODE_SETTLED)
         return 0;
-    if ((id = rborrow(a, F_ID)) == NULL)
-        return -1;
-    if (*mode >= 0 && *mode < 4)
-        PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %s", id, MODE_TEXT[*mode]);
+    if (a->mode >= 0 && a->mode < 4)
+        PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %s", a->id,
+                     MODE_TEXT[a->mode]);
     else
-        PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %ld", id, *mode);
+        PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %ld", a->id, a->mode);
     return -1;
 }
 
@@ -830,8 +877,7 @@ gather(const long *cells, PyObject *ground, PyObject *air, long mode, slot_t *sl
     return 0;
 }
 
-/* The sensed tuple of ten gathered slots, each ``(s1, s2)`` packed from
-   the occupant's own slot objects. */
+/* The sensed tuple of ten gathered slots. */
 static PyObject *
 sensed_tuple(const slot_t *sl)
 {
@@ -839,13 +885,11 @@ sensed_tuple(const slot_t *sl)
     int i;
     for (i = 0; t != NULL && i < 10; i++) {
         if (sl[i].kind == K_AGENT) {
-            if ((v = PyTuple_Pack(2, *rslot(sl[i].rec, F_S1), *rslot(sl[i].rec, F_S2))) == NULL)
+            if ((v = Py_BuildValue("(ll)", sl[i].s1, sl[i].s2)) == NULL)
                 Py_CLEAR(t);
         }
-        else {
-            v = sl[i].kind == K_WALL ? WALL : EMPTY;
-            Py_INCREF(v);
-        }
+        else
+            v = Py_NewRef(sl[i].kind == K_WALL ? WALL : EMPTY);
         if (t != NULL)
             PyTuple_SET_ITEM(t, i, v);
     }
@@ -857,10 +901,11 @@ k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *region, *neighbors = NULL, *nb = NULL, *ground = NULL, *air = NULL, *r = NULL;
     slot_t sl[10];
-    long mode, cells[5];
+    long cells[5];
+    rec_t *a;
     int i;
-    if (check_args("sense", nargs, 2) < 0 || sensing_mode(args[1], &mode) < 0
-        || rget_long(args[1], F_POS, &cells[0]) < 0
+    if (check_args("sense", nargs, 2) < 0 || (a = as_record(args[1])) == NULL
+        || sensing_mode(a) < 0 || long_of(a->pos, &cells[0]) < 0
         || (region = PyObject_GetAttr(args[0], NAME[N_REGION])) == NULL)
         return NULL;
     neighbors = PyObject_GetAttr(region, NAME[N_NEIGHBORS]);
@@ -871,8 +916,8 @@ k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
         if (tuple_long(nb, i - 1, &cells[i]) < 0)
             goto done;
     if ((ground = PyObject_GetAttr(args[0], NAME[N_GROUND]))
-        && (mode != MODE_MOBILE || (air = PyObject_GetAttr(args[0], NAME[N_AIR])))
-        && gather(cells, ground, air, mode, sl) == 0)
+        && (a->mode != MODE_MOBILE || (air = PyObject_GetAttr(args[0], NAME[N_AIR])))
+        && gather(cells, ground, air, a->mode, sl) == 0)
         r = sensed_tuple(sl);
 done:
     Py_XDECREF(neighbors);
@@ -932,9 +977,9 @@ static PyTypeObject WorldType;
 
 /* The cell of agent ``a``; ``IndexError`` unless it lies in the region. */
 static int
-cell_of(world_t *w, PyObject *a, long *cell)
+cell_of(world_t *w, const rec_t *a, long *cell)
 {
-    if (rget_long(a, F_POS, cell) < 0)
+    if (long_of(a->pos, cell) < 0)
         return -1;
     if (*cell < 0 || *cell >= w->ncells) {
         PyErr_Format(PyExc_IndexError, "cell %ld lies outside the region", *cell);
@@ -965,27 +1010,25 @@ neighbor_int(world_t *w, long cell, long dir)
 /* Log ``Event(t, a.id, action, src, dst, a.s1, a.s2, a.energy)``, if the
    run logs events. */
 static int
-log_event(world_t *w, PyObject *a, int action, PyObject *src, PyObject *dst)
+log_event(world_t *w, const rec_t *a, int action, PyObject *src, PyObject *dst)
 {
-    static const int at[4] = {1, 5, 6, 7}, field[4] = {F_ID, F_S1, F_S2, F_ENERGY};
-    PyObject *fields[8], *ev;
+    PyObject *const shared[5] = {w->t_int, a->id, STR[action], src, dst};
+    PyObject *ev;
     int i, r;
     if (w->batch == NULL)
         return 0;
-    fields[0] = w->t_int, fields[2] = STR[action], fields[3] = src, fields[4] = dst;
-    for (i = 0; i < 4; i++)
-        if ((fields[at[i]] = rborrow(a, field[i])) == NULL)
-            return -1;
     if ((ev = EventType->tp_alloc(EventType, 8)) == NULL)
         return -1;
-    for (i = 0; i < 8; i++) {
-        Py_INCREF(fields[i]);
-        PyTuple_SET_ITEM(ev, i, fields[i]);
-    }
     /* Ints, a str and a float cannot form a cycle: keep the log out of
        the collector's walks. */
     PyObject_GC_UnTrack(ev);
-    r = PyList_Append(w->batch, ev);
+    for (i = 0; i < 5; i++)
+        PyTuple_SET_ITEM(ev, i, Py_NewRef(shared[i]));
+    PyTuple_SET_ITEM(ev, 5, PyLong_FromLong(a->s1));
+    PyTuple_SET_ITEM(ev, 6, PyLong_FromLong(a->s2));
+    PyTuple_SET_ITEM(ev, 7, PyFloat_FromDouble(a->energy));
+    r = PyTuple_GET_ITEM(ev, 5) && PyTuple_GET_ITEM(ev, 6) && PyTuple_GET_ITEM(ev, 7)
+        ? PyList_Append(w->batch, ev) : -1;
     Py_DECREF(ev);
     return r;
 }
@@ -993,14 +1036,10 @@ log_event(world_t *w, PyObject *a, int action, PyObject *src, PyObject *dst)
 /* Set settled agent ``a``'s energy as of the end of step ``t`` from the
    ledger ``e0 - t_m - alpha * t_s``, with ``t_s = t - settle_step`` (each
    int here is below 2**53, so exact as a double). */
-static int
-materialize(world_t *w, PyObject *a, long t)
+static void
+materialize(world_t *w, rec_t *a, long t)
 {
-    long tm, ss;
-    if (rget_long(a, F_TM, &tm) < 0 || rget_long(a, F_SETTLE, &ss) < 0)
-        return -1;
-    return rset_new(a, F_ENERGY,
-                    PyFloat_FromDouble((w->e0 - (double)tm) - w->alpha * (double)(t - ss)));
+    a->energy = (w->e0 - (double)a->t_m) - w->alpha * (double)(t - a->settle_step);
 }
 
 static int
@@ -1066,36 +1105,36 @@ first_step(world_t *w, double e_settle, double threshold, long s)
 
 /* Schedule the energy events of agent ``a``, settling now. */
 static int
-schedule(world_t *w, PyObject *a)
+schedule(world_t *w, const rec_t *a)
 {
-    long tm, id;
+    long id;
     double e_settle;
     if (w->alpha <= 0)
         return 0;
-    if (rget_long(a, F_TM, &tm) < 0 || rget_long(a, F_ID, &id) < 0)
+    if (long_of(a->id, &id) < 0)
         return -1;
     /* The settling step itself is still charged as a movement tick at
        the end of the wake. */
-    e_settle = w->e0 - (double)(tm + 1);
+    e_settle = w->e0 - (double)(a->t_m + 1);
     if (e_settle > w->ctx.ecrit_settled
         && heap_push(w, first_step(w, e_settle, w->ctx.ecrit_settled, w->t), 0, id) < 0)
         return -1;
     return heap_push(w, first_step(w, e_settle, 0.0, w->t), 1, id);
 }
 
-/* Put agent ``a`` into ``awake``, or take it out. */
+/* Take agent ``a`` out of ``awake``. */
 static int
-awake_add(world_t *w, PyObject *a)
+awake_discard(world_t *w, const rec_t *a)
 {
-    PyObject *id = rborrow(a, F_ID);
-    return id == NULL ? -1 : PySet_Add(w->awake, id);
+    return PySet_Discard(w->awake, a->id) < 0 ? -1 : 0;
 }
 
-static int
-awake_discard(world_t *w, PyObject *a)
+/* Agent ``aid`` of the run. */
+static rec_t *
+agent(world_t *w, long aid)
 {
-    PyObject *id = rborrow(a, F_ID);
-    return id == NULL || PySet_Discard(w->awake, id) < 0 ? -1 : 0;
+    PyObject *a = list_item(w->agents, aid - 1);
+    return a == NULL ? NULL : as_record(a);
 }
 
 /* -- the wake order ---------------------------------------------------- */
@@ -1110,7 +1149,7 @@ wake_key(world_t *w, long aid, uint64_t *key)
         return -1;
     }
     if (w->adversarial) {
-        PyObject *a = list_item(w->agents, aid - 1);
+        rec_t *a = agent(w, aid);
         long pos;
         if (a == NULL || cell_of(w, a, &pos) < 0)
             return -1;
@@ -1242,9 +1281,10 @@ wake_order(world_t *w)
 static int
 mark(world_t *w, long cell, int during_wakes)
 {
-    long cells[5], gid, s1;
+    long cells[5], gid;
     uint64_t key;
-    PyObject *g, *id;
+    PyObject *g;
+    rec_t *a;
     int i;
     around(w, cell, cells);
     for (i = 0; i < 5; i++) {
@@ -1254,12 +1294,11 @@ mark(world_t *w, long cell, int during_wakes)
             return -1;
         if (g == Py_None)
             continue;
-        if (rget_long(g, F_S1, &s1) < 0)
+        if ((a = as_record(g)) == NULL)
             return -1;
-        if (s1 == S_LOW_ENERGY)
+        if (a->s1 == S_LOW_ENERGY)
             continue;
-        if ((id = rborrow(g, F_ID)) == NULL
-            || ((gid = PyLong_AsLong(id)) == -1 && PyErr_Occurred()) || PySet_Add(w->awake, id) < 0)
+        if (long_of(a->id, &gid) < 0 || PySet_Add(w->awake, a->id) < 0)
             return -1;
         if (!during_wakes || (gid >= 1 && gid <= w->nids && w->keyed[gid] == w->round))
             continue;
@@ -1275,12 +1314,12 @@ mark(world_t *w, long cell, int during_wakes)
 /* The seams called through Python: ``sense(world, a)``, then ``decide(a,
    xi, p, last)``; a new reference to the decision. */
 static PyObject *
-call_seams(world_t *w, PyObject *a, PyObject *decide, PyObject *last)
+call_seams(world_t *w, rec_t *a, PyObject *decide, PyObject *last)
 {
-    PyObject *args[4] = {(PyObject *)w, a}, *xi, *r;
+    PyObject *args[4] = {(PyObject *)w, (PyObject *)a}, *xi, *r;
     if ((xi = PyObject_Vectorcall(w->sense, args, 2, NULL)) == NULL)
         return NULL;
-    args[0] = a, args[1] = xi, args[2] = w->p, args[3] = last;
+    args[0] = (PyObject *)a, args[1] = xi, args[2] = w->p, args[3] = last;
     r = PyObject_Vectorcall(decide, args, 4, NULL);
     Py_DECREF(xi);
     return r;
@@ -1288,7 +1327,7 @@ call_seams(world_t *w, PyObject *a, PyObject *decide, PyObject *last)
 
 /* The sensed slots of agent ``a`` in ``mode``, gathered off the layers. */
 static int
-sense_own(world_t *w, PyObject *a, long mode, slot_t *sl)
+sense_own(world_t *w, const rec_t *a, long mode, slot_t *sl)
 {
     long cells[5];
     if (cell_of(w, a, &cells[0]) < 0)
@@ -1300,7 +1339,7 @@ sense_own(world_t *w, PyObject *a, long mode, slot_t *sl)
 /* The outcome of a mobile wake: the own rule on slots gathered off the
    layers, or the seams' ``Action`` decoded. */
 static int
-decide_mobile(world_t *w, PyObject *a, act_t *out)
+decide_mobile(world_t *w, rec_t *a, act_t *out)
 {
     slot_t sl[10];
     PyObject *action;
@@ -1317,8 +1356,7 @@ decide_mobile(world_t *w, PyObject *a, act_t *out)
         r = -1;
     }
     for (i = 0; r == 0 && i < 3; i++)
-        if ((f[i] = PyLong_AsLong(PyTuple_GET_ITEM(action, i))) == -1 && PyErr_Occurred())
-            r = -1;
+        r = long_of(PyTuple_GET_ITEM(action, i), &f[i]);
     Py_DECREF(action);
     return r < 0 ? -1 : act(out, f[0], f[1], f[2]);
 }
@@ -1326,13 +1364,16 @@ decide_mobile(world_t *w, PyObject *a, act_t *out)
 /* The sub-state a settled wake projects next: the own rule on slots
    gathered off ``ground``, or the seams' ``s1`` decoded. */
 static int
-decide_settled(world_t *w, PyObject *a, long *out)
+decide_settled(world_t *w, rec_t *a, long *out)
 {
     slot_t sl[10];
     PyObject *s1;
-    if (w->settled_r >= 0)
-        return sense_own(w, a, MODE_SETTLED, sl) < 0
-                   ? -1 : settled_rule(w->settled_r, &w->ctx, a, sl, w->approach1, out);
+    if (w->settled_r >= 0) {
+        if (sense_own(w, a, MODE_SETTLED, sl) < 0)
+            return -1;
+        *out = settled_rule(w->settled_r, &w->ctx, a, sl, w->approach1);
+        return 0;
+    }
     if ((s1 = call_seams(w, a, w->settled_decide, w->approach)) == NULL)
         return -1;
     *out = PyLong_AsLong(s1);
@@ -1342,25 +1383,19 @@ decide_settled(world_t *w, PyObject *a, long *out)
 
 /* Move mobile ``a`` from ``src`` in direction ``dir``, carrying ``s2``. */
 static int
-move(world_t *w, PyObject *a, long src, long dir, long s2)
+move(world_t *w, rec_t *a, long src, long dir, long s2)
 {
     long dst = w->nb[src][dir - 1];
-    PyObject *v, *src_int, *s2_int;
+    PyObject *v, *src_int = a->pos;  /* the record's reference, handed over */
     int r;
     if (dst >= 0 && (v = list_item(w->air, dst)) == NULL)
         return -1;
     if (dst < 0 || v != Py_None)
         return invariant(a, "moved into an occupied or wall cell");
-    if ((s2_int = PyLong_FromLong(s2)) == NULL)
-        return -1;
-    if ((src_int = rget(a, F_POS)) == NULL) {
-        Py_DECREF(s2_int);
-        return -1;
-    }
-    r = list_set(w->air, src, Py_None) < 0 || list_set(w->air, dst, a) < 0
-        || rset(a, F_POS, neighbor_int(w, src, dir)) < 0 || rset(a, F_S2, s2_int) < 0
-        || log_event(w, a, E_MOVE, src_int, neighbor_int(w, src, dir)) < 0;
-    Py_DECREF(s2_int);
+    a->pos = Py_NewRef(neighbor_int(w, src, dir));
+    a->s2 = s2;
+    r = list_set(w->air, src, Py_None) < 0 || list_set(w->air, dst, (PyObject *)a) < 0
+        || log_event(w, a, E_MOVE, src_int, a->pos) < 0;
     Py_DECREF(src_int);
     return r ? -1 : 0;
 }
@@ -1368,10 +1403,10 @@ move(world_t *w, PyObject *a, long src, long dir, long s2)
 /* Settle mobile ``a`` from ``src``, in place or into the empty neighbor
    the outcome names, and mark the cell; it stays in ``awake``. */
 static int
-settle(world_t *w, PyObject *a, long src, const act_t *out)
+settle(world_t *w, rec_t *a, long src, const act_t *out)
 {
     long dst = out->kind == A_SETTLE_AT ? w->nb[src][out->dir - 1] : src;
-    PyObject *g, *src_int, *dst_int, *s2_int, *count;
+    PyObject *g, *src_int = a->pos, *count;  /* the record's reference, handed over */
     int r;
     if (dst >= 0 && (g = list_item(w->ground, dst)) == NULL)
         return -1;
@@ -1381,39 +1416,29 @@ settle(world_t *w, PyObject *a, long src, const act_t *out)
         return -1;
     Py_SETREF(w->settled_int, count);
     w->settled++;
-    if ((s2_int = PyLong_FromLong(out->s2)) == NULL)
-        return -1;
-    if ((src_int = rget(a, F_POS)) == NULL) {
-        Py_DECREF(s2_int);
-        return -1;
-    }
-    dst_int = out->kind == A_SETTLE_AT ? neighbor_int(w, src, out->dir) : src_int;
-    r = list_set(w->air, src, Py_None) < 0 || list_set(w->ground, dst, a) < 0
-        || rset(a, F_POS, dst_int) < 0 || rset_new(a, F_MODE, PyLong_FromLong(MODE_SETTLED)) < 0
-        || rset_new(a, F_S1, PyLong_FromLong(S_BEACON)) < 0 || rset(a, F_S2, s2_int) < 0
-        || rset(a, F_SETTLE, w->t_int) < 0 || schedule(w, a) < 0
-        || log_event(w, a, E_SETTLE, src_int, dst_int) < 0 || mark(w, dst, 1) < 0;
-    Py_DECREF(s2_int);
+    a->pos = Py_NewRef(out->kind == A_SETTLE_AT ? neighbor_int(w, src, out->dir) : src_int);
+    a->mode = MODE_SETTLED, a->s1 = S_BEACON, a->s2 = out->s2, a->settle_step = w->t;
+    r = list_set(w->air, src, Py_None) < 0 || list_set(w->ground, dst, (PyObject *)a) < 0
+        || schedule(w, a) < 0 || log_event(w, a, E_SETTLE, src_int, a->pos) < 0
+        || mark(w, dst, 1) < 0;
     Py_DECREF(src_int);
     return r ? -1 : 0;
 }
 
 static int
-shut_down(world_t *w, PyObject *a, long src)
+shut_down(world_t *w, rec_t *a, long src)
 {
-    PyObject *pos = rborrow(a, F_POS);
-    return pos == NULL || list_set(w->air, src, Py_None) < 0
-                   || rset_new(a, F_MODE, PyLong_FromLong(MODE_SHUTDOWN)) < 0
-                   || awake_discard(w, a) < 0
-                   || log_event(w, a, E_SHUTDOWN, pos, WALL) < 0
+    a->mode = MODE_SHUTDOWN;
+    return list_set(w->air, src, Py_None) < 0 || awake_discard(w, a) < 0
+                   || log_event(w, a, E_SHUTDOWN, a->pos, WALL) < 0
                ? -1 : 0;
 }
 
 static int
-wake_mobile(world_t *w, PyObject *a)
+wake_mobile(world_t *w, rec_t *a)
 {
     act_t out;
-    long src, tm;
+    long src;
     int r;
 
     if (decide_mobile(w, a, &out) < 0 || cell_of(w, a, &src) < 0)
@@ -1440,44 +1465,43 @@ wake_mobile(world_t *w, PyObject *a)
     default:
         return invariant(a, "chose an action of no known kind");
     }
+    if (r < 0)
+        return -1;
     /* The movement tick of this step, whatever the agent did; a mobile
        has no settled steps. */
-    if (r < 0 || rget_long(a, F_TM, &tm) < 0 || rset_new(a, F_TM, PyLong_FromLong(tm + 1)) < 0
-        || rset_new(a, F_ENERGY, PyFloat_FromDouble(w->e0 - (double)(tm + 1))) < 0)
-        return -1;
+    a->t_m++;
+    a->energy = w->e0 - (double)a->t_m;
     return 0;
 }
 
 /* A settled wake ends with the agent out of ``awake``; a transition's
    marks put it back unless it reported low. */
 static int
-wake_settled(world_t *w, PyObject *a)
+wake_settled(world_t *w, rec_t *a)
 {
     slot_t sl[10];
-    PyObject *pos;
-    long old_l, new_l, pos_l;
+    long s1, cell;
     int d;
 
     /* Materialize the lazily tracked energy, as of the end of last step. */
-    if (materialize(w, a, w->t - 1) < 0
-        || decide_settled(w, a, &new_l) < 0 || awake_discard(w, a) < 0
-        || rget_long(a, F_S1, &old_l) < 0)
+    materialize(w, a, w->t - 1);
+    if (decide_settled(w, a, &s1) < 0 || awake_discard(w, a) < 0)
         return -1;
-    if (new_l == old_l)
+    if (s1 == a->s1)
         return 0;
-    if (old_l == S_CLOSED_BEACON && new_l == S_BEACON)
+    if (a->s1 == S_CLOSED_BEACON && s1 == S_BEACON)
         return invariant(a, "reopened a closed beacon");
-    if (new_l == S_CLOSED_BEACON) {
+    if (s1 == S_CLOSED_BEACON) {
         if (sense_own(w, a, MODE_SETTLED, sl) < 0)
             return -1;
         for (d = 1; d <= 4; d++)
             if (sl[d].kind == K_EMPTY)
                 return invariant(a, "closed with an empty neighbor in sight");
     }
-    if (rset_new(a, F_S1, PyLong_FromLong(new_l)) < 0 || cell_of(w, a, &pos_l) < 0)
+    a->s1 = s1;
+    if (cell_of(w, a, &cell) < 0)
         return -1;
-    pos = rborrow(a, F_POS);
-    return log_event(w, a, E_TRANSITION, pos, pos) < 0 || mark(w, pos_l, 1) < 0 ? -1 : 0;
+    return log_event(w, a, E_TRANSITION, a->pos, a->pos) < 0 || mark(w, cell, 1) < 0 ? -1 : 0;
 }
 
 static int
@@ -1496,18 +1520,17 @@ rule_index(PyObject *f, PyObject *const *own)
 static int
 wake_all(world_t *w)
 {
-    PyObject *a;
-    long mode;
+    rec_t *a;
     int r = wake_order(w);
     /* The order may grow behind the cursor's back: only after it. */
     while (r == 0 && w->cur < w->nkeys) {
         uint64_t key = w->keys[w->cur++];
-        if ((a = list_item(w->agents, (long)(key & ID_MASK) - 1)) == NULL)
+        if ((a = agent(w, (long)(key & ID_MASK))) == NULL)
             return -1;
         Py_INCREF(a);
-        r = sensing_mode(a, &mode);
+        r = sensing_mode(a);
         if (r == 0)
-            r = mode == MODE_MOBILE ? wake_mobile(w, a) : wake_settled(w, a);
+            r = a->mode == MODE_MOBILE ? wake_mobile(w, a) : wake_settled(w, a);
         Py_DECREF(a);
     }
     return r;
@@ -1521,8 +1544,8 @@ wake_all(world_t *w)
 static int
 enter(world_t *w)
 {
-    PyObject *v, *g, *s2, *a, *id;
-    Py_ssize_t n = PyList_GET_SIZE(w->agents);
+    PyObject *v, *g;
+    rec_t *a, *under = NULL;
     int r;
     if (w->t % w->dt)
         return 0;
@@ -1530,36 +1553,33 @@ enter(world_t *w)
         return -1;
     if (v != Py_None)
         return 0;
-    if ((s2 = g == Py_None ? ZERO : rborrow(g, F_S2)) == NULL
-        || (a = Record->tp_alloc(Record, 0)) == NULL)
+    if ((g != Py_None && (under = as_record(g)) == NULL)
+        || (a = (rec_t *)RecordType.tp_alloc(&RecordType, 0)) == NULL)
         return -1;
-    r = rset_new(a, F_ID, id = PyLong_FromSsize_t(n + 1)) < 0
-        || rset_new(a, F_MODE, PyLong_FromLong(MODE_MOBILE)) < 0
-        || rset_new(a, F_S1, PyLong_FromLong(S_MOBILE)) < 0 || rset(a, F_S2, s2) < 0
-        || rset(a, F_POS, w->entry_int) < 0
-        || rset_new(a, F_ENERGY, PyFloat_FromDouble(w->e0 - 1)) < 0
-        || rset(a, F_TM, ONE) < 0 || rset(a, F_SETTLE, WALL) < 0
-        || PyList_Append(w->agents, a) < 0 || list_set(w->air, w->entry, a) < 0
-        || PySet_Add(w->awake, id) < 0 || log_event(w, a, E_ENTER, WALL, w->entry_int) < 0;
+    a->pos = Py_NewRef(w->entry_int);
+    a->mode = MODE_MOBILE, a->s1 = S_MOBILE, a->s2 = under == NULL ? 0 : under->s2;
+    a->energy = w->e0 - 1, a->t_m = 1, a->settle_step = -1;
+    r = (a->id = PyLong_FromSsize_t(PyList_GET_SIZE(w->agents) + 1)) == NULL
+        || PyList_Append(w->agents, (PyObject *)a) < 0
+        || list_set(w->air, w->entry, (PyObject *)a) < 0 || PySet_Add(w->awake, a->id) < 0
+        || log_event(w, a, E_ENTER, WALL, w->entry_int) < 0;
     Py_DECREF(a);
     return r ? -1 : 0;
 }
 
 /* Settled agent ``a`` fails: it leaves the ground and ``awake``. */
 static int
-fail(world_t *w, PyObject *a)
+fail(world_t *w, rec_t *a)
 {
-    PyObject *count, *pos;
+    PyObject *count;
     long cell;
     if (cell_of(w, a, &cell) < 0 || (count = PyLong_FromLong(w->settled - 1)) == NULL)
         return -1;
     Py_SETREF(w->settled_int, count);
     w->settled--;
-    pos = rborrow(a, F_POS);
-    return rset_new(a, F_MODE, PyLong_FromLong(MODE_FAILED)) < 0
-                   || list_set(w->ground, cell, Py_None) < 0
-                   || awake_discard(w, a) < 0
-                   || log_event(w, a, E_FAIL, pos, pos) < 0 || mark(w, cell, 0) < 0
+    a->mode = MODE_FAILED;
+    return list_set(w->ground, cell, Py_None) < 0 || awake_discard(w, a) < 0
+                   || log_event(w, a, E_FAIL, a->pos, a->pos) < 0 || mark(w, cell, 0) < 0
                ? -1 : 0;
 }
 
@@ -1569,22 +1589,19 @@ static int
 charge(world_t *w)
 {
     energy_event_t ev;
-    PyObject *a;
-    long mode, s1;
+    rec_t *a;
     int r;
     while (w->nheap && w->heap[0].step <= w->t) {
         ev = heap_pop(w);
-        if ((a = list_item(w->agents, ev.id - 1)) == NULL)
+        if ((a = agent(w, ev.id)) == NULL)
             return -1;
         Py_INCREF(a);
-        r = rget_long(a, F_MODE, &mode);
-        if (r == 0 && mode == MODE_SETTLED)
-            r = materialize(w, a, w->t);
-        if (r == 0 && ev.kind == 1)
+        if (a->mode == MODE_SETTLED)
+            materialize(w, a, w->t);
+        if (ev.kind == 1)
             r = fail(w, a);
-        else if (r == 0)  /* the reporting threshold */
-            r = rget_long(a, F_S1, &s1) < 0 ? -1
-                : s1 != S_LOW_ENERGY ? awake_add(w, a) : 0;
+        else  /* the reporting threshold */
+            r = a->s1 != S_LOW_ENERGY ? PySet_Add(w->awake, a->id) : 0;
         Py_DECREF(a);
         if (r < 0)
             return -1;
@@ -1599,7 +1616,7 @@ static PyObject *
 close_step(world_t *w)
 {
     PyObject *g, *r = Py_None, *batch, *ret;
-    long s1;
+    rec_t *a;
     if (PyList_Append(w->ac_series, w->settled_int) < 0)
         return NULL;
     if (w->on_events != NULL && PyList_GET_SIZE(w->batch)) {
@@ -1613,15 +1630,14 @@ close_step(world_t *w)
     if ((g = list_item(w->ground, w->entry)) == NULL)
         return NULL;
     if (g != Py_None) {
-        if (rget_long(g, F_S1, &s1) < 0)
+        if ((a = as_record(g)) == NULL)
             return NULL;
-        if (s1 == S_LOW_ENERGY)
+        if (a->s1 == S_LOW_ENERGY)
             r = STR[E_LOW_ENERGY];
-        else if (s1 == S_CLOSED_BEACON)
+        else if (a->s1 == S_CLOSED_BEACON)
             r = STR[E_CLOSED];
     }
-    Py_INCREF(r);
-    return r;
+    return Py_NewRef(r);
 }
 
 static PyObject *
@@ -1643,7 +1659,7 @@ k_step(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_RuntimeError, "the world is already stepping");
         return NULL;
     }
-    if ((w->t = PyLong_AsLong(args[1])) == -1 && PyErr_Occurred())
+    if (long_of(args[1], &w->t) < 0)
         return NULL;
     w->stepping = 1;
     w->t_int = args[1];
@@ -1795,8 +1811,6 @@ read_params(world_t *w)
         return -1;
     }
     w->adversarial = r == 0;
-    w->ctx.have_d_max = 1;
-    w->ctx.p = w->p;
     return 0;
 }
 
@@ -1842,16 +1856,16 @@ world_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 static PyObject *
 world_finish(world_t *w, PyObject *arg)
 {
-    long t = PyLong_AsLong(arg), mode;
+    long t;
     Py_ssize_t i;
-    PyObject *a;
-    if (t == -1 && PyErr_Occurred())
+    rec_t *a;
+    if (long_of(arg, &t) < 0)
         return NULL;
     for (i = 0; i < PyList_GET_SIZE(w->agents); i++) {
-        a = PyList_GET_ITEM(w->agents, i);
-        if (rget_long(a, F_MODE, &mode) < 0
-            || (mode == MODE_SETTLED && materialize(w, a, t) < 0))
+        if ((a = as_record(PyList_GET_ITEM(w->agents, i))) == NULL)
             return NULL;
+        if (a->mode == MODE_SETTLED)
+            materialize(w, a, t);
     }
     Py_RETURN_NONE;
 }
@@ -2250,55 +2264,18 @@ static PyTypeObject StreamType = {
 
 /* -- binding ------------------------------------------------------------- */
 
-/* The slot offsets of ``descrs``, a tuple of the member descriptors of
-   one class's slots, the fields ``F_ID`` to ``F_SETTLE`` in order; that
-   class, or NULL. */
-static PyTypeObject *
-slot_offsets(PyObject *descrs, Py_ssize_t *offs)
-{
-    PyTypeObject *type = NULL;
-    PyObject *d;
-    int f;
-    if (!PyTuple_Check(descrs) || PyTuple_GET_SIZE(descrs) != NF) {
-        PyErr_Format(PyExc_TypeError, "expected a tuple of %d slots, got %R", NF, descrs);
-        return NULL;
-    }
-    for (f = 0; f < NF; f++) {
-        d = PyTuple_GET_ITEM(descrs, f);
-        if (!Py_IS_TYPE(d, &PyMemberDescr_Type)
-            || ((PyMemberDescrObject *)d)->d_member->type != T_OBJECT_EX
-            || PyUnicode_Compare(PyDescr_NAME(d), NAME[f]) != 0
-            || (type != NULL && PyDescr_TYPE(d) != type)) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_TypeError, "%R is not the slot %s", d, NAMES[f]);
-            return NULL;
-        }
-        type = PyDescr_TYPE(d);
-        offs[f] = ((PyMemberDescrObject *)d)->d_member->offset;
-    }
-    return type;
-}
-
 static PyObject *
 k_bind(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t offs[NF];
-    PyTypeObject *record;
-    if (check_args("bind", nargs, 4) < 0 || (record = slot_offsets(args[0], offs)) == NULL)
+    if (check_args("bind", nargs, 3) < 0)
         return NULL;
-    if (!PyType_Check(args[1]) || !PyType_IsSubtype((PyTypeObject *)args[1], &PyTuple_Type)) {
+    if (!PyType_Check(args[0]) || !PyType_IsSubtype((PyTypeObject *)args[0], &PyTuple_Type)) {
         PyErr_SetString(PyExc_TypeError, "an Event is a tuple type");
         return NULL;
     }
-    Py_INCREF(record);
-    Py_XSETREF(Record, record);
-    memcpy(rec_off, offs, sizeof(offs));
-    Py_INCREF(args[1]);
-    Py_XSETREF(EventType, (PyTypeObject *)args[1]);
-    Py_INCREF(args[2]);
-    Py_XSETREF(InvariantError, args[2]);
-    Py_INCREF(args[3]);
-    Py_XSETREF(action_fn, args[3]);
+    Py_XSETREF(EventType, (PyTypeObject *)Py_NewRef(args[0]));
+    Py_XSETREF(InvariantError, Py_NewRef(args[1]));
+    Py_XSETREF(action_fn, Py_NewRef(args[2]));
     Py_RETURN_NONE;
 }
 
@@ -2333,12 +2310,9 @@ static PyMethodDef methods[] = {
      "format_event(ev)\n--\n\nThe event-log line of one event, without a newline."},
     {"format_events", (PyCFunction)k_format_events, METH_O,
      "format_events(events)\n--\n\nThe event-log lines of a batch, each ending in a newline."},
-    FAST(bind, "bind(record_slots, Event, InvariantError, _action)\n--\n\n"
-               "Hand the kernel the Python classes it works with: the slots of\n"
-               "``AgentRecord`` (``id``, ``mode``, ``s1``, ``s2``, ``pos``, ``energy``,\n"
-               "``t_m``, ``settle_step``) as member descriptors, through which it\n"
-               "reads and writes records, ``Event``, ``InvariantError`` and\n"
-               "``rules._action``."),
+    FAST(bind, "bind(Event, InvariantError, _action)\n--\n\n"
+               "Hand the kernel the Python classes it works with: ``Event``,\n"
+               "``InvariantError`` and ``rules._action``."),
     {NULL, NULL, 0, NULL},
 };
 
@@ -2389,7 +2363,8 @@ PyInit__kernel(void)
         || PyModule_AddIntConstant(m, "A_SETTLE_AT", A_SETTLE_AT) < 0
         || PyModule_AddIntConstant(m, "A_SHUTDOWN", A_SHUTDOWN) < 0
         || PyModule_AddIntConstant(m, "ID_BITS", ID_BITS) < 0
-        || PyModule_AddType(m, &StreamType) < 0 || PyModule_AddType(m, &WorldType) < 0)
+        || PyModule_AddType(m, &StreamType) < 0 || PyModule_AddType(m, &WorldType) < 0
+        || PyModule_AddType(m, &RecordType) < 0)
         goto error;
     return m;
 error:

@@ -135,19 +135,10 @@ class SimParams:
             raise ParamError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
-@dataclass(slots=True)
-class AgentRecord:
-    """Mutable per-agent state tracked by the engine."""
-
-    id: int
-    mode: int
-    s1: int
-    s2: int
-    pos: int  # linear cell index
-    energy: float
-    t_m: int = 0  # movement ticks, the entry's included
-    settle_step: int = -1  # step during which the agent settled
-
-
-# Sensing is compiled: see ``_kernel.c`` for its definition.
+# The per-agent record and sensing are compiled: see ``_kernel.c`` for
+# their definitions.  ``AgentRecord(id, mode, s1, s2, pos, energy, t_m=0,
+# settle_step=-1)``: ``pos`` is a linear cell index, ``t_m`` counts the
+# movement ticks, the entry's included, and ``settle_step`` is the step
+# during which the agent settled.
+AgentRecord = kernel.AgentRecord
 sense = kernel.sense

@@ -25,10 +25,10 @@ counting alone.  ``draw``, the module's ``sense`` and the run's decide
 callables are passed on every step: a wake runs compiled when ``sense``
 and its mode's rule are both the kernel's own, and otherwise calls both
 through Python, each once, with the world as ``sense``'s first argument.
-The kernel accepts the types defined here and in ``agents`` and
-``rules`` and no others; it reads the energy parameters as doubles, and
-every energy the engine stores is a float, whatever the type of ``e0``
-and ``alpha``.
+The kernel accepts its own ``AgentRecord``, the types defined here and
+in ``rules``, and no others; it reads the energy parameters as doubles,
+and a record holds its energy as a double, whatever the type of ``e0``
+and ``alpha``: a movement tick or a settle is a plain C store.
 
 Who wakes is one set of agent ids, ``awake``.  An agent joins it when
 it enters, when a ground change in its neighborhood marks it, and when
@@ -119,12 +119,7 @@ class Event(NamedTuple):
         return kernel.format_event(self)
 
 
-# The kernel reads and writes records through these slots.
-kernel.bind(
-    (AgentRecord.id, AgentRecord.mode, AgentRecord.s1, AgentRecord.s2, AgentRecord.pos,
-     AgentRecord.energy, AgentRecord.t_m, AgentRecord.settle_step),
-    Event, InvariantError, _action,
-)
+kernel.bind(Event, InvariantError, _action)
 
 
 @dataclass

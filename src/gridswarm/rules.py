@@ -30,8 +30,9 @@ past it.  A mobile whose own counter is ``d_max`` or more stays instead
 of settling at an empty neighbor: this closes the same-step race in
 which a mobile steps onto a horizon beacon before that beacon's first
 wake reports it low.  ``sltt-ea`` carries no counter and has no
-horizon.  The rules read ``d_max`` through the ``SimParams.d_max``
-property, at most once per call (once per step in the wake loop).
+horizon.  ``d_max`` is read through the ``SimParams.d_max`` property:
+once per call by a rule called from Python, and once per run by the
+compiled wake loop, when the world is built.
 """
 from __future__ import annotations
 

@@ -1,8 +1,9 @@
 """Building and loading the compiled kernel: the cache key, a cached
-import that runs no compiler, a failing build, warnings, and no
-reference leaks over many runs."""
+import that runs no compiler, a failing build, warnings, no reference
+leaks over many runs, and a clean run under the sanitizers."""
 import gc
 import os
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -116,3 +117,47 @@ def test_runs_leak_no_memory():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024
+
+
+# The files a sanitized kernel runs: every wake path, the reference
+# oracle, the golden runs and ``square:21``, whose cells lie past the
+# small ints.
+SANITIZED = ("test_kernel.py", "test_golden.py", "test_engine.py")
+
+
+def test_kernel_runs_clean_under_address_and_undefined_behavior_sanitizers(tmp_path):
+    """The kernel, golden and engine tests pass on a copy of the package
+    whose kernel is built with the address and undefined-behavior
+    sanitizers, and the sanitizers report nothing.  The sanitized library
+    sits where ``_build.load`` looks for the copy's source, so the copy
+    imports it without a build.  pytest's capture would hide a report, so
+    the sanitizers write to files, and the test fails with their
+    contents."""
+    cc = _build.compiler()
+    asan = subprocess.run([*cc, "-print-file-name=libasan.so.8"], capture_output=True,
+                          text=True).stdout.strip()
+    if not os.path.isabs(asan):
+        pytest.skip(f"{cc[0]} has no libasan.so.8")
+    package = tmp_path / "gridswarm"
+    shutil.copytree(SRC / "gridswarm", package, ignore=shutil.ignore_patterns("__pycache__"))
+    source = package / "_kernel.c"
+    target = _build.cache_path(source.read_bytes(), package / "__pycache__")
+    target.parent.mkdir()
+    # -O1 -g keeps the reports' stacks readable; -ffp-contract=off keeps every digest.
+    build = subprocess.run(
+        [*cc, "-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off", "-fPIC", "-shared",
+         "-fsanitize=address,undefined", "-I", sysconfig.get_paths()["include"], str(source),
+         "-o", str(target)], capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    log = tmp_path / "sanitizer"
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "LD_PRELOAD": asan,
+           "PYTHONMALLOC": "malloc", "ASAN_OPTIONS": f"detect_leaks=0:log_path={log}",
+           "UBSAN_OPTIONS": f"halt_on_error=1:print_stacktrace=1:log_path={log}"}
+    tests = [str(Path(__file__).parent / name) for name in SANITIZED]
+    script = ("import sys, pytest, gridswarm._build as b\n"
+              f"assert b.kernel.__file__ == {str(target)!r}, b.kernel.__file__\n"
+              f"sys.exit(pytest.main(['-q', '-x', '-p', 'no:cacheprovider', *{tests!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    reports = "".join(path.read_text() for path in sorted(tmp_path.glob("sanitizer.*")))
+    assert proc.returncode == 0 and not reports, reports or proc.stdout[-4000:] + proc.stderr
