@@ -4,9 +4,9 @@
    keys, the wake order, moves, settling, shutdown and the settled
    wakes), the entry attempt, the settled-energy events and the close of
    the step.  With it come sensing, the six decide rules, the marking of
-   settled agents whose ground neighborhood changed, the building of
-   every logged ``Event``, the event-log line formatter, and the run's
-   random stream: PCG64 seeded as NumPy's ``SeedSequence`` seeds it, so
+   settled agents whose ground neighborhood changed, the event log (one
+   line writer, the streamed lines and every logged ``Event``), and the
+   run's random stream: PCG64 seeded as NumPy's ``SeedSequence`` seeds it, so
    it draws the same floats as NumPy's ``default_rng(seed).random()``.
 
    A run's state is a ``world``, built once per run by
@@ -25,7 +25,7 @@
    step ``t``: the wakes, the entry attempt every ``dt`` steps, the
    settled-energy events due by ``t`` (threshold crossings and failures)
    and the close (the step's ``ac_series`` entry, the hand-off of its
-   events to ``on_events``, and termination read off the entry cell); it
+   lines to ``on_events``, and termination read off the entry cell); it
    returns the termination the entry cell reads, or ``None``.  A step
    keeps its seams and its wake order in the world, so a seam that
    steps the same world again raises ``RuntimeError``.
@@ -68,6 +68,14 @@
    ``s1`` into a long.  After that every wake runs the same code.
    ``draw`` is called through Python too unless it is this module's own
    stream.
+
+   A run logs its events in one of two ways.  With ``log_events=True``
+   each is an ``Event`` tuple appended to ``events`` and left untracked
+   by the cyclic collector.  A run that streams to ``on_events`` builds
+   no ``Event``: each line is written straight from the record's C
+   fields into the world's text buffer, and the close hands the step's
+   lines to ``on_events`` as one ``bytes``.  Both logs, and
+   ``Event.format``, print through one line writer, so their bytes agree.
 
    ``_build.py`` compiles it on first import.  ``engine.py`` hands it
    the Python classes it needs through ``bind``. */
@@ -927,6 +935,168 @@ done:
     return r;
 }
 
+/* -- the event-log line writer ------------------------------------------- */
+
+typedef struct {
+    char *buf;
+    Py_ssize_t len, cap;
+} sbuf;
+
+/* Make room for ``n`` more bytes.  A buffer starts at 256 bytes and
+   doubles, so a run's text buffer grows to its longest step. */
+static int
+sb_reserve(sbuf *b, Py_ssize_t n)
+{
+    Py_ssize_t cap = b->cap ? b->cap : 256;
+    char *buf;
+    if (b->len + n <= b->cap)
+        return 0;
+    while (cap < b->len + n)
+        cap *= 2;
+    if ((buf = PyMem_Realloc(b->buf, (size_t)cap)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    b->buf = buf;
+    b->cap = cap;
+    return 0;
+}
+
+/* Write the decimal digits of ``v`` at ``p``; returns the end. */
+static char *
+put_ll(char *p, long long v)
+{
+    char tmp[24], *q = tmp + sizeof(tmp);
+    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+    do
+        *--q = (char)('0' + u % 10);
+    while (u /= 10);
+    if (v < 0)
+        *--q = '-';
+    memcpy(p, q, (size_t)(tmp + sizeof(tmp) - q));
+    return p + (tmp + sizeof(tmp) - q);
+}
+
+/* Append the event-log line ``t,agent,action,from,to,s1,s2,E`` and its
+   newline: a cell below 0 prints as ``-``, ``s1`` by name and ``E`` as
+   ``f"{E:g}"``.  An integral ``E`` below 1e6 prints as the integer (with
+   the sign of a zero); anything else goes through
+   ``PyOS_double_to_string``, which is what ``format`` calls.  The
+   streamed log and ``Event.format`` both print here.  On an error the
+   buffer is left as it was. */
+static int
+put_line(sbuf *b, long long t, long long id, const char *action, Py_ssize_t alen,
+         long long src, long long dst, long long s1, long long s2, double e)
+{
+    const long long cells[2] = {src, dst};
+    Py_ssize_t start = b->len, glen;
+    char *p, *g;
+    int i;
+    if (s1 < 0 || s1 >= 4) {
+        PyErr_Format(PyExc_ValueError, "an event's s1 is 0 to 3, not %lld", s1);
+        return -1;
+    }
+    if (sb_reserve(b, 5 * 24 + alen + 16 + 32) < 0)
+        return -1;
+    p = b->buf + b->len;
+    p = put_ll(p, t);
+    *p++ = ',';
+    p = put_ll(p, id);
+    *p++ = ',';
+    memcpy(p, action, (size_t)alen);
+    p += alen;
+    for (i = 0; i < 2; i++) {
+        *p++ = ',';
+        if (cells[i] < 0)
+            *p++ = '-';
+        else
+            p = put_ll(p, cells[i]);
+    }
+    *p++ = ',';
+    memcpy(p, S1_TEXT[s1], strlen(S1_TEXT[s1]));
+    p += strlen(S1_TEXT[s1]);
+    *p++ = ',';
+    p = put_ll(p, s2);
+    *p++ = ',';
+    if (e == floor(e) && fabs(e) < 1e6) {
+        if (e == 0.0 && signbit(e))
+            *p++ = '-';
+        p = put_ll(p, (long long)e);
+        *p++ = '\n';
+        b->len = p - b->buf;
+        return 0;
+    }
+    b->len = p - b->buf;
+    g = PyOS_double_to_string(e, 'g', 6, 0, NULL);
+    glen = g == NULL ? 0 : (Py_ssize_t)strlen(g);
+    if (g == NULL || sb_reserve(b, glen + 1) < 0) {
+        PyMem_Free(g);
+        b->len = start;
+        return -1;
+    }
+    memcpy(b->buf + b->len, g, (size_t)glen);
+    b->len += glen;
+    b->buf[b->len++] = '\n';
+    PyMem_Free(g);
+    return 0;
+}
+
+/* Append the line of the ``Event`` tuple ``ev``. */
+static int
+format_line(sbuf *b, PyObject *ev)
+{
+    static const int ints[6] = {0, 1, 3, 4, 5, 6};
+    long long v[8];
+    PyObject *const *f;
+    const char *action;
+    Py_ssize_t alen;
+    double e;
+    int i;
+    if (!PyTuple_Check(ev) || PyTuple_GET_SIZE(ev) != 8) {
+        PyErr_Format(PyExc_TypeError, "an event is a tuple of 8 fields, not %R", ev);
+        return -1;
+    }
+    f = &PyTuple_GET_ITEM(ev, 0);
+    for (i = 0; i < 6; i++) {
+        if (!PyLong_CheckExact(f[ints[i]])) {
+            PyErr_Format(PyExc_TypeError, "event field %d must be an int, not %.100s", ints[i],
+                         Py_TYPE(f[ints[i]])->tp_name);
+            return -1;
+        }
+        if ((v[ints[i]] = PyLong_AsLongLong(f[ints[i]])) == -1 && PyErr_Occurred())
+            return -1;
+    }
+    if (PyFloat_CheckExact(f[7]))
+        e = PyFloat_AS_DOUBLE(f[7]);
+    else if (PyLong_CheckExact(f[7])) {  /* int.__format__ with 'g' formats float(E) */
+        if ((e = PyLong_AsDouble(f[7])) == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    else {
+        PyErr_Format(PyExc_TypeError, "an event's energy must be an int or a float, not %.100s",
+                     Py_TYPE(f[7])->tp_name);
+        return -1;
+    }
+    if (!PyUnicode_CheckExact(f[2])) {
+        PyErr_Format(PyExc_TypeError, "an event's action must be a str, not %.100s",
+                     Py_TYPE(f[2])->tp_name);
+        return -1;
+    }
+    if ((action = PyUnicode_AsUTF8AndSize(f[2], &alen)) == NULL)
+        return -1;
+    return put_line(b, v[0], v[1], action, alen, v[3], v[4], v[5], v[6], e);
+}
+
+/* ``Event.format``: the line of one event, without its newline. */
+static PyObject *
+k_format_event(PyObject *Py_UNUSED(m), PyObject *ev)
+{
+    sbuf b = {NULL, 0, 0};
+    PyObject *r = format_line(&b, ev) == 0 ? PyUnicode_DecodeUTF8(b.buf, b.len - 1, NULL) : NULL;
+    PyMem_Free(b.buf);
+    return r;
+}
+
 /* -- the world of one run ------------------------------------------------ */
 
 /* A settled-energy event: at the end of step ``step``, agent ``id``
@@ -940,8 +1110,9 @@ typedef struct {
     PyObject_HEAD
     /* The run's own objects, shared with its Simulation. */
     PyObject *region, *p, *agents, *ground, *air, *awake, *ac_series;
-    PyObject *batch;      /* where events go as they happen; NULL logs nothing */
-    PyObject *on_events;  /* takes each step's batch, or NULL */
+    PyObject *events;     /* the ``Event``s of ``log_events=True``, or NULL */
+    PyObject *on_events;  /* takes each step's lines as one bytes, or NULL */
+    sbuf text;            /* the lines of the step, for ``on_events`` */
     PyObject *approach;   /* ``p.approach``, handed to a settled seam */
     PyObject *nbt;        /* ``region.neighbors``: the int objects of the cells */
     PyObject *entry_int, *settled_int;
@@ -1007,15 +1178,23 @@ neighbor_int(world_t *w, long cell, long dir)
 
 /* -- events and the ledger --------------------------------------------- */
 
-/* Log ``Event(t, a.id, action, src, dst, a.s1, a.s2, a.energy)``, if the
-   run logs events. */
+/* Log the event ``(t, a.id, action, src, dst, a.s1, a.s2, a.energy)``, if
+   the run logs events: as its line, written straight into the step's
+   text, for ``on_events``, or as an ``Event`` appended to ``events``. */
 static int
 log_event(world_t *w, const rec_t *a, int action, PyObject *src, PyObject *dst)
 {
     PyObject *const shared[5] = {w->t_int, a->id, STR[action], src, dst};
     PyObject *ev;
+    long id, s, d;
     int i, r;
-    if (w->batch == NULL)
+    if (w->on_events != NULL) {
+        if (long_of(a->id, &id) < 0 || long_of(src, &s) < 0 || long_of(dst, &d) < 0)
+            return -1;
+        return put_line(&w->text, w->t, id, STR_TEXT[action],
+                        (Py_ssize_t)strlen(STR_TEXT[action]), s, d, a->s1, a->s2, a->energy);
+    }
+    if (w->events == NULL)
         return 0;
     if ((ev = EventType->tp_alloc(EventType, 8)) == NULL)
         return -1;
@@ -1028,7 +1207,7 @@ log_event(world_t *w, const rec_t *a, int action, PyObject *src, PyObject *dst)
     PyTuple_SET_ITEM(ev, 6, PyLong_FromLong(a->s2));
     PyTuple_SET_ITEM(ev, 7, PyFloat_FromDouble(a->energy));
     r = PyTuple_GET_ITEM(ev, 5) && PyTuple_GET_ITEM(ev, 6) && PyTuple_GET_ITEM(ev, 7)
-        ? PyList_Append(w->batch, ev) : -1;
+        ? PyList_Append(w->events, ev) : -1;
     Py_DECREF(ev);
     return r;
 }
@@ -1609,23 +1788,26 @@ charge(world_t *w)
     return 0;
 }
 
-/* Record the step's series, hand the step's events to ``on_events`` and
-   read termination off the entry cell; a new reference to it, or to
-   ``None`` while the entry cell terminates nothing. */
+/* Record the step's series, hand the step's lines to ``on_events`` as one
+   ``bytes`` and read termination off the entry cell; a new reference to
+   it, or to ``None`` while the entry cell terminates nothing. */
 static PyObject *
 close_step(world_t *w)
 {
-    PyObject *g, *r = Py_None, *batch, *ret;
+    PyObject *g, *r = Py_None, *lines, *ret;
     rec_t *a;
     if (PyList_Append(w->ac_series, w->settled_int) < 0)
         return NULL;
-    if (w->on_events != NULL && PyList_GET_SIZE(w->batch)) {
-        if ((ret = PyObject_CallOneArg(w->on_events, w->batch)) == NULL)
+    if (w->text.len) {
+        lines = PyBytes_FromStringAndSize(w->text.buf, w->text.len);
+        w->text.len = 0;
+        if (lines == NULL)
+            return NULL;
+        ret = PyObject_CallOneArg(w->on_events, lines);
+        Py_DECREF(lines);
+        if (ret == NULL)
             return NULL;
         Py_DECREF(ret);
-        if ((batch = PyList_New(0)) == NULL)
-            return NULL;
-        Py_SETREF(w->batch, batch);
     }
     if ((g = list_item(w->ground, w->entry)) == NULL)
         return NULL;
@@ -1690,7 +1872,7 @@ world_traverse(world_t *w, visitproc visit, void *arg)
     Py_VISIT(w->air);
     Py_VISIT(w->awake);
     Py_VISIT(w->ac_series);
-    Py_VISIT(w->batch);
+    Py_VISIT(w->events);
     Py_VISIT(w->on_events);
     Py_VISIT(w->approach);
     Py_VISIT(w->nbt);
@@ -1709,7 +1891,7 @@ world_clear(world_t *w)
     Py_CLEAR(w->air);
     Py_CLEAR(w->awake);
     Py_CLEAR(w->ac_series);
-    Py_CLEAR(w->batch);
+    Py_CLEAR(w->events);
     Py_CLEAR(w->on_events);
     Py_CLEAR(w->approach);
     Py_CLEAR(w->nbt);
@@ -1728,6 +1910,7 @@ world_dealloc(world_t *w)
     PyMem_Free(w->heap);
     PyMem_Free(w->keys);
     PyMem_Free(w->keyed);
+    PyMem_Free(w->text.buf);
     Py_TYPE(w)->tp_free((PyObject *)w);
 }
 
@@ -1837,18 +2020,13 @@ world_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         Py_INCREF(o[i]);
     w->region = o[0], w->p = o[1], w->agents = o[2], w->ground = o[3], w->air = o[4];
     w->awake = o[5], w->ac_series = o[6];
-    if (o[7] != Py_None) {
-        Py_INCREF(o[7]);
-        w->batch = o[7];
-    }
-    else if (o[8] != Py_None) {
-        Py_INCREF(o[8]);
-        w->on_events = o[8];
-        w->batch = PyList_New(0);
-    }
+    if (o[7] != Py_None)
+        w->events = Py_NewRef(o[7]);
+    else if (o[8] != Py_None)
+        w->on_events = Py_NewRef(o[8]);
     Py_INCREF(ZERO);
     w->settled_int = ZERO;
-    if ((w->on_events != NULL && w->batch == NULL) || read_region(w) < 0 || read_params(w) < 0)
+    if (read_region(w) < 0 || read_params(w) < 0)
         Py_CLEAR(w);
     return (PyObject *)w;
 }
@@ -1895,9 +2073,9 @@ static PyTypeObject WorldType = {
               "The state of one run that ``step`` advances.  ``agents``, ``ground``,\n"
               "``air``, ``awake`` and ``ac_series`` are the run's own objects, which\n"
               "the world refers to, not copies.  Events go to the list ``events``,\n"
-              "or in one list per step to ``on_events``, or nowhere when both are\n"
-              "``None``.  ``region``, ``agents``, ``ground``, ``air`` and the step\n"
-              "``t`` are readable, so ``sense`` takes a world.",
+              "or as their lines, in one ``bytes`` per step, to ``on_events``, or\n"
+              "nowhere when both are ``None``.  ``region``, ``agents``, ``ground``,\n"
+              "``air`` and the step ``t`` are readable, so ``sense`` takes a world.",
     .tp_new = world_new,
     .tp_dealloc = (destructor)world_dealloc,
     .tp_traverse = (traverseproc)world_traverse,
@@ -1906,175 +2084,6 @@ static PyTypeObject WorldType = {
     .tp_members = world_members,
 };
 
-/* -- the event-log formatter --------------------------------------------- */
-
-typedef struct {
-    char *buf;
-    Py_ssize_t len, cap;
-} sbuf;
-
-/* Make room for ``n`` more bytes. */
-static int
-sb_reserve(sbuf *b, Py_ssize_t n)
-{
-    Py_ssize_t cap = b->cap ? b->cap : 4096;
-    char *buf;
-    if (b->len + n <= b->cap)
-        return 0;
-    while (cap < b->len + n)
-        cap *= 2;
-    if ((buf = PyMem_Realloc(b->buf, (size_t)cap)) == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    b->buf = buf;
-    b->cap = cap;
-    return 0;
-}
-
-static int
-sb_put(sbuf *b, const char *s, Py_ssize_t n)
-{
-    if (sb_reserve(b, n) < 0)
-        return -1;
-    memcpy(b->buf + b->len, s, (size_t)n);
-    b->len += n;
-    return 0;
-}
-
-/* Write the decimal digits of ``v`` at ``p``; returns the end. */
-static char *
-put_ll(char *p, long long v)
-{
-    char tmp[24], *q = tmp + sizeof(tmp);
-    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
-    do
-        *--q = (char)('0' + u % 10);
-    while (u /= 10);
-    if (v < 0)
-        *--q = '-';
-    memcpy(p, q, (size_t)(tmp + sizeof(tmp) - q));
-    return p + (tmp + sizeof(tmp) - q);
-}
-
-/* One event-log line, ``t,agent,action,from,to,s1,s2,E``, no newline: a
-   cell of ``-1`` prints as ``-``, ``s1`` by name and ``E`` as
-   ``f"{E:g}"``.  An integral ``E`` below 1e6 prints as the integer (with
-   the sign of a zero); anything else goes through
-   ``PyOS_double_to_string``, which is what ``format`` calls. */
-static int
-format_line(sbuf *b, PyObject *ev)
-{
-    static const int ints[6] = {0, 1, 3, 4, 5, 6};
-    long long v[8];
-    PyObject *const *f;
-    const char *action;
-    Py_ssize_t alen;
-    double e;
-    char *p, *g;
-    int i;
-    if (!PyTuple_Check(ev) || PyTuple_GET_SIZE(ev) != 8) {
-        PyErr_Format(PyExc_TypeError, "an event is a tuple of 8 fields, not %R", ev);
-        return -1;
-    }
-    f = &PyTuple_GET_ITEM(ev, 0);
-    for (i = 0; i < 6; i++) {
-        if (!PyLong_CheckExact(f[ints[i]])) {
-            PyErr_Format(PyExc_TypeError, "event field %d must be an int, not %.100s", ints[i],
-                         Py_TYPE(f[ints[i]])->tp_name);
-            return -1;
-        }
-        if ((v[ints[i]] = PyLong_AsLongLong(f[ints[i]])) == -1 && PyErr_Occurred())
-            return -1;
-    }
-    if (v[5] < 0 || v[5] >= 4) {
-        PyErr_Format(PyExc_ValueError, "an event's s1 is 0 to 3, not %lld", v[5]);
-        return -1;
-    }
-    if (PyFloat_CheckExact(f[7]))
-        e = PyFloat_AS_DOUBLE(f[7]);
-    else if (PyLong_CheckExact(f[7])) {  /* int.__format__ with 'g' formats float(E) */
-        if ((e = PyLong_AsDouble(f[7])) == -1.0 && PyErr_Occurred())
-            return -1;
-    }
-    else {
-        PyErr_Format(PyExc_TypeError, "an event's energy must be an int or a float, not %.100s",
-                     Py_TYPE(f[7])->tp_name);
-        return -1;
-    }
-    if (!PyUnicode_CheckExact(f[2])) {
-        PyErr_Format(PyExc_TypeError, "an event's action must be a str, not %.100s",
-                     Py_TYPE(f[2])->tp_name);
-        return -1;
-    }
-    if ((action = PyUnicode_AsUTF8AndSize(f[2], &alen)) == NULL
-        || sb_reserve(b, 5 * 24 + alen + 16 + 32) < 0)
-        return -1;
-    p = b->buf + b->len;
-    p = put_ll(p, v[0]);
-    *p++ = ',';
-    p = put_ll(p, v[1]);
-    *p++ = ',';
-    memcpy(p, action, (size_t)alen);
-    p += alen;
-    for (i = 3; i < 5; i++) {
-        *p++ = ',';
-        if (v[i] < 0)
-            *p++ = '-';
-        else
-            p = put_ll(p, v[i]);
-    }
-    *p++ = ',';
-    memcpy(p, S1_TEXT[v[5]], strlen(S1_TEXT[v[5]]));
-    p += strlen(S1_TEXT[v[5]]);
-    *p++ = ',';
-    p = put_ll(p, v[6]);
-    *p++ = ',';
-    if (e == floor(e) && fabs(e) < 1e6) {
-        if (e == 0.0 && signbit(e))
-            *p++ = '-';
-        p = put_ll(p, (long long)e);
-        b->len = p - b->buf;
-        return 0;
-    }
-    b->len = p - b->buf;
-    if ((g = PyOS_double_to_string(e, 'g', 6, 0, NULL)) == NULL)
-        return -1;
-    i = sb_put(b, g, (Py_ssize_t)strlen(g));
-    PyMem_Free(g);
-    return i;
-}
-
-static PyObject *
-sb_finish(sbuf *b, int ok)
-{
-    PyObject *r = ok ? PyUnicode_DecodeUTF8(b->buf ? b->buf : "", b->len, NULL) : NULL;
-    PyMem_Free(b->buf);
-    return r;
-}
-
-static PyObject *
-k_format_event(PyObject *Py_UNUSED(m), PyObject *ev)
-{
-    sbuf b = {NULL, 0, 0};
-    return sb_finish(&b, format_line(&b, ev) == 0);
-}
-
-static PyObject *
-k_format_events(PyObject *Py_UNUSED(m), PyObject *events)
-{
-    sbuf b = {NULL, 0, 0};
-    PyObject *fast;
-    Py_ssize_t i, n;
-    int ok = 1;
-    if ((fast = PySequence_Fast(events, "events must be a sequence")) == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(fast);
-    for (i = 0; ok && i < n; i++)
-        ok = format_line(&b, PySequence_Fast_GET_ITEM(fast, i)) == 0 && sb_put(&b, "\n", 1) == 0;
-    Py_DECREF(fast);
-    return sb_finish(&b, ok);
-}
 /* -- the random stream --------------------------------------------------- */
 
 /* ``uniform_stream(seed)`` is called with no arguments for each draw and
@@ -2308,8 +2317,6 @@ static PyMethodDef methods[] = {
                "settled-energy events and the close; the termination, or ``None``."),
     {"format_event", (PyCFunction)k_format_event, METH_O,
      "format_event(ev)\n--\n\nThe event-log line of one event, without a newline."},
-    {"format_events", (PyCFunction)k_format_events, METH_O,
-     "format_events(events)\n--\n\nThe event-log lines of a batch, each ending in a newline."},
     FAST(bind, "bind(Event, InvariantError, _action)\n--\n\n"
                "Hand the kernel the Python classes it works with: ``Event``,\n"
                "``InvariantError`` and ``rules._action``."),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bounds as bnd
 from .agents import ParamError, SimParams
-from .engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP, Event, format_events, run
+from .engine import TERM_CLOSED, TERM_LOW_ENERGY, TERM_STEP_CAP, run
 from .grid import Region, RegionError, line_region, parse_region, square_region
 
 CSV_COLUMNS = [
@@ -145,13 +145,13 @@ def _row_writer(out: str | None) -> Iterator[csv.DictWriter]:
 
 
 @contextmanager
-def _event_sink(path: str) -> Iterator[Callable[[list[Event]], object]]:
+def _event_sink(path: str) -> Iterator[Callable[[bytes], object]]:
     """Yield an ``on_events`` sink that streams the event log to
-    ``path``: each step's events are formatted in one call and written
-    at once, so memory stays bounded."""
-    with Path(path).open("w") as fh:
-        fh.write(EVENT_HEADER + "\n")
-        yield lambda batch: fh.write(format_events(batch))
+    ``path``: each step's lines arrive as one ``bytes`` from the kernel
+    and are written as they are, so memory stays bounded."""
+    with Path(path).open("wb") as fh:
+        fh.write(f"{EVENT_HEADER}\n".encode())
+        yield fh.write
 
 
 def _point_params(cfg: dict, vary: dict[str, list], seeds: int) -> list[SimParams]:
@@ -172,7 +172,7 @@ def _point_params(cfg: dict, vary: dict[str, list], seeds: int) -> list[SimParam
 
 def _run_rows(
     cfg: dict, region: Region, runs: list[SimParams], writer: csv.DictWriter,
-    on_events: Callable[[list[Event]], object] | None = None,
+    on_events: Callable[[bytes], object] | None = None,
 ) -> list[dict]:
     """Run each parameter set and write its row as the run finishes."""
     rows = []

@@ -65,11 +65,14 @@ neighborhood changes during the step, and whose key lies after the
 cursor, is inserted in order.  Keys are unique, so this is the order a
 heap would pop.
 
-Events are collected per step: in ``events`` for ``log_events=True``,
-or in a batch handed to ``on_events`` when the step closes (the CLI
-formats each batch in one call and writes it to the log file).  The
-kernel builds every ``Event`` and leaves it untracked by the cyclic
-collector.
+Events are logged in one of two ways.  ``log_events=True`` collects
+them as ``Event`` tuples in ``events``, which the kernel leaves
+untracked by the cyclic collector.  ``on_events`` instead receives each
+step's lines as one ``bytes`` when the step closes: the kernel writes
+each line straight from the agent's record, building no ``Event``, and
+the CLI writes the bytes to the log file as they come.  ``Event.format``
+prints through the same line writer, so the two logs agree byte for
+byte.
 
 All randomness comes from one stream of uniform floats in [0, 1),
 ``kernel.uniform_stream(seed)``: PCG64 seeded as NumPy's
@@ -92,9 +95,6 @@ TERM_CLOSED = "closed"
 TERM_LOW_ENERGY = "low_energy"
 TERM_STEP_CAP = "step_cap"
 
-# The event-log lines of a batch of events, each ending in a newline.
-format_events = kernel.format_events
-
 
 class InvariantError(AssertionError):
     """A run violated a structural invariant; always a bug."""
@@ -115,7 +115,7 @@ class Event(NamedTuple):
     def format(self) -> str:
         """The line ``t,agent,action,from,to,s1,s2,E``: a cell of ``-1``
         prints as ``-``, ``s1`` by name and ``E`` as ``f"{energy:g}"``.
-        The kernel's formatter, the one ``format_events`` uses."""
+        The kernel's line writer, the one the streamed log uses."""
         return kernel.format_event(self)
 
 
@@ -151,7 +151,8 @@ class Simulation:
     """Mutable world state for one run.
 
     ``log_events=True`` collects the events in ``events``; ``on_events``
-    instead receives each step's events as one list when the step closes.
+    instead receives each step's event-log lines, each ending in a newline,
+    as one ``bytes`` when the step closes.
     """
 
     def __init__(
@@ -159,7 +160,7 @@ class Simulation:
         region: Region,
         params: SimParams,
         log_events: bool = False,
-        on_events: Callable[[list[Event]], object] | None = None,
+        on_events: Callable[[bytes], object] | None = None,
     ):
         params.validate()
         if log_events and on_events is not None:
@@ -234,12 +235,13 @@ def run(
     region: Region,
     params: SimParams,
     log_events: bool = False,
-    on_events: Callable[[list[Event]], object] | None = None,
+    on_events: Callable[[bytes], object] | None = None,
 ) -> RunResult:
     """Simulate one run to termination (or the step cap).
 
     ``log_events=True`` returns the event log in ``result.events``;
-    ``on_events`` instead receives each step's events as one list when
-    the step closes (a new list each time).
+    ``on_events`` instead receives each step's event-log lines, each
+    ending in a newline, as one ``bytes`` when the step closes; it is
+    called once per step that logged anything, in step order.
     """
     return Simulation(region, params, log_events=log_events, on_events=on_events).run()

@@ -94,8 +94,9 @@ def test_source_compiles_without_warnings(tmp_path):
 
 
 def test_runs_leak_no_memory():
-    """50 more runs per algorithm, with the event log, grow the traced
-    heap by less than 64 KB: the kernel drops every reference it takes."""
+    """50 more runs per algorithm, each once with the event log and once
+    streaming it, grow the traced heap by less than 64 KB: the kernel
+    drops every reference it takes and frees the world's text buffer."""
     region = square_region(9)
 
     def runs(seeds):
@@ -105,6 +106,7 @@ def test_runs_leak_no_memory():
                               alpha=0.05 * (seed % 3), seed=seed,
                               scheduler=("random", "adversarial")[seed // 2 % 2])
                 run(region, p, log_events=True).events[0].format()
+                run(region, p, on_events=[].append)
 
     runs(range(10))  # warm the caches
     gc.collect()
