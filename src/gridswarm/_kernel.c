@@ -32,22 +32,21 @@
    ``world.finish(t)`` sets each settled agent's energy as of the end
    of step ``t``.
 
-   It defines ``AgentRecord``, the state of one agent: ``id`` and ``pos``
-   are int objects, the other fields C values, so a movement tick, a
-   settle or a transition is a plain C store.
+   It defines ``AgentRecord``, the state of one agent: C values only, so
+   a movement tick, a settle or a transition is a plain C store.
    The kernel accepts the engine's own types and no others: agents are
    ``AgentRecord``s, checked once as each arrives from Python; the
    occupant layers are lists whose cells hold an ``AgentRecord`` or
-   ``None``; ``awake`` is a set of agent ids; a cell index outside the region
-   raises ``IndexError``; an ``Event`` has int fields, a str action and
-   an int or float energy.  A sensed neighborhood handed to a rule from
-   Python holds in each slot ``SENSE_EMPTY``, ``SENSE_WALL`` or an
-   ``(s1, s2)`` tuple of ints, and a mobile rule called through Python
-   returns an ``Action``, a tuple ``(kind, direction, s2)``.  Anything
-   else raises ``TypeError``.  The energy parameters and every energy
-   are doubles, so every trajectory is the one the Python definitions
-   give, draw for draw.  A move or a settle in a direction
-   outside 1-4 raises ``InvariantError``.
+   ``None``; ``awake`` is a set of the records, each the run's agent of
+   its id; a cell index outside the region raises ``IndexError``; an
+   ``Event`` has int fields, a str action and an int or float energy.
+   A sensed neighborhood handed to a rule from Python holds in each slot
+   ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of ints, and
+   a mobile rule called through Python returns an ``Action``, a tuple
+   ``(kind, direction, s2)``.  Anything else raises ``TypeError``.  The
+   energy parameters and every energy are doubles, so every trajectory
+   is the one the Python definitions give, draw for draw.  A move or a
+   settle in a direction outside 1-4 raises ``InvariantError``.
 
    The wake order of a step is built from ``awake``: a sorted array of
    keys read by a cursor and a mark per agent id, both sized at the
@@ -99,13 +98,13 @@ static const char *const S1_TEXT[] = {"mobile", "beacon", "closed_beacon", "low_
 
 /* Attribute names. */
 enum {
-    N_REGION, N_NEIGHBORS, N_DISTANCES, N_GROUND, N_AIR,
-    N_WIDTH, N_HEIGHT, N_ENTRY, N_E0, N_ALPHA, N_ECRIT_MOBILE, N_ECRIT_SETTLED,
+    N_NEIGHBORS, N_DISTANCES, N_WIDTH, N_HEIGHT, N_ENTRY,
+    N_E0, N_ALPHA, N_ECRIT_MOBILE, N_ECRIT_SETTLED,
     N_APPROACH, N_M, N_DT, N_D_MAX, N_SCHEDULER, N_COUNT
 };
 static const char *const NAMES[N_COUNT] = {
-    "region", "neighbors", "distances", "ground", "air",
-    "width", "height", "entry", "e0", "alpha", "ecrit_mobile", "ecrit_settled",
+    "neighbors", "distances", "width", "height", "entry",
+    "e0", "alpha", "ecrit_mobile", "ecrit_settled",
     "approach", "m", "dt", "d_max", "scheduler",
 };
 static PyObject *NAME[N_COUNT];
@@ -158,13 +157,12 @@ attr_double(PyObject *o, int n, double *out)
 
 /* -- the agent record ---------------------------------------------------- */
 
-/* ``AgentRecord``: the state of one agent.  ``id`` and ``pos`` are int
-   objects, shared with the events and the ``awake`` entries that name
-   them; the rest are C values.  Ints cannot form a cycle, so records
-   stay out of the cyclic collector. */
+/* ``AgentRecord``: the state of one agent, all C values.  It holds no
+   object, so it stays out of the cyclic collector, and it hashes by
+   identity, so ``awake`` holds the records themselves. */
 typedef struct {
     PyObject_HEAD
-    PyObject *id, *pos;  /* ints; ``pos`` is a linear cell index */
+    long id, pos;  /* ``pos`` is a linear cell index */
     long mode, s1, s2;
     double energy;
     long t_m;          /* movement ticks, the entry's included */
@@ -184,8 +182,8 @@ as_record(PyObject *o)
     return NULL;
 }
 
-/* The fields, each of one type, by their offset: an int object, a long
-   or a double.  A setter that fails leaves the field as it was. */
+/* The fields, each of one type, by their offset: a long or a double.  A
+   setter that fails leaves the field as it was. */
 #define FIELD(a, off, type) ((type *)((char *)(a) + (size_t)(off)))
 
 static int
@@ -195,21 +193,6 @@ undeletable(PyObject *v)
         return 0;
     PyErr_SetString(PyExc_TypeError, "an AgentRecord's fields cannot be deleted");
     return -1;
-}
-
-static PyObject *
-get_int(PyObject *a, void *off)
-{
-    return Py_NewRef(*FIELD(a, off, PyObject *));
-}
-
-static int
-set_int(PyObject *a, PyObject *v, void *off)
-{
-    if (undeletable(v) < 0 || (v = PyNumber_Index(v)) == NULL)
-        return -1;
-    Py_XSETREF(*FIELD(a, off, PyObject *), v);
-    return 0;
 }
 
 static PyObject *
@@ -247,11 +230,11 @@ set_double(PyObject *a, PyObject *v, void *off)
 #define REC_FIELD(name, kind, doc) \
     {#name, get_##kind, set_##kind, doc, (void *)offsetof(rec_t, name)}
 static PyGetSetDef rec_fields[] = {
-    REC_FIELD(id, int, "The agent's id, from 1 in order of entry."),
+    REC_FIELD(id, long, "The agent's id, from 1 in order of entry."),
     REC_FIELD(mode, long, "The lifecycle mode, ``MODE_*``."),
     REC_FIELD(s1, long, "The projected sub-state, ``S_*``."),
     REC_FIELD(s2, long, "The payload: a counter or a direction code."),
-    REC_FIELD(pos, int, "The agent's cell, a linear index."),
+    REC_FIELD(pos, long, "The agent's cell, a linear index."),
     REC_FIELD(energy, double, "The energy left."),
     REC_FIELD(t_m, long, "Movement ticks, the entry's included."),
     REC_FIELD(settle_step, long, "The step during which the agent settled, or -1."),
@@ -280,21 +263,13 @@ rec_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)a;
 }
 
-static void
-rec_dealloc(rec_t *a)
-{
-    Py_XDECREF(a->id);
-    Py_XDECREF(a->pos);
-    Py_TYPE(a)->tp_free((PyObject *)a);
-}
-
 static PyObject *
 rec_repr(rec_t *a)
 {
     PyObject *energy = PyFloat_FromDouble(a->energy), *r;
     if (energy == NULL)
         return NULL;
-    r = PyUnicode_FromFormat("AgentRecord(id=%R, mode=%ld, s1=%ld, s2=%ld, pos=%R, energy=%R, "
+    r = PyUnicode_FromFormat("AgentRecord(id=%ld, mode=%ld, s1=%ld, s2=%ld, pos=%ld, energy=%R, "
                              "t_m=%ld, settle_step=%ld)", a->id, a->mode, a->s1, a->s2, a->pos,
                              energy, a->t_m, a->settle_step);
     Py_DECREF(energy);
@@ -307,11 +282,10 @@ static PyTypeObject RecordType = {
     .tp_basicsize = sizeof(rec_t),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "AgentRecord(id, mode, s1, s2, pos, energy, t_m=0, settle_step=-1)\n--\n\n"
-              "Mutable per-agent state tracked by the engine.  ``id`` and ``pos``\n"
-              "are ints, ``energy`` a float and the rest C longs; each field keeps\n"
-              "its type on assignment.",
+              "Mutable per-agent state tracked by the engine.  ``energy`` is a C\n"
+              "double and the rest are C longs; each field keeps its type on\n"
+              "assignment.",
     .tp_new = rec_new,
-    .tp_dealloc = (destructor)rec_dealloc,
     .tp_repr = (reprfunc)rec_repr,
     .tp_getset = rec_fields,
 };
@@ -320,7 +294,7 @@ static PyTypeObject RecordType = {
 static int
 invariant(rec_t *a, const char *what)
 {
-    PyErr_Format(InvariantError, "agent %S %s", a->id, what);
+    PyErr_Format(InvariantError, "agent %ld %s", a->id, what);
     return -1;
 }
 
@@ -856,10 +830,10 @@ sensing_mode(const rec_t *a)
     if (a->mode == MODE_MOBILE || a->mode == MODE_SETTLED)
         return 0;
     if (a->mode >= 0 && a->mode < 4)
-        PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %s", a->id,
+        PyErr_Format(PyExc_ValueError, "agent %ld cannot sense in mode %s", a->id,
                      MODE_TEXT[a->mode]);
     else
-        PyErr_Format(PyExc_ValueError, "agent %S cannot sense in mode %ld", a->id, a->mode);
+        PyErr_Format(PyExc_ValueError, "agent %ld cannot sense in mode %ld", a->id, a->mode);
     return -1;
 }
 
@@ -902,37 +876,6 @@ sensed_tuple(const slot_t *sl)
             PyTuple_SET_ITEM(t, i, v);
     }
     return t;
-}
-
-static PyObject *
-k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *region, *neighbors = NULL, *nb = NULL, *ground = NULL, *air = NULL, *r = NULL;
-    slot_t sl[10];
-    long cells[5];
-    rec_t *a;
-    int i;
-    if (check_args("sense", nargs, 2) < 0 || (a = as_record(args[1])) == NULL
-        || sensing_mode(a) < 0 || long_of(a->pos, &cells[0]) < 0
-        || (region = PyObject_GetAttr(args[0], NAME[N_REGION])) == NULL)
-        return NULL;
-    neighbors = PyObject_GetAttr(region, NAME[N_NEIGHBORS]);
-    Py_DECREF(region);
-    if (neighbors == NULL || (nb = tuple_item(neighbors, cells[0])) == NULL)
-        goto done;
-    for (i = 1; i < 5; i++)
-        if (tuple_long(nb, i - 1, &cells[i]) < 0)
-            goto done;
-    if ((ground = PyObject_GetAttr(args[0], NAME[N_GROUND]))
-        && (a->mode != MODE_MOBILE || (air = PyObject_GetAttr(args[0], NAME[N_AIR])))
-        && gather(cells, ground, air, a->mode, sl) == 0)
-        r = sensed_tuple(sl);
-done:
-    Py_XDECREF(neighbors);
-    Py_XDECREF(nb);
-    Py_XDECREF(ground);
-    Py_XDECREF(air);
-    return r;
 }
 
 /* -- the event-log line writer ------------------------------------------- */
@@ -1114,8 +1057,7 @@ typedef struct {
     PyObject *on_events;  /* takes each step's lines as one bytes, or NULL */
     sbuf text;            /* the lines of the step, for ``on_events`` */
     PyObject *approach;   /* ``p.approach``, handed to a settled seam */
-    PyObject *nbt;        /* ``region.neighbors``: the int objects of the cells */
-    PyObject *entry_int, *settled_int;
+    PyObject *settled_int;  /* the settled count, shared by ``ac_series`` */
     /* The region. */
     Py_ssize_t ncells;
     int (*nb)[4];  /* the N, E, S, W neighbors of each cell, -1 for a wall */
@@ -1144,14 +1086,23 @@ typedef struct {
 
 static PyTypeObject WorldType;
 
+/* ``o`` as a world; ``TypeError`` if it is none. */
+static world_t *
+as_world(PyObject *o)
+{
+    if (Py_IS_TYPE(o, &WorldType))
+        return (world_t *)o;
+    PyErr_Format(PyExc_TypeError, "expected a world, got %.100s", Py_TYPE(o)->tp_name);
+    return NULL;
+}
+
 /* -- cells ------------------------------------------------------------- */
 
 /* The cell of agent ``a``; ``IndexError`` unless it lies in the region. */
 static int
 cell_of(world_t *w, const rec_t *a, long *cell)
 {
-    if (long_of(a->pos, cell) < 0)
-        return -1;
+    *cell = a->pos;
     if (*cell < 0 || *cell >= w->ncells) {
         PyErr_Format(PyExc_IndexError, "cell %ld lies outside the region", *cell);
         return -1;
@@ -1169,31 +1120,20 @@ around(world_t *w, long cell, long *cells)
         cells[i + 1] = w->nb[cell][i];
 }
 
-/* The int object of the neighbor of ``cell`` in direction ``dir``. */
-static PyObject *
-neighbor_int(world_t *w, long cell, long dir)
-{
-    return PyTuple_GET_ITEM(PyTuple_GET_ITEM(w->nbt, cell), dir - 1);
-}
-
 /* -- events and the ledger --------------------------------------------- */
 
 /* Log the event ``(t, a.id, action, src, dst, a.s1, a.s2, a.energy)``, if
    the run logs events: as its line, written straight into the step's
-   text, for ``on_events``, or as an ``Event`` appended to ``events``. */
+   text, for ``on_events``, or as an ``Event`` appended to ``events``.  A
+   cell of ``-1`` prints as ``-``. */
 static int
-log_event(world_t *w, const rec_t *a, int action, PyObject *src, PyObject *dst)
+log_event(world_t *w, const rec_t *a, int action, long src, long dst)
 {
-    PyObject *const shared[5] = {w->t_int, a->id, STR[action], src, dst};
     PyObject *ev;
-    long id, s, d;
-    int i, r;
-    if (w->on_events != NULL) {
-        if (long_of(a->id, &id) < 0 || long_of(src, &s) < 0 || long_of(dst, &d) < 0)
-            return -1;
-        return put_line(&w->text, w->t, id, STR_TEXT[action],
-                        (Py_ssize_t)strlen(STR_TEXT[action]), s, d, a->s1, a->s2, a->energy);
-    }
+    int i, r = 0;
+    if (w->on_events != NULL)
+        return put_line(&w->text, w->t, a->id, STR_TEXT[action],
+                        (Py_ssize_t)strlen(STR_TEXT[action]), src, dst, a->s1, a->s2, a->energy);
     if (w->events == NULL)
         return 0;
     if ((ev = EventType->tp_alloc(EventType, 8)) == NULL)
@@ -1201,13 +1141,19 @@ log_event(world_t *w, const rec_t *a, int action, PyObject *src, PyObject *dst)
     /* Ints, a str and a float cannot form a cycle: keep the log out of
        the collector's walks. */
     PyObject_GC_UnTrack(ev);
-    for (i = 0; i < 5; i++)
-        PyTuple_SET_ITEM(ev, i, Py_NewRef(shared[i]));
+    PyTuple_SET_ITEM(ev, 0, Py_NewRef(w->t_int));
+    PyTuple_SET_ITEM(ev, 1, PyLong_FromLong(a->id));
+    PyTuple_SET_ITEM(ev, 2, Py_NewRef(STR[action]));
+    PyTuple_SET_ITEM(ev, 3, PyLong_FromLong(src));
+    PyTuple_SET_ITEM(ev, 4, PyLong_FromLong(dst));
     PyTuple_SET_ITEM(ev, 5, PyLong_FromLong(a->s1));
     PyTuple_SET_ITEM(ev, 6, PyLong_FromLong(a->s2));
     PyTuple_SET_ITEM(ev, 7, PyFloat_FromDouble(a->energy));
-    r = PyTuple_GET_ITEM(ev, 5) && PyTuple_GET_ITEM(ev, 6) && PyTuple_GET_ITEM(ev, 7)
-        ? PyList_Append(w->events, ev) : -1;
+    for (i = 0; i < 8; i++)
+        if (PyTuple_GET_ITEM(ev, i) == NULL)
+            r = -1;
+    if (r == 0)
+        r = PyList_Append(w->events, ev);
     Py_DECREF(ev);
     return r;
 }
@@ -1286,26 +1232,23 @@ first_step(world_t *w, double e_settle, double threshold, long s)
 static int
 schedule(world_t *w, const rec_t *a)
 {
-    long id;
     double e_settle;
     if (w->alpha <= 0)
         return 0;
-    if (long_of(a->id, &id) < 0)
-        return -1;
     /* The settling step itself is still charged as a movement tick at
        the end of the wake. */
     e_settle = w->e0 - (double)(a->t_m + 1);
     if (e_settle > w->ctx.ecrit_settled
-        && heap_push(w, first_step(w, e_settle, w->ctx.ecrit_settled, w->t), 0, id) < 0)
+        && heap_push(w, first_step(w, e_settle, w->ctx.ecrit_settled, w->t), 0, a->id) < 0)
         return -1;
-    return heap_push(w, first_step(w, e_settle, 0.0, w->t), 1, id);
+    return heap_push(w, first_step(w, e_settle, 0.0, w->t), 1, a->id);
 }
 
 /* Take agent ``a`` out of ``awake``. */
 static int
-awake_discard(world_t *w, const rec_t *a)
+awake_discard(world_t *w, rec_t *a)
 {
-    return PySet_Discard(w->awake, a->id) < 0 ? -1 : 0;
+    return PySet_Discard(w->awake, (PyObject *)a) < 0 ? -1 : 0;
 }
 
 /* Agent ``aid`` of the run. */
@@ -1353,11 +1296,14 @@ wake_key(world_t *w, long aid, uint64_t *key)
     return 0;
 }
 
-/* Note that agent ``aid`` has a key this step. */
+/* Note that agent ``a`` has a key this step: it must be the run's agent
+   of its id, and have no key yet. */
 static int
-admit(world_t *w, long aid)
+admit(world_t *w, const rec_t *a)
 {
-    if (aid < 1 || aid > w->nids || w->keyed[aid] == w->round) {
+    long aid = a->id;
+    if (aid < 1 || aid > w->nids || w->keyed[aid] == w->round || aid > PyList_GET_SIZE(w->agents)
+        || PyList_GET_ITEM(w->agents, aid - 1) != (PyObject *)a) {
         PyErr_Format(InvariantError, "agent %ld cannot join this step's wake order", aid);
         return -1;
     }
@@ -1365,12 +1311,12 @@ admit(world_t *w, long aid)
     return 0;
 }
 
-/* Insert ``key`` of agent ``aid`` after the cursor, in order. */
+/* Insert ``key`` of agent ``a`` after the cursor, in order. */
 static int
-insort(world_t *w, long aid, uint64_t key)
+insort(world_t *w, const rec_t *a, uint64_t key)
 {
     Py_ssize_t lo = w->cur, hi = w->nkeys, mid;
-    if (admit(w, aid) < 0)
+    if (admit(w, a) < 0)
         return -1;
     while (lo < hi) {
         mid = (lo + hi) / 2;
@@ -1418,7 +1364,8 @@ wake_order(world_t *w)
 {
     PyObject *it, *item;
     Py_ssize_t i;
-    long aid;
+    rec_t *a;
+    int r;
 
     w->nkeys = w->cur = 0;
     w->nids = PyList_GET_SIZE(w->agents);
@@ -1432,14 +1379,15 @@ wake_order(world_t *w)
     w->round++;
     if ((it = PyObject_GetIter(w->awake)) == NULL)
         return -1;
-    /* ``admit`` takes each id once and only if it names an agent, so the
-       ids fit ``keys``. */
+    /* ``admit`` takes each agent once and only if its id names it, so
+       the ids fit ``keys``. */
     while ((item = PyIter_Next(it)) != NULL) {
-        aid = PyLong_AsLong(item);
+        r = (a = as_record(item)) == NULL ? -1 : admit(w, a);
+        if (r == 0)
+            w->keys[w->nkeys++] = (uint64_t)a->id;
         Py_DECREF(item);
-        if ((aid == -1 && PyErr_Occurred()) || admit(w, aid) < 0)
+        if (r < 0)
             break;
-        w->keys[w->nkeys++] = (uint64_t)aid;
     }
     Py_DECREF(it);
     if (PyErr_Occurred())
@@ -1460,7 +1408,7 @@ wake_order(world_t *w)
 static int
 mark(world_t *w, long cell, int during_wakes)
 {
-    long cells[5], gid;
+    long cells[5];
     uint64_t key;
     PyObject *g;
     rec_t *a;
@@ -1477,12 +1425,12 @@ mark(world_t *w, long cell, int during_wakes)
             return -1;
         if (a->s1 == S_LOW_ENERGY)
             continue;
-        if (long_of(a->id, &gid) < 0 || PySet_Add(w->awake, a->id) < 0)
+        if (PySet_Add(w->awake, (PyObject *)a) < 0)
             return -1;
-        if (!during_wakes || (gid >= 1 && gid <= w->nids && w->keyed[gid] == w->round))
+        if (!during_wakes || (a->id >= 1 && a->id <= w->nids && w->keyed[a->id] == w->round))
             continue;
-        if (wake_key(w, gid, &key) < 0
-            || (key > w->keys[w->cur - 1] && insort(w, gid, key) < 0))
+        if (wake_key(w, a->id, &key) < 0
+            || (key > w->keys[w->cur - 1] && insort(w, a, key) < 0))
             return -1;
     }
     return 0;
@@ -1513,6 +1461,19 @@ sense_own(world_t *w, const rec_t *a, long mode, slot_t *sl)
         return -1;
     around(w, cells[0], cells);
     return gather(cells, w->ground, w->air, mode, sl);
+}
+
+static PyObject *
+k_sense(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
+{
+    slot_t sl[10];
+    world_t *w;
+    rec_t *a;
+    if (check_args("sense", nargs, 2) < 0 || (w = as_world(args[0])) == NULL
+        || (a = as_record(args[1])) == NULL || sensing_mode(a) < 0
+        || sense_own(w, a, a->mode, sl) < 0)
+        return NULL;
+    return sensed_tuple(sl);
 }
 
 /* The outcome of a mobile wake: the own rule on slots gathered off the
@@ -1565,18 +1526,16 @@ static int
 move(world_t *w, rec_t *a, long src, long dir, long s2)
 {
     long dst = w->nb[src][dir - 1];
-    PyObject *v, *src_int = a->pos;  /* the record's reference, handed over */
-    int r;
+    PyObject *v;
     if (dst >= 0 && (v = list_item(w->air, dst)) == NULL)
         return -1;
     if (dst < 0 || v != Py_None)
         return invariant(a, "moved into an occupied or wall cell");
-    a->pos = Py_NewRef(neighbor_int(w, src, dir));
+    a->pos = dst;
     a->s2 = s2;
-    r = list_set(w->air, src, Py_None) < 0 || list_set(w->air, dst, (PyObject *)a) < 0
-        || log_event(w, a, E_MOVE, src_int, a->pos) < 0;
-    Py_DECREF(src_int);
-    return r ? -1 : 0;
+    return list_set(w->air, src, Py_None) < 0 || list_set(w->air, dst, (PyObject *)a) < 0
+                   || log_event(w, a, E_MOVE, src, dst) < 0
+               ? -1 : 0;
 }
 
 /* Settle mobile ``a`` from ``src``, in place or into the empty neighbor
@@ -1585,8 +1544,7 @@ static int
 settle(world_t *w, rec_t *a, long src, const act_t *out)
 {
     long dst = out->kind == A_SETTLE_AT ? w->nb[src][out->dir - 1] : src;
-    PyObject *g, *src_int = a->pos, *count;  /* the record's reference, handed over */
-    int r;
+    PyObject *g, *count;
     if (dst >= 0 && (g = list_item(w->ground, dst)) == NULL)
         return -1;
     if (dst < 0 || g != Py_None)
@@ -1595,13 +1553,12 @@ settle(world_t *w, rec_t *a, long src, const act_t *out)
         return -1;
     Py_SETREF(w->settled_int, count);
     w->settled++;
-    a->pos = Py_NewRef(out->kind == A_SETTLE_AT ? neighbor_int(w, src, out->dir) : src_int);
+    a->pos = dst;
     a->mode = MODE_SETTLED, a->s1 = S_BEACON, a->s2 = out->s2, a->settle_step = w->t;
-    r = list_set(w->air, src, Py_None) < 0 || list_set(w->ground, dst, (PyObject *)a) < 0
-        || schedule(w, a) < 0 || log_event(w, a, E_SETTLE, src_int, a->pos) < 0
-        || mark(w, dst, 1) < 0;
-    Py_DECREF(src_int);
-    return r ? -1 : 0;
+    return list_set(w->air, src, Py_None) < 0 || list_set(w->ground, dst, (PyObject *)a) < 0
+                   || schedule(w, a) < 0 || log_event(w, a, E_SETTLE, src, dst) < 0
+                   || mark(w, dst, 1) < 0
+               ? -1 : 0;
 }
 
 static int
@@ -1609,7 +1566,7 @@ shut_down(world_t *w, rec_t *a, long src)
 {
     a->mode = MODE_SHUTDOWN;
     return list_set(w->air, src, Py_None) < 0 || awake_discard(w, a) < 0
-                   || log_event(w, a, E_SHUTDOWN, a->pos, WALL) < 0
+                   || log_event(w, a, E_SHUTDOWN, src, -1) < 0
                ? -1 : 0;
 }
 
@@ -1680,7 +1637,7 @@ wake_settled(world_t *w, rec_t *a)
     a->s1 = s1;
     if (cell_of(w, a, &cell) < 0)
         return -1;
-    return log_event(w, a, E_TRANSITION, a->pos, a->pos) < 0 || mark(w, cell, 1) < 0 ? -1 : 0;
+    return log_event(w, a, E_TRANSITION, cell, cell) < 0 || mark(w, cell, 1) < 0 ? -1 : 0;
 }
 
 static int
@@ -1735,13 +1692,12 @@ enter(world_t *w)
     if ((g != Py_None && (under = as_record(g)) == NULL)
         || (a = (rec_t *)RecordType.tp_alloc(&RecordType, 0)) == NULL)
         return -1;
-    a->pos = Py_NewRef(w->entry_int);
+    a->id = (long)PyList_GET_SIZE(w->agents) + 1, a->pos = w->entry;
     a->mode = MODE_MOBILE, a->s1 = S_MOBILE, a->s2 = under == NULL ? 0 : under->s2;
     a->energy = w->e0 - 1, a->t_m = 1, a->settle_step = -1;
-    r = (a->id = PyLong_FromSsize_t(PyList_GET_SIZE(w->agents) + 1)) == NULL
-        || PyList_Append(w->agents, (PyObject *)a) < 0
-        || list_set(w->air, w->entry, (PyObject *)a) < 0 || PySet_Add(w->awake, a->id) < 0
-        || log_event(w, a, E_ENTER, WALL, w->entry_int) < 0;
+    r = PyList_Append(w->agents, (PyObject *)a) < 0
+        || list_set(w->air, w->entry, (PyObject *)a) < 0
+        || PySet_Add(w->awake, (PyObject *)a) < 0 || log_event(w, a, E_ENTER, -1, w->entry) < 0;
     Py_DECREF(a);
     return r ? -1 : 0;
 }
@@ -1758,7 +1714,7 @@ fail(world_t *w, rec_t *a)
     w->settled--;
     a->mode = MODE_FAILED;
     return list_set(w->ground, cell, Py_None) < 0 || awake_discard(w, a) < 0
-                   || log_event(w, a, E_FAIL, a->pos, a->pos) < 0 || mark(w, cell, 0) < 0
+                   || log_event(w, a, E_FAIL, cell, cell) < 0 || mark(w, cell, 0) < 0
                ? -1 : 0;
 }
 
@@ -1780,7 +1736,7 @@ charge(world_t *w)
         if (ev.kind == 1)
             r = fail(w, a);
         else  /* the reporting threshold */
-            r = a->s1 != S_LOW_ENERGY ? PySet_Add(w->awake, a->id) : 0;
+            r = a->s1 != S_LOW_ENERGY ? PySet_Add(w->awake, (PyObject *)a) : 0;
         Py_DECREF(a);
         if (r < 0)
             return -1;
@@ -1828,13 +1784,8 @@ k_step(PyObject *Py_UNUSED(m), PyObject *const *args, Py_ssize_t nargs)
     world_t *w;
     PyObject *r = NULL;
     int own_sensing;
-    if (check_args("step", nargs, 6) < 0)
+    if (check_args("step", nargs, 6) < 0 || (w = as_world(args[0])) == NULL)
         return NULL;
-    if (!Py_IS_TYPE(args[0], &WorldType)) {
-        PyErr_Format(PyExc_TypeError, "expected a world, got %.100s", Py_TYPE(args[0])->tp_name);
-        return NULL;
-    }
-    w = (world_t *)args[0];
     /* The step's seams and wake order live in the world for the call: a
        seam that stepped the same world again would pull them away. */
     if (w->stepping) {
@@ -1875,8 +1826,6 @@ world_traverse(world_t *w, visitproc visit, void *arg)
     Py_VISIT(w->events);
     Py_VISIT(w->on_events);
     Py_VISIT(w->approach);
-    Py_VISIT(w->nbt);
-    Py_VISIT(w->entry_int);
     Py_VISIT(w->settled_int);
     return 0;
 }
@@ -1894,8 +1843,6 @@ world_clear(world_t *w)
     Py_CLEAR(w->events);
     Py_CLEAR(w->on_events);
     Py_CLEAR(w->approach);
-    Py_CLEAR(w->nbt);
-    Py_CLEAR(w->entry_int);
     Py_CLEAR(w->settled_int);
     return 0;
 }
@@ -1919,14 +1866,13 @@ world_dealloc(world_t *w)
 static int
 read_region(world_t *w)
 {
-    PyObject *distances = NULL, *nb;
+    PyObject *neighbors = NULL, *distances = NULL, *nb;
     long width, height, v;
     Py_ssize_t c;
     int i, r = -1;
     if (attr_long(w->region, N_WIDTH, &width) < 0 || attr_long(w->region, N_HEIGHT, &height) < 0
         || attr_long(w->region, N_ENTRY, &w->entry) < 0
-        || (w->entry_int = PyLong_FromLong(w->entry)) == NULL
-        || (w->nbt = PyObject_GetAttr(w->region, NAME[N_NEIGHBORS])) == NULL
+        || (neighbors = PyObject_GetAttr(w->region, NAME[N_NEIGHBORS])) == NULL
         || (distances = PyObject_GetAttr(w->region, NAME[N_DISTANCES])) == NULL)
         goto done;
     w->ncells = (Py_ssize_t)width * height;
@@ -1937,7 +1883,7 @@ read_region(world_t *w)
         goto done;
     }
     for (c = 0; c < w->ncells; c++) {
-        if ((nb = tuple_item(w->nbt, c)) == NULL)
+        if ((nb = tuple_item(neighbors, c)) == NULL)
             goto done;
         for (i = 0; i < 4 && tuple_long(nb, i, &v) == 0 && v >= -1 && v < w->ncells; i++)
             w->nb[c][i] = (int)v;
@@ -1947,7 +1893,7 @@ read_region(world_t *w)
             break;
         w->dist[c] = (int)v;
     }
-    if (c < w->ncells || w->entry < 0 || w->entry >= w->ncells || PyTuple_GET_SIZE(w->nbt) != c
+    if (c < w->ncells || w->entry < 0 || w->entry >= w->ncells || PyTuple_GET_SIZE(neighbors) != c
         || PyTuple_GET_SIZE(distances) != c) {
         r = -1;
         if (!PyErr_Occurred())
@@ -1955,6 +1901,7 @@ read_region(world_t *w)
                                               "per cell, each a cell or -1, and its entry");
     }
 done:
+    Py_XDECREF(neighbors);
     Py_XDECREF(distances);
     return r;
 }
@@ -2014,6 +1961,10 @@ world_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "events is a list or None");
         return NULL;
     }
+    if (o[8] != Py_None && (o[7] != Py_None || !PyCallable_Check(o[8]))) {
+        PyErr_SetString(PyExc_TypeError, "on_events is a callable or None, and None with events");
+        return NULL;
+    }
     if ((w = (world_t *)type->tp_alloc(type, 0)) == NULL)
         return NULL;
     for (i = 0; i < 7; i++)
@@ -2022,7 +1973,7 @@ world_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     w->awake = o[5], w->ac_series = o[6];
     if (o[7] != Py_None)
         w->events = Py_NewRef(o[7]);
-    else if (o[8] != Py_None)
+    if (o[8] != Py_None)
         w->on_events = Py_NewRef(o[8]);
     Py_INCREF(ZERO);
     w->settled_int = ZERO;
@@ -2073,9 +2024,10 @@ static PyTypeObject WorldType = {
               "The state of one run that ``step`` advances.  ``agents``, ``ground``,\n"
               "``air``, ``awake`` and ``ac_series`` are the run's own objects, which\n"
               "the world refers to, not copies.  Events go to the list ``events``,\n"
-              "or as their lines, in one ``bytes`` per step, to ``on_events``, or\n"
-              "nowhere when both are ``None``.  ``region``, ``agents``, ``ground``,\n"
-              "``air`` and the step ``t`` are readable, so ``sense`` takes a world.",
+              "or as their lines, in one ``bytes`` per step, to the callable\n"
+              "``on_events``; at most one of the two is given, and neither for no\n"
+              "log.  ``region``, ``agents``, ``ground``, ``air`` and the step ``t``\n"
+              "are readable, for a ``sense`` that wraps the kernel's own.",
     .tp_new = world_new,
     .tp_dealloc = (destructor)world_dealloc,
     .tp_traverse = (traverseproc)world_traverse,
@@ -2299,10 +2251,12 @@ static PyMethodDef methods[] = {
          "observed ``(s1, s2)`` of an agent.  A mobile agent senses both layers;\n"
          "a settled one only the ground (its air slots read empty); any other\n"
          "mode raises ``ValueError``.\n\n"
-         "``world`` exposes ``region`` and the occupant layers ``ground`` and\n"
-         "``air``: each cell holds its occupant's ``AgentRecord`` or ``None``,\n"
-         "and the neighbor index ``-1`` of a wall or the outside reads as a wall.\n"
-         "Each ``(s1, s2)`` is a new tuple of the occupant's own ``s1`` and ``s2``."),
+         "``world`` is the run's ``world``: sensing reads its region and its\n"
+         "occupant layers ``ground`` and ``air``, whose cells hold an\n"
+         "``AgentRecord`` or ``None``.  The neighbor index ``-1`` of a wall or\n"
+         "the outside reads as a wall, and a cell outside the region raises\n"
+         "``IndexError``.  Each ``(s1, s2)`` is a new tuple of the occupant's\n"
+         "own ``s1`` and ``s2``."),
     FAST(mobile_decide_sllg, "mobile_decide_sllg(a, xi, p, draw)\n--\n\nThe sllg-ea mobile rule."),
     FAST(mobile_decide_slug, "mobile_decide_slug(a, xi, p, draw)\n--\n\nThe slug-ea mobile rule."),
     FAST(mobile_decide_sltt, "mobile_decide_sltt(a, xi, p, draw)\n--\n\nThe sltt-ea mobile rule."),

@@ -137,8 +137,9 @@ class SimParams:
 
 # The per-agent record and sensing are compiled: see ``_kernel.c`` for
 # their definitions.  ``AgentRecord(id, mode, s1, s2, pos, energy, t_m=0,
-# settle_step=-1)``: ``pos`` is a linear cell index, ``t_m`` counts the
-# movement ticks, the entry's included, and ``settle_step`` is the step
-# during which the agent settled.
+# settle_step=-1)`` holds C values only: ``energy`` a double and the rest
+# longs.  ``pos`` is a linear cell index, ``t_m`` counts the movement
+# ticks, the entry's included, and ``settle_step`` is the step during
+# which the agent settled.  ``sense(world, a)`` reads a run's world.
 AgentRecord = kernel.AgentRecord
 sense = kernel.sense

@@ -26,17 +26,18 @@ callables are passed on every step: a wake runs compiled when ``sense``
 and its mode's rule are both the kernel's own, and otherwise calls both
 through Python, each once, with the world as ``sense``'s first argument.
 The kernel accepts its own ``AgentRecord``, the types defined here and
-in ``rules``, and no others; it reads the energy parameters as doubles,
-and a record holds its energy as a double, whatever the type of ``e0``
-and ``alpha``: a movement tick or a settle is a plain C store.
+in ``rules``, and no others; it reads the energy parameters as doubles.
+A record holds C values only, its energy a double whatever the type of
+``e0`` and ``alpha``: a movement tick or a settle is a plain C store.
 
-Who wakes is one set of agent ids, ``awake``.  An agent joins it when
-it enters, when a ground change in its neighborhood marks it, and when
-its energy crosses the reporting threshold; it leaves when it shuts
-down, fails, or ends a settled wake (a transition's marks put it back
-unless it reported low).  So ``awake`` holds every mobile, and no
-settled agent in it is low-energy.  A settled agent outside it is not
-woken: its decision reads only its own record and the ground of its
+Who wakes is one set of agent records, ``awake``; a record hashes by
+identity, and each in the set must be the run's agent of its id.  An
+agent joins it when it enters, when a ground change in its neighborhood
+marks it, and when its energy crosses the reporting threshold; it leaves
+when it shuts down, fails, or ends a settled wake (a transition's marks
+put it back unless it reported low).  So ``awake`` holds every mobile,
+and no settled agent in it is low-energy.  A settled agent outside it is
+not woken: its decision reads only its own record and the ground of its
 four neighbors, unchanged since its last wake, so it would keep its
 sub-state.  Settled energy is likewise closed-form in the number of
 settled steps, so per-step ticking is replaced by scheduled threshold
@@ -173,8 +174,8 @@ class Simulation:
         self.ground: list[AgentRecord | None] = [None] * ncells
         self.air: list[AgentRecord | None] = [None] * ncells
         self.agents: list[AgentRecord] = []
-        # The ids of the agents that wake next step.
-        self.awake: set[int] = set()
+        # The agents that wake next step.
+        self.awake: set[AgentRecord] = set()
         self.events: list[Event] | None = [] if log_events else None
         # Settled agents at the close of each step.
         self.ac_series: list[int] = []

@@ -112,7 +112,7 @@ class TestSense:
         beacon = self.place_settled(sim, region.index(1, 0), s2=2)
         other = self.place_mobile(sim, region.index(0, 1), s2=5)
         me = self.place_mobile(sim, region.entry)
-        xi = sense(sim, me)
+        xi = sense(sim._world, me)
         assert xi[0] == SENSE_EMPTY  # nothing settled underneath
         assert xi[1] == SENSE_WALL  # north border
         assert xi[2] == (beacon.s1, 2)  # ground east
@@ -125,7 +125,7 @@ class TestSense:
         me = self.place_settled(sim, region.entry, s2=1)
         self.place_mobile(sim, region.index(1, 0))  # airborne neighbor
         self.place_settled(sim, region.index(0, 1), s1=S_LOW_ENERGY, s2=2)
-        xi = sense(sim, me)
+        xi = sense(sim._world, me)
         assert xi[0] == (me.s1, me.s2)
         assert xi[2] == SENSE_EMPTY  # the mobile neighbor is invisible
         assert xi[3] == (S_LOW_ENERGY, 2)
@@ -134,7 +134,7 @@ class TestSense:
     def test_walls_read_as_walls_in_both_layers(self):
         region, sim = self.build("EW\n..\n")
         me = self.place_mobile(sim, region.entry)
-        xi = sense(sim, me)
+        xi = sense(sim._world, me)
         assert xi[2] == SENSE_WALL
         assert xi[7] == SENSE_WALL
 

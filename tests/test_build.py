@@ -122,8 +122,8 @@ def test_runs_leak_no_memory():
 
 
 # The files a sanitized kernel runs: every wake path, the reference
-# oracle, the golden runs and ``square:21``, whose cells lie past the
-# small ints.
+# oracle, the golden runs, the streamed log's buffer and ``square:21``,
+# whose logged cells are int objects past the small ints.
 SANITIZED = ("test_kernel.py", "test_golden.py", "test_engine.py")
 
 

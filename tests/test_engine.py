@@ -193,8 +193,8 @@ class TestStructuralInvariants:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_awake_holds_every_mobile_and_no_idle_agent(name):
-    """At every step boundary ``awake`` holds every mobile, and each id in
-    it is a mobile's or that of a settled agent that is not low-energy."""
+    """At every step boundary ``awake`` holds every mobile, and each agent
+    in it is a mobile or a settled agent that is not low-energy."""
     region, params, *_ = GOLDEN[name]
     sim = Simulation(REGIONS[region](), SimParams(**params))
     cap = sim.p.max_steps or default_step_cap(sim.region, sim.p)
@@ -203,9 +203,10 @@ def test_awake_holds_every_mobile_and_no_idle_agent(name):
         mobiles = {a.id for a in sim.agents if a.mode == MODE_MOBILE}
         reporting = {a.id for a in sim.agents
                      if a.mode == MODE_SETTLED and a.s1 != S_LOW_ENERGY}
-        assert mobiles <= sim.awake, f"step {sim.t - 1}: {sorted(mobiles - sim.awake)}"
-        assert sim.awake <= mobiles | reporting, (
-            f"step {sim.t - 1}: {sorted(sim.awake - mobiles - reporting)}")
+        awake = {a.id for a in sim.awake}
+        assert mobiles <= awake, f"step {sim.t - 1}: {sorted(mobiles - awake)}"
+        assert awake <= mobiles | reporting, (
+            f"step {sim.t - 1}: {sorted(awake - mobiles - reporting)}")
 
 
 class TestEntryCadence:
@@ -538,7 +539,7 @@ class TestSettledEnergySchedule:
                         energy=e0 - t_m, t_m=t_m)
         sim.agents.append(a)
         sim.air[0] = a
-        sim.awake.add(1)
+        sim.awake.add(a)
         sim.t = s
         # It fails within e0 / alpha settled steps.
         while a.mode != MODE_FAILED and sim.t <= s + e0 / alpha + 2:

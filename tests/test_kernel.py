@@ -69,7 +69,7 @@ def test_mode_names_agree_with_the_python_definitions():
     for mode in (MODE_SHUTDOWN, MODE_FAILED):
         a = AgentRecord(id=7, mode=mode, s1=S_MOBILE, s2=0, pos=0, energy=1.0)
         with pytest.raises(ValueError, match=f"agent 7 cannot sense in mode {MODE_NAMES[mode]}$"):
-            kernel.sense(sim, a)
+            kernel.sense(sim._world, a)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -85,11 +85,11 @@ def test_audited_run_equals_reference(name):
 
 
 def test_a_region_past_the_small_ints_runs_as_in_the_reference():
-    """On ``square:21`` most cell ints lie above 256, outside CPython's
-    cache of small ints, so each is an object the region's tuples own and
-    the records share: a reference the kernel takes too few of on a cell
-    shows here, under a sanitizer, and on no smaller region.  The run
-    without a log comes first, while no event holds a cell int."""
+    """On ``square:21`` most cells lie above 256, outside CPython's cache
+    of small ints, so each cell a logged ``Event`` holds is an int object
+    of its own, made from the record's C value: an event field the kernel
+    builds with a reference too few shows here, under a sanitizer, and on
+    no smaller region.  The run without a log gives the same metrics."""
     params = SimParams(seed=1, e0=20)
     metrics = run(square_region(21), params).metrics
     got = same_run(square_region(21), params)
@@ -459,8 +459,19 @@ class TestBoundaryTypes:
     NOT_AN_INT = "object cannot be interpreted as an integer"
     REJECTED = {  # case: (call, the error's message), or (call, message, error)
         "sense-record": (lambda self: kernel.sense(
-            engine.Simulation(square_region(3), SimParams()), SimpleNamespace(**self.FIELDS)),
+            engine.Simulation(square_region(3), SimParams())._world,
+            SimpleNamespace(**self.FIELDS)),
             "expected an AgentRecord"),
+        "sense-world": (lambda self: kernel.sense(
+            engine.Simulation(square_region(3), SimParams()), AgentRecord(**self.FIELDS)),
+            "expected a world"),
+        "awake-id": (lambda self: self.step_waking(1), "expected an AgentRecord"),
+        "awake-stranger": (lambda self: self.step_waking(AgentRecord(**self.FIELDS)),
+                           "agent 1 cannot join this step's wake order", engine.InvariantError),
+        "world-both-sinks": (lambda self: self.world(events=[], on_events=[].append),
+                             "on_events is a callable or None, and None with events"),
+        "world-on-events": (lambda self: self.world(events=None, on_events=42),
+                            "on_events is a callable or None"),
         "rule-record": (lambda self: rules.mobile_decide_sllg(
             SimpleNamespace(**self.FIELDS), self.XI, SimParams(), random.random),
             "expected an AgentRecord"),
@@ -482,6 +493,8 @@ class TestBoundaryTypes:
         "record-del-pos": (lambda self: self.assign("pos", None), "cannot be deleted"),
         "record-s2-overflow": (lambda self: AgentRecord(**{**self.FIELDS, "s2": 2**70}),
                                "too large to convert to C long", OverflowError),
+        "record-id-overflow": (lambda self: AgentRecord(**{**self.FIELDS, "id": 2**70}),
+                               "too large to convert to C long", OverflowError),
     }
 
     def assign(self, name, value):
@@ -497,6 +510,22 @@ class TestBoundaryTypes:
             assert getattr(a, name) == self.FIELDS[name]
 
     @staticmethod
+    def world(events, on_events):
+        """A world of ``square:3`` built with the sinks given."""
+        return kernel.world(square_region(3), SimParams(), [], [None] * 9, [None] * 9, set(), [],
+                            events, on_events)
+
+    @staticmethod
+    def step_waking(item):
+        """Step a run once its first agent is in, with ``awake`` holding
+        ``item`` alone: an id, or a record that is not the run's agent 1."""
+        sim = engine.Simulation(square_region(3), SimParams())
+        sim.step()
+        sim.awake.clear()
+        sim.awake.add(item)
+        sim.step()
+
+    @staticmethod
     def step_deciding(action):
         """Step a run twice, so that its first entrant wakes and decides ``action``."""
         sim = engine.Simulation(square_region(3), SimParams())
@@ -509,7 +538,7 @@ class TestBoundaryTypes:
         """A cell index is read as given: ``-1`` is not the last cell."""
         sim = engine.Simulation(square_region(3), SimParams())
         with pytest.raises(IndexError):
-            kernel.sense(sim, AgentRecord(**{**self.FIELDS, "pos": pos}))
+            kernel.sense(sim._world, AgentRecord(**{**self.FIELDS, "pos": pos}))
 
     @pytest.mark.parametrize("pos", [-1, 9])
     def test_a_record_outside_the_region_raises_index_error_from_step(self, pos):
@@ -517,8 +546,9 @@ class TestBoundaryTypes:
         step reads no cell off the region's arrays for it."""
         for scheduler in ("random", "adversarial"):
             sim = engine.Simulation(square_region(3), SimParams(scheduler=scheduler))
-            sim.agents.append(AgentRecord(**{**self.FIELDS, "pos": pos}))
-            sim.awake.add(1)
+            a = AgentRecord(**{**self.FIELDS, "pos": pos})
+            sim.agents.append(a)
+            sim.awake.add(a)
             with pytest.raises(IndexError, match=f"cell {pos} lies outside the region"):
                 sim.step()
 

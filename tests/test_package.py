@@ -1,8 +1,7 @@
 """Package hygiene: no module imports a name it never uses, every
 function is used somewhere, every private name is used by the package
 itself, every callable of the compiled kernel is read by the package,
-every field of a slotted record is read somewhere, every exported name
-resolves, and a run imports no NumPy."""
+every exported name resolves, and a run imports no NumPy."""
 import ast
 import os
 import subprocess
@@ -116,41 +115,6 @@ def private_names_unread(paths: list[Path]) -> list[str]:
 
 def test_private_names_are_used_in_src():
     assert private_names_unread(MODULES) == []
-
-
-def _is_slots_dataclass(decorator: ast.expr) -> bool:
-    return (
-        isinstance(decorator, ast.Call)
-        and getattr(decorator.func, "id", None) == "dataclass"
-        and any(
-            k.arg == "slots" and getattr(k.value, "value", False) is True
-            for k in decorator.keywords
-        )
-    )
-
-
-def unread_slot_fields(paths: list[Path]) -> list[str]:
-    """Fields of ``@dataclass(slots=True)`` classes in ``paths`` that no
-    attribute load in ``paths`` reads: state kept but never used."""
-    read: set[str] = set()
-    fields = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.ClassDef) and any(
-                _is_slots_dataclass(d) for d in node.decorator_list
-            ):
-                fields += [
-                    (f"{path.name}:{stmt.lineno} {node.name}", stmt.target.id)
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign)
-                ]
-    return [f"{where}.{name}" for where, name in fields if name not in read]
-
-
-def test_every_slot_field_is_read():
-    assert unread_slot_fields(MODULES) == []
 
 
 def kernel_names_unread(paths: list[Path]) -> list[str]:
