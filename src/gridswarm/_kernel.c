@@ -13,10 +13,10 @@
    ``Simulation.__init__`` after ``validate``.  It holds the region's
    neighbors and distances as C int arrays, the parameters as C scalars
    (``p.d_max`` is read once, through its property, and ``dt`` as an
-   int), the settled count and the heap of settled-energy events as a C
-   array.
-   It refers to the run's own ``agents``, occupant layers ``ground`` and
-   ``air``, wake set ``awake``, series ``ac_series`` and event sink: the
+   int), the settled count, the heap of settled-energy events as a C
+   array and ``awake``, the agents that wake next step, as a bitmap over
+   agent ids.  It refers to the run's own ``agents``, occupant layers
+   ``ground`` and ``air``, series ``ac_series`` and event sink: the
    Simulation's objects, not copies, so agents placed by hand take part.
    It refers to no ``Simulation``, so a finished run is freed without the
    cyclic collector.
@@ -37,9 +37,10 @@
    The kernel accepts the engine's own types and no others: agents are
    ``AgentRecord``s, checked once as each arrives from Python; the
    occupant layers are lists whose cells hold an ``AgentRecord`` or
-   ``None``; ``awake`` is a set of the records, each the run's agent of
-   its id; a cell index outside the region raises ``IndexError``; an
-   ``Event`` has int fields, a str action and an int or float energy.
+   ``None``; a record that joins ``awake`` must be the run's agent of its
+   id, or ``InvariantError`` is raised; a cell index outside the region
+   raises ``IndexError``; an ``Event`` has int fields, a str action and
+   an int or float energy.
    A sensed neighborhood handed to a rule from Python holds in each slot
    ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of ints, and
    a mobile rule called through Python returns an ``Action``, a tuple
@@ -48,13 +49,17 @@
    is the one the Python definitions give, draw for draw.  A move or a
    settle in a direction outside 1-4 raises ``InvariantError``.
 
-   The wake order of a step is built from ``awake``: a sorted array of
-   keys read by a cursor and a mark per agent id, both sized at the
+   The wake order of a step is built from ``awake``: its words are
+   scanned for set bits, so the ids come out ascending and random keys
+   are drawn in id order, and the keys are sorted once, into an array
+   read by a cursor, with a mark per agent id; both are sized at the
    agents of the step's start (each agent wakes at most once a step, and
    none enters during the wakes).  The kernel keeps ``awake`` up to date
-   at a ground change, at the end of a settled wake, at a shutdown and at
-   the energy events; a ground change during the wakes inserts a settled
-   neighbor whose key lies ahead, so it wakes into the change.
+   at an entry, a ground change, the end of a settled wake, a shutdown
+   and the energy events; a ground change during the wakes inserts a
+   settled neighbor whose key lies ahead, so it wakes into the change.
+   ``world.awake`` reads the bits as a ``frozenset`` of the records and
+   replaces them when assigned, except during a step.
 
    A wake takes one of two paths, chosen once per step for each mode.
    When ``sense`` and the mode's decide rule are both this module's own
@@ -159,7 +164,7 @@ attr_double(PyObject *o, int n, double *out)
 
 /* ``AgentRecord``: the state of one agent, all C values.  It holds no
    object, so it stays out of the cyclic collector, and it hashes by
-   identity, so ``awake`` holds the records themselves. */
+   identity. */
 typedef struct {
     PyObject_HEAD
     long id, pos;  /* ``pos`` is a linear cell index */
@@ -1052,7 +1057,7 @@ typedef struct {
 typedef struct {
     PyObject_HEAD
     /* The run's own objects, shared with its Simulation. */
-    PyObject *region, *p, *agents, *ground, *air, *awake, *ac_series;
+    PyObject *region, *p, *agents, *ground, *air, *ac_series;
     PyObject *events;     /* the ``Event``s of ``log_events=True``, or NULL */
     PyObject *on_events;  /* takes each step's lines as one bytes, or NULL */
     sbuf text;            /* the lines of the step, for ``on_events`` */
@@ -1073,6 +1078,10 @@ typedef struct {
     int stepping;  /* a step is running: one may not start inside it */
     energy_event_t *heap;
     Py_ssize_t nheap, heap_cap;
+    /* ``awake``: bit ``id`` of the ``nwords`` words of ``bits`` is set
+       for each agent that wakes next step. */
+    uint64_t *bits;
+    Py_ssize_t nwords;
     /* The step's wake order: ``keys[cur:nkeys]`` are the wakes still
        ahead, in order, and ``keyed[id] == round`` for an agent keyed this
        step.  Both are sized at the ``nids`` agents of the step's start:
@@ -1244,19 +1253,76 @@ schedule(world_t *w, const rec_t *a)
     return heap_push(w, first_step(w, e_settle, 0.0, w->t), 1, a->id);
 }
 
-/* Take agent ``a`` out of ``awake``. */
-static int
-awake_discard(world_t *w, rec_t *a)
-{
-    return PySet_Discard(w->awake, (PyObject *)a) < 0 ? -1 : 0;
-}
-
 /* Agent ``aid`` of the run. */
 static rec_t *
 agent(world_t *w, long aid)
 {
     PyObject *a = list_item(w->agents, aid - 1);
     return a == NULL ? NULL : as_record(a);
+}
+
+/* -- awake ------------------------------------------------------------- */
+
+/* Resize ``*array`` to ``n`` words. */
+static int
+resize(uint64_t **array, Py_ssize_t n)
+{
+    uint64_t *grown = PyMem_Realloc(*array, sizeof(uint64_t) * (size_t)n);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *array = grown;
+    return 0;
+}
+
+static int
+not_joinable(long aid)
+{
+    PyErr_Format(InvariantError, "agent %ld cannot join this step's wake order", aid);
+    return -1;
+}
+
+/* ``InvariantError``, unless ``a`` is the run's agent of its id. */
+static int
+check_agent(world_t *w, const rec_t *a)
+{
+    long aid = a->id;
+    return aid >= 1 && aid <= PyList_GET_SIZE(w->agents)
+                   && PyList_GET_ITEM(w->agents, aid - 1) == (PyObject *)a
+               ? 0 : not_joinable(aid);
+}
+
+/* Grow ``bits`` to hold bit ``aid``, the new words cleared. */
+static int
+bits_fit(world_t *w, long aid)
+{
+    Py_ssize_t need = aid / 64 + 1;
+    if (need <= w->nwords)
+        return 0;
+    if (resize(&w->bits, need) < 0)
+        return -1;
+    memset(w->bits + w->nwords, 0, sizeof(uint64_t) * (size_t)(need - w->nwords));
+    w->nwords = need;
+    return 0;
+}
+
+/* Agent ``a``, the run's agent of its id, joins ``awake``. */
+static int
+awake_join(world_t *w, const rec_t *a)
+{
+    if (check_agent(w, a) < 0 || bits_fit(w, a->id) < 0)
+        return -1;
+    w->bits[a->id / 64] |= UINT64_C(1) << (a->id % 64);
+    return 0;
+}
+
+/* Take agent ``a`` out of ``awake``. */
+static void
+awake_discard(world_t *w, const rec_t *a)
+{
+    if (a->id >= 1 && a->id / 64 < w->nwords)
+        w->bits[a->id / 64] &= ~(UINT64_C(1) << (a->id % 64));
 }
 
 /* -- the wake order ---------------------------------------------------- */
@@ -1296,17 +1362,13 @@ wake_key(world_t *w, long aid, uint64_t *key)
     return 0;
 }
 
-/* Note that agent ``a`` has a key this step: it must be the run's agent
-   of its id, and have no key yet. */
+/* Note that agent ``aid`` has a key this step: it must be one of the
+   ``nids`` agents of the step's start. */
 static int
-admit(world_t *w, const rec_t *a)
+admit(world_t *w, long aid)
 {
-    long aid = a->id;
-    if (aid < 1 || aid > w->nids || w->keyed[aid] == w->round || aid > PyList_GET_SIZE(w->agents)
-        || PyList_GET_ITEM(w->agents, aid - 1) != (PyObject *)a) {
-        PyErr_Format(InvariantError, "agent %ld cannot join this step's wake order", aid);
-        return -1;
-    }
+    if (aid > w->nids)
+        return not_joinable(aid);
     w->keyed[aid] = w->round;
     return 0;
 }
@@ -1316,7 +1378,7 @@ static int
 insort(world_t *w, const rec_t *a, uint64_t key)
 {
     Py_ssize_t lo = w->cur, hi = w->nkeys, mid;
-    if (admit(w, a) < 0)
+    if (admit(w, a->id) < 0)
         return -1;
     while (lo < hi) {
         mid = (lo + hi) / 2;
@@ -1338,34 +1400,33 @@ cmp_key(const void *x, const void *y)
     return (a > b) - (a < b);
 }
 
+/* Sort ``keys`` ascending: by insertion up to 32 keys, as most steps
+   have, and by ``qsort`` above. */
 static void
 sort_keys(uint64_t *keys, Py_ssize_t n)
 {
-    qsort(keys, (size_t)n, sizeof(uint64_t), cmp_key);
-}
-
-/* Resize ``*array`` to ``n`` words. */
-static int
-resize(uint64_t **array, Py_ssize_t n)
-{
-    uint64_t *grown = PyMem_Realloc(*array, sizeof(uint64_t) * (size_t)n);
-    if (grown == NULL) {
-        PyErr_NoMemory();
-        return -1;
+    Py_ssize_t i, j;
+    uint64_t key;
+    if (n > 32) {
+        qsort(keys, (size_t)n, sizeof(uint64_t), cmp_key);
+        return;
     }
-    *array = grown;
-    return 0;
+    for (i = 1; i < n; i++) {
+        for (key = keys[i], j = i; j > 0 && keys[j - 1] > key; j--)
+            keys[j] = keys[j - 1];
+        keys[j] = key;
+    }
 }
 
-/* This step's wake order: the agents in ``awake``, keyed and sorted; a
-   random key is one draw, so random keys are drawn in id order. */
+/* This step's wake order: the agents in ``awake``, keyed and sorted.
+   The bits are read in ascending id order, so random keys are drawn in
+   id order. */
 static int
 wake_order(world_t *w)
 {
-    PyObject *it, *item;
     Py_ssize_t i;
-    rec_t *a;
-    int r;
+    uint64_t word;
+    long aid;
 
     w->nkeys = w->cur = 0;
     w->nids = PyList_GET_SIZE(w->agents);
@@ -1377,26 +1438,13 @@ wake_order(world_t *w)
         w->ids_cap = cap;
     }
     w->round++;
-    if ((it = PyObject_GetIter(w->awake)) == NULL)
-        return -1;
-    /* ``admit`` takes each agent once and only if its id names it, so
-       the ids fit ``keys``. */
-    while ((item = PyIter_Next(it)) != NULL) {
-        r = (a = as_record(item)) == NULL ? -1 : admit(w, a);
-        if (r == 0)
-            w->keys[w->nkeys++] = (uint64_t)a->id;
-        Py_DECREF(item);
-        if (r < 0)
-            break;
-    }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
-        return -1;
-    if (!w->adversarial)
-        sort_keys(w->keys, w->nkeys);
-    for (i = 0; i < w->nkeys; i++)
-        if (wake_key(w, (long)w->keys[i], &w->keys[i]) < 0)
-            return -1;
+    /* Each id is set once, so the ids up to ``nids`` fit ``keys``. */
+    for (i = 0; i < w->nwords; i++)
+        for (word = w->bits[i]; word != 0; word &= word - 1) {
+            aid = (long)(i * 64 + __builtin_ctzll(word));
+            if (admit(w, aid) < 0 || wake_key(w, aid, &w->keys[w->nkeys++]) < 0)
+                return -1;
+        }
     sort_keys(w->keys, w->nkeys);
     return 0;
 }
@@ -1425,9 +1473,9 @@ mark(world_t *w, long cell, int during_wakes)
             return -1;
         if (a->s1 == S_LOW_ENERGY)
             continue;
-        if (PySet_Add(w->awake, (PyObject *)a) < 0)
+        if (awake_join(w, a) < 0)
             return -1;
-        if (!during_wakes || (a->id >= 1 && a->id <= w->nids && w->keyed[a->id] == w->round))
+        if (!during_wakes || (a->id <= w->nids && w->keyed[a->id] == w->round))
             continue;
         if (wake_key(w, a->id, &key) < 0
             || (key > w->keys[w->cur - 1] && insort(w, a, key) < 0))
@@ -1565,9 +1613,8 @@ static int
 shut_down(world_t *w, rec_t *a, long src)
 {
     a->mode = MODE_SHUTDOWN;
-    return list_set(w->air, src, Py_None) < 0 || awake_discard(w, a) < 0
-                   || log_event(w, a, E_SHUTDOWN, src, -1) < 0
-               ? -1 : 0;
+    awake_discard(w, a);
+    return list_set(w->air, src, Py_None) < 0 || log_event(w, a, E_SHUTDOWN, src, -1) < 0 ? -1 : 0;
 }
 
 static int
@@ -1621,8 +1668,9 @@ wake_settled(world_t *w, rec_t *a)
 
     /* Materialize the lazily tracked energy, as of the end of last step. */
     materialize(w, a, w->t - 1);
-    if (decide_settled(w, a, &s1) < 0 || awake_discard(w, a) < 0)
+    if (decide_settled(w, a, &s1) < 0)
         return -1;
+    awake_discard(w, a);
     if (s1 == a->s1)
         return 0;
     if (a->s1 == S_CLOSED_BEACON && s1 == S_BEACON)
@@ -1697,7 +1745,7 @@ enter(world_t *w)
     a->energy = w->e0 - 1, a->t_m = 1, a->settle_step = -1;
     r = PyList_Append(w->agents, (PyObject *)a) < 0
         || list_set(w->air, w->entry, (PyObject *)a) < 0
-        || PySet_Add(w->awake, (PyObject *)a) < 0 || log_event(w, a, E_ENTER, -1, w->entry) < 0;
+        || awake_join(w, a) < 0 || log_event(w, a, E_ENTER, -1, w->entry) < 0;
     Py_DECREF(a);
     return r ? -1 : 0;
 }
@@ -1713,8 +1761,9 @@ fail(world_t *w, rec_t *a)
     Py_SETREF(w->settled_int, count);
     w->settled--;
     a->mode = MODE_FAILED;
-    return list_set(w->ground, cell, Py_None) < 0 || awake_discard(w, a) < 0
-                   || log_event(w, a, E_FAIL, cell, cell) < 0 || mark(w, cell, 0) < 0
+    awake_discard(w, a);
+    return list_set(w->ground, cell, Py_None) < 0 || log_event(w, a, E_FAIL, cell, cell) < 0
+                   || mark(w, cell, 0) < 0
                ? -1 : 0;
 }
 
@@ -1736,7 +1785,7 @@ charge(world_t *w)
         if (ev.kind == 1)
             r = fail(w, a);
         else  /* the reporting threshold */
-            r = a->s1 != S_LOW_ENERGY ? PySet_Add(w->awake, (PyObject *)a) : 0;
+            r = a->s1 != S_LOW_ENERGY ? awake_join(w, a) : 0;
         Py_DECREF(a);
         if (r < 0)
             return -1;
@@ -1821,7 +1870,6 @@ world_traverse(world_t *w, visitproc visit, void *arg)
     Py_VISIT(w->agents);
     Py_VISIT(w->ground);
     Py_VISIT(w->air);
-    Py_VISIT(w->awake);
     Py_VISIT(w->ac_series);
     Py_VISIT(w->events);
     Py_VISIT(w->on_events);
@@ -1838,7 +1886,6 @@ world_clear(world_t *w)
     Py_CLEAR(w->agents);
     Py_CLEAR(w->ground);
     Py_CLEAR(w->air);
-    Py_CLEAR(w->awake);
     Py_CLEAR(w->ac_series);
     Py_CLEAR(w->events);
     Py_CLEAR(w->on_events);
@@ -1855,6 +1902,7 @@ world_dealloc(world_t *w)
     PyMem_Free(w->nb);
     PyMem_Free(w->dist);
     PyMem_Free(w->heap);
+    PyMem_Free(w->bits);
     PyMem_Free(w->keys);
     PyMem_Free(w->keyed);
     PyMem_Free(w->text.buf);
@@ -1947,34 +1995,34 @@ read_params(world_t *w)
 static PyObject *
 world_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"region", "p", "agents", "ground", "air", "awake", "ac_series",
-                             "events", "on_events", NULL};
-    PyObject *o[9];
+    static char *kwlist[] = {"region", "p", "agents", "ground", "air", "ac_series", "events",
+                             "on_events", NULL};
+    PyObject *o[8];
     world_t *w;
     int i;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!O!O!O!O!OO:world", kwlist, &o[0], &o[1],
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!O!O!O!OO:world", kwlist, &o[0], &o[1],
                                      &PyList_Type, &o[2], &PyList_Type, &o[3], &PyList_Type, &o[4],
-                                     &PySet_Type, &o[5], &PyList_Type, &o[6], &o[7], &o[8])
+                                     &PyList_Type, &o[5], &o[6], &o[7])
         || check_bound() < 0)
         return NULL;
-    if (o[7] != Py_None && !PyList_Check(o[7])) {
+    if (o[6] != Py_None && !PyList_Check(o[6])) {
         PyErr_SetString(PyExc_TypeError, "events is a list or None");
         return NULL;
     }
-    if (o[8] != Py_None && (o[7] != Py_None || !PyCallable_Check(o[8]))) {
+    if (o[7] != Py_None && (o[6] != Py_None || !PyCallable_Check(o[7]))) {
         PyErr_SetString(PyExc_TypeError, "on_events is a callable or None, and None with events");
         return NULL;
     }
     if ((w = (world_t *)type->tp_alloc(type, 0)) == NULL)
         return NULL;
-    for (i = 0; i < 7; i++)
+    for (i = 0; i < 6; i++)
         Py_INCREF(o[i]);
     w->region = o[0], w->p = o[1], w->agents = o[2], w->ground = o[3], w->air = o[4];
-    w->awake = o[5], w->ac_series = o[6];
+    w->ac_series = o[5];
+    if (o[6] != Py_None)
+        w->events = Py_NewRef(o[6]);
     if (o[7] != Py_None)
-        w->events = Py_NewRef(o[7]);
-    if (o[8] != Py_None)
-        w->on_events = Py_NewRef(o[8]);
+        w->on_events = Py_NewRef(o[7]);
     Py_INCREF(ZERO);
     w->settled_int = ZERO;
     if (read_region(w) < 0 || read_params(w) < 0)
@@ -2006,6 +2054,74 @@ static PyMethodDef world_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+/* ``awake`` read: the records of its set bits, each ``agents[id - 1]``. */
+static PyObject *
+world_get_awake(world_t *w, void *Py_UNUSED(closure))
+{
+    PyObject *records = PyList_New(0), *r = NULL;
+    Py_ssize_t i;
+    uint64_t word;
+    rec_t *a;
+    if (records == NULL)
+        return NULL;
+    for (i = 0; i < w->nwords; i++)
+        for (word = w->bits[i]; word != 0; word &= word - 1)
+            if ((a = agent(w, (long)(i * 64 + __builtin_ctzll(word)))) == NULL
+                || PyList_Append(records, (PyObject *)a) < 0)
+                goto done;
+    r = PyFrozenSet_New(records);
+done:
+    Py_DECREF(records);
+    return r;
+}
+
+/* ``awake`` assigned: exactly the records of ``v``, each the run's agent
+   of its id; checked in full before any bit changes. */
+static int
+world_set_awake(world_t *w, PyObject *v, void *Py_UNUSED(closure))
+{
+    PyObject *items;
+    Py_ssize_t i, n;
+    long top = 0;
+    rec_t *a;
+    int r = -1;
+    if (v == NULL) {
+        PyErr_SetString(PyExc_TypeError, "awake cannot be deleted");
+        return -1;
+    }
+    if (w->stepping) {
+        PyErr_SetString(PyExc_RuntimeError, "awake cannot change while the world is stepping");
+        return -1;
+    }
+    if ((items = PySequence_Fast(v, "awake takes an iterable of AgentRecords")) == NULL)
+        return -1;
+    n = PySequence_Fast_GET_SIZE(items);
+    for (i = 0; i < n; i++) {
+        if ((a = as_record(PySequence_Fast_GET_ITEM(items, i))) == NULL || check_agent(w, a) < 0)
+            goto done;
+        top = a->id > top ? a->id : top;
+    }
+    if (bits_fit(w, top) < 0)
+        goto done;
+    memset(w->bits, 0, sizeof(uint64_t) * (size_t)w->nwords);
+    for (i = 0; i < n; i++) {
+        a = (rec_t *)PySequence_Fast_GET_ITEM(items, i);
+        w->bits[a->id / 64] |= UINT64_C(1) << (a->id % 64);
+    }
+    r = 0;
+done:
+    Py_DECREF(items);
+    return r;
+}
+
+static PyGetSetDef world_getset[] = {
+    {"awake", (getter)world_get_awake, (setter)world_set_awake,
+     "The agents that wake next step, as a ``frozenset`` of their records.  Assign an\n"
+     "iterable of records, each the run's agent of its id, to change it; not while\n"
+     "the world is stepping.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
 static PyMemberDef world_members[] = {
     {"region", T_OBJECT_EX, offsetof(world_t, region), READONLY, "The run's region."},
     {"agents", T_OBJECT_EX, offsetof(world_t, agents), READONLY, "The run's agents."},
@@ -2020,20 +2136,23 @@ static PyTypeObject WorldType = {
     .tp_name = "gridswarm._kernel.world",
     .tp_basicsize = sizeof(world_t),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "world(region, p, agents, ground, air, awake, ac_series, events, on_events)\n--\n\n"
+    .tp_doc = "world(region, p, agents, ground, air, ac_series, events, on_events)\n--\n\n"
               "The state of one run that ``step`` advances.  ``agents``, ``ground``,\n"
-              "``air``, ``awake`` and ``ac_series`` are the run's own objects, which\n"
-              "the world refers to, not copies.  Events go to the list ``events``,\n"
-              "or as their lines, in one ``bytes`` per step, to the callable\n"
-              "``on_events``; at most one of the two is given, and neither for no\n"
-              "log.  ``region``, ``agents``, ``ground``, ``air`` and the step ``t``\n"
-              "are readable, for a ``sense`` that wraps the kernel's own.",
+              "``air`` and ``ac_series`` are the run's own objects, which the world\n"
+              "refers to, not copies.  ``awake``, the agents that wake next step, is\n"
+              "a bitmap over agent ids, empty at first; it reads as a ``frozenset``\n"
+              "of their records and changes by assignment.  Events go to the list\n"
+              "``events``, or as their lines, in one ``bytes`` per step, to the\n"
+              "callable ``on_events``; at most one of the two is given, and neither\n"
+              "for no log.  ``region``, ``agents``, ``ground``, ``air`` and the step\n"
+              "``t`` are readable, for a ``sense`` that wraps the kernel's own.",
     .tp_new = world_new,
     .tp_dealloc = (destructor)world_dealloc,
     .tp_traverse = (traverseproc)world_traverse,
     .tp_clear = (inquiry)world_clear,
     .tp_methods = world_methods,
     .tp_members = world_members,
+    .tp_getset = world_getset,
 };
 
 /* -- the random stream --------------------------------------------------- */

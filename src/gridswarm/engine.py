@@ -16,37 +16,40 @@ clock; it is the seam a tracer wraps, once per step.
 
 The kernel steps a per-run ``world``, built in ``Simulation.__init__``:
 the region and the parameters as C values (``d_max`` read once, through
-the ``SimParams`` property), the settled count and the heap of
-settled-energy events, and references to the run's ``agents``,
-``ground``, ``air``, ``awake``, ``ac_series`` and event sink, the same
-objects, so that agents placed by hand take part.  The world
-refers to no ``Simulation``: a finished run is freed by reference
-counting alone.  ``draw``, the module's ``sense`` and the run's decide
-callables are passed on every step: a wake runs compiled when ``sense``
-and its mode's rule are both the kernel's own, and otherwise calls both
-through Python, each once, with the world as ``sense``'s first argument.
-The kernel accepts its own ``AgentRecord``, the types defined here and
-in ``rules``, and no others; it reads the energy parameters as doubles.
-A record holds C values only, its energy a double whatever the type of
-``e0`` and ``alpha``: a movement tick or a settle is a plain C store.
+the ``SimParams`` property), the settled count, the heap of
+settled-energy events and ``awake`` as a bitmap over agent ids, and
+references to the run's ``agents``, ``ground``, ``air``, ``ac_series``
+and event sink, the same objects, so that agents placed by hand take
+part.  The world refers to no ``Simulation``: a finished run is freed by
+reference counting alone.  ``draw``, the module's ``sense`` and the
+run's decide callables are passed on every step: a wake runs compiled
+when ``sense`` and its mode's rule are both the kernel's own, and
+otherwise calls both through Python, each once, with the world as
+``sense``'s first argument.  The kernel accepts its own ``AgentRecord``,
+the types defined here and in ``rules``, and no others; it reads the
+energy parameters as doubles.  A record holds C values only, its energy
+a double whatever the type of ``e0`` and ``alpha``: a movement tick or a
+settle is a plain C store.
 
-Who wakes is one set of agent records, ``awake``; a record hashes by
-identity, and each in the set must be the run's agent of its id.  An
-agent joins it when it enters, when a ground change in its neighborhood
-marks it, and when its energy crosses the reporting threshold; it leaves
-when it shuts down, fails, or ends a settled wake (a transition's marks
-put it back unless it reported low).  So ``awake`` holds every mobile,
-and no settled agent in it is low-energy.  A settled agent outside it is
-not woken: its decision reads only its own record and the ground of its
-four neighbors, unchanged since its last wake, so it would keep its
-sub-state.  Settled energy is likewise closed-form in the number of
-settled steps, so per-step ticking is replaced by scheduled threshold
-events (kind 0 crosses the reporting threshold, kind 1 fails; at most
-one of each per agent, kind 0 popping first); the ledger identity
-``energy = e0 - t_m - alpha * t_s`` is preserved exactly.  ``t_m`` is
-the agent's stored count of movement ticks; ``t_s``, its count of
-settled steps, is not stored but computed from ``settle_step`` and the
-last step charged.  The run's end sets every settled energy.
+Who wakes is one bitmap over agent ids, ``awake``, kept in the world:
+``Simulation.awake`` reads it as a ``frozenset`` of the records, and
+assigning an iterable of records replaces it, each record the run's
+agent of its id (not during a step).  An agent joins it when it enters,
+when a ground change in its neighborhood marks it, and when its energy
+crosses the reporting threshold; it leaves when it shuts down, fails, or
+ends a settled wake (a transition's marks put it back unless it reported
+low).  So ``awake`` holds every mobile, and no settled agent in it is
+low-energy.  A settled agent outside it is not woken: its decision reads
+only its own record and the ground of its four neighbors, unchanged
+since its last wake, so it would keep its sub-state.  Settled energy is
+likewise closed-form in the number of settled steps, so per-step ticking
+is replaced by scheduled threshold events (kind 0 crosses the reporting
+threshold, kind 1 fails; at most one of each per agent, kind 0 popping
+first); the ledger identity ``energy = e0 - t_m - alpha * t_s`` is
+preserved exactly.  ``t_m`` is the agent's stored count of movement
+ticks; ``t_s``, its count of settled steps, is not stored but computed
+from ``settle_step`` and the last step charged.  The run's end sets
+every settled energy.
 
 The two layers are per-cell occupant lists, ``ground`` and ``air``: a
 cell holds its occupant's ``AgentRecord`` or ``None``.  An agent's
@@ -55,13 +58,14 @@ the occupants of the agent's cell and its four neighbors; the neighbor
 index ``-1`` reads as a wall.  The layers change at entry, move, settle,
 shutdown and failure; a sub-state transition changes only the record.
 
-The wake order of a step: the agents of ``awake``, keyed in id order (a
-random key is one draw) and sorted, as an array of keys ``(sub << 32) |
-id`` read by a cursor, with a mark per agent id telling which agents
-have a key this step.  ``sub`` is a uniform sub-step in ``[0, m)`` under
-the random scheduler, and the agent's hop distance from the entry under
-the adversarial one (settled agents do not move, so lazily inserted
-agents compare the same way as the rest).  A settled agent whose ground
+The wake order of a step: the agents of ``awake``, read off its words in
+ascending id order and keyed in that order (a random key is one draw),
+then sorted once, as an array of keys ``(sub << 32) | id`` read by a
+cursor, with a mark per agent id telling which agents have a key this
+step.  ``sub`` is a uniform sub-step in ``[0, m)`` under the random
+scheduler, and the agent's hop distance from the entry under the
+adversarial one (settled agents do not move, so lazily inserted agents
+compare the same way as the rest).  A settled agent whose ground
 neighborhood changes during the step, and whose key lies after the
 cursor, is inserted in order.  Keys are unique, so this is the order a
 heap would pop.
@@ -85,7 +89,7 @@ All randomness comes from one stream of uniform floats in [0, 1),
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .agents import MODE_FAILED, MODE_SHUTDOWN, AgentRecord, SimParams, sense
 from ._build import kernel
@@ -174,8 +178,6 @@ class Simulation:
         self.ground: list[AgentRecord | None] = [None] * ncells
         self.air: list[AgentRecord | None] = [None] * ncells
         self.agents: list[AgentRecord] = []
-        # The agents that wake next step.
-        self.awake: set[AgentRecord] = set()
         self.events: list[Event] | None = [] if log_events else None
         # Settled agents at the close of each step.
         self.ac_series: list[int] = []
@@ -183,11 +185,22 @@ class Simulation:
         # The run's state as the kernel steps it: the objects above, not
         # copies, and no reference back to this Simulation.
         self._world = kernel.world(
-            region, params, self.agents, self.ground, self.air, self.awake,
-            self.ac_series, self.events, on_events,
+            region, params, self.agents, self.ground, self.air, self.ac_series,
+            self.events, on_events,
         )
         self.t = 0
         self.terminated: str | None = None
+
+    @property
+    def awake(self) -> frozenset[AgentRecord]:
+        """The agents that wake next step, read off the world's bitmap.
+        Assign an iterable of records, each the run's agent of its id, to
+        change it."""
+        return self._world.awake
+
+    @awake.setter
+    def awake(self, records: Iterable[AgentRecord]) -> None:
+        self._world.awake = records
 
     # -- one step ----------------------------------------------------------
 

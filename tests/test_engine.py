@@ -539,7 +539,7 @@ class TestSettledEnergySchedule:
                         energy=e0 - t_m, t_m=t_m)
         sim.agents.append(a)
         sim.air[0] = a
-        sim.awake.add(a)
+        sim.awake |= {a}
         sim.t = s
         # It fails within e0 / alpha settled steps.
         while a.mode != MODE_FAILED and sim.t <= s + e0 / alpha + 2:

@@ -178,6 +178,58 @@ def test_a_step_inside_a_step_raises_runtime_error():
     assert sim.t == 4 and len(sim.ac_series) == 4
 
 
+def test_awake_reads_back_the_records_assigned_across_word_boundaries():
+    """``awake`` is a bitmap of 64-bit words over agent ids: records on
+    either side of each word boundary read back as the ``frozenset``
+    assigned, and an assignment that fails changes no bit."""
+    sim = engine.Simulation(square_region(3), SimParams())
+    sim.agents.extend(AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": i}) for i in range(1, 130))
+    chosen = frozenset(sim.agents[i - 1] for i in (1, 63, 64, 65, 127, 128, 129))
+    sim.awake = iter(chosen)
+    assert type(sim.awake) is frozenset and sim.awake == chosen
+    with pytest.raises(engine.InvariantError, match="agent 2 cannot join"):
+        sim.awake = [sim.agents[1], AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": 2})]
+    assert sim.awake == chosen
+    sim.awake = ()
+    assert sim.awake == frozenset()
+
+
+def test_awake_cannot_change_while_the_world_is_stepping():
+    """A seam may read ``awake`` during a step but not assign it: the
+    step's wake order is read off the bits."""
+    sim = engine.Simulation(square_region(5), SimParams(seed=1))
+    stream, raised = sim.draw, []
+
+    def draw():
+        before = sim.awake
+        try:
+            sim.awake = set()
+        except RuntimeError as e:
+            raised.append(str(e))
+        assert sim.awake == before
+        return stream()
+
+    for _ in range(3):
+        sim.step()
+    sim.draw = draw
+    sim.step()
+    assert raised and set(raised) == {"awake cannot change while the world is stepping"}
+    assert sim.t == 4 and len(sim.ac_series) == 4
+
+
+def test_awake_is_a_view_that_only_assignment_changes():
+    """``Simulation.awake`` is a ``frozenset`` read off the world: adding
+    to it in place is refused, not silently lost."""
+    sim = engine.Simulation(square_region(3), SimParams())
+    sim.step()
+    (a,) = sim.agents
+    assert sim.awake == {a}
+    with pytest.raises(AttributeError):
+        sim.awake.add(a)
+    sim.awake -= {a}
+    assert sim.awake == frozenset()
+
+
 def test_a_streamed_log_hands_over_one_bytes_per_step():
     """``on_events`` receives one ``bytes`` per step that logged anything,
     in step order, each the lines ``Event.format`` gives that step's
@@ -512,8 +564,8 @@ class TestBoundaryTypes:
     @staticmethod
     def world(events, on_events):
         """A world of ``square:3`` built with the sinks given."""
-        return kernel.world(square_region(3), SimParams(), [], [None] * 9, [None] * 9, set(), [],
-                            events, on_events)
+        return kernel.world(square_region(3), SimParams(), [], [None] * 9, [None] * 9, [], events,
+                            on_events)
 
     @staticmethod
     def step_waking(item):
@@ -521,8 +573,7 @@ class TestBoundaryTypes:
         ``item`` alone: an id, or a record that is not the run's agent 1."""
         sim = engine.Simulation(square_region(3), SimParams())
         sim.step()
-        sim.awake.clear()
-        sim.awake.add(item)
+        sim.awake = {item}
         sim.step()
 
     @staticmethod
@@ -548,7 +599,7 @@ class TestBoundaryTypes:
             sim = engine.Simulation(square_region(3), SimParams(scheduler=scheduler))
             a = AgentRecord(**{**self.FIELDS, "pos": pos})
             sim.agents.append(a)
-            sim.awake.add(a)
+            sim.awake |= {a}
             with pytest.raises(IndexError, match=f"cell {pos} lies outside the region"):
                 sim.step()
 
