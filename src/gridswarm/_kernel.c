@@ -1400,24 +1400,6 @@ cmp_key(const void *x, const void *y)
     return (a > b) - (a < b);
 }
 
-/* Sort ``keys`` ascending: by insertion up to 32 keys, as most steps
-   have, and by ``qsort`` above. */
-static void
-sort_keys(uint64_t *keys, Py_ssize_t n)
-{
-    Py_ssize_t i, j;
-    uint64_t key;
-    if (n > 32) {
-        qsort(keys, (size_t)n, sizeof(uint64_t), cmp_key);
-        return;
-    }
-    for (i = 1; i < n; i++) {
-        for (key = keys[i], j = i; j > 0 && keys[j - 1] > key; j--)
-            keys[j] = keys[j - 1];
-        keys[j] = key;
-    }
-}
-
 /* This step's wake order: the agents in ``awake``, keyed and sorted.
    The bits are read in ascending id order, so random keys are drawn in
    id order. */
@@ -1445,7 +1427,7 @@ wake_order(world_t *w)
             if (admit(w, aid) < 0 || wake_key(w, aid, &w->keys[w->nkeys++]) < 0)
                 return -1;
         }
-    sort_keys(w->keys, w->nkeys);
+    qsort(w->keys, (size_t)w->nkeys, sizeof(uint64_t), cmp_key);
     return 0;
 }
 
@@ -1711,6 +1693,8 @@ wake_all(world_t *w)
         uint64_t key = w->keys[w->cur++];
         if ((a = agent(w, (long)(key & ID_MASK))) == NULL)
             return -1;
+        if ((uint64_t)a->id != (key & ID_MASK))  /* its slot now holds another agent */
+            return not_joinable((long)(key & ID_MASK));
         Py_INCREF(a);
         r = sensing_mode(a);
         if (r == 0)
@@ -2141,11 +2125,14 @@ static PyTypeObject WorldType = {
               "``air`` and ``ac_series`` are the run's own objects, which the world\n"
               "refers to, not copies.  ``awake``, the agents that wake next step, is\n"
               "a bitmap over agent ids, empty at first; it reads as a ``frozenset``\n"
-              "of their records and changes by assignment.  Events go to the list\n"
-              "``events``, or as their lines, in one ``bytes`` per step, to the\n"
-              "callable ``on_events``; at most one of the two is given, and neither\n"
-              "for no log.  ``region``, ``agents``, ``ground``, ``air`` and the step\n"
-              "``t`` are readable, for a ``sense`` that wraps the kernel's own.",
+              "of their records and changes by assignment.  A bit names an id, and\n"
+              "the step wakes ``agents[id - 1]``: it raises ``InvariantError`` for an\n"
+              "id past the end of ``agents`` or a slot whose record has another id.\n"
+              "Events go to the list ``events``, or as their lines, in one ``bytes``\n"
+              "per step, to the callable ``on_events``; at most one of the two is\n"
+              "given, and neither for no log.  ``region``, ``agents``, ``ground``,\n"
+              "``air`` and the step ``t`` are readable, for a ``sense`` that wraps\n"
+              "the kernel's own.",
     .tp_new = world_new,
     .tp_dealloc = (destructor)world_dealloc,
     .tp_traverse = (traverseproc)world_traverse,

@@ -520,6 +520,11 @@ class TestBoundaryTypes:
         "awake-id": (lambda self: self.step_waking(1), "expected an AgentRecord"),
         "awake-stranger": (lambda self: self.step_waking(AgentRecord(**self.FIELDS)),
                            "agent 1 cannot join this step's wake order", engine.InvariantError),
+        "awake-popped": (lambda self: self.step_altered(list.pop),
+                         "agent 1 cannot join this step's wake order", engine.InvariantError),
+        "awake-swapped": (lambda self: self.step_altered(lambda agents: agents.__setitem__(
+            0, AgentRecord(**{**self.FIELDS, "id": 2}))),
+            "agent 1 cannot join this step's wake order", engine.InvariantError),
         "world-both-sinks": (lambda self: self.world(events=[], on_events=[].append),
                              "on_events is a callable or None, and None with events"),
         "world-on-events": (lambda self: self.world(events=None, on_events=42),
@@ -574,6 +579,15 @@ class TestBoundaryTypes:
         sim = engine.Simulation(square_region(3), SimParams())
         sim.step()
         sim.awake = {item}
+        sim.step()
+
+    @staticmethod
+    def step_altered(alter):
+        """Step a run once its first agent is in and awake, call ``alter``
+        on the run's agent list, and step again."""
+        sim = engine.Simulation(square_region(3), SimParams())
+        sim.step()
+        alter(sim.agents)
         sim.step()
 
     @staticmethod
