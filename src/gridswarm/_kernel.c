@@ -10,16 +10,25 @@
    it draws the same floats as NumPy's ``default_rng(seed).random()``.
 
    A run's state is a ``world``, built once per run by
-   ``Simulation.__init__`` after ``validate``.  It holds the region's
-   neighbors and distances as C int arrays, the parameters as C scalars
-   (``p.d_max`` is read once, through its property, and ``dt`` as an
-   int), the settled count, the heap of settled-energy events as a C
-   array and ``awake``, the agents that wake next step, as a bitmap over
-   agent ids.  It refers to the run's own ``agents``, occupant layers
-   ``ground`` and ``air``, series ``ac_series`` and event sink: the
-   Simulation's objects, not copies, so agents placed by hand take part.
-   It refers to no ``Simulation``, so a finished run is freed without the
-   cyclic collector.
+   ``Simulation.__init__`` after ``validate``; the world owns it.  It
+   holds the region's neighbors and distances as C int arrays, the
+   parameters as C scalars (``p.d_max`` is read once, through its
+   property, and ``dt`` as an int), the settled count, the heap of
+   settled-energy events, ``awake`` (the agents that wake next step) as
+   a bitmap over agent ids, and the agents and the two occupant layers.
+   The agents are a C array of records, agent ``id`` at index
+   ``id - 1``; the world holds a reference to each until it is freed and
+   never removes one, so every other pointer to a record that the world
+   keeps (a layer cell, an energy event) is borrowed, and a step holds
+   no reference of its own.  The layers ``ground`` and ``air`` are C
+   arrays of each cell's occupant, ``NULL`` when it is empty, so a slot
+   read or written in a step is a plain pointer access.  Python reads
+   the agents and the layers as tuples built on each access
+   (``world.agents``, ``world.ground``, ``world.air``) and adds an agent
+   only through ``world.place(a)``, which checks the record in full
+   first and is refused during a step.  The world also refers to the
+   run's ``ac_series`` and event sink, and to no ``Simulation``, so a
+   finished run is freed without the cyclic collector.
 
    ``step(world, t, draw, sense, mobile_decide, settled_decide)`` runs
    step ``t``: the wakes, the entry attempt every ``dt`` steps, the
@@ -35,12 +44,11 @@
    It defines ``AgentRecord``, the state of one agent: C values only, so
    a movement tick, a settle or a transition is a plain C store.
    The kernel accepts the engine's own types and no others: agents are
-   ``AgentRecord``s, checked once as each arrives from Python; the
-   occupant layers are lists whose cells hold an ``AgentRecord`` or
-   ``None``; a record that joins ``awake`` must be the run's agent of its
-   id, or ``InvariantError`` is raised; a cell index outside the region
-   raises ``IndexError``; an ``Event`` has int fields, a str action and
-   an int or float energy.
+   ``AgentRecord``s, checked once as each arrives from Python; a record
+   that joins ``awake`` must be the run's agent of its id, or
+   ``InvariantError`` is raised; a cell index outside the region raises
+   ``IndexError``; an ``Event`` has int fields, a str action and an int
+   or float energy.
    A sensed neighborhood handed to a rule from Python holds in each slot
    ``SENSE_EMPTY``, ``SENSE_WALL`` or an ``(s1, s2)`` tuple of ints, and
    a mobile rule called through Python returns an ``Action``, a tuple
@@ -305,34 +313,6 @@ invariant(rec_t *a, const char *what)
 
 /* -- sequences ----------------------------------------------------------- */
 
-/* Borrowed item ``i`` of a list; ``IndexError`` unless ``0 <= i < len``. */
-static PyObject *
-list_item(PyObject *list, long i)
-{
-    if (!PyList_Check(list)) {
-        PyErr_Format(PyExc_TypeError, "expected a list, got %.100s", Py_TYPE(list)->tp_name);
-        return NULL;
-    }
-    if (i < 0 || i >= PyList_GET_SIZE(list)) {
-        PyErr_SetString(PyExc_IndexError, "list index out of range");
-        return NULL;
-    }
-    return PyList_GET_ITEM(list, i);
-}
-
-/* Store ``v`` (not stolen) at item ``i`` of a list. */
-static int
-list_set(PyObject *list, long i, PyObject *v)
-{
-    PyObject *old = list_item(list, i);
-    if (old == NULL)
-        return -1;
-    Py_INCREF(v);
-    PyList_SET_ITEM(list, i, v);
-    Py_DECREF(old);
-    return 0;
-}
-
 /* New reference to item ``i`` of a tuple; ``IndexError`` unless
    ``0 <= i < len``. */
 static PyObject *
@@ -391,22 +371,6 @@ decode(PyObject *o, slot_t *s)
     PyErr_Format(PyExc_TypeError,
                  "a sensed slot is SENSE_EMPTY, SENSE_WALL or an (s1, s2) pair, not %R", o);
     return -1;
-}
-
-/* A slot read off a layer cell: its occupant ``o`` is ``None`` (empty)
-   or an ``AgentRecord``, whose own ``s1`` and ``s2`` it projects. */
-static int
-occupant(PyObject *o, slot_t *s)
-{
-    rec_t *a;
-    if (o == Py_None) {
-        s->kind = K_EMPTY;
-        return 0;
-    }
-    if ((a = as_record(o)) == NULL)
-        return -1;
-    s->kind = K_AGENT, s->s1 = a->s1, s->s2 = a->s2;
-    return 0;
 }
 
 /* Slots the rules read: a mobile reads all but its own air (slot 5), a
@@ -844,24 +808,24 @@ sensing_mode(const rec_t *a)
 
 /* Gather the ten sensed slots of an agent in ``mode`` off the occupant
    layers ``ground`` and ``air``, for its cell and its N, E, S, W
-   neighbors ``cells``: a cell of ``-1`` reads as a wall, and a settled
-   agent's air slots read empty. */
-static int
-gather(const long *cells, PyObject *ground, PyObject *air, long mode, slot_t *sl)
+   neighbors ``cells``: a cell of ``-1`` reads as a wall, an occupant as
+   its own ``s1`` and ``s2``, and a settled agent's air slots read empty. */
+static void
+gather(const long *cells, rec_t *const *ground, rec_t *const *air, long mode, slot_t *sl)
 {
-    PyObject *g, *v = Py_None;
+    rec_t *const *layer;
+    long cell;
     int i;
-    for (i = 0; i < 5; i++) {
-        if (cells[i] < 0) {
+    for (i = 0; i < 10; i++) {
+        cell = cells[i % 5];
+        layer = i < 5 ? ground : mode == MODE_MOBILE ? air : NULL;
+        if (layer == NULL || (cell >= 0 && layer[cell] == NULL))
+            sl[i].kind = K_EMPTY;
+        else if (cell < 0)
             sl[i].kind = K_WALL;
-            sl[5 + i].kind = mode == MODE_MOBILE ? K_WALL : K_EMPTY;
-        }
-        else if ((g = list_item(ground, cells[i])) == NULL
-                 || (mode == MODE_MOBILE && (v = list_item(air, cells[i])) == NULL)
-                 || occupant(g, &sl[i]) < 0 || occupant(v, &sl[5 + i]) < 0)
-            return -1;
+        else
+            sl[i].kind = K_AGENT, sl[i].s1 = layer[cell]->s1, sl[i].s2 = layer[cell]->s2;
     }
-    return 0;
 }
 
 /* The sensed tuple of ten gathered slots. */
@@ -1047,17 +1011,18 @@ k_format_event(PyObject *Py_UNUSED(m), PyObject *ev)
 
 /* -- the world of one run ------------------------------------------------ */
 
-/* A settled-energy event: at the end of step ``step``, agent ``id``
+/* A settled-energy event: at the end of step ``step``, agent ``a``
    crosses the reporting threshold (kind 0) or fails (kind 1). */
 typedef struct {
-    long step, id;
+    long step;
+    rec_t *a;  /* borrowed from the world's agents */
     int kind;
 } energy_event_t;
 
 typedef struct {
     PyObject_HEAD
     /* The run's own objects, shared with its Simulation. */
-    PyObject *region, *p, *agents, *ground, *air, *ac_series;
+    PyObject *region, *p, *ac_series;
     PyObject *events;     /* the ``Event``s of ``log_events=True``, or NULL */
     PyObject *on_events;  /* takes each step's lines as one bytes, or NULL */
     sbuf text;            /* the lines of the step, for ``on_events`` */
@@ -1068,6 +1033,10 @@ typedef struct {
     int (*nb)[4];  /* the N, E, S, W neighbors of each cell, -1 for a wall */
     int *dist;     /* the hop distance of each cell from the entry */
     long entry;
+    /* The agents, owned: agent ``id`` is ``agents[id - 1]``.  The
+       occupant of each cell, per layer, borrowed from them, or NULL. */
+    rec_t **agents, **ground, **air;
+    Py_ssize_t nagents, agents_cap;
     /* The parameters. */
     double e0, alpha, m;
     long dt;
@@ -1183,13 +1152,13 @@ ev_less(const energy_event_t *x, const energy_event_t *y)
         return x->step < y->step;
     if (x->kind != y->kind)
         return x->kind < y->kind;
-    return x->id < y->id;
+    return x->a->id < y->a->id;
 }
 
 static int
-heap_push(world_t *w, long step, int kind, long id)
+heap_push(world_t *w, long step, int kind, rec_t *a)
 {
-    energy_event_t ev = {step, id, kind}, *grown;
+    energy_event_t ev = {step, a, kind}, *grown;
     Py_ssize_t i = w->nheap, parent;
     if (w->nheap == w->heap_cap) {
         Py_ssize_t cap = w->heap_cap ? 2 * w->heap_cap : 64;
@@ -1239,7 +1208,7 @@ first_step(world_t *w, double e_settle, double threshold, long s)
 
 /* Schedule the energy events of agent ``a``, settling now. */
 static int
-schedule(world_t *w, const rec_t *a)
+schedule(world_t *w, rec_t *a)
 {
     double e_settle;
     if (w->alpha <= 0)
@@ -1248,17 +1217,35 @@ schedule(world_t *w, const rec_t *a)
        the end of the wake. */
     e_settle = w->e0 - (double)(a->t_m + 1);
     if (e_settle > w->ctx.ecrit_settled
-        && heap_push(w, first_step(w, e_settle, w->ctx.ecrit_settled, w->t), 0, a->id) < 0)
+        && heap_push(w, first_step(w, e_settle, w->ctx.ecrit_settled, w->t), 0, a) < 0)
         return -1;
-    return heap_push(w, first_step(w, e_settle, 0.0, w->t), 1, a->id);
+    return heap_push(w, first_step(w, e_settle, 0.0, w->t), 1, a);
 }
 
-/* Agent ``aid`` of the run. */
+/* Agent ``aid`` of the run, ``1 <= aid <= nagents``. */
 static rec_t *
 agent(world_t *w, long aid)
 {
-    PyObject *a = list_item(w->agents, aid - 1);
-    return a == NULL ? NULL : as_record(a);
+    return w->agents[aid - 1];
+}
+
+/* Add record ``a`` as agent ``nagents + 1``; the world takes a
+   reference to it. */
+static int
+append(world_t *w, rec_t *a)
+{
+    rec_t **grown;
+    if (w->nagents == w->agents_cap) {
+        Py_ssize_t cap = w->agents_cap ? 2 * w->agents_cap : 64;
+        if ((grown = PyMem_Realloc(w->agents, sizeof(*grown) * (size_t)cap)) == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        w->agents = grown;
+        w->agents_cap = cap;
+    }
+    w->agents[w->nagents++] = (rec_t *)Py_NewRef(a);
+    return 0;
 }
 
 /* -- awake ------------------------------------------------------------- */
@@ -1276,21 +1263,14 @@ resize(uint64_t **array, Py_ssize_t n)
     return 0;
 }
 
-static int
-not_joinable(long aid)
-{
-    PyErr_Format(InvariantError, "agent %ld cannot join this step's wake order", aid);
-    return -1;
-}
-
 /* ``InvariantError``, unless ``a`` is the run's agent of its id. */
 static int
 check_agent(world_t *w, const rec_t *a)
 {
-    long aid = a->id;
-    return aid >= 1 && aid <= PyList_GET_SIZE(w->agents)
-                   && PyList_GET_ITEM(w->agents, aid - 1) == (PyObject *)a
-               ? 0 : not_joinable(aid);
+    if (a->id >= 1 && a->id <= w->nagents && agent(w, a->id) == a)
+        return 0;
+    PyErr_Format(InvariantError, "agent %ld cannot join this step's wake order", a->id);
+    return -1;
 }
 
 /* Grow ``bits`` to hold bit ``aid``, the new words cleared. */
@@ -1337,9 +1317,8 @@ wake_key(world_t *w, long aid, uint64_t *key)
         return -1;
     }
     if (w->adversarial) {
-        rec_t *a = agent(w, aid);
         long pos;
-        if (a == NULL || cell_of(w, a, &pos) < 0)
+        if (cell_of(w, agent(w, aid), &pos) < 0)
             return -1;
         if (w->dist[pos] < 0) {
             PyErr_Format(PyExc_ValueError, "agent %ld woke on a wall cell", aid);
@@ -1362,24 +1341,13 @@ wake_key(world_t *w, long aid, uint64_t *key)
     return 0;
 }
 
-/* Note that agent ``aid`` has a key this step: it must be one of the
-   ``nids`` agents of the step's start. */
-static int
-admit(world_t *w, long aid)
-{
-    if (aid > w->nids)
-        return not_joinable(aid);
-    w->keyed[aid] = w->round;
-    return 0;
-}
-
-/* Insert ``key`` of agent ``a`` after the cursor, in order. */
-static int
+/* Insert ``key`` of agent ``a``, one of the agents of the step's start,
+   after the cursor, in order. */
+static void
 insort(world_t *w, const rec_t *a, uint64_t key)
 {
     Py_ssize_t lo = w->cur, hi = w->nkeys, mid;
-    if (admit(w, a->id) < 0)
-        return -1;
+    w->keyed[a->id] = w->round;
     while (lo < hi) {
         mid = (lo + hi) / 2;
         if (key < w->keys[mid])
@@ -1390,7 +1358,6 @@ insort(world_t *w, const rec_t *a, uint64_t key)
     memmove(w->keys + lo + 1, w->keys + lo, sizeof(uint64_t) * (size_t)(w->nkeys - lo));
     w->keys[lo] = key;
     w->nkeys++;
-    return 0;
 }
 
 static int
@@ -1411,7 +1378,7 @@ wake_order(world_t *w)
     long aid;
 
     w->nkeys = w->cur = 0;
-    w->nids = PyList_GET_SIZE(w->agents);
+    w->nids = w->nagents;
     if (w->nids >= w->ids_cap) {  /* grow both, the marks of new ids cleared */
         Py_ssize_t cap = 2 * w->nids + 64;
         if (resize(&w->keys, cap) < 0 || resize(&w->keyed, cap) < 0)
@@ -1420,11 +1387,13 @@ wake_order(world_t *w)
         w->ids_cap = cap;
     }
     w->round++;
-    /* Each id is set once, so the ids up to ``nids`` fit ``keys``. */
+    /* Each id is set once, and only for an agent of the world, so the
+       ids fit ``keys``. */
     for (i = 0; i < w->nwords; i++)
         for (word = w->bits[i]; word != 0; word &= word - 1) {
             aid = (long)(i * 64 + __builtin_ctzll(word));
-            if (admit(w, aid) < 0 || wake_key(w, aid, &w->keys[w->nkeys++]) < 0)
+            w->keyed[aid] = w->round;
+            if (wake_key(w, aid, &w->keys[w->nkeys++]) < 0)
                 return -1;
         }
     qsort(w->keys, (size_t)w->nkeys, sizeof(uint64_t), cmp_key);
@@ -1440,28 +1409,21 @@ mark(world_t *w, long cell, int during_wakes)
 {
     long cells[5];
     uint64_t key;
-    PyObject *g;
     rec_t *a;
     int i;
     around(w, cell, cells);
     for (i = 0; i < 5; i++) {
-        if (cells[i] < 0)
-            continue;
-        if ((g = list_item(w->ground, cells[i])) == NULL)
-            return -1;
-        if (g == Py_None)
-            continue;
-        if ((a = as_record(g)) == NULL)
-            return -1;
-        if (a->s1 == S_LOW_ENERGY)
+        if (cells[i] < 0 || (a = w->ground[cells[i]]) == NULL || a->s1 == S_LOW_ENERGY)
             continue;
         if (awake_join(w, a) < 0)
             return -1;
-        if (!during_wakes || (a->id <= w->nids && w->keyed[a->id] == w->round))
+        /* No agent enters during the wakes: ``a`` is one of the step's start. */
+        if (!during_wakes || w->keyed[a->id] == w->round)
             continue;
-        if (wake_key(w, a->id, &key) < 0
-            || (key > w->keys[w->cur - 1] && insort(w, a, key) < 0))
+        if (wake_key(w, a->id, &key) < 0)
             return -1;
+        if (key > w->keys[w->cur - 1])
+            insort(w, a, key);
     }
     return 0;
 }
@@ -1490,7 +1452,8 @@ sense_own(world_t *w, const rec_t *a, long mode, slot_t *sl)
     if (cell_of(w, a, &cells[0]) < 0)
         return -1;
     around(w, cells[0], cells);
-    return gather(cells, w->ground, w->air, mode, sl);
+    gather(cells, w->ground, w->air, mode, sl);
+    return 0;
 }
 
 static PyObject *
@@ -1556,16 +1519,13 @@ static int
 move(world_t *w, rec_t *a, long src, long dir, long s2)
 {
     long dst = w->nb[src][dir - 1];
-    PyObject *v;
-    if (dst >= 0 && (v = list_item(w->air, dst)) == NULL)
-        return -1;
-    if (dst < 0 || v != Py_None)
+    if (dst < 0 || w->air[dst] != NULL)
         return invariant(a, "moved into an occupied or wall cell");
     a->pos = dst;
     a->s2 = s2;
-    return list_set(w->air, src, Py_None) < 0 || list_set(w->air, dst, (PyObject *)a) < 0
-                   || log_event(w, a, E_MOVE, src, dst) < 0
-               ? -1 : 0;
+    w->air[src] = NULL;
+    w->air[dst] = a;
+    return log_event(w, a, E_MOVE, src, dst);
 }
 
 /* Settle mobile ``a`` from ``src``, in place or into the empty neighbor
@@ -1574,10 +1534,8 @@ static int
 settle(world_t *w, rec_t *a, long src, const act_t *out)
 {
     long dst = out->kind == A_SETTLE_AT ? w->nb[src][out->dir - 1] : src;
-    PyObject *g, *count;
-    if (dst >= 0 && (g = list_item(w->ground, dst)) == NULL)
-        return -1;
-    if (dst < 0 || g != Py_None)
+    PyObject *count;
+    if (dst < 0 || w->ground[dst] != NULL)
         return invariant(a, "settled into an occupied or wall cell");
     if ((count = PyLong_FromLong(w->settled + 1)) == NULL)
         return -1;
@@ -1585,9 +1543,9 @@ settle(world_t *w, rec_t *a, long src, const act_t *out)
     w->settled++;
     a->pos = dst;
     a->mode = MODE_SETTLED, a->s1 = S_BEACON, a->s2 = out->s2, a->settle_step = w->t;
-    return list_set(w->air, src, Py_None) < 0 || list_set(w->ground, dst, (PyObject *)a) < 0
-                   || schedule(w, a) < 0 || log_event(w, a, E_SETTLE, src, dst) < 0
-                   || mark(w, dst, 1) < 0
+    w->air[src] = NULL;
+    w->ground[dst] = a;
+    return schedule(w, a) < 0 || log_event(w, a, E_SETTLE, src, dst) < 0 || mark(w, dst, 1) < 0
                ? -1 : 0;
 }
 
@@ -1596,7 +1554,8 @@ shut_down(world_t *w, rec_t *a, long src)
 {
     a->mode = MODE_SHUTDOWN;
     awake_discard(w, a);
-    return list_set(w->air, src, Py_None) < 0 || log_event(w, a, E_SHUTDOWN, src, -1) < 0 ? -1 : 0;
+    w->air[src] = NULL;
+    return log_event(w, a, E_SHUTDOWN, src, -1);
 }
 
 static int
@@ -1690,16 +1649,10 @@ wake_all(world_t *w)
     int r = wake_order(w);
     /* The order may grow behind the cursor's back: only after it. */
     while (r == 0 && w->cur < w->nkeys) {
-        uint64_t key = w->keys[w->cur++];
-        if ((a = agent(w, (long)(key & ID_MASK))) == NULL)
-            return -1;
-        if ((uint64_t)a->id != (key & ID_MASK))  /* its slot now holds another agent */
-            return not_joinable((long)(key & ID_MASK));
-        Py_INCREF(a);
+        a = agent(w, (long)(w->keys[w->cur++] & ID_MASK));
         r = sensing_mode(a);
         if (r == 0)
             r = a->mode == MODE_MOBILE ? wake_mobile(w, a) : wake_settled(w, a);
-        Py_DECREF(a);
     }
     return r;
 }
@@ -1712,26 +1665,21 @@ wake_all(world_t *w)
 static int
 enter(world_t *w)
 {
-    PyObject *v, *g;
-    rec_t *a, *under = NULL;
+    rec_t *a, *under = w->ground[w->entry];
     int r;
-    if (w->t % w->dt)
+    if (w->t % w->dt || w->air[w->entry] != NULL)
         return 0;
-    if ((v = list_item(w->air, w->entry)) == NULL || (g = list_item(w->ground, w->entry)) == NULL)
+    if ((a = (rec_t *)RecordType.tp_alloc(&RecordType, 0)) == NULL)
         return -1;
-    if (v != Py_None)
-        return 0;
-    if ((g != Py_None && (under = as_record(g)) == NULL)
-        || (a = (rec_t *)RecordType.tp_alloc(&RecordType, 0)) == NULL)
-        return -1;
-    a->id = (long)PyList_GET_SIZE(w->agents) + 1, a->pos = w->entry;
+    a->id = (long)w->nagents + 1, a->pos = w->entry;
     a->mode = MODE_MOBILE, a->s1 = S_MOBILE, a->s2 = under == NULL ? 0 : under->s2;
     a->energy = w->e0 - 1, a->t_m = 1, a->settle_step = -1;
-    r = PyList_Append(w->agents, (PyObject *)a) < 0
-        || list_set(w->air, w->entry, (PyObject *)a) < 0
-        || awake_join(w, a) < 0 || log_event(w, a, E_ENTER, -1, w->entry) < 0;
+    r = append(w, a);
     Py_DECREF(a);
-    return r ? -1 : 0;
+    if (r < 0)
+        return -1;
+    w->air[w->entry] = a;
+    return awake_join(w, a) < 0 || log_event(w, a, E_ENTER, -1, w->entry) < 0 ? -1 : 0;
 }
 
 /* Settled agent ``a`` fails: it leaves the ground and ``awake``. */
@@ -1746,9 +1694,8 @@ fail(world_t *w, rec_t *a)
     w->settled--;
     a->mode = MODE_FAILED;
     awake_discard(w, a);
-    return list_set(w->ground, cell, Py_None) < 0 || log_event(w, a, E_FAIL, cell, cell) < 0
-                   || mark(w, cell, 0) < 0
-               ? -1 : 0;
+    w->ground[cell] = NULL;
+    return log_event(w, a, E_FAIL, cell, cell) < 0 || mark(w, cell, 0) < 0 ? -1 : 0;
 }
 
 /* Apply the settled-energy events due by this step: threshold crossings
@@ -1757,20 +1704,15 @@ static int
 charge(world_t *w)
 {
     energy_event_t ev;
-    rec_t *a;
     int r;
     while (w->nheap && w->heap[0].step <= w->t) {
         ev = heap_pop(w);
-        if ((a = agent(w, ev.id)) == NULL)
-            return -1;
-        Py_INCREF(a);
-        if (a->mode == MODE_SETTLED)
-            materialize(w, a, w->t);
+        if (ev.a->mode == MODE_SETTLED)
+            materialize(w, ev.a, w->t);
         if (ev.kind == 1)
-            r = fail(w, a);
+            r = fail(w, ev.a);
         else  /* the reporting threshold */
-            r = a->s1 != S_LOW_ENERGY ? awake_join(w, a) : 0;
-        Py_DECREF(a);
+            r = ev.a->s1 != S_LOW_ENERGY ? awake_join(w, ev.a) : 0;
         if (r < 0)
             return -1;
     }
@@ -1783,8 +1725,8 @@ charge(world_t *w)
 static PyObject *
 close_step(world_t *w)
 {
-    PyObject *g, *r = Py_None, *lines, *ret;
-    rec_t *a;
+    PyObject *r = Py_None, *lines, *ret;
+    rec_t *a = w->ground[w->entry];
     if (PyList_Append(w->ac_series, w->settled_int) < 0)
         return NULL;
     if (w->text.len) {
@@ -1798,16 +1740,10 @@ close_step(world_t *w)
             return NULL;
         Py_DECREF(ret);
     }
-    if ((g = list_item(w->ground, w->entry)) == NULL)
-        return NULL;
-    if (g != Py_None) {
-        if ((a = as_record(g)) == NULL)
-            return NULL;
-        if (a->s1 == S_LOW_ENERGY)
-            r = STR[E_LOW_ENERGY];
-        else if (a->s1 == S_CLOSED_BEACON)
-            r = STR[E_CLOSED];
-    }
+    if (a != NULL && a->s1 == S_LOW_ENERGY)
+        r = STR[E_LOW_ENERGY];
+    else if (a != NULL && a->s1 == S_CLOSED_BEACON)
+        r = STR[E_CLOSED];
     return Py_NewRef(r);
 }
 
@@ -1851,9 +1787,6 @@ world_traverse(world_t *w, visitproc visit, void *arg)
 {
     Py_VISIT(w->region);
     Py_VISIT(w->p);
-    Py_VISIT(w->agents);
-    Py_VISIT(w->ground);
-    Py_VISIT(w->air);
     Py_VISIT(w->ac_series);
     Py_VISIT(w->events);
     Py_VISIT(w->on_events);
@@ -1867,9 +1800,6 @@ world_clear(world_t *w)
 {
     Py_CLEAR(w->region);
     Py_CLEAR(w->p);
-    Py_CLEAR(w->agents);
-    Py_CLEAR(w->ground);
-    Py_CLEAR(w->air);
     Py_CLEAR(w->ac_series);
     Py_CLEAR(w->events);
     Py_CLEAR(w->on_events);
@@ -1878,11 +1808,19 @@ world_clear(world_t *w)
     return 0;
 }
 
+/* The records hold no object, so the agents cannot take part in a
+   cycle: they are released here, not in ``world_clear``. */
 static void
 world_dealloc(world_t *w)
 {
+    Py_ssize_t i;
     PyObject_GC_UnTrack(w);
     world_clear(w);
+    for (i = 0; i < w->nagents; i++)
+        Py_DECREF(w->agents[i]);
+    PyMem_Free(w->agents);
+    PyMem_Free(w->ground);
+    PyMem_Free(w->air);
     PyMem_Free(w->nb);
     PyMem_Free(w->dist);
     PyMem_Free(w->heap);
@@ -1979,38 +1917,36 @@ read_params(world_t *w)
 static PyObject *
 world_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"region", "p", "agents", "ground", "air", "ac_series", "events",
-                             "on_events", NULL};
-    PyObject *o[8];
+    static char *kwlist[] = {"region", "p", "ac_series", "events", "on_events", NULL};
+    PyObject *o[5];
     world_t *w;
-    int i;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!O!O!O!OO:world", kwlist, &o[0], &o[1],
-                                     &PyList_Type, &o[2], &PyList_Type, &o[3], &PyList_Type, &o[4],
-                                     &PyList_Type, &o[5], &o[6], &o[7])
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!OO:world", kwlist, &o[0], &o[1],
+                                     &PyList_Type, &o[2], &o[3], &o[4])
         || check_bound() < 0)
         return NULL;
-    if (o[6] != Py_None && !PyList_Check(o[6])) {
+    if (o[3] != Py_None && !PyList_Check(o[3])) {
         PyErr_SetString(PyExc_TypeError, "events is a list or None");
         return NULL;
     }
-    if (o[7] != Py_None && (o[6] != Py_None || !PyCallable_Check(o[7]))) {
+    if (o[4] != Py_None && (o[3] != Py_None || !PyCallable_Check(o[4]))) {
         PyErr_SetString(PyExc_TypeError, "on_events is a callable or None, and None with events");
         return NULL;
     }
     if ((w = (world_t *)type->tp_alloc(type, 0)) == NULL)
         return NULL;
-    for (i = 0; i < 6; i++)
-        Py_INCREF(o[i]);
-    w->region = o[0], w->p = o[1], w->agents = o[2], w->ground = o[3], w->air = o[4];
-    w->ac_series = o[5];
-    if (o[6] != Py_None)
-        w->events = Py_NewRef(o[6]);
-    if (o[7] != Py_None)
-        w->on_events = Py_NewRef(o[7]);
-    Py_INCREF(ZERO);
-    w->settled_int = ZERO;
+    w->region = Py_NewRef(o[0]), w->p = Py_NewRef(o[1]), w->ac_series = Py_NewRef(o[2]);
+    if (o[3] != Py_None)
+        w->events = Py_NewRef(o[3]);
+    if (o[4] != Py_None)
+        w->on_events = Py_NewRef(o[4]);
+    w->settled_int = Py_NewRef(ZERO);
     if (read_region(w) < 0 || read_params(w) < 0)
         Py_CLEAR(w);
+    else if ((w->ground = PyMem_Calloc((size_t)w->ncells, sizeof(rec_t *))) == NULL
+             || (w->air = PyMem_Calloc((size_t)w->ncells, sizeof(rec_t *))) == NULL) {
+        PyErr_NoMemory();
+        Py_CLEAR(w);
+    }
     return (PyObject *)w;
 }
 
@@ -2019,15 +1955,44 @@ world_finish(world_t *w, PyObject *arg)
 {
     long t;
     Py_ssize_t i;
-    rec_t *a;
     if (long_of(arg, &t) < 0)
         return NULL;
-    for (i = 0; i < PyList_GET_SIZE(w->agents); i++) {
-        if ((a = as_record(PyList_GET_ITEM(w->agents, i))) == NULL)
-            return NULL;
-        if (a->mode == MODE_SETTLED)
-            materialize(w, a, t);
+    for (i = 0; i < w->nagents; i++)
+        if (w->agents[i]->mode == MODE_SETTLED)
+            materialize(w, w->agents[i], t);
+    Py_RETURN_NONE;
+}
+
+/* Add record ``arg`` by hand, as the next agent and the occupant of its
+   cell on the layer of its mode; checked in full before anything
+   changes.  It does not join ``awake`` and does not count as settled. */
+static PyObject *
+world_place(world_t *w, PyObject *arg)
+{
+    rec_t *a, **layer;
+    long cell;
+    if ((a = as_record(arg)) == NULL)
+        return NULL;
+    if (w->stepping) {
+        PyErr_SetString(PyExc_RuntimeError, "an agent cannot be placed while the world is stepping");
+        return NULL;
     }
+    if (a->id != w->nagents + 1) {
+        PyErr_Format(InvariantError, "agent %ld cannot be placed: the next agent's id is %zd",
+                     a->id, w->nagents + 1);
+        return NULL;
+    }
+    if (cell_of(w, a, &cell) < 0)
+        return NULL;
+    layer = a->mode == MODE_MOBILE ? w->air : a->mode == MODE_SETTLED ? w->ground : NULL;
+    if (layer != NULL && layer[cell] != NULL) {
+        invariant(a, "cannot be placed on an occupied cell");
+        return NULL;
+    }
+    if (append(w, a) < 0)
+        return NULL;
+    if (layer != NULL)
+        layer[cell] = a;
     Py_RETURN_NONE;
 }
 
@@ -2035,27 +2000,57 @@ static PyMethodDef world_methods[] = {
     {"finish", (PyCFunction)world_finish, METH_O,
      "finish(t)\n--\n\n"
      "Set each settled agent's energy from the ledger as of the end of step ``t``."},
+    {"place", (PyCFunction)world_place, METH_O,
+     "place(a)\n--\n\n"
+     "Add the ``AgentRecord`` ``a`` as the run's next agent: its id must be\n"
+     "``len(agents) + 1`` and its cell inside the region, and if it is mobile\n"
+     "or settled it becomes the occupant of its cell on the air or the ground,\n"
+     "which must be free.  It does not join ``awake`` and does not count as\n"
+     "settled.  Refused while the world is stepping; a refusal changes nothing."},
     {NULL, NULL, 0, NULL},
 };
+
+/* A tuple of the ``n`` records of ``items``, ``None`` for a NULL. */
+static PyObject *
+records(rec_t *const *items, Py_ssize_t n)
+{
+    PyObject *t = PyTuple_New(n);
+    Py_ssize_t i;
+    for (i = 0; t != NULL && i < n; i++)
+        PyTuple_SET_ITEM(t, i, Py_NewRef(items[i] == NULL ? Py_None : (PyObject *)items[i]));
+    return t;
+}
+
+static PyObject *
+world_get_agents(world_t *w, void *Py_UNUSED(closure))
+{
+    return records(w->agents, w->nagents);
+}
+
+/* A layer, named by the offset of its array in the world. */
+static PyObject *
+world_get_layer(world_t *w, void *off)
+{
+    return records(*(rec_t **const *)((char *)w + (size_t)off), w->ncells);
+}
 
 /* ``awake`` read: the records of its set bits, each ``agents[id - 1]``. */
 static PyObject *
 world_get_awake(world_t *w, void *Py_UNUSED(closure))
 {
-    PyObject *records = PyList_New(0), *r = NULL;
+    PyObject *members = PyList_New(0), *r = NULL;
     Py_ssize_t i;
     uint64_t word;
-    rec_t *a;
-    if (records == NULL)
+    if (members == NULL)
         return NULL;
     for (i = 0; i < w->nwords; i++)
         for (word = w->bits[i]; word != 0; word &= word - 1)
-            if ((a = agent(w, (long)(i * 64 + __builtin_ctzll(word)))) == NULL
-                || PyList_Append(records, (PyObject *)a) < 0)
+            if (PyList_Append(members, (PyObject *)agent(w, (long)(i * 64 + __builtin_ctzll(word))))
+                < 0)
                 goto done;
-    r = PyFrozenSet_New(records);
+    r = PyFrozenSet_New(members);
 done:
-    Py_DECREF(records);
+    Py_DECREF(members);
     return r;
 }
 
@@ -2103,14 +2098,19 @@ static PyGetSetDef world_getset[] = {
      "The agents that wake next step, as a ``frozenset`` of their records.  Assign an\n"
      "iterable of records, each the run's agent of its id, to change it; not while\n"
      "the world is stepping.", NULL},
+    {"agents", (getter)world_get_agents, NULL,
+     "The run's agents, a tuple of their records in id order, built on each read.", NULL},
+    {"ground", (getter)world_get_layer, NULL,
+     "The ground layer, a tuple of each cell's settled occupant or ``None``.",
+     (void *)offsetof(world_t, ground)},
+    {"air", (getter)world_get_layer, NULL,
+     "The air layer, a tuple of each cell's mobile occupant or ``None``.",
+     (void *)offsetof(world_t, air)},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
 static PyMemberDef world_members[] = {
     {"region", T_OBJECT_EX, offsetof(world_t, region), READONLY, "The run's region."},
-    {"agents", T_OBJECT_EX, offsetof(world_t, agents), READONLY, "The run's agents."},
-    {"ground", T_OBJECT_EX, offsetof(world_t, ground), READONLY, "The ground layer."},
-    {"air", T_OBJECT_EX, offsetof(world_t, air), READONLY, "The air layer."},
     {"t", T_LONG, offsetof(world_t, t), READONLY, "The step run last, or running."},
     {NULL, 0, 0, 0, NULL},
 };
@@ -2120,19 +2120,19 @@ static PyTypeObject WorldType = {
     .tp_name = "gridswarm._kernel.world",
     .tp_basicsize = sizeof(world_t),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "world(region, p, agents, ground, air, ac_series, events, on_events)\n--\n\n"
-              "The state of one run that ``step`` advances.  ``agents``, ``ground``,\n"
-              "``air`` and ``ac_series`` are the run's own objects, which the world\n"
-              "refers to, not copies.  ``awake``, the agents that wake next step, is\n"
-              "a bitmap over agent ids, empty at first; it reads as a ``frozenset``\n"
-              "of their records and changes by assignment.  A bit names an id, and\n"
-              "the step wakes ``agents[id - 1]``: it raises ``InvariantError`` for an\n"
-              "id past the end of ``agents`` or a slot whose record has another id.\n"
-              "Events go to the list ``events``, or as their lines, in one ``bytes``\n"
-              "per step, to the callable ``on_events``; at most one of the two is\n"
-              "given, and neither for no log.  ``region``, ``agents``, ``ground``,\n"
-              "``air`` and the step ``t`` are readable, for a ``sense`` that wraps\n"
-              "the kernel's own.",
+    .tp_doc = "world(region, p, ac_series, events, on_events)\n--\n\n"
+              "The state of one run that ``step`` advances.  The world owns the\n"
+              "run's agents and its occupant layers: ``agents``, ``ground`` and\n"
+              "``air`` read them as tuples, a layer holding each cell's occupant or\n"
+              "``None``, and ``place(a)`` adds an agent by hand.  ``ac_series`` is the\n"
+              "run's own list, which the step appends to.  ``awake``, the agents\n"
+              "that wake next step, is a bitmap over agent ids, empty at first; it\n"
+              "reads as a ``frozenset`` of their records and changes by assignment,\n"
+              "each record the run's agent of its id.  Events go to the list\n"
+              "``events``, or as their lines, in one ``bytes`` per step, to the\n"
+              "callable ``on_events``; at most one of the two is given, and neither\n"
+              "for no log.  ``region`` and the step ``t`` are readable too, for a\n"
+              "``sense`` that wraps the kernel's own.",
     .tp_new = world_new,
     .tp_dealloc = (destructor)world_dealloc,
     .tp_traverse = (traverseproc)world_traverse,
@@ -2358,10 +2358,9 @@ static PyMethodDef methods[] = {
          "a settled one only the ground (its air slots read empty); any other\n"
          "mode raises ``ValueError``.\n\n"
          "``world`` is the run's ``world``: sensing reads its region and its\n"
-         "occupant layers ``ground`` and ``air``, whose cells hold an\n"
-         "``AgentRecord`` or ``None``.  The neighbor index ``-1`` of a wall or\n"
-         "the outside reads as a wall, and a cell outside the region raises\n"
-         "``IndexError``.  Each ``(s1, s2)`` is a new tuple of the occupant's\n"
+         "occupant layers ``ground`` and ``air``.  The neighbor index ``-1`` of\n"
+         "a wall or the outside reads as a wall, and a cell outside the region\n"
+         "raises ``IndexError``.  Each ``(s1, s2)`` is a new tuple of the occupant's\n"
          "own ``s1`` and ``s2``."),
     FAST(mobile_decide_sllg, "mobile_decide_sllg(a, xi, p, draw)\n--\n\nThe sllg-ea mobile rule."),
     FAST(mobile_decide_slug, "mobile_decide_slug(a, xi, p, draw)\n--\n\nThe slug-ea mobile rule."),

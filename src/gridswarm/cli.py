@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import statistics
 import sys
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 from . import bounds as bnd
 from .agents import ParamError, SimParams
@@ -119,39 +121,49 @@ def _load_run_config(config: str) -> tuple[dict, Region]:
 
 
 @contextmanager
-def _row_writer(out: str | None) -> Iterator[csv.DictWriter]:
+def _outputs(
+    out: str | None, extra: str | None
+) -> Iterator[tuple[csv.DictWriter, BinaryIO | None]]:
     """Yield a run-CSV writer on ``out`` (stdout if None or ``-``) that
-    writes each row through at once.  A file is appended to only if it is
-    empty or starts with the header, which goes to a fresh file or stdout."""
-    if out in (None, "-"):
-        sink, fresh = nullcontext(sys.stdout), True
-    else:
-        path = Path(out)
-        fresh = not path.exists() or path.stat().st_size == 0
-        if not fresh:
-            with path.open(newline="") as fh:
-                header = fh.readline().rstrip("\r\n")
-            if header != ",".join(CSV_COLUMNS):
-                raise ConfigError(
-                    f"{out} exists and its first line is not the run CSV header; "
-                    "refusing to append to it"
-                )
-        sink = path.open("a", newline="", buffering=1)
-    with sink as fh:
+    writes each row through at once, and the file ``extra`` (None for
+    none) opened for writing in binary.  A CSV file is appended to only if
+    it is empty or starts with the header, which goes to a fresh file or
+    stdout.  Nothing is written until both are open: ``out`` opens first,
+    for appending, and ``extra`` last, so a command that cannot open
+    either leaves both files as they were (an ``out`` this call created
+    is removed again)."""
+    path = None if out in (None, "-") else Path(out)
+    existed = path is not None and path.exists()
+    fresh = not existed or path.stat().st_size == 0
+    if not fresh:
+        with path.open(newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+        if header != ",".join(CSV_COLUMNS):
+            raise ConfigError(
+                f"{out} exists and its first line is not the run CSV header; "
+                "refusing to append to it"
+            )
+    with ExitStack() as stack:
+        fh = sys.stdout if path is None else stack.enter_context(
+            path.open("a", newline="", buffering=1))
+        try:
+            extra_fh = None if extra is None else stack.enter_context(Path(extra).open("wb"))
+        except OSError:
+            if path is not None and not existed:
+                path.unlink(missing_ok=True)
+            raise
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if fresh:
             writer.writeheader()
-        yield writer
+        yield writer, extra_fh
 
 
-@contextmanager
-def _event_sink(path: str) -> Iterator[Callable[[bytes], object]]:
-    """Yield an ``on_events`` sink that streams the event log to
-    ``path``: each step's lines arrive as one ``bytes`` from the kernel
+def _event_sink(fh: BinaryIO) -> Callable[[bytes], object]:
+    """An ``on_events`` sink that streams the event log to ``fh`` after
+    its header: each step's lines arrive as one ``bytes`` from the kernel
     and are written as they are, so memory stays bounded."""
-    with Path(path).open("wb") as fh:
-        fh.write(f"{EVENT_HEADER}\n".encode())
-        yield fh.write
+    fh.write(f"{EVENT_HEADER}\n".encode())
+    return fh.write
 
 
 def _point_params(cfg: dict, vary: dict[str, list], seeds: int) -> list[SimParams]:
@@ -208,9 +220,8 @@ def _run_rows(
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, region = _load_run_config(args.config)
     runs = _point_params(cfg, {}, 1)
-    sink = nullcontext() if args.log_events is None else _event_sink(args.log_events)
-    with _row_writer(args.out) as writer, sink as on_events:
-        (row,) = _run_rows(cfg, region, runs, writer, on_events)
+    with _outputs(args.out, args.log_events) as (writer, log):
+        (row,) = _run_rows(cfg, region, runs, writer, None if log is None else _event_sink(log))
     if args.strict and row["terminated"] == TERM_STEP_CAP:
         print("run hit the step cap without terminating", file=sys.stderr)
         return 1
@@ -243,24 +254,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     runs = _point_params(cfg, vary, args.seeds)
-    with _row_writer(args.out) as writer:
+    with _outputs(args.out, args.agg or None) as (writer, agg):
         rows = _run_rows(cfg, region, runs, writer)
-    if args.agg:
-        _write_aggregate(rows, sorted(vary), args.agg)
+        if agg is not None:
+            _write_aggregate(rows, sorted(vary), agg)
     return 0
 
 
 _AGG_METRICS = ["T_C", "N", "E_total", "max_Ei", "A_C", "NDA_shutdown", "NDA_failed"]
 
 
-def _write_aggregate(rows: list[dict], keys: list[str], out: str) -> None:
+def _write_aggregate(rows: list[dict], keys: list[str], out: BinaryIO) -> None:
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault(tuple(row[k] for k in keys), []).append(row)
     fieldnames = list(keys) + ["runs", "frac_closed", "frac_low_energy", "frac_step_cap"]
     for metric in _AGG_METRICS:
         fieldnames += [f"mean_{metric}", f"std_{metric}"]
-    with Path(out).open("w", newline="") as fh:
+    with io.TextIOWrapper(out, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for point in sorted(groups):

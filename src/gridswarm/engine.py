@@ -14,22 +14,22 @@ recorded, the step's events are handed on and termination is read off
 the entry cell.  ``Simulation.step`` makes that call and advances the
 clock; it is the seam a tracer wraps, once per step.
 
-The kernel steps a per-run ``world``, built in ``Simulation.__init__``:
-the region and the parameters as C values (``d_max`` read once, through
-the ``SimParams`` property), the settled count, the heap of
-settled-energy events and ``awake`` as a bitmap over agent ids, and
-references to the run's ``agents``, ``ground``, ``air``, ``ac_series``
-and event sink, the same objects, so that agents placed by hand take
-part.  The world refers to no ``Simulation``: a finished run is freed by
-reference counting alone.  ``draw``, the module's ``sense`` and the
-run's decide callables are passed on every step: a wake runs compiled
-when ``sense`` and its mode's rule are both the kernel's own, and
-otherwise calls both through Python, each once, with the world as
-``sense``'s first argument.  The kernel accepts its own ``AgentRecord``,
-the types defined here and in ``rules``, and no others; it reads the
-energy parameters as doubles.  A record holds C values only, its energy
-a double whatever the type of ``e0`` and ``alpha``: a movement tick or a
-settle is a plain C store.
+The kernel steps a per-run ``world``, built in ``Simulation.__init__``,
+which owns the run's state; the header of ``_kernel.c`` describes how it
+holds it.  Python sees that state through views built on access:
+``Simulation.agents`` is a tuple of the records in id order, and
+``Simulation.ground`` and ``Simulation.air``, the occupant layers, are
+tuples of each cell's occupant record or ``None``.  An agent's ``(s1,
+s2)`` is stored once, in its record, and sensing reads it off the
+occupants of the agent's cell and its four neighbors.  A record is added
+by hand only through ``sim._world.place(a)``, which checks it first: the
+next id, a cell inside the region, and a free cell on the layer of its
+mode.  ``draw``, the module's ``sense`` and the run's decide callables
+are passed on every step: a wake runs compiled when ``sense`` and its
+mode's rule are both the kernel's own, and otherwise calls both through
+Python, each once, with the world as ``sense``'s first argument.  A
+record holds C values only, its energy a double whatever the type of
+``e0`` and ``alpha``.
 
 Who wakes is one bitmap over agent ids, ``awake``, kept in the world:
 ``Simulation.awake`` reads it as a ``frozenset`` of the records, and
@@ -51,24 +51,12 @@ ticks; ``t_s``, its count of settled steps, is not stored but computed
 from ``settle_step`` and the last step charged.  The run's end sets
 every settled energy.
 
-The two layers are per-cell occupant lists, ``ground`` and ``air``: a
-cell holds its occupant's ``AgentRecord`` or ``None``.  An agent's
-``(s1, s2)`` is stored once, in its record, and ``sense`` reads it off
-the occupants of the agent's cell and its four neighbors; the neighbor
-index ``-1`` reads as a wall.  The layers change at entry, move, settle,
-shutdown and failure; a sub-state transition changes only the record.
-
-The wake order of a step: the agents of ``awake``, read off its words in
-ascending id order and keyed in that order (a random key is one draw),
-then sorted once, as an array of keys ``(sub << 32) | id`` read by a
-cursor, with a mark per agent id telling which agents have a key this
-step.  ``sub`` is a uniform sub-step in ``[0, m)`` under the random
-scheduler, and the agent's hop distance from the entry under the
-adversarial one (settled agents do not move, so lazily inserted agents
-compare the same way as the rest).  A settled agent whose ground
-neighborhood changes during the step, and whose key lies after the
-cursor, is inserted in order.  Keys are unique, so this is the order a
-heap would pop.
+The wake order of a step: the agents of ``awake`` by their keys
+``(sub, id)``, keyed in ascending id order (a random key is one draw).
+``sub`` is a uniform sub-step in ``[0, m)`` under the random scheduler,
+and the agent's hop distance from the entry under the adversarial one.
+A settled agent whose ground neighborhood changes during the step, and
+whose key lies after the waking agent's, wakes into the change.
 
 Events are logged in one of two ways.  ``log_events=True`` collects
 them as ``Event`` tuples in ``events``, which the kernel leaves
@@ -173,23 +161,30 @@ class Simulation:
         self.region = region
         self.p = params
         self.draw = kernel.uniform_stream(params.seed)
-        ncells = region.width * region.height
-        # The occupant of each cell, per layer; None when it is empty.
-        self.ground: list[AgentRecord | None] = [None] * ncells
-        self.air: list[AgentRecord | None] = [None] * ncells
-        self.agents: list[AgentRecord] = []
         self.events: list[Event] | None = [] if log_events else None
         # Settled agents at the close of each step.
         self.ac_series: list[int] = []
         self._mobile_decide, self._settled_decide = REGISTRY[params.algorithm]
-        # The run's state as the kernel steps it: the objects above, not
-        # copies, and no reference back to this Simulation.
-        self._world = kernel.world(
-            region, params, self.agents, self.ground, self.air, self.ac_series,
-            self.events, on_events,
-        )
+        # The run's state as the kernel steps it, with no reference back
+        # to this Simulation.
+        self._world = kernel.world(region, params, self.ac_series, self.events, on_events)
         self.t = 0
         self.terminated: str | None = None
+
+    @property
+    def agents(self) -> tuple[AgentRecord, ...]:
+        """The run's agents in id order, read off the world."""
+        return self._world.agents
+
+    @property
+    def ground(self) -> tuple[AgentRecord | None, ...]:
+        """Each cell's settled occupant, or ``None``, read off the world."""
+        return self._world.ground
+
+    @property
+    def air(self) -> tuple[AgentRecord | None, ...]:
+        """Each cell's mobile occupant, or ``None``, read off the world."""
+        return self._world.air
 
     @property
     def awake(self) -> frozenset[AgentRecord]:

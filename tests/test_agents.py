@@ -94,8 +94,7 @@ class TestSense:
         a = AgentRecord(
             id=aid, mode=MODE_SETTLED, s1=s1, s2=s2, pos=cell, energy=48.0
         )
-        sim.agents.append(a)
-        sim.ground[cell] = a
+        sim._world.place(a)
         return a
 
     def place_mobile(self, sim, cell, s2=0):
@@ -103,8 +102,7 @@ class TestSense:
         a = AgentRecord(
             id=aid, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=cell, energy=49.0
         )
-        sim.agents.append(a)
-        sim.air[cell] = a
+        sim._world.place(a)
         return a
 
     def test_mobile_senses_both_layers(self):

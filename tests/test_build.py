@@ -14,6 +14,7 @@ import pytest
 
 import gridswarm
 from gridswarm import SimParams, _build, run, square_region
+from gridswarm.agents import MODE_MOBILE, S_MOBILE, AgentRecord
 
 SRC = Path(gridswarm.__file__).resolve().parent.parent
 
@@ -96,8 +97,17 @@ def test_source_compiles_without_warnings(tmp_path):
 def test_runs_leak_no_memory():
     """50 more runs per algorithm, each once with the event log and once
     streaming it, grow the traced heap by less than 64 KB: the kernel
-    drops every reference it takes and frees the world's text buffer."""
+    drops every reference it takes, frees the world's text buffer, and
+    frees each view of the agents and the layers and each record placed
+    on every free air cell of a finished run."""
     region = square_region(9)
+
+    def read_and_place(sim):
+        for cell, a in enumerate(sim.air):
+            if a is None:
+                sim._world.place(AgentRecord(id=len(sim.agents) + 1, mode=MODE_MOBILE,
+                                             s1=S_MOBILE, s2=0, pos=cell, energy=1.0))
+        assert sim.ground and sim.air
 
     def runs(seeds):
         for alg in ("sllg-ea", "slug-ea", "sltt-ea"):
@@ -105,8 +115,10 @@ def test_runs_leak_no_memory():
                 p = SimParams(algorithm=alg, approach=1 + seed % 2, e0=10, dt=2,
                               alpha=0.05 * (seed % 3), seed=seed,
                               scheduler=("random", "adversarial")[seed // 2 % 2])
-                run(region, p, log_events=True).events[0].format()
-                run(region, p, on_events=[].append)
+                res = run(region, p, log_events=True)
+                res.events[0].format()
+                read_and_place(res.sim)
+                read_and_place(run(region, p, on_events=[].append).sim)
 
     runs(range(10))  # warm the caches
     gc.collect()
@@ -126,7 +138,12 @@ def test_runs_leak_no_memory():
 # whose logged cells are int objects past the small ints.  A kernel whose
 # ``awake`` bitmap grows one word short aborts at the third test of
 # ``test_kernel.py``, with ``heap-buffer-overflow`` in ``awake_join``
-# under the first entry.
+# under the first entry.  One whose agents array grows one entry short
+# aborts at its fifth test (``sllg-a2-adversarial-alpha-fail``), with
+# ``heap-buffer-overflow`` in ``append`` under ``enter``, the 64th entry;
+# one whose ground layer is allocated one cell short aborts at its sixth
+# (``sllg-a2-random``), with ``heap-buffer-overflow`` in ``mark`` under
+# ``settle``.
 SANITIZED = ("test_kernel.py", "test_golden.py", "test_engine.py")
 
 

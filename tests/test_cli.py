@@ -209,6 +209,24 @@ class TestRunCommand:
         assert "refusing to append" in capsys.readouterr().err
         assert out.read_text() == "name,value\nx,1\n"
 
+    @pytest.mark.parametrize("old", [False, True], ids=["absent", "existing"])
+    @pytest.mark.parametrize("unusable", ["--out", "--log-events"])
+    def test_an_unusable_output_leaves_the_other_as_it_was(self, tmp_path, capsys, unusable, old):
+        """A run that cannot open its run CSV or its event log exits 2 and
+        leaves the other file as it was: still absent, or with its bytes."""
+        cfg = write_config(tmp_path, CORRIDOR_CFG)
+        paths = {"--out": tmp_path / "out.csv", "--log-events": tmp_path / "events.csv"}
+        paths[unusable] = tmp_path / "missing" / "x.csv"
+        (other,) = (flag for flag in paths if flag != unusable)
+        before = {"--out": ",".join(CSV_COLUMNS) + "\n", "--log-events": "an old log\n"}[other]
+        if old:
+            paths[other].write_text(before)
+        argv = [x for flag, path in paths.items() for x in (flag, str(path))]
+        assert main(["run", "--config", cfg, *argv]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert (paths[other].read_text() if paths[other].exists() else None) == (
+            before if old else None)
+
     def test_matching_out_header_appends(self, tmp_path):
         cfg = write_config(tmp_path, CORRIDOR_CFG)
         out = tmp_path / "out.csv"
@@ -353,6 +371,17 @@ class TestSweepCommand:
         assert "dt must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
         assert calls == []
+
+    def test_unusable_aggregate_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **kw: calls.append(a) or run(*a, **kw))
+        cfg = write_config(tmp_path, "region = line:8\ne0 = 40\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--seeds", "3", "--out", str(out),
+                     "--agg", str(tmp_path / "missing" / "agg.csv")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_rows_are_written_as_runs_finish(self, tmp_path, monkeypatch):
         out = tmp_path / "sweep.csv"

@@ -183,7 +183,9 @@ def test_awake_reads_back_the_records_assigned_across_word_boundaries():
     either side of each word boundary read back as the ``frozenset``
     assigned, and an assignment that fails changes no bit."""
     sim = engine.Simulation(square_region(3), SimParams())
-    sim.agents.extend(AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": i}) for i in range(1, 130))
+    for i in range(1, 130):  # shut down, so on neither layer
+        sim._world.place(AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": i,
+                                        "mode": MODE_SHUTDOWN}))
     chosen = frozenset(sim.agents[i - 1] for i in (1, 63, 64, 65, 127, 128, 129))
     sim.awake = iter(chosen)
     assert type(sim.awake) is frozenset and sim.awake == chosen
@@ -228,6 +230,118 @@ def test_awake_is_a_view_that_only_assignment_changes():
         sim.awake.add(a)
     sim.awake -= {a}
     assert sim.awake == frozenset()
+
+
+class TestPlace:
+    """``world.place`` is the one way to add an agent by hand.  It checks
+    the record in full first: a refused record changes nothing, and the
+    run goes on as one that was never offered it."""
+
+    PARAMS = SimParams(seed=1, e0=12, dt=1)
+
+    def started(self):
+        """A run of ``square:5`` 8 steps in, with mobiles and settled agents."""
+        sim = engine.Simulation(square_region(5), self.PARAMS, log_events=True)
+        for _ in range(8):
+            sim.step()
+        return sim
+
+    @staticmethod
+    def next_record(sim, **kw):
+        """The run's next agent, mobile on a free cell, changed by ``kw``."""
+        return AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": len(sim.agents) + 1,
+                              "pos": sim.air.index(None), **kw})
+
+    @staticmethod
+    def occupied(sim, mode):
+        return next(a.pos for a in sim.agents if a.mode == mode)
+
+    REFUSED = {  # case: (the record offered, the error, its message)
+        "not-a-record": (lambda self, sim: SimpleNamespace(**TestBoundaryTypes.FIELDS),
+                         TypeError, "expected an AgentRecord"),
+        "id-taken": (lambda self, sim: self.next_record(sim, id=len(sim.agents)),
+                     engine.InvariantError, "agent 8 cannot be placed: the next agent's id is 9"),
+        "id-skipped": (lambda self, sim: self.next_record(sim, id=len(sim.agents) + 2),
+                       engine.InvariantError, "the next agent's id is 9"),
+        "air-occupied": (lambda self, sim: self.next_record(
+            sim, pos=self.occupied(sim, MODE_MOBILE)),
+            engine.InvariantError, "agent 9 cannot be placed on an occupied cell"),
+        "ground-occupied": (lambda self, sim: self.next_record(
+            sim, mode=MODE_SETTLED, s1=S_BEACON, pos=self.occupied(sim, MODE_SETTLED)),
+            engine.InvariantError, "agent 9 cannot be placed on an occupied cell"),
+        "below-the-region": (lambda self, sim: self.next_record(sim, pos=-1),
+                             IndexError, "cell -1 lies outside the region"),
+        "past-the-region": (lambda self, sim: self.next_record(sim, mode=MODE_SHUTDOWN, pos=25),
+                            IndexError, "cell 25 lies outside the region"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_a_refused_record_changes_nothing(self, case):
+        offer, error, match = self.REFUSED[case]
+        sim = self.started()
+        before = (sim.agents, sim.ground, sim.air, sim.awake, list(sim.ac_series))
+        with pytest.raises(error, match=match):
+            sim._world.place(offer(self, sim))
+        assert (sim.agents, sim.ground, sim.air, sim.awake, list(sim.ac_series)) == before
+        assert_same_run(sim.run(), run(square_region(5), self.PARAMS, log_events=True))
+
+    def test_a_seam_cannot_place_during_a_step(self):
+        sim = self.started()
+        stream, raised = sim.draw, []
+
+        def draw():
+            try:
+                sim._world.place(self.next_record(sim))
+            except RuntimeError as e:
+                raised.append(str(e))
+            return stream()
+
+        sim.draw = draw
+        sim.step()
+        sim.draw = stream
+        assert raised and set(raised) == {"an agent cannot be placed while the world is stepping"}
+        assert_same_run(sim.run(), run(square_region(5), self.PARAMS, log_events=True))
+
+    def test_a_placed_record_takes_its_cell_but_neither_wakes_nor_counts(self):
+        """A placed record is the next agent and its cell's occupant on the
+        layer of its mode; it does not join ``awake``, and a settled one is
+        not counted in ``ac_series``."""
+        sim = engine.Simulation(square_region(3), SimParams())
+        settled = AgentRecord(**{**TestBoundaryTypes.FIELDS, "mode": MODE_SETTLED,
+                                 "s1": S_BEACON, "pos": 0})
+        mobile = AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": 2, "pos": 0})
+        down = AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": 3, "mode": MODE_FAILED, "pos": 0})
+        for a in (settled, mobile, down):
+            sim._world.place(a)
+        assert sim.agents == (settled, mobile, down)
+        assert sim.ground == (settled,) + (None,) * 8 and sim.air == (mobile,) + (None,) * 8
+        assert sim.awake == frozenset()
+        sim.step()
+        assert sim.ac_series == [0] and sim.agents[3].id == 4
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_views_read_the_records_by_id_cell_and_mode(name):
+    """After a run, ``agents`` holds the records in id order, and each
+    layer holds every agent of its mode at its cell and nothing else.
+    The views are tuples: no assignment reaches the world."""
+    region, params, *_ = GOLDEN[name]
+    sim = run(REGIONS[region](), SimParams(**params)).sim
+    agents, ground, air = sim.agents, sim.ground, sim.air
+    assert type(agents) is type(ground) is type(air) is tuple
+    assert [a.id for a in agents] == list(range(1, len(agents) + 1))
+    assert len(ground) == len(air) == sim.region.width * sim.region.height
+    for layer, mode in ((ground, MODE_SETTLED), (air, MODE_MOBILE)):
+        occupants = [a for a in agents if a.mode == mode]
+        assert [(c, a) for c, a in enumerate(layer) if a is not None] == sorted(
+            ((a.pos, a) for a in occupants), key=lambda ca: ca[0])
+    for name, view in (("agents", agents), ("ground", ground), ("air", air)):
+        with pytest.raises(TypeError):
+            view[0] = None
+        for owner in (sim, sim._world):
+            with pytest.raises(AttributeError):
+                setattr(owner, name, list(view))
+    assert (sim.agents, sim.ground, sim.air) == (agents, ground, air)
 
 
 def test_a_streamed_log_hands_over_one_bytes_per_step():
@@ -520,11 +634,6 @@ class TestBoundaryTypes:
         "awake-id": (lambda self: self.step_waking(1), "expected an AgentRecord"),
         "awake-stranger": (lambda self: self.step_waking(AgentRecord(**self.FIELDS)),
                            "agent 1 cannot join this step's wake order", engine.InvariantError),
-        "awake-popped": (lambda self: self.step_altered(list.pop),
-                         "agent 1 cannot join this step's wake order", engine.InvariantError),
-        "awake-swapped": (lambda self: self.step_altered(lambda agents: agents.__setitem__(
-            0, AgentRecord(**{**self.FIELDS, "id": 2}))),
-            "agent 1 cannot join this step's wake order", engine.InvariantError),
         "world-both-sinks": (lambda self: self.world(events=[], on_events=[].append),
                              "on_events is a callable or None, and None with events"),
         "world-on-events": (lambda self: self.world(events=None, on_events=42),
@@ -569,8 +678,7 @@ class TestBoundaryTypes:
     @staticmethod
     def world(events, on_events):
         """A world of ``square:3`` built with the sinks given."""
-        return kernel.world(square_region(3), SimParams(), [], [None] * 9, [None] * 9, [], events,
-                            on_events)
+        return kernel.world(square_region(3), SimParams(), [], events, on_events)
 
     @staticmethod
     def step_waking(item):
@@ -579,15 +687,6 @@ class TestBoundaryTypes:
         sim = engine.Simulation(square_region(3), SimParams())
         sim.step()
         sim.awake = {item}
-        sim.step()
-
-    @staticmethod
-    def step_altered(alter):
-        """Step a run once its first agent is in and awake, call ``alter``
-        on the run's agent list, and step again."""
-        sim = engine.Simulation(square_region(3), SimParams())
-        sim.step()
-        alter(sim.agents)
         sim.step()
 
     @staticmethod
@@ -607,12 +706,13 @@ class TestBoundaryTypes:
 
     @pytest.mark.parametrize("pos", [-1, 9])
     def test_a_record_outside_the_region_raises_index_error_from_step(self, pos):
-        """A hand-placed record whose cell lies outside the region: the
-        step reads no cell off the region's arrays for it."""
+        """A placed record moved to a cell outside the region: the step
+        reads no cell off the region's arrays for it."""
         for scheduler in ("random", "adversarial"):
             sim = engine.Simulation(square_region(3), SimParams(scheduler=scheduler))
-            a = AgentRecord(**{**self.FIELDS, "pos": pos})
-            sim.agents.append(a)
+            a = AgentRecord(**self.FIELDS)
+            sim._world.place(a)
+            a.pos = pos
             sim.awake |= {a}
             with pytest.raises(IndexError, match=f"cell {pos} lies outside the region"):
                 sim.step()
@@ -639,20 +739,10 @@ class TestBoundaryTypes:
         assert same_run(square_region(5), SimParams(e0=8, seed=1)).metrics.a_c > 0
 
 
-def test_logged_kernel_events_are_not_tracked_by_the_collector():
-    """Moves and transitions hold ints, a str and a float: the kernel
-    leaves them out of the cyclic collector's walks."""
-    res = run(square_region(9), SimParams(algorithm="sllg-ea", approach=2, e0=10, dt=1,
-                                          alpha=0.05, seed=1), log_events=True)
-    kernel_events = [e for e in res.events if e.action in ("move", "transition")]
-    assert {e.action for e in kernel_events} == {"move", "transition"}
-    assert not any(gc.is_tracked(e) for e in kernel_events)
-
-
 def test_every_logged_event_is_untracked_by_the_collector():
-    """Entries, settles, shutdowns and failures, logged from Python, are
-    built by the kernel too: no event of the log is tracked, and no
-    record, whose fields are ints and a float."""
+    """Each logged event holds ints, a str and a float, whatever its
+    action: the kernel leaves every one out of the cyclic collector's
+    walks, and no record, whose fields are ints and a float, is tracked."""
     region, params, *_ = GOLDEN["sltt-a2-adversarial-alpha-fail"]
     res = run(REGIONS[region](), SimParams(**params), log_events=True)
     assert {e.action for e in res.events} == {
