@@ -9,8 +9,8 @@
    run's random stream: PCG64 seeded as NumPy's ``SeedSequence`` seeds it, so
    it draws the same floats as NumPy's ``default_rng(seed).random()``.
 
-   A run's state is a ``world``, built once per run by
-   ``Simulation.__init__`` after ``validate``; the world owns it.  It
+   A run is one ``world``: ``engine.Simulation`` subclasses it, and
+   the world, built after ``params.validate()``, owns the run's state.  It
    holds the region's neighbors and distances as C int arrays, the
    parameters as C scalars (``p.d_max`` is read once, through its
    property, and ``dt`` as an int), the settled count, the heap of
@@ -26,8 +26,8 @@
    the agents and the layers as tuples built on each access
    (``world.agents``, ``world.ground``, ``world.air``) and adds an agent
    only through ``world.place(a)``, which checks the record in full
-   first and is refused during a step.  The world also refers to the
-   run's ``ac_series`` and event sink, and to no ``Simulation``, so a
+   first and is refused during a step.  Its ``region``, ``p``,
+   ``ac_series``, ``events`` and records do not refer back to it, so a
    finished run is freed without the cyclic collector.
 
    ``step(world, t, draw, sense, mobile_decide, settled_decide)`` runs
@@ -1021,7 +1021,7 @@ typedef struct {
 
 typedef struct {
     PyObject_HEAD
-    /* The run's own objects, shared with its Simulation. */
+    /* The run's own objects. */
     PyObject *region, *p, *ac_series;
     PyObject *events;     /* the ``Event``s of ``log_events=True``, or NULL */
     PyObject *on_events;  /* takes each step's lines as one bytes, or NULL */
@@ -1068,7 +1068,7 @@ static PyTypeObject WorldType;
 static world_t *
 as_world(PyObject *o)
 {
-    if (Py_IS_TYPE(o, &WorldType))
+    if (PyObject_TypeCheck(o, &WorldType))
         return (world_t *)o;
     PyErr_Format(PyExc_TypeError, "expected a world, got %.100s", Py_TYPE(o)->tp_name);
     return NULL;
@@ -1917,30 +1917,31 @@ read_params(world_t *w)
 static PyObject *
 world_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"region", "p", "ac_series", "events", "on_events", NULL};
-    PyObject *o[5];
+    static char *kwlist[] = {"region", "params", "log_events", "on_events", NULL};
+    PyObject *region, *params, *on_events = Py_None, *valid;
+    int log_events = 0;
     world_t *w;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!OO:world", kwlist, &o[0], &o[1],
-                                     &PyList_Type, &o[2], &o[3], &o[4])
-        || check_bound() < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|pO:world", kwlist, &region, &params,
+                                     &log_events, &on_events)
+        || check_bound() < 0 || (valid = PyObject_CallMethod(params, "validate", NULL)) == NULL)
         return NULL;
-    if (o[3] != Py_None && !PyList_Check(o[3])) {
-        PyErr_SetString(PyExc_TypeError, "events is a list or None");
+    Py_DECREF(valid);
+    if (log_events && on_events != Py_None) {
+        PyErr_SetString(PyExc_ValueError, "pass either log_events or on_events, not both");
         return NULL;
     }
-    if (o[4] != Py_None && (o[3] != Py_None || !PyCallable_Check(o[4]))) {
-        PyErr_SetString(PyExc_TypeError, "on_events is a callable or None, and None with events");
+    if (on_events != Py_None && !PyCallable_Check(on_events)) {
+        PyErr_SetString(PyExc_TypeError, "on_events is a callable or None");
         return NULL;
     }
     if ((w = (world_t *)type->tp_alloc(type, 0)) == NULL)
         return NULL;
-    w->region = Py_NewRef(o[0]), w->p = Py_NewRef(o[1]), w->ac_series = Py_NewRef(o[2]);
-    if (o[3] != Py_None)
-        w->events = Py_NewRef(o[3]);
-    if (o[4] != Py_None)
-        w->on_events = Py_NewRef(o[4]);
+    w->region = Py_NewRef(region), w->p = Py_NewRef(params);
+    if (on_events != Py_None)
+        w->on_events = Py_NewRef(on_events);
     w->settled_int = Py_NewRef(ZERO);
-    if (read_region(w) < 0 || read_params(w) < 0)
+    if ((log_events && (w->events = PyList_New(0)) == NULL)
+        || (w->ac_series = PyList_New(0)) == NULL || read_region(w) < 0 || read_params(w) < 0)
         Py_CLEAR(w);
     else if ((w->ground = PyMem_Calloc((size_t)w->ncells, sizeof(rec_t *))) == NULL
              || (w->air = PyMem_Calloc((size_t)w->ncells, sizeof(rec_t *))) == NULL) {
@@ -1984,6 +1985,10 @@ world_place(world_t *w, PyObject *arg)
     }
     if (cell_of(w, a, &cell) < 0)
         return NULL;
+    if (w->dist[cell] < 0) {
+        PyErr_Format(PyExc_ValueError, "agent %ld cannot be placed on a wall cell", a->id);
+        return NULL;
+    }
     layer = a->mode == MODE_MOBILE ? w->air : a->mode == MODE_SETTLED ? w->ground : NULL;
     if (layer != NULL && layer[cell] != NULL) {
         invariant(a, "cannot be placed on an occupied cell");
@@ -2003,9 +2008,9 @@ static PyMethodDef world_methods[] = {
     {"place", (PyCFunction)world_place, METH_O,
      "place(a)\n--\n\n"
      "Add the ``AgentRecord`` ``a`` as the run's next agent: its id must be\n"
-     "``len(agents) + 1`` and its cell inside the region, and if it is mobile\n"
-     "or settled it becomes the occupant of its cell on the air or the ground,\n"
-     "which must be free.  It does not join ``awake`` and does not count as\n"
+     "``len(agents) + 1`` and its cell inside the region and not a wall, and if it\n"
+     "is mobile or settled it becomes the occupant of its cell on the air or the\n"
+     "ground, which must be free.  It does not join ``awake`` and does not count as\n"
      "settled.  Refused while the world is stepping; a refusal changes nothing."},
     {NULL, NULL, 0, NULL},
 };
@@ -2076,7 +2081,8 @@ world_set_awake(world_t *w, PyObject *v, void *Py_UNUSED(closure))
         return -1;
     n = PySequence_Fast_GET_SIZE(items);
     for (i = 0; i < n; i++) {
-        if ((a = as_record(PySequence_Fast_GET_ITEM(items, i))) == NULL || check_agent(w, a) < 0)
+        if ((a = as_record(PySequence_Fast_GET_ITEM(items, i))) == NULL || check_agent(w, a) < 0
+            || sensing_mode(a) < 0)
             goto done;
         top = a->id > top ? a->id : top;
     }
@@ -2096,8 +2102,8 @@ done:
 static PyGetSetDef world_getset[] = {
     {"awake", (getter)world_get_awake, (setter)world_set_awake,
      "The agents that wake next step, as a ``frozenset`` of their records.  Assign an\n"
-     "iterable of records, each the run's agent of its id, to change it; not while\n"
-     "the world is stepping.", NULL},
+     "iterable of records, each the run's agent of its id and mobile or settled, to\n"
+     "change it; not while the world is stepping.", NULL},
     {"agents", (getter)world_get_agents, NULL,
      "The run's agents, a tuple of their records in id order, built on each read.", NULL},
     {"ground", (getter)world_get_layer, NULL,
@@ -2111,7 +2117,9 @@ static PyGetSetDef world_getset[] = {
 
 static PyMemberDef world_members[] = {
     {"region", T_OBJECT_EX, offsetof(world_t, region), READONLY, "The run's region."},
-    {"t", T_LONG, offsetof(world_t, t), READONLY, "The step run last, or running."},
+    {"p", T_OBJECT_EX, offsetof(world_t, p), READONLY, "The run's parameters."},
+    {"events", T_OBJECT, offsetof(world_t, events), READONLY, "The logged ``Event``s or ``None``."},
+    {"ac_series", T_OBJECT_EX, offsetof(world_t, ac_series), READONLY, "Settled agents per step."},
     {NULL, 0, 0, 0, NULL},
 };
 
@@ -2119,20 +2127,19 @@ static PyTypeObject WorldType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "gridswarm._kernel.world",
     .tp_basicsize = sizeof(world_t),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "world(region, p, ac_series, events, on_events)\n--\n\n"
-              "The state of one run that ``step`` advances.  The world owns the\n"
-              "run's agents and its occupant layers: ``agents``, ``ground`` and\n"
-              "``air`` read them as tuples, a layer holding each cell's occupant or\n"
-              "``None``, and ``place(a)`` adds an agent by hand.  ``ac_series`` is the\n"
-              "run's own list, which the step appends to.  ``awake``, the agents\n"
-              "that wake next step, is a bitmap over agent ids, empty at first; it\n"
-              "reads as a ``frozenset`` of their records and changes by assignment,\n"
-              "each record the run's agent of its id.  Events go to the list\n"
-              "``events``, or as their lines, in one ``bytes`` per step, to the\n"
-              "callable ``on_events``; at most one of the two is given, and neither\n"
-              "for no log.  ``region`` and the step ``t`` are readable too, for a\n"
-              "``sense`` that wraps the kernel's own.",
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "world(region, params, log_events=False, on_events=None)\n--\n\n"
+              "The state of one run that ``step`` advances, after ``params.validate()``;\n"
+              "``engine.Simulation`` is a world.  The world owns the run's agents and\n"
+              "its occupant layers: ``agents``, ``ground`` and ``air`` read them as\n"
+              "tuples, a layer holding each cell's occupant or ``None``, and\n"
+              "``place(a)`` adds an agent by hand.  ``awake``, the agents that wake\n"
+              "next step, is a bitmap over agent ids, empty at first; it reads as a\n"
+              "``frozenset`` of their records and changes by assignment.\n"
+              "``log_events=True`` collects the events in the list ``events``; the\n"
+              "callable ``on_events`` instead takes their lines in one ``bytes`` per\n"
+              "step; both at once raise ``ValueError``.  ``region``, ``p``, ``events``\n"
+              "and ``ac_series``, the settled count at each step's close, are read-only.",
     .tp_new = world_new,
     .tp_dealloc = (destructor)world_dealloc,
     .tp_traverse = (traverseproc)world_traverse,

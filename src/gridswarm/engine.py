@@ -14,27 +14,26 @@ recorded, the step's events are handed on and termination is read off
 the entry cell.  ``Simulation.step`` makes that call and advances the
 clock; it is the seam a tracer wraps, once per step.
 
-The kernel steps a per-run ``world``, built in ``Simulation.__init__``,
-which owns the run's state; the header of ``_kernel.c`` describes how it
-holds it.  Python sees that state through views built on access:
-``Simulation.agents`` is a tuple of the records in id order, and
-``Simulation.ground`` and ``Simulation.air``, the occupant layers, are
-tuples of each cell's occupant record or ``None``.  An agent's ``(s1,
-s2)`` is stored once, in its record, and sensing reads it off the
-occupants of the agent's cell and its four neighbors.  A record is added
-by hand only through ``sim._world.place(a)``, which checks it first: the
-next id, a cell inside the region, and a free cell on the layer of its
-mode.  ``draw``, the module's ``sense`` and the run's decide callables
-are passed on every step: a wake runs compiled when ``sense`` and its
-mode's rule are both the kernel's own, and otherwise calls both through
-Python, each once, with the world as ``sense``'s first argument.  A
-record holds C values only, its energy a double whatever the type of
-``e0`` and ``alpha``.
+A ``Simulation`` is the kernel's ``world`` of its run, which owns the
+run's state; the header of ``_kernel.c`` describes how it holds it.
+Python sees that state through views built on access: ``agents`` is a
+tuple of the records in id order, and ``ground`` and ``air``, the
+occupant layers, are tuples of each cell's occupant record or ``None``.
+An agent's ``(s1, s2)`` is stored once, in its record, and sensing reads
+it off the occupants of the agent's cell and its four neighbors.  A
+record is added by hand only through ``sim.place(a)``, which checks it
+first: the next id, a cell inside the region and not a wall, and a free
+cell on the layer of its mode.  ``draw``, the module's ``sense`` and the
+run's decide callables are passed on every step: a wake runs compiled
+when ``sense`` and its mode's rule are both the kernel's own, and
+otherwise calls both through Python, each once, with the simulation as
+``sense``'s first argument.  A record holds C values only, its energy a
+double whatever the type of ``e0`` and ``alpha``.
 
 Who wakes is one bitmap over agent ids, ``awake``, kept in the world:
-``Simulation.awake`` reads it as a ``frozenset`` of the records, and
-assigning an iterable of records replaces it, each record the run's
-agent of its id (not during a step).  An agent joins it when it enters,
+it reads as a ``frozenset`` of the records, and assigning an iterable of
+records replaces it, each record the run's mobile or settled agent of
+its id (not during a step).  An agent joins it when it enters,
 when a ground change in its neighborhood marks it, and when its energy
 crosses the reporting threshold; it leaves when it shuts down, fails, or
 ends a settled wake (a transition's marks put it back unless it reported
@@ -77,9 +76,9 @@ All randomness comes from one stream of uniform floats in [0, 1),
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
-from .agents import MODE_FAILED, MODE_SHUTDOWN, AgentRecord, SimParams, sense
+from .agents import MODE_FAILED, MODE_SHUTDOWN, SimParams, sense
 from ._build import kernel
 from .grid import Region
 from .rules import REGISTRY, _action
@@ -140,13 +139,18 @@ def default_step_cap(region: Region, p: SimParams) -> int:
     return 50 * region.n * (p.dt + 2)
 
 
-class Simulation:
-    """Mutable world state for one run.
+class Simulation(kernel.world):
+    """One run: the kernel's ``world`` of the run, which checks ``params``
+    and the log sinks, with the clock and the seams each step hands it.
 
     ``log_events=True`` collects the events in ``events``; ``on_events``
     instead receives each step's event-log lines, each ending in a newline,
     as one ``bytes`` when the step closes.
     """
+
+    # Slots, not a ``__dict__``: each step reads them, and a slot reads
+    # faster.  ``__weakref__`` keeps a run weakly referable.
+    __slots__ = ("draw", "_mobile_decide", "_settled_decide", "t", "terminated", "__weakref__")
 
     def __init__(
         self,
@@ -155,47 +159,10 @@ class Simulation:
         log_events: bool = False,
         on_events: Callable[[bytes], object] | None = None,
     ):
-        params.validate()
-        if log_events and on_events is not None:
-            raise ValueError("pass either log_events or on_events, not both")
-        self.region = region
-        self.p = params
         self.draw = kernel.uniform_stream(params.seed)
-        self.events: list[Event] | None = [] if log_events else None
-        # Settled agents at the close of each step.
-        self.ac_series: list[int] = []
         self._mobile_decide, self._settled_decide = REGISTRY[params.algorithm]
-        # The run's state as the kernel steps it, with no reference back
-        # to this Simulation.
-        self._world = kernel.world(region, params, self.ac_series, self.events, on_events)
         self.t = 0
         self.terminated: str | None = None
-
-    @property
-    def agents(self) -> tuple[AgentRecord, ...]:
-        """The run's agents in id order, read off the world."""
-        return self._world.agents
-
-    @property
-    def ground(self) -> tuple[AgentRecord | None, ...]:
-        """Each cell's settled occupant, or ``None``, read off the world."""
-        return self._world.ground
-
-    @property
-    def air(self) -> tuple[AgentRecord | None, ...]:
-        """Each cell's mobile occupant, or ``None``, read off the world."""
-        return self._world.air
-
-    @property
-    def awake(self) -> frozenset[AgentRecord]:
-        """The agents that wake next step, read off the world's bitmap.
-        Assign an iterable of records, each the run's agent of its id, to
-        change it."""
-        return self._world.awake
-
-    @awake.setter
-    def awake(self, records: Iterable[AgentRecord]) -> None:
-        self._world.awake = records
 
     # -- one step ----------------------------------------------------------
 
@@ -208,7 +175,7 @@ class Simulation:
         the run, so a step past the end keeps it."""
         t = self.t
         terminated = kernel.step(
-            self._world, t, self.draw, sense, self._mobile_decide, self._settled_decide
+            self, t, self.draw, sense, self._mobile_decide, self._settled_decide
         )
         if terminated is not None:
             self.terminated = terminated
@@ -224,7 +191,7 @@ class Simulation:
                 self.terminated = TERM_STEP_CAP
         t_end = self.t - 1
         agents = self.agents
-        self._world.finish(t_end)
+        self.finish(t_end)
         spent = [self.p.e0 - a.energy for a in agents]
         metrics = RunMetrics(
             terminated=self.terminated,

@@ -94,7 +94,7 @@ class TestSense:
         a = AgentRecord(
             id=aid, mode=MODE_SETTLED, s1=s1, s2=s2, pos=cell, energy=48.0
         )
-        sim._world.place(a)
+        sim.place(a)
         return a
 
     def place_mobile(self, sim, cell, s2=0):
@@ -102,7 +102,7 @@ class TestSense:
         a = AgentRecord(
             id=aid, mode=MODE_MOBILE, s1=S_MOBILE, s2=s2, pos=cell, energy=49.0
         )
-        sim._world.place(a)
+        sim.place(a)
         return a
 
     def test_mobile_senses_both_layers(self):
@@ -110,7 +110,7 @@ class TestSense:
         beacon = self.place_settled(sim, region.index(1, 0), s2=2)
         other = self.place_mobile(sim, region.index(0, 1), s2=5)
         me = self.place_mobile(sim, region.entry)
-        xi = sense(sim._world, me)
+        xi = sense(sim, me)
         assert xi[0] == SENSE_EMPTY  # nothing settled underneath
         assert xi[1] == SENSE_WALL  # north border
         assert xi[2] == (beacon.s1, 2)  # ground east
@@ -123,7 +123,7 @@ class TestSense:
         me = self.place_settled(sim, region.entry, s2=1)
         self.place_mobile(sim, region.index(1, 0))  # airborne neighbor
         self.place_settled(sim, region.index(0, 1), s1=S_LOW_ENERGY, s2=2)
-        xi = sense(sim._world, me)
+        xi = sense(sim, me)
         assert xi[0] == (me.s1, me.s2)
         assert xi[2] == SENSE_EMPTY  # the mobile neighbor is invisible
         assert xi[3] == (S_LOW_ENERGY, 2)
@@ -132,7 +132,7 @@ class TestSense:
     def test_walls_read_as_walls_in_both_layers(self):
         region, sim = self.build("EW\n..\n")
         me = self.place_mobile(sim, region.entry)
-        xi = sense(sim._world, me)
+        xi = sense(sim, me)
         assert xi[2] == SENSE_WALL
         assert xi[7] == SENSE_WALL
 

@@ -105,8 +105,8 @@ def test_runs_leak_no_memory():
     def read_and_place(sim):
         for cell, a in enumerate(sim.air):
             if a is None:
-                sim._world.place(AgentRecord(id=len(sim.agents) + 1, mode=MODE_MOBILE,
-                                             s1=S_MOBILE, s2=0, pos=cell, energy=1.0))
+                sim.place(AgentRecord(id=len(sim.agents) + 1, mode=MODE_MOBILE,
+                                      s1=S_MOBILE, s2=0, pos=cell, energy=1.0))
         assert sim.ground and sim.air
 
     def runs(seeds):
@@ -143,7 +143,11 @@ def test_runs_leak_no_memory():
 # ``heap-buffer-overflow`` in ``append`` under ``enter``, the 64th entry;
 # one whose ground layer is allocated one cell short aborts at its sixth
 # (``sllg-a2-random``), with ``heap-buffer-overflow`` in ``mark`` under
-# ``settle``.
+# ``settle``.  One whose ``world_dealloc`` frees the agents array before
+# dropping the records' references aborts at its third test (the first
+# golden run, ``sllg-a1-adversarial-walled``), with ``heap-use-after-free``
+# in ``world_dealloc`` under ``subtype_dealloc``: a ``Simulation`` is a
+# world, so its records are released on that path.
 SANITIZED = ("test_kernel.py", "test_golden.py", "test_engine.py")
 
 

@@ -537,7 +537,7 @@ class TestSettledEnergySchedule:
         sim._mobile_decide = lambda a, xi, p, draw: SETTLE if a.id == 1 else STAY
         a = AgentRecord(id=1, mode=MODE_MOBILE, s1=S_MOBILE, s2=0, pos=0,
                         energy=e0 - t_m, t_m=t_m)
-        sim._world.place(a)
+        sim.place(a)
         sim.awake |= {a}
         sim.t = s
         # It fails within e0 / alpha settled steps.

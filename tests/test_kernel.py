@@ -69,7 +69,7 @@ def test_mode_names_agree_with_the_python_definitions():
     for mode in (MODE_SHUTDOWN, MODE_FAILED):
         a = AgentRecord(id=7, mode=mode, s1=S_MOBILE, s2=0, pos=0, energy=1.0)
         with pytest.raises(ValueError, match=f"agent 7 cannot sense in mode {MODE_NAMES[mode]}$"):
-            kernel.sense(sim._world, a)
+            kernel.sense(sim, a)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -182,10 +182,9 @@ def test_awake_reads_back_the_records_assigned_across_word_boundaries():
     """``awake`` is a bitmap of 64-bit words over agent ids: records on
     either side of each word boundary read back as the ``frozenset``
     assigned, and an assignment that fails changes no bit."""
-    sim = engine.Simulation(square_region(3), SimParams())
-    for i in range(1, 130):  # shut down, so on neither layer
-        sim._world.place(AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": i,
-                                        "mode": MODE_SHUTDOWN}))
+    sim = engine.Simulation(square_region(13), SimParams())
+    for i in range(1, 130):  # mobile, each on its own air cell
+        sim.place(AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": i, "pos": i - 1}))
     chosen = frozenset(sim.agents[i - 1] for i in (1, 63, 64, 65, 127, 128, 129))
     sim.awake = iter(chosen)
     assert type(sim.awake) is frozenset and sim.awake == chosen
@@ -194,6 +193,24 @@ def test_awake_reads_back_the_records_assigned_across_word_boundaries():
     assert sim.awake == chosen
     sim.awake = ()
     assert sim.awake == frozenset()
+
+
+def test_awake_refuses_an_agent_that_cannot_sense():
+    """A shut-down or failed agent has no wake: assigning it to ``awake``
+    raises the error its wake would, changes no bit, and the run steps on."""
+    sim = engine.Simulation(square_region(3), SimParams())
+    sim.step()
+    (a,) = sim.agents
+    for mode in (MODE_SHUTDOWN, MODE_FAILED):
+        down = AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": len(sim.agents) + 1,
+                              "mode": mode})
+        sim.place(down)
+        with pytest.raises(ValueError, match=f"agent {down.id} cannot sense in mode "
+                                             f"{MODE_NAMES[mode]}$"):
+            sim.awake = [a, down]
+        assert sim.awake == {a}
+    sim.step()
+    assert sim.t == 2 and len(sim.ac_series) == 2
 
 
 def test_awake_cannot_change_while_the_world_is_stepping():
@@ -230,6 +247,40 @@ def test_awake_is_a_view_that_only_assignment_changes():
         sim.awake.add(a)
     sim.awake -= {a}
     assert sim.awake == frozenset()
+
+
+class TestSimulationIsTheWorld:
+    """A ``Simulation`` is the kernel's ``world`` of its run, one object
+    with fixed slots, which checks its parameters and sinks once."""
+
+    def test_a_simulation_is_a_world_without_a_dict(self):
+        sim = engine.Simulation(square_region(3), SimParams())
+        assert isinstance(sim, kernel.world)
+        assert not hasattr(sim, "__dict__")
+        with pytest.raises(AttributeError):
+            sim.extra = 1
+
+    @pytest.mark.parametrize("name", ["region", "p", "events", "ac_series"])
+    def test_the_runs_own_objects_are_read_only(self, name):
+        sim = engine.Simulation(square_region(3), SimParams(), log_events=True)
+        before = getattr(sim, name)
+        with pytest.raises(AttributeError):
+            setattr(sim, name, None)
+        assert getattr(sim, name) is before
+
+    def test_params_are_validated_once_per_simulation(self):
+        calls = []
+
+        class Counted(SimParams):
+            def validate(self):
+                calls.append(self)
+                return super().validate()
+
+        params = Counted(seed=1)
+        engine.Simulation(square_region(3), params).run()
+        assert len(calls) == 1 and calls[0] is params
+        with pytest.raises(ParamError, match="dt"):
+            kernel.world(square_region(3), SimParams(dt=0))
 
 
 class TestPlace:
@@ -281,9 +332,21 @@ class TestPlace:
         sim = self.started()
         before = (sim.agents, sim.ground, sim.air, sim.awake, list(sim.ac_series))
         with pytest.raises(error, match=match):
-            sim._world.place(offer(self, sim))
+            sim.place(offer(self, sim))
         assert (sim.agents, sim.ground, sim.air, sim.awake, list(sim.ac_series)) == before
         assert_same_run(sim.run(), run(square_region(5), self.PARAMS, log_events=True))
+
+    def test_a_wall_cell_is_refused(self):
+        """A record on a wall cell is refused, on either layer, and the run
+        goes on as one that was never offered it."""
+        region = parse_region("...\n.WE\n...\n")
+        sim = engine.Simulation(region, self.PARAMS, log_events=True)
+        for mode, s1 in ((MODE_MOBILE, S_MOBILE), (MODE_SETTLED, S_BEACON)):
+            with pytest.raises(ValueError, match="agent 1 cannot be placed on a wall cell"):
+                sim.place(AgentRecord(**{**TestBoundaryTypes.FIELDS, "mode": mode, "s1": s1,
+                                         "pos": 4}))
+        assert sim.agents == () and sim.ground == sim.air == (None,) * 9
+        assert_same_run(sim.run(), run(region, self.PARAMS, log_events=True))
 
     def test_a_seam_cannot_place_during_a_step(self):
         sim = self.started()
@@ -291,7 +354,7 @@ class TestPlace:
 
         def draw():
             try:
-                sim._world.place(self.next_record(sim))
+                sim.place(self.next_record(sim))
             except RuntimeError as e:
                 raised.append(str(e))
             return stream()
@@ -312,7 +375,7 @@ class TestPlace:
         mobile = AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": 2, "pos": 0})
         down = AgentRecord(**{**TestBoundaryTypes.FIELDS, "id": 3, "mode": MODE_FAILED, "pos": 0})
         for a in (settled, mobile, down):
-            sim._world.place(a)
+            sim.place(a)
         assert sim.agents == (settled, mobile, down)
         assert sim.ground == (settled,) + (None,) * 8 and sim.air == (mobile,) + (None,) * 8
         assert sim.awake == frozenset()
@@ -338,9 +401,8 @@ def test_views_read_the_records_by_id_cell_and_mode(name):
     for name, view in (("agents", agents), ("ground", ground), ("air", air)):
         with pytest.raises(TypeError):
             view[0] = None
-        for owner in (sim, sim._world):
-            with pytest.raises(AttributeError):
-                setattr(owner, name, list(view))
+        with pytest.raises(AttributeError):
+            setattr(sim, name, list(view))
     assert (sim.agents, sim.ground, sim.air) == (agents, ground, air)
 
 
@@ -625,19 +687,26 @@ class TestBoundaryTypes:
     NOT_AN_INT = "object cannot be interpreted as an integer"
     REJECTED = {  # case: (call, the error's message), or (call, message, error)
         "sense-record": (lambda self: kernel.sense(
-            engine.Simulation(square_region(3), SimParams())._world,
+            engine.Simulation(square_region(3), SimParams()),
             SimpleNamespace(**self.FIELDS)),
             "expected an AgentRecord"),
         "sense-world": (lambda self: kernel.sense(
-            engine.Simulation(square_region(3), SimParams()), AgentRecord(**self.FIELDS)),
+            reference.ReferenceSimulation(square_region(3), SimParams()),
+            AgentRecord(**self.FIELDS)),
             "expected a world"),
         "awake-id": (lambda self: self.step_waking(1), "expected an AgentRecord"),
         "awake-stranger": (lambda self: self.step_waking(AgentRecord(**self.FIELDS)),
                            "agent 1 cannot join this step's wake order", engine.InvariantError),
-        "world-both-sinks": (lambda self: self.world(events=[], on_events=[].append),
-                             "on_events is a callable or None, and None with events"),
-        "world-on-events": (lambda self: self.world(events=None, on_events=42),
+        "world-both-sinks": (lambda self: self.world(
+            kernel.world, log_events=True, on_events=[].append),
+            "pass either log_events or on_events, not both", ValueError),
+        "world-on-events": (lambda self: self.world(kernel.world, on_events=42),
                             "on_events is a callable or None"),
+        "simulation-both-sinks": (lambda self: self.world(
+            engine.Simulation, log_events=True, on_events=[].append),
+            "pass either log_events or on_events, not both", ValueError),
+        "simulation-on-events": (lambda self: self.world(engine.Simulation, on_events=42),
+                                 "on_events is a callable or None"),
         "rule-record": (lambda self: rules.mobile_decide_sllg(
             SimpleNamespace(**self.FIELDS), self.XI, SimParams(), random.random),
             "expected an AgentRecord"),
@@ -676,9 +745,9 @@ class TestBoundaryTypes:
             assert getattr(a, name) == self.FIELDS[name]
 
     @staticmethod
-    def world(events, on_events):
-        """A world of ``square:3`` built with the sinks given."""
-        return kernel.world(square_region(3), SimParams(), [], events, on_events)
+    def world(cls, **sinks):
+        """A ``cls``, a world, of ``square:3`` built with the sinks given."""
+        return cls(square_region(3), SimParams(), **sinks)
 
     @staticmethod
     def step_waking(item):
@@ -702,7 +771,7 @@ class TestBoundaryTypes:
         """A cell index is read as given: ``-1`` is not the last cell."""
         sim = engine.Simulation(square_region(3), SimParams())
         with pytest.raises(IndexError):
-            kernel.sense(sim._world, AgentRecord(**{**self.FIELDS, "pos": pos}))
+            kernel.sense(sim, AgentRecord(**{**self.FIELDS, "pos": pos}))
 
     @pytest.mark.parametrize("pos", [-1, 9])
     def test_a_record_outside_the_region_raises_index_error_from_step(self, pos):
@@ -711,7 +780,7 @@ class TestBoundaryTypes:
         for scheduler in ("random", "adversarial"):
             sim = engine.Simulation(square_region(3), SimParams(scheduler=scheduler))
             a = AgentRecord(**self.FIELDS)
-            sim._world.place(a)
+            sim.place(a)
             a.pos = pos
             sim.awake |= {a}
             with pytest.raises(IndexError, match=f"cell {pos} lies outside the region"):
